@@ -205,8 +205,8 @@ func BenchmarkKernelMatMul(b *testing.B) {
 		b.ReportMetric(last.ParallelSpeedup, "x_parallel")
 		b.ReportMetric(rep.Reuse.AllocsOffOp-rep.Reuse.AllocsOnOp, "allocs_saved")
 		for _, f := range rep.Fused {
-			if f.Kernel == "ScaleAddScale" {
-				b.ReportMetric(f.Speedup, "x_fused_sas")
+			if f.Kernel == "AddScaled" {
+				b.ReportMetric(f.Speedup, "x_fused_addscaled")
 			}
 		}
 	}

@@ -134,6 +134,14 @@ type Ops interface {
 	// AddToVar computes v += scale*delta when evaluated (gradient
 	// application without fresh graph construction per step).
 	AddToVar(v *vars.Variable, delta Ref, scale float64) Ref
+	// ApplyUpdate applies one fused optimizer update to v in place when
+	// evaluated — tensor.UpdateRule.Apply on both backends — keeping the
+	// rule's slots and step count in st, and yields norm, the step's global
+	// gradient norm. Threading each update's result into the next one's norm
+	// leaves a single ref that forces the whole step; on the static backend
+	// the norm input also orders every read of the old weights before the
+	// write (see graph.ApplyUpdate).
+	ApplyUpdate(v *vars.Variable, rule *tensor.UpdateRule, st *tensor.UpdateState, grad, norm Ref) Ref
 	// Group forces evaluation of all refs, yielding scalar 0.
 	Group(refs ...Ref) Ref
 

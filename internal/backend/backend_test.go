@@ -125,6 +125,40 @@ func TestAssignAndAddToVarModes(t *testing.T) {
 	}
 }
 
+func TestApplyUpdateModes(t *testing.T) {
+	// Build mode must touch neither the variable nor the optimizer state;
+	// run mode applies the rule, passes the norm through and records the
+	// in-place write; the static node does the same when a session runs it.
+	rule := &tensor.UpdateRule{Kind: tensor.UpdateMomentum, LR: 0.5, Beta1: 0.9}
+	v := vars.New("w", tensor.Scalar(1))
+	st := rule.NewState()
+	bops := NewEagerOps(nil, ModeBuild)
+	bops.ApplyUpdate(v, rule, st, bops.ConstScalar(2), bops.ConstScalar(2))
+	if v.Val.Item() != 1 || st.Steps != 0 || st.M.Item() != 0 || v.Generation() != 0 {
+		t.Fatal("build mode mutated variable or optimizer state")
+	}
+	rops := NewEagerOps(nil, ModeRun)
+	norm := rops.ApplyUpdate(v, rule, st, rops.ConstScalar(2), rops.ConstScalar(3))
+	if v.Val.Item() != 0 || st.M.Item() != 2 || st.Steps != 1 || v.Generation() != 1 {
+		t.Fatalf("run mode: w=%g m=%g steps=%d gen=%d", v.Val.Item(), st.M.Item(), st.Steps, v.Generation())
+	}
+	if rops.Eval(norm).Item() != 3 {
+		t.Fatalf("norm passed through as %g", rops.Eval(norm).Item())
+	}
+
+	g := graph.New()
+	sops := NewStaticOps(g)
+	out := sops.ApplyUpdate(v, rule, st, sops.ConstScalar(2), sops.ConstScalar(3))
+	res, err := graph.NewSession(g).Run([]*graph.Node{out.(*graph.Node)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// m = 0.9*2 + 2 = 3.8; w = 0 - 0.5*3.8.
+	if res[0].Item() != 3 || st.M.Item() != 3.8 || v.Val.Item() != -1.9 || st.Steps != 2 || v.Generation() != 2 {
+		t.Fatalf("static: norm=%g m=%g w=%g steps=%d gen=%d", res[0].Item(), st.M.Item(), v.Val.Item(), st.Steps, v.Generation())
+	}
+}
+
 func TestDefaultDeviceBracketing(t *testing.T) {
 	g := graph.New()
 	sops := NewStaticOps(g)

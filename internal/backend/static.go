@@ -233,6 +233,11 @@ func (s *StaticOps) AddToVar(v *vars.Variable, delta Ref, scale float64) Ref {
 	return graph.AddTo(s.G, v, n(delta), scale)
 }
 
+// ApplyUpdate emits a fused in-place optimizer update of v.
+func (s *StaticOps) ApplyUpdate(v *vars.Variable, rule *tensor.UpdateRule, st *tensor.UpdateState, grad, norm Ref) Ref {
+	return graph.ApplyUpdate(s.G, v, rule, st, n(grad), n(norm))
+}
+
 // Group emits a node forcing evaluation of all refs.
 func (s *StaticOps) Group(refs ...Ref) Ref {
 	ns := make([]*graph.Node, len(refs))

@@ -131,12 +131,6 @@ func KernelBench(sizes []int, matmulBase, fusedIters, reuseIters int) (*KernelBe
 			{"AddScaled", // a + s*b
 				func() *tensor.Tensor { return tensor.Add(x, tensor.Scale(y, 0.5)) },
 				func() *tensor.Tensor { return tensor.AddScaled(x, y, 0.5) }},
-			{"ScaleAddScale", // sa*a + sb*b
-				func() *tensor.Tensor { return tensor.Add(tensor.Scale(x, 0.9), tensor.Scale(y, 0.1)) },
-				func() *tensor.Tensor { return tensor.ScaleAddScale(x, 0.9, y, 0.1) }},
-			{"SubScaled", // a - s*b
-				func() *tensor.Tensor { return tensor.Sub(x, tensor.Scale(y, 0.01)) },
-				func() *tensor.Tensor { return tensor.SubScaled(x, y, 0.01) }},
 			{"MulAdd", // a + b*c
 				func() *tensor.Tensor { return tensor.Add(x, tensor.Mul(y, x)) },
 				func() *tensor.Tensor { return tensor.MulAdd(x, y, x) }},

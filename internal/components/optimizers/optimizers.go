@@ -1,14 +1,14 @@
 // Package optimizers provides gradient-descent optimizer components. An
 // optimizer's step API takes a scalar loss record, obtains gradients of the
 // trainable variables it was wired to (paper Fig. 3: optimizer.step(loss,
-// policy.variables())), optionally clips them by global norm, and emits
-// backend-appropriate update operations: in-graph assignments for the static
-// backend, immediate in-place updates for define-by-run.
+// policy.variables())), and emits one fused update per variable — the
+// analogue of the backend training ops (TF ApplyAdam) RLgraph's optimizers
+// wrap: a stateful graph node under the static backend, an immediate call
+// under define-by-run, both running tensor.UpdateRule.Apply in place.
 package optimizers
 
 import (
 	"fmt"
-	"math"
 
 	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
@@ -40,34 +40,31 @@ type Config struct {
 	MaxGradNorm float64 `json:"max_grad_norm,omitempty"`
 }
 
-// Optimizer is the shared component: concrete rules differ only in their
-// per-variable update emission.
+// Optimizer is the shared component: the rule and its per-variable state
+// live in tensor.UpdateRule / tensor.UpdateState.
 type Optimizer struct {
 	*component.Component
 
-	cfg      Config
+	rule     tensor.UpdateRule
 	provider VarsProvider
 
-	// slot state, created lazily at build time per optimized variable.
-	slots map[*vars.Variable]map[string]*vars.Variable
-	step  int // host-side step counter (Adam bias correction)
+	// state holds each optimized variable's slots and step count, created at
+	// first build and shared by every API (and both backends' passes) that
+	// steps this optimizer.
+	state map[*vars.Variable]*tensor.UpdateState
 }
 
 // New returns an optimizer component from a config.
 func New(name string, cfg Config, provider VarsProvider) (*Optimizer, error) {
-	switch cfg.Type {
-	case "sgd", "momentum", "rmsprop", "adam":
-	default:
-		return nil, fmt.Errorf("optimizers: unknown type %q", cfg.Type)
-	}
-	if cfg.LearningRate <= 0 {
-		return nil, fmt.Errorf("optimizers: learning rate must be positive, got %g", cfg.LearningRate)
+	rule, err := cfg.rule()
+	if err != nil {
+		return nil, err
 	}
 	o := &Optimizer{
 		Component: component.New(name),
-		cfg:       withDefaults(cfg),
+		rule:      rule,
 		provider:  provider,
-		slots:     make(map[*vars.Variable]map[string]*vars.Variable),
+		state:     make(map[*vars.Variable]*tensor.UpdateState),
 	}
 	o.DefineAPI("step", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
 		return o.GraphFn(ctx, "step", 1, o.stepFn, in...)
@@ -84,28 +81,38 @@ func Must(name string, cfg Config, provider VarsProvider) *Optimizer {
 	return o
 }
 
-func withDefaults(cfg Config) Config {
-	if cfg.Beta1 == 0 {
-		cfg.Beta1 = 0.9
+// rule validates cfg and translates it, with defaults, into the kernel's
+// hyperparameters.
+func (cfg Config) rule() (tensor.UpdateRule, error) {
+	if cfg.LearningRate <= 0 {
+		return tensor.UpdateRule{}, fmt.Errorf("optimizers: learning rate must be positive, got %g", cfg.LearningRate)
 	}
-	if cfg.Beta2 == 0 {
-		cfg.Beta2 = 0.999
+	or := func(v, def float64) float64 {
+		if v == 0 {
+			return def
+		}
+		return v
 	}
-	if cfg.Decay == 0 {
-		cfg.Decay = 0.99
+	r := tensor.UpdateRule{LR: cfg.LearningRate, Epsilon: or(cfg.Epsilon, 1e-8), MaxGradNorm: cfg.MaxGradNorm}
+	switch cfg.Type {
+	case "sgd":
+		r.Kind = tensor.UpdateSGD
+	case "momentum":
+		r.Kind, r.Beta1 = tensor.UpdateMomentum, or(cfg.Momentum, 0.9)
+	case "rmsprop":
+		r.Kind, r.Beta2 = tensor.UpdateRMSProp, or(cfg.Decay, 0.99)
+	case "adam":
+		r.Kind, r.Beta1, r.Beta2 = tensor.UpdateAdam, or(cfg.Beta1, 0.9), or(cfg.Beta2, 0.999)
+	default:
+		return tensor.UpdateRule{}, fmt.Errorf("optimizers: unknown type %q", cfg.Type)
 	}
-	if cfg.Epsilon == 0 {
-		cfg.Epsilon = 1e-8
-	}
-	if cfg.Momentum == 0 && cfg.Type == "momentum" {
-		cfg.Momentum = 0.9
-	}
-	return cfg
+	return r, nil
 }
 
-// stepFn computes gradients of the loss wrt the wired variables, clips, and
-// emits updates. The returned ref is the global gradient norm (before
-// clipping); evaluating it forces all updates.
+// stepFn computes gradients of the loss wrt the wired variables and emits
+// one update per variable. The returned ref is the global gradient norm
+// (before clipping), threaded through every update so that evaluating it
+// forces them all.
 func (o *Optimizer) stepFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
 	loss := in[0]
 	vsl := o.provider()
@@ -125,99 +132,27 @@ func (o *Optimizer) stepFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
 		}
 	}
 	norm := ops.Sqrt(sq)
-
-	if o.cfg.MaxGradNorm > 0 {
-		// scale = min(1, maxNorm / (norm + eps)).
-		scale := ops.Minimum(ops.ConstScalar(1),
-			ops.Div(ops.ConstScalar(o.cfg.MaxGradNorm), ops.AddScalar(norm, 1e-12)))
-		for i, g := range grads {
-			grads[i] = ops.Mul(g, scale)
-		}
-	}
-
-	updates := make([]backend.Ref, 0, len(vsl)+1)
 	for i, v := range vsl {
-		updates = append(updates, o.applyUpdate(ops, v, grads[i]))
+		norm = o.applyUpdate(ops, v, grads[i], norm)
 	}
-	// Advance the shared step counter once per step (host side).
-	updates = append(updates, ops.Stateful("OptStep", []int{}, func([]*tensor.Tensor) (*tensor.Tensor, error) {
-		o.step++
-		return tensor.Scalar(float64(o.step)), nil
-	}))
-	group := ops.Group(updates...)
-
-	// Return the norm, forcing updates via the group as a data dependency:
-	// norm + 0*group keeps a single fetchable output on both backends.
-	return []backend.Ref{ops.Add(norm, ops.Mul(group, ops.ConstScalar(0)))}
+	return []backend.Ref{norm}
 }
 
-// slot returns (creating on first use) named optimizer state shaped like v.
-func (o *Optimizer) slot(v *vars.Variable, name string) *vars.Variable {
-	m := o.slots[v]
-	if m == nil {
-		m = make(map[string]*vars.Variable)
-		o.slots[v] = m
+// applyUpdate emits the update of v from gradient g, yielding norm.
+func (o *Optimizer) applyUpdate(ops backend.Ops, v *vars.Variable, g, norm backend.Ref) backend.Ref {
+	st := o.state[v]
+	if st == nil {
+		st = o.rule.NewState(v.Val.Shape()...)
+		o.state[v] = st
 	}
-	s := m[name]
-	if s == nil {
-		s = vars.NewNonTrainable(o.Scope()+"/"+name+"/"+v.Name, tensor.New(v.Val.Shape()...))
-		m[name] = s
-	}
-	return s
+	return ops.ApplyUpdate(v, &o.rule, st, g, norm)
 }
 
-// applyUpdate emits the per-variable update for the configured rule.
-func (o *Optimizer) applyUpdate(ops backend.Ops, v *vars.Variable, g backend.Ref) backend.Ref {
-	lr := o.cfg.LearningRate
-	switch o.cfg.Type {
-	case "sgd":
-		return ops.AddToVar(v, g, -lr)
-
-	case "momentum":
-		mv := o.slot(v, "momentum")
-		// m = μm + g; v -= lr*m.
-		mNew := ops.Add(ops.Scale(ops.VarRead(mv), o.cfg.Momentum), g)
-		a1 := ops.AssignVar(mv, mNew)
-		return ops.Group(a1, ops.AddToVar(v, mNew, -lr))
-
-	case "rmsprop":
-		sv := o.slot(v, "rms")
-		// s = ρs + (1-ρ)g²; v -= lr * g/sqrt(s+ε).
-		sNew := ops.Add(ops.Scale(ops.VarRead(sv), o.cfg.Decay),
-			ops.Scale(ops.Square(g), 1-o.cfg.Decay))
-		a1 := ops.AssignVar(sv, sNew)
-		upd := ops.Div(g, ops.Sqrt(ops.AddScalar(sNew, o.cfg.Epsilon)))
-		return ops.Group(a1, ops.AddToVar(v, upd, -lr))
-
-	case "adam":
-		mv := o.slot(v, "m")
-		vv := o.slot(v, "v")
-		b1, b2 := o.cfg.Beta1, o.cfg.Beta2
-		mNew := ops.Add(ops.Scale(ops.VarRead(mv), b1), ops.Scale(g, 1-b1))
-		vNew := ops.Add(ops.Scale(ops.VarRead(vv), b2), ops.Scale(ops.Square(g), 1-b2))
-		a1 := ops.AssignVar(mv, mNew)
-		a2 := ops.AssignVar(vv, vNew)
-		// Bias correction uses the host step counter read at run time. The
-		// scalar is cached per closure and mutated in place between steps:
-		// stateful steps run serialized, its consumers only read during the
-		// same run, and a non-value-semantics producer is never recycled, so
-		// reusing the tensor is safe and keeps the update loop allocation-free.
-		var corrT *tensor.Tensor
-		corr := ops.Stateful("AdamCorr", []int{}, func([]*tensor.Tensor) (*tensor.Tensor, error) {
-			t := float64(o.step + 1)
-			c := math.Sqrt(1-math.Pow(b2, t)) / (1 - math.Pow(b1, t))
-			if corrT == nil {
-				corrT = tensor.Scalar(c)
-			} else {
-				corrT.Data()[0] = c
-			}
-			return corrT, nil
-		})
-		upd := ops.Div(ops.Mul(mNew, corr), ops.AddScalar(ops.Sqrt(vNew), o.cfg.Epsilon))
-		return ops.Group(a1, a2, ops.AddToVar(v, upd, -lr))
+// Step returns the number of applied optimizer steps. A step updates every
+// variable once, so all per-variable counts agree.
+func (o *Optimizer) Step() int {
+	for _, st := range o.state {
+		return st.Steps
 	}
-	panic("unreachable")
+	return 0
 }
-
-// Step returns the number of applied optimizer steps.
-func (o *Optimizer) Step() int { return o.step }

@@ -243,7 +243,9 @@ func (rt *Router) ActVersion(obs *tensor.Tensor, deadline time.Time) (*tensor.Te
 
 	var hedgeTimer <-chan time.Time
 	if rt.cfg.Hedge && rt.hedgeBudget(deadline) {
-		hedgeTimer = time.After(rt.hedgeAfter())
+		t := time.NewTimer(rt.hedgeAfter())
+		defer t.Stop()
+		hedgeTimer = t.C
 	}
 
 	retries := 0

@@ -9,13 +9,11 @@ import "rlgraph/internal/tensor"
 // specialized evaluator, eliminating the intermediate tensor and one pass
 // over memory:
 //
-//	Add(Scale(a,sa), Scale(b,sb)) -> ScaleAddScale   (optimizer moment updates)
-//	Add(Scale(a,s), b)            -> ScaledAdd
-//	Add(a, Scale(b,s))            -> AddScaled       (SGD/target-mix updates)
-//	Sub(a, Scale(b,s))            -> SubScaled
+//	Add(a, Scale(b,s))            -> AddScaled       (loss mixes, gradient sums)
 //	Add(Mul(a,b), c)              -> AddMul
 //	Add(a, Mul(b,c))              -> MulAdd          (residual adds)
 //	Mul(gy, ReluMask(x))          -> ReluBackward    (relu backprop)
+//	Sum(Square(x))                -> SumSquares      (gradient norms, L2 losses)
 //
 // A producer step may be absorbed only when its output is consumed solely by
 // the candidate consumer (use count 1 over all step inputs), is neither
@@ -114,12 +112,25 @@ func (p *Plan) fuseSteps() {
 		if st.eval != nil || consumed[i] {
 			continue
 		}
+		singleIn := func(pi int32) int32 { return p.insSlots[p.steps[pi].insOff] }
+		if so, ok := st.node.op.(*sumOp); ok && !so.mean {
+			if p0, ok := absorbable(p.insSlots[st.insOff], i); ok && isOpNamed(p.steps[p0].node, "Square") {
+				// Sum(Square(x)) -> SumSquares. No eval32: a lowered run converts
+				// x out and reduces in float64, like the unfused Sum.
+				st.eval = func(ctx *RunCtx, ins []*tensor.Tensor) (*tensor.Tensor, error) {
+					out := ctx.NewTensor()
+					out.Data()[0] = tensor.SumSquares(ins[0])
+					return out, nil
+				}
+				p.rewriteStep(i, []int32{singleIn(p0)}, consumed, p0)
+			}
+			continue
+		}
 		bo, ok := st.node.op.(*binOp)
 		if !ok || st.insLen != 2 {
 			continue
 		}
 		in0, in1 := p.insSlots[st.insOff], p.insSlots[st.insOff+1]
-		singleIn := func(pi int32) int32 { return p.insSlots[p.steps[pi].insOff] }
 		pairIn := func(pi int32) (int32, int32) {
 			off := p.steps[pi].insOff
 			return p.insSlots[off], p.insSlots[off+1]
@@ -129,58 +140,11 @@ func (p *Plan) fuseSteps() {
 		case "Add":
 			p0, ok0 := absorbable(in0, i)
 			p1, ok1 := absorbable(in1, i)
-			s0, isScale0 := float64(0), false
 			s1, isScale1 := float64(0), false
-			if ok0 {
-				s0, isScale0 = scaleParam(p.steps[p0].node)
-			}
 			if ok1 {
 				s1, isScale1 = scaleParam(p.steps[p1].node)
 			}
 			switch {
-			case isScale0 && isScale1 && p0 != p1:
-				// Add(Scale(a,sa), Scale(b,sb)) -> ScaleAddScale.
-				a, b := singleIn(p0), singleIn(p1)
-				sa, sb := s0, s1
-				st.eval = func(ctx *RunCtx, ins []*tensor.Tensor) (*tensor.Tensor, error) {
-					a, b := ins[0], ins[1]
-					if tensor.SameShape(a.Shape(), b.Shape()) {
-						return tensor.ScaleAddScaleInto(ctx.NewTensor(a.Shape()...), a, sa, b, sb), nil
-					}
-					return tensor.Add(tensor.Scale(a, sa), tensor.Scale(b, sb)), nil
-				}
-				sa32, sb32 := float32(sa), float32(sb)
-				st.eval32 = func(ctx *RunCtx, ins []*tensor.Tensor) (*tensor.Tensor, error) {
-					a, b := ins[0], ins[1]
-					if tensor.SameShape(a.Shape(), b.Shape()) {
-						return tensor.ScaleAddScaleInto32(ctx.NewTensor32(a.Shape()...), a, sa32, b, sb32), nil
-					}
-					return lowCompose(ctx, ins, func(c []*tensor.Tensor) *tensor.Tensor {
-						return tensor.Add(tensor.Scale(c[0], sa), tensor.Scale(c[1], sb))
-					}), nil
-				}
-				p.rewriteStep(i, []int32{a, b}, consumed, p0, p1)
-			case isScale0:
-				// Add(Scale(a,s), b) -> ScaledAdd.
-				a, s := singleIn(p0), s0
-				st.eval = func(ctx *RunCtx, ins []*tensor.Tensor) (*tensor.Tensor, error) {
-					a, b := ins[0], ins[1]
-					if tensor.SameShape(a.Shape(), b.Shape()) {
-						return tensor.ScaledAddInto(ctx.NewTensor(a.Shape()...), a, s, b), nil
-					}
-					return tensor.Add(tensor.Scale(a, s), b), nil
-				}
-				s32 := float32(s)
-				st.eval32 = func(ctx *RunCtx, ins []*tensor.Tensor) (*tensor.Tensor, error) {
-					a, b := ins[0], ins[1]
-					if tensor.SameShape(a.Shape(), b.Shape()) {
-						return tensor.ScaledAddInto32(ctx.NewTensor32(a.Shape()...), a, s32, b), nil
-					}
-					return lowCompose(ctx, ins, func(c []*tensor.Tensor) *tensor.Tensor {
-						return tensor.Add(tensor.Scale(c[0], s), c[1])
-					}), nil
-				}
-				p.rewriteStep(i, []int32{a, in1}, consumed, p0)
 			case isScale1:
 				// Add(a, Scale(b,s)) -> AddScaled.
 				b, s := singleIn(p1), s1
@@ -242,31 +206,6 @@ func (p *Plan) fuseSteps() {
 					}), nil
 				}
 				p.rewriteStep(i, []int32{a, b, in1}, consumed, p0)
-			}
-		case "Sub":
-			if p1, ok := absorbable(in1, i); ok {
-				if s, isScale := scaleParam(p.steps[p1].node); isScale {
-					// Sub(a, Scale(b,s)) -> SubScaled.
-					b := singleIn(p1)
-					st.eval = func(ctx *RunCtx, ins []*tensor.Tensor) (*tensor.Tensor, error) {
-						a, b := ins[0], ins[1]
-						if tensor.SameShape(a.Shape(), b.Shape()) {
-							return tensor.SubScaledInto(ctx.NewTensor(a.Shape()...), a, b, s), nil
-						}
-						return tensor.Sub(a, tensor.Scale(b, s)), nil
-					}
-					s32 := float32(s)
-					st.eval32 = func(ctx *RunCtx, ins []*tensor.Tensor) (*tensor.Tensor, error) {
-						a, b := ins[0], ins[1]
-						if tensor.SameShape(a.Shape(), b.Shape()) {
-							return tensor.SubScaledInto32(ctx.NewTensor32(a.Shape()...), a, b, s32), nil
-						}
-						return lowCompose(ctx, ins, func(c []*tensor.Tensor) *tensor.Tensor {
-							return tensor.Sub(c[0], tensor.Scale(c[1], s))
-						}), nil
-					}
-					p.rewriteStep(i, []int32{in0, b}, consumed, p1)
-				}
 			}
 		case "Mul":
 			if p1, ok := absorbable(in1, i); ok && isOpNamed(p.steps[p1].node, "ReluMask") {

@@ -152,7 +152,10 @@ type GradOp interface {
 // reference or view afterwards. The plan executor's liveness analysis
 // (see plan.go) only recycles an intermediate's buffer when its producer and
 // every consumer carry this marker; ops that alias (Identity, Reshape), share
-// (Const, VarRead), or retain (stateful ops) must not implement it.
+// (Const, VarRead), or retain (Assign, host-function ops) must not implement
+// it. The marker says nothing about purity: ApplyUpdate writes a variable in
+// place and still qualifies, because its result is fresh and it keeps no
+// input.
 type ValueSemanticsOp interface {
 	Op
 	// ValueSemantics marks the op; it carries no behaviour.

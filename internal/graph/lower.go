@@ -11,8 +11,9 @@ import (
 // A session whose dtype is tensor.Float32 runs its compiled plans on the
 // float32 kernel variants: feeds are converted once at the Run boundary into
 // per-plan staging buffers, weights and constants are converted once per
-// value (cached on the plan, keyed by the float64 tensor pointer so a
-// serve.Barrier weight swap naturally invalidates the cache), the hot ops
+// value (cached on the plan, keyed by the float64 tensor pointer and the
+// variable's write generation, so both a serve.Barrier weight swap and an
+// in-place optimizer update invalidate the cache), the hot ops
 // (matmul, conv forward, flat elementwise, fused chains) run on float32
 // storage, and fetches are converted back to float64 before the caller sees
 // them. The public API therefore stays float64 end to end — lowering is an
@@ -86,8 +87,9 @@ const (
 type lowStep struct {
 	kind lowKind
 	// weight caches the float32 conversion of a lowShared step's value. The
-	// cache key is the float64 tensor pointer: variables swap values by
-	// installing a new tensor (vars.Variable.Set clones), so a weight swap
+	// cache key is the float64 tensor pointer plus the variable's write
+	// generation: a weight swap installs a new tensor (vars.Variable.Set
+	// clones) and gradient application bumps the generation, so either
 	// invalidates the entry and the next lowered run reconverts. Reads are
 	// lock-free; a racing double-conversion is harmless.
 	weight atomic.Pointer[lowWeight]
@@ -95,6 +97,7 @@ type lowStep struct {
 
 type lowWeight struct {
 	src *tensor.Tensor // float64 value the conversion was taken from
+	gen uint64         // the variable's write generation at conversion (0 for constants)
 	val *tensor.Tensor // its float32 conversion (shared, never recycled)
 }
 
@@ -198,17 +201,18 @@ func (p *Plan) evalLowered(ctx *RunCtx, low []lowStep, i int, st *step, ins []*t
 		return tensor.Conv2D32(ins[0], ins[1], op.params), nil
 	case lowShared:
 		var cur *tensor.Tensor
+		var gen uint64
 		switch op := st.node.op.(type) {
 		case *constOp:
 			cur = op.val
 		case *varReadOp:
-			cur = op.v.Val
+			cur, gen = op.v.Val, op.v.Generation()
 		}
-		if w := ls.weight.Load(); w != nil && w.src == cur {
+		if w := ls.weight.Load(); w != nil && w.src == cur && w.gen == gen {
 			return w.val, nil
 		}
 		val := tensor.ToFloat32(cur)
-		ls.weight.Store(&lowWeight{src: cur, val: val})
+		ls.weight.Store(&lowWeight{src: cur, gen: gen, val: val})
 		return val, nil
 	case lowAlias:
 		return st.node.op.Eval(ctx, ins)

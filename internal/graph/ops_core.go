@@ -129,6 +129,7 @@ func (o *addToOp) Name() string                         { return "AddTo" }
 func (o *addToOp) InferShape(in [][]int) ([]int, error) { return in[0], nil }
 func (o *addToOp) Eval(_ *RunCtx, inputs []*tensor.Tensor) (*tensor.Tensor, error) {
 	tensor.AxpyInPlace(o.v.Val, o.scale, inputs[0])
+	o.v.MarkWritten()
 	return inputs[0], nil
 }
 func (o *addToOp) StatefulEval() {}
@@ -136,6 +137,44 @@ func (o *addToOp) StatefulEval() {}
 // AddTo adds a stateful node computing v += scale*val.
 func AddTo(g *Graph, v *vars.Variable, val *Node, scale float64) *Node {
 	return g.Add(&addToOp{v: v, scale: scale}, val)
+}
+
+// applyUpdateOp runs one fused optimizer update of a variable and its slots
+// in place (tensor.UpdateRule.Apply) and yields a copy of its second input,
+// the global gradient norm. It has value semantics towards the plan — the
+// result is a fresh scalar and neither input is retained — so the gradient's
+// buffer returns to the arena as soon as the update has consumed it.
+type applyUpdateOp struct {
+	v    *vars.Variable
+	rule *tensor.UpdateRule
+	st   *tensor.UpdateState
+}
+
+func (o *applyUpdateOp) Name() string                         { return "ApplyUpdate" }
+func (o *applyUpdateOp) InferShape(in [][]int) ([]int, error) { return in[1], nil }
+func (o *applyUpdateOp) Eval(ctx *RunCtx, inputs []*tensor.Tensor) (*tensor.Tensor, error) {
+	norm := inputs[1].Item()
+	o.rule.Apply(o.v.Val, o.st, inputs[0], norm)
+	o.v.MarkWritten()
+	out := ctx.NewTensor()
+	out.Data()[0] = norm
+	return out, nil
+}
+func (o *applyUpdateOp) StatefulEval()   {}
+func (o *applyUpdateOp) ValueSemantics() {}
+
+// ApplyUpdate adds a stateful node that applies rule to v from gradient grad,
+// keeping the slots and step count in st, and yields norm.
+//
+// norm is an input — and not only a clip operand — for ordering: it depends
+// on every gradient of the step, and a VarRead result aliases the variable's
+// storage, so with norm as a data dependency every read of the old weights
+// (the backward pass needs them) precedes this in-place write in every
+// executor, whatever order the plan was compiled in. Chaining a step's
+// updates through their norm results leaves one node whose evaluation forces
+// them all.
+func ApplyUpdate(g *Graph, v *vars.Variable, rule *tensor.UpdateRule, st *tensor.UpdateState, grad, norm *Node) *Node {
+	return g.Add(&applyUpdateOp{v: v, rule: rule, st: st}, grad, norm)
 }
 
 // groupOp evaluates all inputs and returns a scalar zero (like tf.group).

@@ -420,6 +420,11 @@ func (a *ActorRef) terminate(cause error) {
 				a.crashed.Store(true)
 			}
 		default:
+			// The parked drainer and the cluster's registry keep this ref
+			// reachable for the life of the process; the behavior — read only
+			// by this goroutine — and the state its methods close over need
+			// not be.
+			a.behavior = nil
 			close(a.done)
 			go a.drainAbandoned(cause)
 			return
@@ -429,8 +434,9 @@ func (a *ActorRef) terminate(cause error) {
 
 // drainAbandoned fails stragglers that won the send/done select race after
 // termination. It parks on the mailbox for the cluster's lifetime (one idle
-// goroutine per dead actor — acceptable for a simulator, and the only way to
-// guarantee no future ever hangs).
+// goroutine per dead actor, holding the ref but not its behavior —
+// acceptable for a simulator, and the only way to guarantee no future ever
+// hangs).
 func (a *ActorRef) drainAbandoned(cause error) {
 	if cause == nil {
 		cause = ErrStopped

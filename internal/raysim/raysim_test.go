@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -455,5 +456,38 @@ func TestStopAllAbandonsHungActor(t *testing.T) {
 	}
 	if _, err := f.GetTimeout(10 * time.Millisecond); !IsTimeout(err) {
 		t.Fatalf("hung call should only resolve via caller deadline: %v", err)
+	}
+}
+
+// TestStoppedActorsReleaseTheirState: a stopped actor's ref stays reachable
+// (cluster registry, parked drainer) for the life of the process, but the
+// state its behavior closes over must not — set-up/tear-down loops otherwise
+// accumulate every dead actor's memory.
+func TestStoppedActorsReleaseTheirState(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	c := NewCluster(Config{})
+	base := heap()
+	for i := 0; i < 20; i++ {
+		state := make([]byte, 1<<20)
+		a := mustActor(t, c, fmt.Sprintf("holder-%d", i), Behavior{
+			"touch": func([]interface{}) (interface{}, error) { state[0]++; return int(state[0]), nil },
+		})
+		a.Call("touch").MustGet()
+	}
+	if held := heap(); held < base+(19<<20) {
+		t.Fatalf("live actors hold %d bytes over baseline, want ~20 MiB (test no longer measures actor state)", held-base)
+	}
+	c.StopAll()
+	if after := heap(); after > base+(2<<20) {
+		t.Fatalf("20 stopped actors pin %d bytes over baseline, want < 2 MiB", after-base)
+	}
+	// The dead refs still answer — with an error, never a hang.
+	if _, err := c.Actor("holder-0").Call("touch").Get(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("stopped actor accepted call: %v", err)
 	}
 }

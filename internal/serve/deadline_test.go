@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -240,4 +242,42 @@ func TestBlockedAdmitterReleasedOnClose(t *testing.T) {
 	close(g.gate)
 	<-first
 	<-second
+}
+
+// TestRecycledDeadlineTimersCarryNoStaleExpiry: deadline timers are pooled,
+// so one that fired — or fired while being stopped — for a tight request
+// must come back out of the pool silent: a request with a generous deadline
+// that inherits it must never see a deadline miss.
+func TestRecycledDeadlineTimersCarryNoStaleExpiry(t *testing.T) {
+	run := func(b *tensor.Tensor) (*tensor.Tensor, error) {
+		time.Sleep(100 * time.Microsecond)
+		return b.Clone(), nil
+	}
+	s := New(run, Config{MaxBatch: 8, FlushLatency: 50 * time.Microsecond, QueueDepth: 256, ElemShape: []int{2}})
+	defer s.Close()
+	var wg sync.WaitGroup
+	for c := 0; c < 16; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for i := 0; i < 200; i++ {
+				// Tight: expires around the time the batch returns, so Stop
+				// races the timer firing; either outcome is legitimate.
+				tight := time.Duration(50+rng.Intn(200)) * time.Microsecond
+				if _, err := s.Act(obsOf(1, 2), time.Now().Add(tight)); err != nil && !errors.Is(err, ErrDeadline) {
+					t.Errorf("tight request: %v", err)
+					return
+				}
+				if _, err := s.Act(obsOf(3, 4), time.Now().Add(time.Minute)); err != nil {
+					t.Errorf("request with a one-minute deadline: %v", err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if m := s.Metrics(); m.DeadlineMisses == 0 {
+		t.Fatal("no tight request missed its deadline; the test exercised no fired timer")
+	}
 }

@@ -147,7 +147,7 @@ func TestFlushTimerFiresPartialBatch(t *testing.T) {
 
 // buildServeDQN builds a small static dueling DQN over GridWorld for the
 // differential tests.
-func buildServeDQN(t *testing.T) (*agents.DQN, *envs.GridWorld) {
+func buildServeDQN(t testing.TB) (*agents.DQN, *envs.GridWorld) {
 	t.Helper()
 	env := envs.NewGridWorld(5, 1)
 	cfg := agents.DQNConfig{

@@ -4,9 +4,9 @@ import "fmt"
 
 // Fused compound kernels: single-pass loops for the two- and three-op
 // elementwise chains the plan compiler pattern-matches (see
-// internal/graph/fuse.go) — optimizer update rules (momentum/RMSProp/Adam
-// emit Add(Scale, Scale)), relu backward (Mul(gy, ReluMask(x))), and
-// residual adds (Add(x, Mul(a,b))).
+// internal/graph/fuse.go) — scaled sums (Add(a, Scale(b, s))), relu backward
+// (Mul(gy, ReluMask(x))), and residual adds (Add(x, Mul(a,b))). The fused
+// optimizer updates live in update.go.
 //
 // Every kernel performs exactly the rounding sequence of its unfused
 // composition, in the same operand order: each intermediate product is
@@ -40,59 +40,6 @@ func AddScaledInto(out, a, b *Tensor, s float64) *Tensor {
 // AddScaled returns a + s*b (the fusion of Add(a, Scale(b, s))).
 func AddScaled(a, b *Tensor, s float64) *Tensor {
 	return AddScaledInto(New(a.shape...), a, b, s)
-}
-
-// ScaledAddInto sets out[i] = s*a[i] + b[i] and returns out.
-func ScaledAddInto(out, a *Tensor, s float64, b *Tensor) *Tensor {
-	sameShape3("ScaledAdd", a, b)
-	ad, bd := a.data, b.data[:len(a.data)]
-	od := out.data[:len(a.data)]
-	for i := range od {
-		t := s * ad[i]
-		od[i] = t + bd[i]
-	}
-	return out
-}
-
-// ScaledAdd returns s*a + b (the fusion of Add(Scale(a, s), b)).
-func ScaledAdd(a *Tensor, s float64, b *Tensor) *Tensor {
-	return ScaledAddInto(New(a.shape...), a, s, b)
-}
-
-// SubScaledInto sets out[i] = a[i] - s*b[i] and returns out.
-func SubScaledInto(out, a, b *Tensor, s float64) *Tensor {
-	sameShape3("SubScaled", a, b)
-	ad, bd := a.data, b.data[:len(a.data)]
-	od := out.data[:len(a.data)]
-	for i := range od {
-		t := s * bd[i]
-		od[i] = ad[i] - t
-	}
-	return out
-}
-
-// SubScaled returns a - s*b (the fusion of Sub(a, Scale(b, s))).
-func SubScaled(a, b *Tensor, s float64) *Tensor {
-	return SubScaledInto(New(a.shape...), a, b, s)
-}
-
-// ScaleAddScaleInto sets out[i] = sa*a[i] + sb*b[i] and returns out.
-func ScaleAddScaleInto(out, a *Tensor, sa float64, b *Tensor, sb float64) *Tensor {
-	sameShape3("ScaleAddScale", a, b)
-	ad, bd := a.data, b.data[:len(a.data)]
-	od := out.data[:len(a.data)]
-	for i := range od {
-		ta := sa * ad[i]
-		tb := sb * bd[i]
-		od[i] = ta + tb
-	}
-	return out
-}
-
-// ScaleAddScale returns sa*a + sb*b (the fusion of Add(Scale(a, sa),
-// Scale(b, sb)) — the shape of momentum, RMSProp, and Adam moment updates).
-func ScaleAddScale(a *Tensor, sa float64, b *Tensor, sb float64) *Tensor {
-	return ScaleAddScaleInto(New(a.shape...), a, sa, b, sb)
 }
 
 // MulAddInto sets out[i] = a[i] + b[i]*c[i] and returns out.

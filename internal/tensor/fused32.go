@@ -21,43 +21,6 @@ func AddScaledInto32(out, a, b *Tensor, s float32) *Tensor {
 	return out
 }
 
-// ScaledAddInto32 sets out[i] = s*a[i] + b[i] and returns out.
-func ScaledAddInto32(out, a *Tensor, s float32, b *Tensor) *Tensor {
-	sameShape3("ScaledAdd32", a, b)
-	ad, bd := a.data32, b.data32[:len(a.data32)]
-	od := out.data32[:len(a.data32)]
-	for i := range od {
-		t := s * ad[i]
-		od[i] = t + bd[i]
-	}
-	return out
-}
-
-// SubScaledInto32 sets out[i] = a[i] - s*b[i] and returns out.
-func SubScaledInto32(out, a, b *Tensor, s float32) *Tensor {
-	sameShape3("SubScaled32", a, b)
-	ad, bd := a.data32, b.data32[:len(a.data32)]
-	od := out.data32[:len(a.data32)]
-	for i := range od {
-		t := s * bd[i]
-		od[i] = ad[i] - t
-	}
-	return out
-}
-
-// ScaleAddScaleInto32 sets out[i] = sa*a[i] + sb*b[i] and returns out.
-func ScaleAddScaleInto32(out, a *Tensor, sa float32, b *Tensor, sb float32) *Tensor {
-	sameShape3("ScaleAddScale32", a, b)
-	ad, bd := a.data32, b.data32[:len(a.data32)]
-	od := out.data32[:len(a.data32)]
-	for i := range od {
-		ta := sa * ad[i]
-		tb := sb * bd[i]
-		od[i] = ta + tb
-	}
-	return out
-}
-
 // MulAddInto32 sets out[i] = a[i] + b[i]*c[i] and returns out.
 func MulAddInto32(out, a, b, c *Tensor) *Tensor {
 	sameShape3("MulAdd32", a, b)

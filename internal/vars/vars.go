@@ -16,12 +16,29 @@ import (
 // by VarRead graph nodes (static backend) or directly (define-by-run).
 // Variables are not internally synchronized: each agent executes its graph
 // from a single goroutine, and cross-agent weight transfer copies values.
+//
+// Val is written in two ways. Set, SetOwned and Store.SetWeights install a
+// new tensor, so anything holding the old pointer keeps a detached value.
+// Gradient application (AddTo, optimizer updates) mutates Val's storage in
+// place and must call MarkWritten afterwards: a VarRead result aliases Val,
+// so it is only valid until the next in-place write, and a consumer that
+// caches something derived from Val must key it on (Val, Generation()).
+// Snapshots that outlive a run (Store.Weights, target sync) clone.
 type Variable struct {
 	Name      string
 	Val       *tensor.Tensor
 	Trainable bool
 	Device    string
+
+	gen uint64 // in-place writes to Val's storage so far
 }
+
+// MarkWritten records that Val's storage was mutated in place.
+func (v *Variable) MarkWritten() { v.gen++ }
+
+// Generation counts the in-place writes recorded by MarkWritten. Together
+// with the Val pointer it identifies one value of the variable.
+func (v *Variable) Generation() uint64 { return v.gen }
 
 // New returns a trainable variable initialized to init.
 func New(name string, init *tensor.Tensor) *Variable {
@@ -46,8 +63,8 @@ func (v *Variable) Set(t *tensor.Tensor) {
 // ownership to the variable. The caller must guarantee t is freshly computed
 // and not aliased by any other variable or by caller-held mutable state —
 // after the call, t belongs to the variable and may be mutated in place by
-// accumulating updates (AddTo). Readers of the previous value keep their
-// (now detached) tensor. Used by the static backend's assign lowering when
+// gradient application. Readers of the previous value keep their (now
+// detached) tensor. Used by the static backend's assign lowering when
 // the assigned value comes from a value-semantics producer; everything else
 // should use Set.
 func (v *Variable) SetOwned(t *tensor.Tensor) {
