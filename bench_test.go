@@ -7,10 +7,13 @@ package rlgraph
 // scale sweeps with printed tables, run cmd/rlgraph-bench.
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"rlgraph/internal/benchkit"
+	"rlgraph/internal/tensor"
 )
 
 // BenchmarkFig5aBuildOverhead measures component-graph trace and build times
@@ -190,25 +193,48 @@ func BenchmarkPlanVsRecursive(b *testing.B) {
 }
 
 // BenchmarkKernelMatMul measures the blocked (serial and parallel) matmul
-// kernels against the seed naive kernel at quick scale. Full sweeps and the
-// acceptance gates live in cmd/rlgraph-bench -fig kernels, which writes
-// BENCH_kernels.json.
+// kernels against the seed naive kernel at quick scale ("sweep"; full sweeps
+// and the acceptance gates live in cmd/rlgraph-bench -fig kernels, which
+// writes BENCH_kernels.json), and the single-core rate of the kernel on the
+// [m,k]x[k,n] products the regression benchmark's workloads actually issue:
+// the three conv layers' forward panels, the pixel network's first dense
+// layer, one backward-input and one backward-filter panel, and the dense
+// workloads' hidden layers.
 func BenchmarkKernelMatMul(b *testing.B) {
-	s := benchkit.QuickScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := benchkit.KernelBench(s.KernelSizes, s.KernelMatMulIters, s.KernelFusedIters, s.KernelReuseIters)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rep.MatMul[len(rep.MatMul)-1]
-		b.ReportMetric(last.BlockedSpeedup, "x_blocked")
-		b.ReportMetric(last.ParallelSpeedup, "x_parallel")
-		b.ReportMetric(rep.Reuse.AllocsOffOp-rep.Reuse.AllocsOnOp, "allocs_saved")
-		for _, f := range rep.Fused {
-			if f.Kernel == "AddScaled" {
-				b.ReportMetric(f.Speedup, "x_fused_addscaled")
+	b.Run("sweep", func(b *testing.B) {
+		s := benchkit.QuickScale()
+		for i := 0; i < b.N; i++ {
+			rep, err := benchkit.KernelBench(s.KernelSizes, s.KernelMatMulIters, s.KernelFusedIters, s.KernelReuseIters)
+			if err != nil {
+				b.Fatal(err)
+			}
+			last := rep.MatMul[len(rep.MatMul)-1]
+			b.ReportMetric(last.BlockedSpeedup, "x_blocked")
+			b.ReportMetric(last.ParallelSpeedup, "x_parallel")
+			b.ReportMetric(rep.Reuse.AllocsOffOp-rep.Reuse.AllocsOnOp, "allocs_saved")
+			for _, f := range rep.Fused {
+				if f.Kernel == "AddScaled" {
+					b.ReportMetric(f.Speedup, "x_fused_addscaled")
+				}
 			}
 		}
+	})
+	defer tensor.SetKernelParallelism(tensor.KernelParallelism())
+	tensor.SetKernelParallelism(1)
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range [][3]int{
+		{64, 64, 16}, {64, 256, 32}, {64, 288, 32}, {32, 1568, 256},
+		{64, 32, 288}, {288, 64, 32}, {32, 64, 64}, {64, 64, 64},
+	} {
+		m, k, n := s[0], s[1], s[2]
+		x, w := tensor.RandNormal(rng, 0, 1, m, k), tensor.RandNormal(rng, 0, 1, k, n)
+		out := tensor.New(m, n)
+		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tensor.MatMulInto(out, x, w) // accumulates; the sums stay far from overflow
+			}
+			b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

@@ -96,8 +96,10 @@ func (o *conv2dOp) InferShape(in [][]int) ([]int, error) {
 	return []int{x[0], oh, ow, f[3]}, nil
 }
 
-func (o *conv2dOp) Eval(_ *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Conv2D(in[0], in[1], o.params), nil
+func (o *conv2dOp) Eval(ctx *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error) {
+	x, f := in[0], in[1]
+	oh, ow := o.params.ConvOutDims(x.Dim(1), x.Dim(2), f.Dim(0), f.Dim(1))
+	return tensor.Conv2DInto(ctx.NewTensor(x.Dim(0), oh, ow, f.Dim(3)), x, f, o.params), nil
 }
 
 func (o *conv2dOp) ValueSemantics() {}
@@ -120,8 +122,8 @@ type conv2dBackInputOp struct{ params tensor.ConvParams }
 
 func (o *conv2dBackInputOp) Name() string                         { return "Conv2DBackInput" }
 func (o *conv2dBackInputOp) InferShape(in [][]int) ([]int, error) { return in[2], nil }
-func (o *conv2dBackInputOp) Eval(_ *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Conv2DBackwardInput(in[0], in[1], in[2].Shape(), o.params), nil
+func (o *conv2dBackInputOp) Eval(ctx *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error) {
+	return tensor.Conv2DBackwardInputInto(ctx.NewTensor(in[2].Shape()...), in[0], in[1], o.params), nil
 }
 
 func (o *conv2dBackInputOp) ValueSemantics() {}
@@ -132,8 +134,8 @@ type conv2dBackFilterOp struct{ params tensor.ConvParams }
 
 func (o *conv2dBackFilterOp) Name() string                         { return "Conv2DBackFilter" }
 func (o *conv2dBackFilterOp) InferShape(in [][]int) ([]int, error) { return in[2], nil }
-func (o *conv2dBackFilterOp) Eval(_ *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Conv2DBackwardFilter(in[0], in[1], in[2].Shape(), o.params), nil
+func (o *conv2dBackFilterOp) Eval(ctx *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error) {
+	return tensor.Conv2DBackwardFilterInto(ctx.NewTensor(in[2].Shape()...), in[0], in[1], o.params), nil
 }
 
 func (o *conv2dBackFilterOp) ValueSemantics() {}

@@ -133,11 +133,12 @@ func convParts(rows, ckk, oc, panel int) int {
 	return parts
 }
 
-// im2colRows unfolds output rows [r0, r1) of the patch matrix into dst,
-// which must hold (r1-r0)*KH*KW*C elements. Padded regions are written as
-// explicit zeros, so dst may be arbitrary reused scratch.
-func im2colRows(dst []float64, input *Tensor, r0, r1, kh, kw int, p ConvParams) {
-	h, w, c := input.shape[1], input.shape[2], input.shape[3]
+// im2colRows unfolds output rows [r0, r1) of the patch matrix of an NHWC
+// input (src, of the given shape) into dst, which must hold (r1-r0)*KH*KW*C
+// elements. Padded regions are written as explicit zeros, so dst may be
+// arbitrary reused scratch.
+func im2colRows[T float32 | float64](dst, src []T, shape []int, r0, r1, kh, kw int, p ConvParams) {
+	h, w, c := shape[1], shape[2], shape[3]
 	oh, ow := p.ConvOutDims(h, w, kh, kw)
 	ckk := kh * kw * c
 	for row := r0; row < r1; row++ {
@@ -149,6 +150,9 @@ func im2colRows(dst []float64, input *Tensor, r0, r1, kh, kw int, p ConvParams) 
 		ix0 := ox*p.StrideW - p.PadW
 		d := dst[(row-r0)*ckk : (row-r0+1)*ckk]
 		imgBase := b * h * w * c
+		// Where padding does not cut it, a kernel row's kw pixels are one
+		// contiguous run of kw*c input elements.
+		wholeRun := ix0 >= 0 && ix0+kw <= w
 		di := 0
 		for ky := 0; ky < kh; ky++ {
 			iy := iy0 + ky
@@ -158,6 +162,11 @@ func im2colRows(dst []float64, input *Tensor, r0, r1, kh, kw int, p ConvParams) 
 				continue
 			}
 			rowBase := imgBase + iy*w*c
+			if wholeRun {
+				copy(d[di:di+kw*c], src[rowBase+ix0*c:])
+				di += kw * c
+				continue
+			}
 			for kx := 0; kx < kw; kx++ {
 				ix := ix0 + kx
 				if ix < 0 || ix >= w {
@@ -165,7 +174,7 @@ func im2colRows(dst []float64, input *Tensor, r0, r1, kh, kw int, p ConvParams) 
 					di += c
 					continue
 				}
-				copy(d[di:di+c], input.data[rowBase+ix*c:rowBase+ix*c+c])
+				copy(d[di:di+c], src[rowBase+ix*c:rowBase+ix*c+c])
 				di += c
 			}
 		}
@@ -181,7 +190,7 @@ func Im2Col(input *Tensor, kh, kw int, p ConvParams) *Tensor {
 	n, h, w, c := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
 	oh, ow := p.ConvOutDims(h, w, kh, kw)
 	cols := New(n*oh*ow, kh*kw*c)
-	im2colRows(cols.data, input, 0, n*oh*ow, kh, kw, p)
+	im2colRows(cols.data, input.data, input.shape, 0, n*oh*ow, kh, kw, p)
 	return cols
 }
 
@@ -253,14 +262,23 @@ func convDims(input, filter *Tensor, p ConvParams) (n, h, w, c, kh, kw, oc, oh, 
 }
 
 // Conv2D computes an NHWC convolution: input [N,H,W,C] * filter [KH,KW,C,OC]
-// -> [N,OH,OW,OC], via the tiled im2col pipeline. Row-panels of the output
-// are disjoint, so they fan out across the kernel worker pool; each worker
-// reuses one pooled panel of scratch for its whole row range.
+// -> [N,OH,OW,OC], via the tiled im2col pipeline.
 func Conv2D(input, filter *Tensor, p ConvParams) *Tensor {
+	n, _, _, _, _, _, oc, oh, ow := convDims(input, filter, p)
+	return Conv2DInto(New(n, oh, ow, oc), input, filter, p)
+}
+
+// Conv2DInto computes Conv2D into out, which must be a zero-filled
+// [N,OH,OW,OC] tensor (as produced by New or Arena.Get), and returns out.
+// Row-panels of the output are disjoint, so they fan out across the worker
+// pool; each worker reuses one pooled panel of scratch for its row range.
+func Conv2DInto(out, input, filter *Tensor, p ConvParams) *Tensor {
 	n, _, _, _, kh, kw, oc, oh, ow := convDims(input, filter, p)
+	if !SameShape(out.shape, []int{n, oh, ow, oc}) {
+		panic(fmt.Sprintf("tensor: Conv2DInto out shape %v, want [%d %d %d %d]", out.shape, n, oh, ow, oc))
+	}
 	ckk := kh * kw * input.shape[3]
 	rows := n * oh * ow
-	out := New(n, oh, ow, oc)
 	if rows == 0 || oc == 0 {
 		return out
 	}
@@ -274,17 +292,11 @@ func Conv2D(input, filter *Tensor, p ConvParams) *Tensor {
 		if r0 == r1 {
 			return
 		}
-		pr := panel
-		if pr > r1-r0 {
-			pr = r1 - r0
-		}
+		pr := min(panel, r1-r0)
 		scratch := convScratchGet(pr * ckk)
 		for s := r0; s < r1; s += pr {
-			e := s + pr
-			if e > r1 {
-				e = r1
-			}
-			im2colRows(scratch.data, input, s, e, kh, kw, p)
+			e := min(s+pr, r1)
+			im2colRows(scratch.data, input.data, input.shape, s, e, kh, kw, p)
 			matMulRows(scratch.data, fd, od[s*oc:e*oc], 0, e-s, ckk, oc)
 		}
 		convScratchPut(scratch)
@@ -304,16 +316,24 @@ func Conv2DNaive(input, filter *Tensor, p ConvParams) *Tensor {
 	return out.Reshape(n, oh, ow, oc)
 }
 
-// Conv2DBackwardInput returns dL/dInput for a Conv2D. Panels run serially in
-// ascending row order because Col2Im accumulates overlapping contributions —
-// the order of the full-materialization path — but each panel's matmul still
-// uses the blocked (row-parallel) core.
+// Conv2DBackwardInput returns dL/dInput for a Conv2D.
 func Conv2DBackwardInput(gradOut, filter *Tensor, inputShape []int, p ConvParams) *Tensor {
+	return Conv2DBackwardInputInto(New(inputShape...), gradOut, filter, p)
+}
+
+// Conv2DBackwardInputInto computes dL/dInput into out, a zero-filled tensor
+// of the forward input's shape [N,H,W,C], and returns out. Panels run
+// serially in ascending row order because Col2Im accumulates overlapping
+// contributions — the order of the full-materialization path — but each
+// panel's matmul still uses the blocked (row-parallel) core.
+func Conv2DBackwardInputInto(out, gradOut, filter *Tensor, p ConvParams) *Tensor {
 	kh, kw, c, oc := filter.shape[0], filter.shape[1], filter.shape[2], filter.shape[3]
-	n, h, w := inputShape[0], inputShape[1], inputShape[2]
+	if out.Rank() != 4 || out.shape[3] != c {
+		panic(fmt.Sprintf("tensor: Conv2DBackwardInputInto out shape %v for filter %v", out.shape, filter.shape))
+	}
+	n, h, w := out.shape[0], out.shape[1], out.shape[2]
 	oh, ow := p.ConvOutDims(h, w, kh, kw)
 	rows := n * oh * ow
-	out := New(n, h, w, c)
 	if rows == 0 {
 		return out
 	}
@@ -325,10 +345,7 @@ func Conv2DBackwardInput(gradOut, filter *Tensor, inputShape []int, p ConvParams
 	panel := convPanelFor(rows, 1)
 	colsPanel := convScratchGet(panel * ckk)
 	for s := 0; s < rows; s += panel {
-		e := s + panel
-		if e > rows {
-			e = rows
-		}
+		e := min(s+panel, rows)
 		cp := colsPanel.data[:(e-s)*ckk]
 		clear(cp)
 		// colsGrad[s:e] = gradOut[s:e] x filterᵀ.
@@ -351,18 +368,26 @@ func Conv2DBackwardInputNaive(gradOut, filter *Tensor, inputShape []int, p ConvP
 	return Col2Im(colsGrad, n, h, w, c, kh, kw, p)
 }
 
-// Conv2DBackwardFilter returns dL/dFilter for a Conv2D. Each output element
-// of the filter gradient sums products over all N*OH*OW patch rows; panels
-// accumulate into the gradient serially in ascending row order, reproducing
-// the accumulation sequence of the monolithic aᵀ x gy product.
+// Conv2DBackwardFilter returns dL/dFilter for a Conv2D.
 func Conv2DBackwardFilter(input, gradOut *Tensor, filterShape []int, p ConvParams) *Tensor {
-	kh, kw, c, oc := filterShape[0], filterShape[1], filterShape[2], filterShape[3]
+	return Conv2DBackwardFilterInto(New(filterShape...), input, gradOut, p)
+}
+
+// Conv2DBackwardFilterInto computes dL/dFilter into out, a zero-filled
+// [KH,KW,C,OC] tensor, and returns out. Each output element of the filter
+// gradient sums products over all N*OH*OW patch rows; panels accumulate into
+// the gradient serially in ascending row order, reproducing the accumulation
+// sequence of the monolithic aᵀ x gy product.
+func Conv2DBackwardFilterInto(out, input, gradOut *Tensor, p ConvParams) *Tensor {
+	if out.Rank() != 4 || input.Rank() != 4 || out.shape[2] != input.shape[3] {
+		panic(fmt.Sprintf("tensor: Conv2DBackwardFilterInto out shape %v for input %v", out.shape, input.shape))
+	}
+	kh, kw, c, oc := out.shape[0], out.shape[1], out.shape[2], out.shape[3]
 	n, h, w := input.shape[0], input.shape[1], input.shape[2]
 	oh, ow := p.ConvOutDims(h, w, kh, kw)
 	rows := n * oh * ow
-	fgrad := New(kh, kw, c, oc)
 	if rows == 0 {
-		return fgrad
+		return out
 	}
 	ckk := kh * kw * c
 	gm := gradOut.data // [rows, OC] viewed flat
@@ -370,19 +395,16 @@ func Conv2DBackwardFilter(input, gradOut *Tensor, filterShape []int, p ConvParam
 	colsPanel := convScratchGet(panel * ckk)
 	tp := convScratchGet(ckk * panel)
 	for s := 0; s < rows; s += panel {
-		e := s + panel
-		if e > rows {
-			e = rows
-		}
-		im2colRows(colsPanel.data, input, s, e, kh, kw, p)
-		// fgrad += colsᵀ[s:e] x gradOut[s:e]; the transpose feeds the blocked
-		// core, which accumulates into fgrad in ascending row order.
+		e := min(s+panel, rows)
+		im2colRows(colsPanel.data, input.data, input.shape, s, e, kh, kw, p)
+		// out += colsᵀ[s:e] x gradOut[s:e]; the transpose feeds the blocked
+		// core, which accumulates into out in ascending row order.
 		transposeInto(tp.data, colsPanel.data, e-s, ckk)
-		matMulCore(tp.data, gm[s*oc:e*oc], fgrad.data, ckk, e-s, oc)
+		matMulCore(tp.data, gm[s*oc:e*oc], out.data, ckk, e-s, oc)
 	}
 	convScratchPut(tp)
 	convScratchPut(colsPanel)
-	return fgrad
+	return out
 }
 
 // Conv2DBackwardFilterNaive is the full-materialization reference for the

@@ -7,43 +7,6 @@ package tensor
 // conv backward op falls back to the generic convert-run-convert path in
 // internal/graph.
 
-// im2colRows32 is im2colRows for a float32 NHWC input.
-func im2colRows32(dst []float32, input *Tensor, r0, r1, kh, kw int, p ConvParams) {
-	h, w, c := input.shape[1], input.shape[2], input.shape[3]
-	oh, ow := p.ConvOutDims(h, w, kh, kw)
-	ckk := kh * kw * c
-	for row := r0; row < r1; row++ {
-		b := row / (oh * ow)
-		rem := row - b*oh*ow
-		oy := rem / ow
-		ox := rem - oy*ow
-		iy0 := oy*p.StrideH - p.PadH
-		ix0 := ox*p.StrideW - p.PadW
-		d := dst[(row-r0)*ckk : (row-r0+1)*ckk]
-		imgBase := b * h * w * c
-		di := 0
-		for ky := 0; ky < kh; ky++ {
-			iy := iy0 + ky
-			if iy < 0 || iy >= h {
-				clear(d[di : di+kw*c])
-				di += kw * c
-				continue
-			}
-			rowBase := imgBase + iy*w*c
-			for kx := 0; kx < kw; kx++ {
-				ix := ix0 + kx
-				if ix < 0 || ix >= w {
-					clear(d[di : di+c])
-					di += c
-					continue
-				}
-				copy(d[di:di+c], input.data32[rowBase+ix*c:rowBase+ix*c+c])
-				di += c
-			}
-		}
-	}
-}
-
 func convScratchGet32(n int) *Tensor {
 	cur := convScratchCur.Add(int64(n))
 	for {
@@ -94,7 +57,7 @@ func Conv2D32(input, filter *Tensor, p ConvParams) *Tensor {
 			if e > r1 {
 				e = r1
 			}
-			im2colRows32(scratch.data32, input, s, e, kh, kw, p)
+			im2colRows(scratch.data32, input.data32, input.shape, s, e, kh, kw, p)
 			matMulRows32(scratch.data32, fd, od[s*oc:e*oc], 0, e-s, ckk, oc)
 		}
 		convScratchPut32(scratch)
@@ -109,7 +72,7 @@ func Conv2DNaive32(input, filter *Tensor, p ConvParams) *Tensor {
 	rows := n * oh * ow
 	ckk := kh * kw * c
 	cols := New32(rows, ckk)
-	im2colRows32(cols.data32, input, 0, rows, kh, kw, p)
+	im2colRows(cols.data32, input.data32, input.shape, 0, rows, kh, kw, p)
 	fmat := filter.Reshape(ckk, oc)
 	out := MatMulNaive32(cols, fmat)
 	return out.Reshape(n, oh, ow, oc)

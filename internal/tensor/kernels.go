@@ -89,9 +89,10 @@ func parallelFor(parts int, fn func(part int)) {
 }
 
 // matmulParallelThreshold is the minimum m*k*n multiply-add count before a
-// matmul fans out to the worker pool; below it the fork/join overhead
-// (microseconds) is comparable to the kernel itself.
-const matmulParallelThreshold = 1 << 18
+// matmul fans out to the worker pool: the measured break-even of two parts
+// against one on the AVX2 micro-kernel, about 300 µs of it (EXPERIMENTS.md).
+// Below it, waking a parked worker costs more than the half it takes over.
+const matmulParallelThreshold = 1 << 22
 
 // matmulParts picks the row-partition count for an [m,k]x[k,n] product.
 func matmulParts(m, k, n int) int {

@@ -9,21 +9,38 @@ import "fmt"
 // variants first transpose the relevant operand into pooled scratch, which
 // costs O(elements) against the O(m·k·n) product and lets every case share
 // the fast path. The kernel is blocked over k (so a panel of B stays in
-// cache), register-tiled 4 output rows x 4 k-steps at a time, and
-// parallelized by partitioning output rows across a goroutine pool (see
-// kernels.go).
+// cache), parallelized by partitioning output rows across a goroutine pool
+// (see kernels.go), and inside a panel runs one of two inner loops: an AVX2
+// micro-kernel in assembly, vectorised across output columns, or a portable
+// Go tile of 4 output rows x 4 k-steps.
 //
 // Every output element accumulates its k products in ascending-k order with
-// one rounded add per product — exactly the sequence of the naive i-k-j
-// triple loop — so blocked, tiled, and parallel execution are bit-for-bit
-// identical to MatMulNaive. The seed kernel's `if av == 0 { continue }`
-// zero-skip was removed: on dense data it is a data-dependent branch per
-// element (measurably slower), and it silently converted 0·Inf and 0·NaN
-// into 0 instead of NaN.
+// one rounded multiply and one rounded add per product — exactly the sequence
+// of the naive i-k-j triple loop — so blocked, tiled, vectorised and parallel
+// execution are bit-for-bit identical to MatMulNaive. The seed kernel's
+// `if av == 0 { continue }` zero-skip was removed: on dense data it is a
+// data-dependent branch per element (measurably slower), and it silently
+// converted 0·Inf and 0·NaN into 0 instead of NaN.
 
-// kBlock is the k-panel width: 256 k-rows of B at typical n keep the panel
+// kBlock is the tallest k-panel: 256 k-rows of B at typical n keep the panel
 // plus four output rows inside L2.
 const kBlock = 256
+
+// kPanel is the k-panel height for a B of n columns: kBlock, cut down for wide
+// B so that the lines the micro-kernel touches walking down one column strip
+// of the panel, a row of B apart, stay within 32 pages. Past the reach of the
+// first-level TLB that walk runs at 9 GFLOP/s (n = 1024) against 22.
+func kPanel(n int) int {
+	if n <= 16384/kBlock {
+		return kBlock
+	}
+	return max(32, 16384/n&^3)
+}
+
+// asmCallMadds bounds the multiply-adds of one call into the micro-kernel
+// (~20 µs): the runtime cannot preempt assembly, so a stop-the-world phase of
+// the collector waits for the call in flight, 1 ms with a row range per call.
+const asmCallMadds = 1 << 18
 
 // matMulDims validates rank-2 operands for an [m,k]x[k,n] product.
 func matMulDims(name string, a, b *Tensor, ka, kb int) {
@@ -149,101 +166,98 @@ func matMulCore(ad, bd, od []float64, m, k, n int) {
 	})
 }
 
-// matMulRows computes output rows [i0,i1) of ad x bd. For each k-panel it
-// walks 4 output rows at once, loading 4 B rows per inner pass; the inner
-// loop performs 16 multiply-adds per 4 B-loads with the adds of each output
-// element strictly ordered by k.
+// matMulRows computes output rows [i0,i1) of ad x bd, one k-panel at a time:
+// the assembly micro-kernel (amd64 with AVX2, see matmul_amd64.go) takes the
+// columns up to the last multiple of 4 and the Go tile takes the rest, which
+// is every column where there is no assembly.
 func matMulRows(ad, bd, od []float64, i0, i1, k, n int) {
-	for kb := 0; kb < k; kb += kBlock {
-		ke := kb + kBlock
-		if ke > k {
-			ke = k
-		}
-		i := i0
-		for ; i+4 <= i1; i += 4 {
-			a0 := ad[(i+0)*k : (i+0)*k+k]
-			a1 := ad[(i+1)*k : (i+1)*k+k]
-			a2 := ad[(i+2)*k : (i+2)*k+k]
-			a3 := ad[(i+3)*k : (i+3)*k+k]
-			o0 := od[(i+0)*n : (i+0)*n+n]
-			o1 := od[(i+1)*n : (i+1)*n+n]
-			o2 := od[(i+2)*n : (i+2)*n+n]
-			o3 := od[(i+3)*n : (i+3)*n+n]
-			kk := kb
-			for ; kk+4 <= ke; kk += 4 {
-				b0 := bd[(kk+0)*n : (kk+0)*n+n]
-				b1 := bd[(kk+1)*n : (kk+1)*n+n]
-				b2 := bd[(kk+2)*n : (kk+2)*n+n]
-				b3 := bd[(kk+3)*n : (kk+3)*n+n]
-				a00, a01, a02, a03 := a0[kk], a0[kk+1], a0[kk+2], a0[kk+3]
-				a10, a11, a12, a13 := a1[kk], a1[kk+1], a1[kk+2], a1[kk+3]
-				a20, a21, a22, a23 := a2[kk], a2[kk+1], a2[kk+2], a2[kk+3]
-				a30, a31, a32, a33 := a3[kk], a3[kk+1], a3[kk+2], a3[kk+3]
-				for j := 0; j < n; j++ {
-					bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
-					s := o0[j]
-					s += a00 * bv0
-					s += a01 * bv1
-					s += a02 * bv2
-					s += a03 * bv3
-					o0[j] = s
-					s = o1[j]
-					s += a10 * bv0
-					s += a11 * bv1
-					s += a12 * bv2
-					s += a13 * bv3
-					o1[j] = s
-					s = o2[j]
-					s += a20 * bv0
-					s += a21 * bv1
-					s += a22 * bv2
-					s += a23 * bv3
-					o2[j] = s
-					s = o3[j]
-					s += a30 * bv0
-					s += a31 * bv1
-					s += a32 * bv2
-					s += a33 * bv3
-					o3[j] = s
-				}
-			}
-			for ; kk < ke; kk++ {
-				brow := bd[kk*n : kk*n+n]
-				av0, av1, av2, av3 := a0[kk], a1[kk], a2[kk], a3[kk]
-				for j := 0; j < n; j++ {
-					bv := brow[j]
-					o0[j] += av0 * bv
-					o1[j] += av1 * bv
-					o2[j] += av2 * bv
-					o3[j] += av3 * bv
-				}
+	vec := 0
+	if useAVX2 {
+		vec = n &^ 3
+	}
+	kc := kPanel(n)
+	for kb := 0; kb < k; kb += kc {
+		ke := min(kb+kc, k)
+		if vec > 0 {
+			step := max(4, asmCallMadds/((ke-kb)*vec)&^3)
+			for i := i0; i < i1; i += step {
+				matMulAVX2(&ad[i*k+kb], &bd[kb*n], &od[i*n], min(step, i1-i), ke-kb, vec, k, n)
 			}
 		}
-		for ; i < i1; i++ {
-			arow := ad[i*k : i*k+k]
-			orow := od[i*n : i*n+n]
-			kk := kb
-			for ; kk+4 <= ke; kk += 4 {
-				b0 := bd[(kk+0)*n : (kk+0)*n+n]
-				b1 := bd[(kk+1)*n : (kk+1)*n+n]
-				b2 := bd[(kk+2)*n : (kk+2)*n+n]
-				b3 := bd[(kk+3)*n : (kk+3)*n+n]
-				av0, av1, av2, av3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-				for j := 0; j < n; j++ {
-					s := orow[j]
-					s += av0 * b0[j]
-					s += av1 * b1[j]
-					s += av2 * b2[j]
-					s += av3 * b3[j]
-					orow[j] = s
-				}
+		if vec < n {
+			matMulTile(ad, bd, od, i0, i1, kb, ke, vec, n, k, n)
+		}
+	}
+}
+
+// matMulTile accumulates rows [i0,i1) x columns [j0,j1) of ad x bd over the
+// k-steps [kb,ke) in portable Go, register-tiled 4 output rows x 4 k-steps: 16
+// multiply-adds per 4 B-loads, the adds of each output element ordered by k.
+// Rows and k-steps that do not fill a tile go through matMulAxpy afterwards.
+func matMulTile(ad, bd, od []float64, i0, i1, kb, ke, j0, j1, k, n int) {
+	k4 := kb + (ke-kb)&^3
+	i := i0
+	for ; i+4 <= i1; i += 4 {
+		a0 := ad[(i+0)*k : (i+0)*k+k]
+		a1 := ad[(i+1)*k : (i+1)*k+k]
+		a2 := ad[(i+2)*k : (i+2)*k+k]
+		a3 := ad[(i+3)*k : (i+3)*k+k]
+		o0 := od[(i+0)*n+j0 : (i+0)*n+j1]
+		o1 := od[(i+1)*n+j0 : (i+1)*n+j1]
+		o2 := od[(i+2)*n+j0 : (i+2)*n+j1]
+		o3 := od[(i+3)*n+j0 : (i+3)*n+j1]
+		for kk := kb; kk < k4; kk += 4 {
+			b0 := bd[(kk+0)*n+j0 : (kk+0)*n+j1]
+			b1 := bd[(kk+1)*n+j0 : (kk+1)*n+j1]
+			b2 := bd[(kk+2)*n+j0 : (kk+2)*n+j1]
+			b3 := bd[(kk+3)*n+j0 : (kk+3)*n+j1]
+			a00, a01, a02, a03 := a0[kk], a0[kk+1], a0[kk+2], a0[kk+3]
+			a10, a11, a12, a13 := a1[kk], a1[kk+1], a1[kk+2], a1[kk+3]
+			a20, a21, a22, a23 := a2[kk], a2[kk+1], a2[kk+2], a2[kk+3]
+			a30, a31, a32, a33 := a3[kk], a3[kk+1], a3[kk+2], a3[kk+3]
+			for j := range o0 {
+				bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
+				s := o0[j]
+				s += a00 * bv0
+				s += a01 * bv1
+				s += a02 * bv2
+				s += a03 * bv3
+				o0[j] = s
+				s = o1[j]
+				s += a10 * bv0
+				s += a11 * bv1
+				s += a12 * bv2
+				s += a13 * bv3
+				o1[j] = s
+				s = o2[j]
+				s += a20 * bv0
+				s += a21 * bv1
+				s += a22 * bv2
+				s += a23 * bv3
+				o2[j] = s
+				s = o3[j]
+				s += a30 * bv0
+				s += a31 * bv1
+				s += a32 * bv2
+				s += a33 * bv3
+				o3[j] = s
 			}
-			for ; kk < ke; kk++ {
-				brow := bd[kk*n : kk*n+n]
-				av := arow[kk]
-				for j := 0; j < n; j++ {
-					orow[j] += av * brow[j]
-				}
+		}
+	}
+	matMulAxpy(ad, bd, od, i0, i, k4, ke, j0, j1, k, n)
+	matMulAxpy(ad, bd, od, i, i1, kb, ke, j0, j1, k, n)
+}
+
+// matMulAxpy is the untiled form of matMulTile: one multiply-add per output
+// load and store, for the remainders of the tiling.
+func matMulAxpy(ad, bd, od []float64, i0, i1, kb, ke, j0, j1, k, n int) {
+	for i := i0; i < i1; i++ {
+		o := od[i*n+j0 : i*n+j1]
+		for kk := kb; kk < ke; kk++ {
+			av := ad[i*k+kk]
+			b := bd[kk*n+j0 : kk*n+j1]
+			for j := range o {
+				o[j] += av * b[j]
 			}
 		}
 	}
