@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 5a, 5b, 6, 7a, 7b, 8, 9, chaos, plan, kernels, conv, serve, fleet, live, dtype, env, partition, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 5a, 5b, 6, 7a, 7b, 8, 9, chaos, plan, kernels, conv, serve, fleet, live, env, partition, all")
 	quick := flag.Bool("quick", false, "use the fast smoke-test scale")
 	flag.Parse()
 
@@ -32,10 +32,10 @@ func main() {
 	runners := map[string]func(benchkit.Scale) error{
 		"5a": fig5a, "5b": fig5b, "6": fig6, "7a": fig7a, "7b": fig7b, "8": fig8, "9": fig9,
 		"chaos": chaos, "plan": figPlan, "kernels": figKernels, "conv": figConv, "serve": figServe,
-		"fleet": figFleet, "live": figLive, "dtype": figDtype, "env": figEnv, "partition": figPartition,
+		"fleet": figFleet, "live": figLive, "env": figEnv, "partition": figPartition,
 	}
 	if *fig == "all" {
-		for _, k := range []string{"5a", "5b", "6", "7a", "7b", "8", "9", "chaos", "plan", "kernels", "conv", "serve", "fleet", "live", "dtype", "env", "partition"} {
+		for _, k := range []string{"5a", "5b", "6", "7a", "7b", "8", "9", "chaos", "plan", "kernels", "conv", "serve", "fleet", "live", "env", "partition"} {
 			if err := runners[k](scale); err != nil {
 				log.Fatalf("figure %s: %v", k, err)
 			}
@@ -468,93 +468,6 @@ func figLive(s benchkit.Scale) error {
 		fmt.Printf("acceptance: %s: %.3f vs %.3f: %v\n", g.Benchmark, g.Value, g.Threshold, g.Pass)
 	}
 	fmt.Println("wrote BENCH_live.json")
-	return nil
-}
-
-// figDtype benchmarks the float32 execution path (DESIGN.md §5.12) against
-// the float64 baseline — matmul kernels, a memory-bound streaming elementwise
-// chain, the lowered executor forward pass — plus parallel dqn-update
-// allocations with per-plan scratch, recording results and gates in
-// BENCH_dtype.json. The f32 >= 1.3x gate is gomaxprocs-conditional like the
-// kernel and conv gates: with >= 4 cores it applies to the parallel large
-// matmul (where f32's smaller working set relieves shared-cache pressure);
-// on smaller boxes it applies to the streaming elementwise chain, which is
-// bandwidth-bound at any core count. The allocs/op <= 300 gate is
-// unconditional.
-func figDtype(s benchkit.Scale) error {
-	header("Dtype — float32 execution path vs float64 baseline")
-	rep, err := benchkit.DtypeBench(s.DtypeMatMulSizes, s.DtypeMatMulIters,
-		s.DtypeElemIters, s.DtypeForwardIters, s.DtypeAllocIters)
-	if err != nil {
-		return err
-	}
-	for _, r := range rep.MatMul {
-		fmt.Printf("matmul size=%-5d f64_ns=%-12.0f f32_ns=%-12.0f f64_par_ns=%-12.0f f32_par_ns=%-12.0f workers=%-2d serial=%.2fx parallel=%.2fx\n",
-			r.Size, r.F64NsOp, r.F32NsOp, r.F64ParNsOp, r.F32ParNsOp, r.Workers,
-			r.SerialSpeedup, r.ParallelSpeedup)
-	}
-	e := rep.Elementwise
-	fmt.Printf("elementwise elems=%-8d f64_ns=%-12.0f f32_ns=%-12.0f speedup=%.2fx f64_mb_s=%-8.0f f32_mb_s=%-8.0f\n",
-		e.Elems, e.F64NsOp, e.F32NsOp, e.Speedup, e.F64MBs, e.F32MBs)
-	f := rep.Forward
-	fmt.Printf("forward workload=%-24s batch=%-3d f64_ns=%-12.0f f32_ns=%-12.0f speedup=%.2fx\n",
-		f.Workload, f.Batch, f.F64NsOp, f.F32NsOp, f.Speedup)
-	a := rep.Allocs
-	fmt.Printf("allocs workload=%-12s par=%-2d allocs_op=%-8.1f bytes_op=%.0f\n",
-		a.Workload, a.Parallelism, a.AllocsOp, a.BytesOp)
-
-	type gate struct {
-		Benchmark string  `json:"benchmark"`
-		Value     float64 `json:"value"`
-		Threshold float64 `json:"threshold"`
-		Pass      bool    `json:"pass"`
-		Note      string  `json:"note,omitempty"`
-	}
-	report := struct {
-		Header benchkit.BenchHeader `json:"header"`
-		*benchkit.DtypeBenchReport
-		Acceptance []gate `json:"acceptance"`
-	}{Header: benchkit.NewBenchHeader(), DtypeBenchReport: rep}
-
-	// Gate 1 (gomaxprocs-conditional): f32 >= 1.3x f64 on a memory-bound
-	// workload.
-	const threshold = 1.3
-	if rep.Gomaxprocs >= 4 {
-		big := rep.MatMul[len(rep.MatMul)-1]
-		report.Acceptance = append(report.Acceptance, gate{
-			Benchmark: fmt.Sprintf("matmul %dx%d parallel f32 vs f64", big.Size, big.Size),
-			Value:     big.ParallelSpeedup, Threshold: threshold,
-			Pass: big.ParallelSpeedup >= threshold,
-		})
-	} else {
-		report.Acceptance = append(report.Acceptance, gate{
-			Benchmark: fmt.Sprintf("streaming elementwise (%d elems) f32 vs f64", e.Elems),
-			Value:     e.Speedup, Threshold: threshold,
-			Pass: e.Speedup >= threshold,
-			Note: fmt.Sprintf("gomaxprocs=%d < 4: the parallel-matmul gate needs cores contending for shared cache; gating on the bandwidth-bound streaming chain instead", rep.Gomaxprocs),
-		})
-	}
-
-	// Gate 2 (unconditional): per-plan scratch holds parallel dqn-update
-	// allocations at steady state (seed baseline was ~890 allocs/op).
-	report.Acceptance = append(report.Acceptance, gate{
-		Benchmark: "parallel dqn-update allocs/op with per-plan scratch",
-		Value:     a.AllocsOp, Threshold: 300,
-		Pass: a.AllocsOp <= 300,
-		Note: fmt.Sprintf("bytes_op=%.0f", a.BytesOp),
-	})
-
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_dtype.json", append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, g := range report.Acceptance {
-		fmt.Printf("acceptance: %s: %.2f (threshold %.2f): %v\n", g.Benchmark, g.Value, g.Threshold, g.Pass)
-	}
-	fmt.Println("wrote BENCH_dtype.json")
 	return nil
 }
 

@@ -288,7 +288,6 @@ func (e *EagerOps) AssignVar(vr *vars.Variable, val Ref) Ref {
 func (e *EagerOps) AddToVar(vr *vars.Variable, delta Ref, scale float64) Ref {
 	if e.mode == ModeRun {
 		tensor.AxpyInPlace(vr.Val, scale, v(delta).T)
-		vr.MarkWritten()
 	}
 	return delta
 }
@@ -297,7 +296,6 @@ func (e *EagerOps) AddToVar(vr *vars.Variable, delta Ref, scale float64) Ref {
 func (e *EagerOps) ApplyUpdate(vr *vars.Variable, rule *tensor.UpdateRule, st *tensor.UpdateState, grad, norm Ref) Ref {
 	if e.mode == ModeRun {
 		rule.Apply(vr.Val, st, v(grad).T, v(norm).T.Item())
-		vr.MarkWritten()
 	}
 	return norm
 }

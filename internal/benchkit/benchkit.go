@@ -61,17 +61,6 @@ type Scale struct {
 	KernelMatMulIters int
 	KernelFusedIters  int
 	KernelReuseIters  int
-	// DtypeMatMulSizes are the square matmul sizes of the float32-vs-float64
-	// benchmark; DtypeMatMulIters is its timed-iteration base at size 64
-	// (shrunk cubically with size), DtypeElemIters times the streaming
-	// elementwise chain, DtypeForwardIters times the lowered executor forward
-	// pass, and DtypeAllocIters counts the dqn-update runs of the per-plan
-	// scratch allocation measurement.
-	DtypeMatMulSizes  []int
-	DtypeMatMulIters  int
-	DtypeElemIters    int
-	DtypeForwardIters int
-	DtypeAllocIters   int
 	// ConvIters is the timed-iteration count of the conv benchmark's
 	// forward passes; ConvReuseIters counts the parallel dqn-update runs of
 	// its buffer-reuse allocation measurement.
@@ -131,11 +120,6 @@ func LaptopScale() Scale {
 		KernelMatMulIters: 512,
 		KernelFusedIters:  2000,
 		KernelReuseIters:  200,
-		DtypeMatMulSizes:  []int{256, 512},
-		DtypeMatMulIters:  512,
-		DtypeElemIters:    100,
-		DtypeForwardIters: 500,
-		DtypeAllocIters:   200,
 		ConvIters:         30,
 		ConvReuseIters:    200,
 		ServeClients:      32,
@@ -177,11 +161,6 @@ func QuickScale() Scale {
 	s.KernelMatMulIters = 32
 	s.KernelFusedIters = 100
 	s.KernelReuseIters = 20
-	s.DtypeMatMulSizes = []int{128, 256}
-	s.DtypeMatMulIters = 32
-	s.DtypeElemIters = 15
-	s.DtypeForwardIters = 100
-	s.DtypeAllocIters = 20
 	s.ConvIters = 5
 	s.ConvReuseIters = 20
 	// ServeClients stays at full scale: the acceptance gate requires >= 8

@@ -227,7 +227,7 @@ func ServeBench(clients int, window time.Duration, maxBatch int, flush time.Dura
 		return err
 	}
 	closedLoop(clients, warmupFor(window), pool2, batchedAct) // warm plans/arena
-	warm := svc.Metrics() // subtract warm-up traffic from the reported batcher stats
+	warm := svc.Metrics()                                     // subtract warm-up traffic from the reported batcher stats
 	req, errs, lats = closedLoop(clients, window, pool2, batchedAct)
 	m := svc.Metrics()
 	m.Batches -= warm.Batches

@@ -38,6 +38,9 @@ func TestPartitionedExecutionMatchesLocal(t *testing.T) {
 	if ex.PartitionedExecution() != ds {
 		t.Fatal("PartitionedExecution() does not expose the session")
 	}
+	if _, err := ex.EnablePartitionedExecution(cluster, partition.DefaultConfig()); err == nil {
+		t.Fatal("double enable accepted")
+	}
 	got, err := ex.Execute("forward", in)
 	if err != nil {
 		t.Fatal(err)
@@ -80,37 +83,6 @@ func TestPartitionedExecutionMatchesLocal(t *testing.T) {
 	}
 	if ex.Session().RunCount() != runs+1 {
 		t.Fatal("Execute did not return to the local session path")
-	}
-}
-
-// TestPartitionedExecutionRefusesFloat32: the partitioned path runs fragment
-// plans unlowered, so it must refuse to combine with the float32 path —
-// both at enable time and if the dtype changes afterwards.
-func TestPartitionedExecutionRefusesFloat32(t *testing.T) {
-	root, _, b := pipelineRoot()
-	b.SetDevice("gpu0")
-	ex := NewStatic(root)
-	ex.SetDType(tensor.Float32)
-	if _, err := ex.Build(inSpec()); err != nil {
-		t.Fatal(err)
-	}
-	cluster := raysim.NewCluster(raysim.Config{})
-	if _, err := ex.EnablePartitionedExecution(cluster, partition.DefaultConfig()); err == nil {
-		t.Fatal("float32 executor accepted partitioned execution")
-	}
-
-	ex.SetDType(tensor.Float64)
-	if _, err := ex.EnablePartitionedExecution(cluster, partition.DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-	defer ex.DisablePartitionedExecution()
-	if _, err := ex.EnablePartitionedExecution(cluster, partition.DefaultConfig()); err == nil {
-		t.Fatal("double enable accepted")
-	}
-	ex.SetDType(tensor.Float32)
-	in := tensor.FromSlice([]float64{1, 2, 3}, 1, 3)
-	if _, err := ex.Execute("forward", in); err == nil {
-		t.Fatal("partitioned Execute accepted the float32 path")
 	}
 }
 

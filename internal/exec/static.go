@@ -43,7 +43,6 @@ type StaticExecutor struct {
 	devLimits      map[string]int
 	fusionOff      bool
 	bufferReuseOff bool
-	dtype          tensor.Dtype
 
 	// devReg, when set, is the local device inventory: Build wires its names
 	// into the session so plans placed on unknown devices fail compilation.
@@ -130,7 +129,6 @@ func (e *StaticExecutor) Build(in InputSpaces) (*BuildReport, error) {
 	}
 	e.sess.SetFusion(!e.fusionOff)
 	e.sess.SetBufferReuse(!e.bufferReuseOff)
-	e.sess.SetDType(e.dtype)
 	if e.devReg != nil {
 		e.sess.SetKnownDevices(e.devReg.Names())
 	}
@@ -200,21 +198,6 @@ func (e *StaticExecutor) SetBufferReuse(on bool) {
 	}
 }
 
-// SetDType selects the storage type plan execution runs on (default
-// tensor.Float64; see graph.Session.SetDType). With tensor.Float32 every
-// Execute runs dtype-lowered — float32 kernels inside, float64 tensors at the
-// Execute boundary. May be called before or after Build; it affects
-// subsequent Executes.
-func (e *StaticExecutor) SetDType(d tensor.Dtype) {
-	e.dtype = d
-	if e.sess != nil {
-		e.sess.SetDType(d)
-	}
-}
-
-// DType returns the storage type plan execution currently runs on.
-func (e *StaticExecutor) DType() tensor.Dtype { return e.dtype }
-
 // SetDeviceRegistry wires the local device inventory into the executor: plan
 // compilation (at Build, and for any later fetch-set) rejects node placements
 // on devices missing from the registry, with an error listing the known
@@ -235,15 +218,11 @@ func (e *StaticExecutor) SetDeviceRegistry(r *devices.Registry) {
 // per-device fragments hosted in restartable actors on the cluster, with cut
 // tensors flowing actor-to-actor (see internal/partition). Results are
 // bit-for-bit identical to the local session path. Requires Build to have
-// run, and is incompatible with the float32 execution path (fragment plans
-// run unlowered). The returned DistSession exposes Describe/Metrics; the
-// executor owns its lifecycle — DisablePartitionedExecution closes it.
+// run. The returned DistSession exposes Describe/Metrics; the executor owns
+// its lifecycle — DisablePartitionedExecution closes it.
 func (e *StaticExecutor) EnablePartitionedExecution(cluster *raysim.Cluster, cfg partition.Config) (*partition.DistSession, error) {
 	if e.g == nil {
 		return nil, fmt.Errorf("exec: partitioned execution requires Build first")
-	}
-	if e.dtype == tensor.Float32 {
-		return nil, fmt.Errorf("exec: partitioned execution is unavailable with the float32 path (SetDType)")
 	}
 	if e.dist != nil {
 		return nil, fmt.Errorf("exec: partitioned execution already enabled")
@@ -289,9 +268,6 @@ func (e *StaticExecutor) Execute(api string, inputs ...*tensor.Tensor) ([]*tenso
 		feeds[ph] = in
 	}
 	if e.dist != nil {
-		if e.dtype == tensor.Float32 {
-			return nil, fmt.Errorf("exec: partitioned execution is unavailable with the float32 path (SetDType)")
-		}
 		return e.dist.Run(ent.fetches, feeds)
 	}
 	return e.sess.RunCompiled(ent.plan, feeds)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"rlgraph/internal/agents"
-	"rlgraph/internal/exec"
 	"rlgraph/internal/serve"
 	"rlgraph/internal/tensor"
 )
@@ -12,16 +11,6 @@ import (
 // serves the greedy (explore=false) or ε-greedy (explore=true) action path,
 // and exposes SetWeights as the hot-swap sink.
 func DQNBuild(build func(i int) (*agents.DQN, error), explore bool) BuildFunc {
-	return DQNBuildWithDType(build, explore, tensor.Float64)
-}
-
-// DQNBuildWithDType is DQNBuild with an execution storage type for the
-// replica executors: tensor.Float32 lowers every replica's inference to the
-// float32 kernel path (see exec.StaticExecutor.SetDType). Weight hot-swaps
-// still arrive as float64 via SetWeights; each replica reconverts swapped
-// values on its next lowered run, so a trainer pushing float64 snapshots
-// needs no changes.
-func DQNBuildWithDType(build func(i int) (*agents.DQN, error), explore bool, d tensor.Dtype) BuildFunc {
 	api := "get_actions_greedy"
 	if explore {
 		api = "get_actions"
@@ -30,11 +19,6 @@ func DQNBuildWithDType(build func(i int) (*agents.DQN, error), explore bool, d t
 		a, err := build(i)
 		if err != nil {
 			return nil, nil, err
-		}
-		if d != tensor.Float64 {
-			if se, ok := a.Executor().(*exec.StaticExecutor); ok {
-				se.SetDType(d)
-			}
 		}
 		return serve.ExecutorRunner(a.Executor(), api), a.SetWeights, nil
 	}

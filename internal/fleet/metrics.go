@@ -18,13 +18,13 @@ import (
 //
 //	Requests == Completed + Misses + Failed + Unroutable
 type counters struct {
-	requests   atomic.Int64
-	routed     atomic.Int64
-	completed  atomic.Int64
+	requests    atomic.Int64
+	routed      atomic.Int64
+	completed   atomic.Int64
 	retriedAway atomic.Int64
-	misses     atomic.Int64
-	failed     atomic.Int64
-	unroutable atomic.Int64
+	misses      atomic.Int64
+	failed      atomic.Int64
+	unroutable  atomic.Int64
 
 	retries atomic.Int64
 	hedges  atomic.Int64

@@ -115,8 +115,7 @@ func (p *Plan) fuseSteps() {
 		singleIn := func(pi int32) int32 { return p.insSlots[p.steps[pi].insOff] }
 		if so, ok := st.node.op.(*sumOp); ok && !so.mean {
 			if p0, ok := absorbable(p.insSlots[st.insOff], i); ok && isOpNamed(p.steps[p0].node, "Square") {
-				// Sum(Square(x)) -> SumSquares. No eval32: a lowered run converts
-				// x out and reduces in float64, like the unfused Sum.
+				// Sum(Square(x)) -> SumSquares.
 				st.eval = func(ctx *RunCtx, ins []*tensor.Tensor) (*tensor.Tensor, error) {
 					out := ctx.NewTensor()
 					out.Data()[0] = tensor.SumSquares(ins[0])
@@ -155,16 +154,6 @@ func (p *Plan) fuseSteps() {
 					}
 					return tensor.Add(a, tensor.Scale(b, s)), nil
 				}
-				s32 := float32(s)
-				st.eval32 = func(ctx *RunCtx, ins []*tensor.Tensor) (*tensor.Tensor, error) {
-					a, b := ins[0], ins[1]
-					if tensor.SameShape(a.Shape(), b.Shape()) {
-						return tensor.AddScaledInto32(ctx.NewTensor32(a.Shape()...), a, b, s32), nil
-					}
-					return lowCompose(ctx, ins, func(c []*tensor.Tensor) *tensor.Tensor {
-						return tensor.Add(c[0], tensor.Scale(c[1], s))
-					}), nil
-				}
 				p.rewriteStep(i, []int32{in0, b}, consumed, p1)
 			case ok1 && isOpNamed(p.steps[p1].node, "Mul") && p.steps[p1].insLen == 2:
 				// Add(a, Mul(b,c)) -> MulAdd.
@@ -176,15 +165,6 @@ func (p *Plan) fuseSteps() {
 					}
 					return tensor.Add(a, tensor.Mul(b, c)), nil
 				}
-				st.eval32 = func(ctx *RunCtx, ins []*tensor.Tensor) (*tensor.Tensor, error) {
-					a, b, c := ins[0], ins[1], ins[2]
-					if tensor.SameShape(a.Shape(), b.Shape()) && tensor.SameShape(b.Shape(), c.Shape()) {
-						return tensor.MulAddInto32(ctx.NewTensor32(a.Shape()...), a, b, c), nil
-					}
-					return lowCompose(ctx, ins, func(cv []*tensor.Tensor) *tensor.Tensor {
-						return tensor.Add(cv[0], tensor.Mul(cv[1], cv[2]))
-					}), nil
-				}
 				p.rewriteStep(i, []int32{in0, b, c}, consumed, p1)
 			case ok0 && isOpNamed(p.steps[p0].node, "Mul") && p.steps[p0].insLen == 2:
 				// Add(Mul(a,b), c) -> AddMul.
@@ -195,15 +175,6 @@ func (p *Plan) fuseSteps() {
 						return tensor.AddMulInto(ctx.NewTensor(a.Shape()...), a, b, c), nil
 					}
 					return tensor.Add(tensor.Mul(a, b), c), nil
-				}
-				st.eval32 = func(ctx *RunCtx, ins []*tensor.Tensor) (*tensor.Tensor, error) {
-					a, b, c := ins[0], ins[1], ins[2]
-					if tensor.SameShape(a.Shape(), b.Shape()) && tensor.SameShape(b.Shape(), c.Shape()) {
-						return tensor.AddMulInto32(ctx.NewTensor32(a.Shape()...), a, b, c), nil
-					}
-					return lowCompose(ctx, ins, func(cv []*tensor.Tensor) *tensor.Tensor {
-						return tensor.Add(tensor.Mul(cv[0], cv[1]), cv[2])
-					}), nil
 				}
 				p.rewriteStep(i, []int32{a, b, in1}, consumed, p0)
 			}
@@ -217,15 +188,6 @@ func (p *Plan) fuseSteps() {
 						return tensor.ReluBackwardInto(ctx.NewTensor(gy.Shape()...), gy, x), nil
 					}
 					return tensor.Mul(gy, tensor.ReluGrad(x)), nil
-				}
-				st.eval32 = func(ctx *RunCtx, ins []*tensor.Tensor) (*tensor.Tensor, error) {
-					gy, x := ins[0], ins[1]
-					if tensor.SameShape(gy.Shape(), x.Shape()) {
-						return tensor.ReluBackwardInto32(ctx.NewTensor32(gy.Shape()...), gy, x), nil
-					}
-					return lowCompose(ctx, ins, func(c []*tensor.Tensor) *tensor.Tensor {
-						return tensor.Mul(c[0], tensor.ReluGrad(c[1]))
-					}), nil
 				}
 				p.rewriteStep(i, []int32{in0, x}, consumed, p1)
 			}

@@ -216,7 +216,8 @@ func TestFusionAcrossDeviceBoundary(t *testing.T) {
 // TestBufferReuseRecyclesAndStaysBitExact: repeated serial runs must start
 // drawing intermediates from the session arena, and reuse-on vs reuse-off vs
 // recursive results must agree bit for bit. Variable state must be immune to
-// recycling (Assign consumers pin their input slots).
+// recycling (Assign consumers pin their input slots), and so must later runs
+// to a caller mutating the tensors an earlier run returned.
 func TestBufferReuseRecyclesAndStaysBitExact(t *testing.T) {
 	build := func() (*Graph, *vars.Variable, Feeds, []*Node) {
 		g := New()
@@ -237,6 +238,11 @@ func TestBufferReuseRecyclesAndStaysBitExact(t *testing.T) {
 			out, err := s.Run(fetches, feeds)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if last != nil {
+				// Fetches belong to the caller: scribbling on one must not
+				// reach the next run through the arena.
+				tensor.Fill(last[0], -999)
 			}
 			last = out
 		}

@@ -185,6 +185,16 @@ func (c *RunCtx) NewTensor(shape ...int) *tensor.Tensor {
 	return c.arena.Get(shape...)
 }
 
+// NewTensor2 is NewTensor for the common rank-2 case with a fixed-arity
+// signature, so hot callers (matmul evals) pay no variadic shape-slice
+// allocation per run.
+func (c *RunCtx) NewTensor2(d0, d1 int) *tensor.Tensor {
+	if c == nil || c.arena == nil {
+		return tensor.New(d0, d1)
+	}
+	return c.arena.Get2(d0, d1)
+}
+
 // mergeDims unifies two possibly-unknown dims, or errors.
 func mergeDims(a, b int) (int, error) {
 	switch {

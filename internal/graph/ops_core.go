@@ -129,7 +129,6 @@ func (o *addToOp) Name() string                         { return "AddTo" }
 func (o *addToOp) InferShape(in [][]int) ([]int, error) { return in[0], nil }
 func (o *addToOp) Eval(_ *RunCtx, inputs []*tensor.Tensor) (*tensor.Tensor, error) {
 	tensor.AxpyInPlace(o.v.Val, o.scale, inputs[0])
-	o.v.MarkWritten()
 	return inputs[0], nil
 }
 func (o *addToOp) StatefulEval() {}
@@ -155,7 +154,6 @@ func (o *applyUpdateOp) InferShape(in [][]int) ([]int, error) { return in[1], ni
 func (o *applyUpdateOp) Eval(ctx *RunCtx, inputs []*tensor.Tensor) (*tensor.Tensor, error) {
 	norm := inputs[1].Item()
 	o.rule.Apply(o.v.Val, o.st, inputs[0], norm)
-	o.v.MarkWritten()
 	out := ctx.NewTensor()
 	out.Data()[0] = norm
 	return out, nil

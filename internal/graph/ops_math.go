@@ -16,7 +16,6 @@ type binOp struct {
 	name   string
 	fn     func(a, b *tensor.Tensor) *tensor.Tensor
 	flat   func(dst, a, b []float64)
-	flat32 func(dst, a, b []float32) // lowered-path kernel (see lower.go)
 	gradFn func(g *Graph, n *Node, gy *Node) []*Node
 }
 
@@ -68,6 +67,25 @@ func (o *binOp) Grad(g *Graph, n *Node, gy *Node) []*Node {
 }
 func (o *binOp) ValueSemantics() {}
 
+// suffixShape reports whether small broadcasts against big purely by tiling:
+// after stripping leading 1-dims, small's shape must be a suffix of big's.
+// Scalars (rank 0 or all-ones shapes) trivially qualify.
+func suffixShape(big, small []int) bool {
+	for len(small) > 0 && small[0] == 1 {
+		small = small[1:]
+	}
+	if len(small) > len(big) {
+		return false
+	}
+	off := len(big) - len(small)
+	for i, d := range small {
+		if big[off+i] != d {
+			return false
+		}
+	}
+	return true
+}
+
 // unOp is an elementwise unary op. flat is the flat fast-path kernel (see
 // binOp); sval carries the compile-time scalar of parameterized ops (Scale,
 // AddScalar) so the plan compiler's fusion pass can extract it.
@@ -75,7 +93,6 @@ type unOp struct {
 	name   string
 	fn     func(a *tensor.Tensor) *tensor.Tensor
 	flat   func(dst, a []float64)
-	flat32 func(dst, a []float32) // lowered-path kernel (see lower.go)
 	sval   float64
 	gradFn func(g *Graph, n *Node, gy *Node) []*Node
 }
@@ -100,7 +117,7 @@ func (o *unOp) ValueSemantics() {}
 
 // Add returns a+b with broadcasting.
 func Add(g *Graph, a, b *Node) *Node {
-	return g.Add(&binOp{name: "Add", fn: tensor.Add, flat: tensor.AddFlat, flat32: tensor.AddFlat32,
+	return g.Add(&binOp{name: "Add", fn: tensor.Add, flat: tensor.AddFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			return []*Node{
 				UnbroadcastLike(g, gy, n.inputs[0]),
@@ -111,7 +128,7 @@ func Add(g *Graph, a, b *Node) *Node {
 
 // Sub returns a-b with broadcasting.
 func Sub(g *Graph, a, b *Node) *Node {
-	return g.Add(&binOp{name: "Sub", fn: tensor.Sub, flat: tensor.SubFlat, flat32: tensor.SubFlat32,
+	return g.Add(&binOp{name: "Sub", fn: tensor.Sub, flat: tensor.SubFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			return []*Node{
 				UnbroadcastLike(g, gy, n.inputs[0]),
@@ -122,7 +139,7 @@ func Sub(g *Graph, a, b *Node) *Node {
 
 // Mul returns a*b elementwise with broadcasting.
 func Mul(g *Graph, a, b *Node) *Node {
-	return g.Add(&binOp{name: "Mul", fn: tensor.Mul, flat: tensor.MulFlat, flat32: tensor.MulFlat32,
+	return g.Add(&binOp{name: "Mul", fn: tensor.Mul, flat: tensor.MulFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			a, b := n.inputs[0], n.inputs[1]
 			return []*Node{
@@ -134,7 +151,7 @@ func Mul(g *Graph, a, b *Node) *Node {
 
 // Div returns a/b elementwise with broadcasting.
 func Div(g *Graph, a, b *Node) *Node {
-	return g.Add(&binOp{name: "Div", fn: tensor.Div, flat: tensor.DivFlat, flat32: tensor.DivFlat32,
+	return g.Add(&binOp{name: "Div", fn: tensor.Div, flat: tensor.DivFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			a, b := n.inputs[0], n.inputs[1]
 			da := Div(g, gy, b)
@@ -146,7 +163,7 @@ func Div(g *Graph, a, b *Node) *Node {
 // Maximum returns elementwise max(a,b) with subgradient routed to the larger
 // operand (ties go to a).
 func Maximum(g *Graph, a, b *Node) *Node {
-	return g.Add(&binOp{name: "Maximum", fn: tensor.Maximum, flat: tensor.MaximumFlat, flat32: tensor.MaximumFlat32,
+	return g.Add(&binOp{name: "Maximum", fn: tensor.Maximum, flat: tensor.MaximumFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			a, b := n.inputs[0], n.inputs[1]
 			mask := GreaterEqual(g, a, b)
@@ -160,7 +177,7 @@ func Maximum(g *Graph, a, b *Node) *Node {
 // Minimum returns elementwise min(a,b) with subgradient to the smaller
 // operand (ties go to a).
 func Minimum(g *Graph, a, b *Node) *Node {
-	return g.Add(&binOp{name: "Minimum", fn: tensor.Minimum, flat: tensor.MinimumFlat, flat32: tensor.MinimumFlat32,
+	return g.Add(&binOp{name: "Minimum", fn: tensor.Minimum, flat: tensor.MinimumFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			a, b := n.inputs[0], n.inputs[1]
 			mask := LessEqual(g, a, b)
@@ -173,7 +190,7 @@ func Minimum(g *Graph, a, b *Node) *Node {
 
 // GreaterEqual returns 1 where a>=b else 0 (non-differentiable).
 func GreaterEqual(g *Graph, a, b *Node) *Node {
-	return g.Add(&binOp{name: "GreaterEqual", fn: tensor.GreaterEqual, flat: tensor.GreaterEqualFlat, flat32: tensor.GreaterEqualFlat32}, a, b)
+	return g.Add(&binOp{name: "GreaterEqual", fn: tensor.GreaterEqual, flat: tensor.GreaterEqualFlat}, a, b)
 }
 
 // LessEqual returns 1 where a<=b else 0 (non-differentiable).
@@ -185,17 +202,17 @@ func LessEqual(g *Graph, a, b *Node) *Node {
 
 // Less returns 1 where a<b else 0 (non-differentiable).
 func Less(g *Graph, a, b *Node) *Node {
-	return g.Add(&binOp{name: "Less", fn: tensor.Less, flat: tensor.LessFlat, flat32: tensor.LessFlat32}, a, b)
+	return g.Add(&binOp{name: "Less", fn: tensor.Less, flat: tensor.LessFlat}, a, b)
 }
 
 // EqualElems returns 1 where a==b else 0 (non-differentiable).
 func EqualElems(g *Graph, a, b *Node) *Node {
-	return g.Add(&binOp{name: "EqualElems", fn: tensor.EqualElems, flat: tensor.EqualFlat, flat32: tensor.EqualFlat32}, a, b)
+	return g.Add(&binOp{name: "EqualElems", fn: tensor.EqualElems, flat: tensor.EqualFlat}, a, b)
 }
 
 // Neg returns -x.
 func Neg(g *Graph, x *Node) *Node {
-	return g.Add(&unOp{name: "Neg", fn: tensor.Neg, flat: tensor.NegFlat, flat32: tensor.NegFlat32,
+	return g.Add(&unOp{name: "Neg", fn: tensor.Neg, flat: tensor.NegFlat,
 		gradFn: func(g *Graph, _ *Node, gy *Node) []*Node {
 			return []*Node{Neg(g, gy)}
 		}}, x)
@@ -203,7 +220,7 @@ func Neg(g *Graph, x *Node) *Node {
 
 // Exp returns e**x.
 func Exp(g *Graph, x *Node) *Node {
-	return g.Add(&unOp{name: "Exp", fn: tensor.Exp, flat: tensor.ExpFlat, flat32: tensor.ExpFlat32,
+	return g.Add(&unOp{name: "Exp", fn: tensor.Exp, flat: tensor.ExpFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			return []*Node{Mul(g, gy, n)} // d exp = exp(x) = n's output
 		}}, x)
@@ -211,7 +228,7 @@ func Exp(g *Graph, x *Node) *Node {
 
 // Log returns ln(x).
 func Log(g *Graph, x *Node) *Node {
-	return g.Add(&unOp{name: "Log", fn: tensor.Log, flat: tensor.LogFlat, flat32: tensor.LogFlat32,
+	return g.Add(&unOp{name: "Log", fn: tensor.Log, flat: tensor.LogFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			return []*Node{Div(g, gy, n.inputs[0])}
 		}}, x)
@@ -219,7 +236,7 @@ func Log(g *Graph, x *Node) *Node {
 
 // Sqrt returns sqrt(x).
 func Sqrt(g *Graph, x *Node) *Node {
-	return g.Add(&unOp{name: "Sqrt", fn: tensor.Sqrt, flat: tensor.SqrtFlat, flat32: tensor.SqrtFlat32,
+	return g.Add(&unOp{name: "Sqrt", fn: tensor.Sqrt, flat: tensor.SqrtFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			return []*Node{Div(g, gy, Scale(g, n, 2))}
 		}}, x)
@@ -227,7 +244,7 @@ func Sqrt(g *Graph, x *Node) *Node {
 
 // Square returns x*x.
 func Square(g *Graph, x *Node) *Node {
-	return g.Add(&unOp{name: "Square", fn: tensor.Square, flat: tensor.SquareFlat, flat32: tensor.SquareFlat32,
+	return g.Add(&unOp{name: "Square", fn: tensor.Square, flat: tensor.SquareFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			return []*Node{Mul(g, gy, Scale(g, n.inputs[0], 2))}
 		}}, x)
@@ -235,7 +252,7 @@ func Square(g *Graph, x *Node) *Node {
 
 // Abs returns |x| with subgradient sign(x).
 func Abs(g *Graph, x *Node) *Node {
-	return g.Add(&unOp{name: "Abs", fn: tensor.Abs, flat: tensor.AbsFlat, flat32: tensor.AbsFlat32,
+	return g.Add(&unOp{name: "Abs", fn: tensor.Abs, flat: tensor.AbsFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			return []*Node{Mul(g, gy, Sign(g, n.inputs[0]))}
 		}}, x)
@@ -251,16 +268,16 @@ func Sign(g *Graph, x *Node) *Node {
 
 // Relu returns max(x,0).
 func Relu(g *Graph, x *Node) *Node {
-	return g.Add(&unOp{name: "Relu", fn: tensor.Relu, flat: tensor.ReluFlat, flat32: tensor.ReluFlat32,
+	return g.Add(&unOp{name: "Relu", fn: tensor.Relu, flat: tensor.ReluFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
-			mask := g.Add(&unOp{name: "ReluMask", fn: tensor.ReluGrad, flat: tensor.ReluGradFlat, flat32: tensor.ReluGradFlat32}, n.inputs[0])
+			mask := g.Add(&unOp{name: "ReluMask", fn: tensor.ReluGrad, flat: tensor.ReluGradFlat}, n.inputs[0])
 			return []*Node{Mul(g, gy, mask)}
 		}}, x)
 }
 
 // Tanh returns tanh(x).
 func Tanh(g *Graph, x *Node) *Node {
-	return g.Add(&unOp{name: "Tanh", fn: tensor.Tanh, flat: tensor.TanhFlat, flat32: tensor.TanhFlat32,
+	return g.Add(&unOp{name: "Tanh", fn: tensor.Tanh, flat: tensor.TanhFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			return []*Node{Mul(g, gy, OneMinus(g, Mul(g, n, n)))}
 		}}, x)
@@ -268,7 +285,7 @@ func Tanh(g *Graph, x *Node) *Node {
 
 // Sigmoid returns 1/(1+e^-x).
 func Sigmoid(g *Graph, x *Node) *Node {
-	return g.Add(&unOp{name: "Sigmoid", fn: tensor.Sigmoid, flat: tensor.SigmoidFlat, flat32: tensor.SigmoidFlat32,
+	return g.Add(&unOp{name: "Sigmoid", fn: tensor.Sigmoid, flat: tensor.SigmoidFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			return []*Node{Mul(g, gy, Mul(g, n, OneMinus(g, n)))}
 		}}, x)
@@ -280,8 +297,7 @@ func OneMinus(g *Graph, x *Node) *Node {
 		fn: func(a *tensor.Tensor) *tensor.Tensor {
 			return tensor.AddScalar(tensor.Neg(a), 1)
 		},
-		flat:   tensor.OneMinusFlat,
-		flat32: tensor.OneMinusFlat32,
+		flat: tensor.OneMinusFlat,
 		gradFn: func(g *Graph, _ *Node, gy *Node) []*Node {
 			return []*Node{Neg(g, gy)}
 		}}, x)
@@ -290,9 +306,8 @@ func OneMinus(g *Graph, x *Node) *Node {
 // Scale returns x*s for a compile-time scalar s.
 func Scale(g *Graph, x *Node, s float64) *Node {
 	return g.Add(&unOp{name: "Scale", sval: s,
-		fn:     func(a *tensor.Tensor) *tensor.Tensor { return tensor.Scale(a, s) },
-		flat:   func(dst, a []float64) { tensor.ScaleFlat(dst, a, s) },
-		flat32: func(dst, a []float32) { tensor.ScaleFlat32(dst, a, float32(s)) },
+		fn:   func(a *tensor.Tensor) *tensor.Tensor { return tensor.Scale(a, s) },
+		flat: func(dst, a []float64) { tensor.ScaleFlat(dst, a, s) },
 		gradFn: func(g *Graph, _ *Node, gy *Node) []*Node {
 			return []*Node{Scale(g, gy, s)}
 		}}, x)
@@ -301,9 +316,8 @@ func Scale(g *Graph, x *Node, s float64) *Node {
 // AddScalar returns x+s for a compile-time scalar s.
 func AddScalar(g *Graph, x *Node, s float64) *Node {
 	return g.Add(&unOp{name: "AddScalar", sval: s,
-		fn:     func(a *tensor.Tensor) *tensor.Tensor { return tensor.AddScalar(a, s) },
-		flat:   func(dst, a []float64) { tensor.AddScalarFlat(dst, a, s) },
-		flat32: func(dst, a []float32) { tensor.AddScalarFlat32(dst, a, float32(s)) },
+		fn:   func(a *tensor.Tensor) *tensor.Tensor { return tensor.AddScalar(a, s) },
+		flat: func(dst, a []float64) { tensor.AddScalarFlat(dst, a, s) },
 		gradFn: func(g *Graph, _ *Node, gy *Node) []*Node {
 			return []*Node{gy}
 		}}, x)
@@ -312,9 +326,8 @@ func AddScalar(g *Graph, x *Node, s float64) *Node {
 // Clip limits x to [lo,hi] with a pass-through subgradient inside the range.
 func Clip(g *Graph, x *Node, lo, hi float64) *Node {
 	return g.Add(&unOp{name: "Clip",
-		fn:     func(a *tensor.Tensor) *tensor.Tensor { return tensor.Clip(a, lo, hi) },
-		flat:   func(dst, a []float64) { tensor.ClipFlat(dst, a, lo, hi) },
-		flat32: func(dst, a []float32) { tensor.ClipFlat32(dst, a, float32(lo), float32(hi)) },
+		fn:   func(a *tensor.Tensor) *tensor.Tensor { return tensor.Clip(a, lo, hi) },
+		flat: func(dst, a []float64) { tensor.ClipFlat(dst, a, lo, hi) },
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			inRange := g.Add(&unOp{name: "ClipMask", fn: func(a *tensor.Tensor) *tensor.Tensor {
 				return tensor.Mul(tensor.GreaterEqual(a, tensor.Scalar(lo)),

@@ -45,9 +45,8 @@ type step struct {
 	schedDev int32 // index into Plan.schedDevices; -1 = unconstrained
 	statDev  int32 // index into Plan.statDevices (always valid)
 
-	eval   stepEval // non-nil on fused steps; overrides node.op.Eval
-	eval32 stepEval // float32 twin of eval, used by dtype-lowered runs
-	fused  []*Node  // producer nodes absorbed into this step (see fuse.go)
+	eval  stepEval // non-nil on fused steps; overrides node.op.Eval
+	fused []*Node  // producer nodes absorbed into this step (see fuse.go)
 }
 
 // evals returns how many op evaluations this step represents (itself plus any
@@ -108,12 +107,6 @@ type Plan struct {
 	stepRelease [][]int32
 
 	scratch sync.Pool
-
-	// Dtype-lowering state (lower.go): per-step kind classification, built
-	// lazily on the first lowered run. The classification is dtype-independent,
-	// so plans compiled before a SetDType toggle lower correctly afterwards.
-	lowOnce sync.Once
-	low     []lowStep
 }
 
 // Steps returns the number of compiled op evaluations per run.
@@ -122,16 +115,12 @@ func (p *Plan) Steps() int { return len(p.steps) }
 // Slots returns the size of the per-run value array.
 func (p *Plan) Slots() int { return p.nslots }
 
-// planScratch is the reusable per-run buffer set. feed32 is the lowered-run
-// feed staging: one float32 tensor per feed bind, converted into in place and
-// deliberately NOT cleared between runs, so steady-state lowered Runs with
-// stable feed shapes perform zero feed-conversion allocations.
+// planScratch is the reusable per-run buffer set.
 type planScratch struct {
 	values  []*tensor.Tensor
 	ins     []*tensor.Tensor
 	indeg   []int32
 	readers []int32
-	feed32  []*tensor.Tensor
 }
 
 // planKey builds the cache key for a fetch-set under a feed-key-set: fetch
@@ -336,14 +325,13 @@ func (b *planBuilder) finish(fetches []*Node, fuse bool) (*Plan, error) {
 
 	p.computeRelease()
 
-	nslots, insTotal, nsteps, nfeeds := p.nslots, len(p.insSlots), len(p.steps), len(p.feeds)
+	nslots, insTotal, nsteps := p.nslots, len(p.insSlots), len(p.steps)
 	p.scratch.New = func() any {
 		return &planScratch{
 			values:  make([]*tensor.Tensor, nslots),
 			ins:     make([]*tensor.Tensor, insTotal),
 			indeg:   make([]int32, nsteps),
 			readers: make([]int32, nslots),
-			feed32:  make([]*tensor.Tensor, nfeeds),
 		}
 	}
 	return p, nil
@@ -555,27 +543,6 @@ func (s *Session) runPlan(p *Plan, feeds Feeds) ([]*tensor.Tensor, error) {
 		}
 	}
 
-	// Dtype lowering: convert feeds into the plan's persistent float32 staging
-	// buffers so every slot value in a lowered run is float32 (lower.go). The
-	// staging tensor is reused whenever the feed shape is stable across runs.
-	var low []lowStep
-	if tensor.Dtype(s.dtype.Load()) == tensor.Float32 {
-		low = p.loweredSteps()
-		for i, fb := range p.feeds {
-			v := sc.values[fb.slot]
-			if v.Dtype() == tensor.Float32 {
-				continue // caller already staged a float32 tensor
-			}
-			st := sc.feed32[i]
-			if st == nil || !tensor.SameShape(st.Shape(), v.Shape()) {
-				st = tensor.New32(v.Shape()...)
-				sc.feed32[i] = st
-			}
-			tensor.ConvertInto(st, v)
-			sc.values[fb.slot] = st
-		}
-	}
-
 	devCounts := make([]int64, len(p.statDevices))
 	var arena *tensor.Arena
 	if s.bufferReuse.Load() {
@@ -584,9 +551,9 @@ func (s *Session) runPlan(p *Plan, feeds Feeds) ([]*tensor.Tensor, error) {
 	var evaluated int64
 	var runErr error
 	if workers := int(s.parallelism.Load()); workers > 1 && len(p.steps) > 1 {
-		evaluated, runErr = p.execParallel(sc, devCounts, workers, s.deviceLimitsRef(), arena, low)
+		evaluated, runErr = p.execParallel(sc, devCounts, workers, s.deviceLimitsRef(), arena)
 	} else {
-		evaluated, runErr = p.execSerial(sc, devCounts, arena, low)
+		evaluated, runErr = p.execSerial(sc, devCounts, arena)
 	}
 
 	s.nodesEvaluated.Add(evaluated)
@@ -604,11 +571,6 @@ func (s *Session) runPlan(p *Plan, feeds Feeds) ([]*tensor.Tensor, error) {
 	out := make([]*tensor.Tensor, len(p.fetchSlots))
 	for i, slot := range p.fetchSlots {
 		out[i] = sc.values[slot]
-		if low != nil && out[i] != nil && out[i].Dtype() == tensor.Float32 {
-			// Always a fresh float64 copy: lowered fetches may alias feed
-			// staging or the shared weight cache, neither of which may escape.
-			out[i] = tensor.ToFloat64(out[i])
-		}
 	}
 	return out, nil
 }
@@ -616,7 +578,7 @@ func (s *Session) runPlan(p *Plan, feeds Feeds) ([]*tensor.Tensor, error) {
 // execSerial runs the step list in compiled (recursive-equivalent) order.
 // With a non-nil arena, intermediates scheduled by the liveness analysis are
 // recycled as soon as their last consumer has run.
-func (p *Plan) execSerial(sc *planScratch, devCounts []int64, arena *tensor.Arena, low []lowStep) (int64, error) {
+func (p *Plan) execSerial(sc *planScratch, devCounts []int64, arena *tensor.Arena) (int64, error) {
 	ctx := &RunCtx{arena: arena}
 	values := sc.values
 	var evaluated int64
@@ -628,9 +590,7 @@ func (p *Plan) execSerial(sc *planScratch, devCounts []int64, arena *tensor.Aren
 		}
 		var v *tensor.Tensor
 		var err error
-		if low != nil {
-			v, err = p.evalLowered(ctx, low, i, st, ins)
-		} else if st.eval != nil {
+		if st.eval != nil {
 			v, err = st.eval(ctx, ins)
 		} else {
 			v, err = st.node.op.Eval(ctx, ins)
@@ -668,7 +628,7 @@ func (p *Plan) execSerial(sc *planScratch, devCounts []int64, arena *tensor.Aren
 // early-exit paths simply skip remaining releases, which is safe because the
 // per-run counters live in plan scratch and are re-copied from readers0 on
 // the next run.
-func (p *Plan) execParallel(sc *planScratch, devCounts []int64, workers int, limits map[string]int, arena *tensor.Arena, low []lowStep) (int64, error) {
+func (p *Plan) execParallel(sc *planScratch, devCounts []int64, workers int, limits map[string]int, arena *tensor.Arena) (int64, error) {
 	if workers > len(p.steps) {
 		workers = len(p.steps)
 	}
@@ -743,9 +703,7 @@ func (p *Plan) execParallel(sc *planScratch, devCounts []int64, workers int, lim
 				}
 				var v *tensor.Tensor
 				var err error
-				if low != nil {
-					v, err = p.evalLowered(ctx, low, int(i), st, ins)
-				} else if st.eval != nil {
+				if st.eval != nil {
 					v, err = st.eval(ctx, ins)
 				} else {
 					v, err = st.node.op.Eval(ctx, ins)

@@ -389,8 +389,6 @@ const (
 	modePlanSerialNoReuse
 	modePlanParallel
 	modePlanParallelNoReuse
-	modePlanLowered         // float32-lowered serial executor
-	modePlanLoweredParallel // float32-lowered parallel executor
 )
 
 // buildRandomProgram constructs the random DAG for one seed: the graph, the
@@ -484,11 +482,6 @@ func runRandomProgram(seed int64, mode evalMode) ([]*tensor.Tensor, error) {
 	case modePlanParallelNoReuse:
 		sess.SetParallelism(4)
 		sess.SetBufferReuse(false)
-	case modePlanLowered:
-		sess.SetDType(tensor.Float32)
-	case modePlanLoweredParallel:
-		sess.SetParallelism(4)
-		sess.SetDType(tensor.Float32)
 	}
 	return sess.Run(fetches, feeds)
 }

@@ -40,11 +40,6 @@ type Session struct {
 	bufferReuse atomic.Bool
 	arena       *tensor.Arena
 
-	// dtype selects the plan executors' storage type (lower.go). The default
-	// Float64 path is untouched; Float32 runs plans on the lowered kernels
-	// while the public Run API stays float64 at the boundary.
-	dtype atomic.Uint32
-
 	runCount       atomic.Int64
 	nodesEvaluated atomic.Int64
 
@@ -94,18 +89,6 @@ func (s *Session) SetFusion(on bool) { s.fusion.Store(on) }
 
 // Fusion reports whether plan compilation fuses elementwise chains.
 func (s *Session) Fusion() bool { return s.fusion.Load() }
-
-// SetDType selects the storage type plan executors run on (default
-// tensor.Float64). With tensor.Float32, compiled-plan runs execute dtype-
-// lowered: feeds are converted once into per-plan staging, weights and
-// constants once per value (re-converted after a swap), hot kernels run in
-// float32, and fetches convert back — the Run/Execute API stays float64 end
-// to end. RunRecursive and define-by-run evaluation always stay float64.
-// Safe to call concurrently with Run; it affects subsequent runs.
-func (s *Session) SetDType(d tensor.Dtype) { s.dtype.Store(uint32(d)) }
-
-// DType returns the storage type plan executors currently run on.
-func (s *Session) DType() tensor.Dtype { return tensor.Dtype(s.dtype.Load()) }
 
 // SetBufferReuse toggles arena recycling of intermediate buffers (default
 // on). The serial executor releases dead intermediates after their last-use

@@ -45,9 +45,6 @@ func NewForExecutor(e exec.Executor, api string, elem spaces.Space, cfg Config) 
 		if cfg.ArenaStats == nil && se.Session() != nil {
 			cfg.ArenaStats = se.Session().ArenaStats
 		}
-		if cfg.DType != tensor.Float64 {
-			se.SetDType(cfg.DType)
-		}
 	}
 	return New(ExecutorRunner(e, api), cfg)
 }

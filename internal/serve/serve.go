@@ -83,13 +83,6 @@ type Config struct {
 	// ArenaStats optionally exposes the executor session's tensor-arena
 	// counters so Metrics can surface buffer-reuse hit rates.
 	ArenaStats func() (gets, hits int64)
-	// DType selects the storage type the serving executor's plans run on
-	// (default tensor.Float64). tensor.Float32 lowers inference to the
-	// float32 kernel path — request/response tensors stay float64 — while a
-	// trainer sharing the weights keeps its own session at float64. Applied
-	// by NewForExecutor/NewForDQN when the executor is static; ignored by
-	// the generic New, whose Runner owns its executor configuration.
-	DType tensor.Dtype
 	// Version, when set, is sampled once per dispatched batch (in the
 	// batcher goroutine, before the Runner call) and stamped into every
 	// response of that batch — the weight-version tag the fleet layer uses

@@ -19,12 +19,8 @@ import (
 // degrades to plain allocation.
 type Arena struct {
 	buckets [arenaBuckets]sync.Pool // of *Tensor, data cap >= 1<<bucket
-	// buckets32 holds recycled float32 tensors. Buckets are keyed by dtype:
-	// a float64 buffer can never serve a float32 request (and vice versa),
-	// so the two arms pool independently.
-	buckets32 [arenaBuckets]sync.Pool
-	gets      atomic.Int64
-	hits      atomic.Int64
+	gets    atomic.Int64
+	hits    atomic.Int64
 }
 
 const arenaBuckets = 27 // largest bucket: 2^26 elems = 512 MiB of float64
@@ -58,32 +54,6 @@ func (a *Arena) Get(shape ...int) *Tensor {
 	}
 }
 
-// Get32 is Get for float32 tensors, serving from the float32 bucket arm.
-func (a *Arena) Get32(shape ...int) *Tensor {
-	n := NumElems(shape)
-	if a == nil || n == 0 {
-		return New32(shape...)
-	}
-	b := bits.Len(uint(n - 1)) // ceil(log2(n))
-	if b >= arenaBuckets {
-		return New32(shape...)
-	}
-	a.gets.Add(1)
-	if v := a.buckets32[b].Get(); v != nil {
-		a.hits.Add(1)
-		t := v.(*Tensor)
-		t.shape = append(t.shape[:0], shape...)
-		t.data32 = t.data32[:n]
-		clear(t.data32)
-		return t
-	}
-	return &Tensor{
-		shape:  append([]int(nil), shape...),
-		dtype:  Float32,
-		data32: make([]float32, n, 1<<b),
-	}
-}
-
 // Get2 is Get for the common rank-2 case with a fixed-arity signature, so
 // hot callers (matmul evals) pay no variadic shape-slice allocation.
 func (a *Arena) Get2(d0, d1 int) *Tensor {
@@ -107,24 +77,11 @@ func (a *Arena) Get2(d0, d1 int) *Tensor {
 	return &Tensor{shape: []int{d0, d1}, data: make([]float64, n, 1<<b)}
 }
 
-// Put recycles t into the bucket arm matching its dtype. The caller must not
-// use t (or anything sharing its storage) afterwards. Tensors whose backing
-// array is too small or too large to bucket are dropped.
+// Put recycles t. The caller must not use t (or anything sharing its storage)
+// afterwards. Tensors whose backing array is too small or too large to bucket
+// are dropped.
 func (a *Arena) Put(t *Tensor) {
 	if a == nil || t == nil {
-		return
-	}
-	if t.dtype == Float32 {
-		c := cap(t.data32)
-		if c == 0 {
-			return
-		}
-		b := bits.Len(uint(c)) - 1
-		if b >= arenaBuckets {
-			return
-		}
-		t.data32 = t.data32[:1<<b]
-		a.buckets32[b].Put(t)
 		return
 	}
 	c := cap(t.data)
@@ -169,24 +126,3 @@ func getScratch(n int) *Tensor {
 }
 
 func putScratch(t *Tensor) { scratchArena.Put(t) }
-
-// getScratch32 is getScratch for float32 kernel scratch (transpose panels,
-// im2col panels of the lowered conv path).
-func getScratch32(n int) *Tensor {
-	if n == 0 {
-		return New32(0)
-	}
-	b := bits.Len(uint(n - 1))
-	if b >= arenaBuckets {
-		return &Tensor{shape: []int{n}, dtype: Float32, data32: make([]float32, n)}
-	}
-	scratchArena.gets.Add(1)
-	if v := scratchArena.buckets32[b].Get(); v != nil {
-		scratchArena.hits.Add(1)
-		t := v.(*Tensor)
-		t.shape = append(t.shape[:0], n)
-		t.data32 = t.data32[:n]
-		return t
-	}
-	return &Tensor{shape: []int{n}, dtype: Float32, data32: make([]float32, n, 1<<b)}
-}

@@ -137,7 +137,7 @@ func convParts(rows, ckk, oc, panel int) int {
 // input (src, of the given shape) into dst, which must hold (r1-r0)*KH*KW*C
 // elements. Padded regions are written as explicit zeros, so dst may be
 // arbitrary reused scratch.
-func im2colRows[T float32 | float64](dst, src []T, shape []int, r0, r1, kh, kw int, p ConvParams) {
+func im2colRows(dst, src []float64, shape []int, r0, r1, kh, kw int, p ConvParams) {
 	h, w, c := shape[1], shape[2], shape[3]
 	oh, ow := p.ConvOutDims(h, w, kh, kw)
 	ckk := kh * kw * c

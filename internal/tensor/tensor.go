@@ -8,12 +8,6 @@
 // convention: kernels allocate fresh outputs unless their name says otherwise
 // (e.g. AddInPlace). Shapes are plain []int; a zero-rank tensor holds one
 // scalar element.
-//
-// A tensor may alternatively carry float32 storage (see dtype.go): the
-// lowered execution path in internal/graph converts weights and feeds once at
-// the plan boundary and runs the *32 kernel variants in between. Float64 is
-// the default everywhere; Data() on a float32 tensor panics so a conversion
-// bug fails loudly instead of reading an empty slice.
 package tensor
 
 import (
@@ -22,14 +16,10 @@ import (
 	"strings"
 )
 
-// Tensor is a dense, row-major, contiguous array of float64 (or, on the
-// lowered execution path, float32) values. Exactly one of data/data32 is
-// non-nil for a non-empty tensor; dtype selects the arm.
+// Tensor is a dense, row-major, contiguous array of float64 values.
 type Tensor struct {
-	shape  []int
-	data   []float64
-	dtype  Dtype
-	data32 []float32
+	shape []int
+	data  []float64
 }
 
 // New returns a zero-filled tensor with the given shape.
@@ -96,48 +86,25 @@ func (t *Tensor) Shape() []int { return t.shape }
 func (t *Tensor) Rank() int { return len(t.shape) }
 
 // Size returns the total number of elements.
-func (t *Tensor) Size() int {
-	if t.dtype == Float32 {
-		return len(t.data32)
-	}
-	return len(t.data)
-}
+func (t *Tensor) Size() int { return len(t.data) }
 
-// Data returns the underlying float64 storage. Mutating it mutates the
-// tensor. Panics on a float32 tensor: float32 storage only exists inside the
-// lowered execution path, and silently returning an empty slice would turn a
-// missed conversion into wrong numbers instead of a crash.
-func (t *Tensor) Data() []float64 {
-	if t.dtype == Float32 {
-		panic(fmt.Sprintf("tensor: Data() on float32 tensor %v; use Data32() or ToFloat64", t.shape))
-	}
-	return t.data
-}
+// Data returns the underlying storage. Mutating it mutates the tensor.
+func (t *Tensor) Data() []float64 { return t.data }
 
 // Dim returns the size of dimension i.
 func (t *Tensor) Dim(i int) int { return t.shape[i] }
 
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
-	if t.dtype == Float32 {
-		d := make([]float32, len(t.data32))
-		copy(d, t.data32)
-		return &Tensor{shape: append([]int(nil), t.shape...), dtype: Float32, data32: d}
-	}
 	d := make([]float64, len(t.data))
 	copy(d, t.data)
 	return &Tensor{shape: append([]int(nil), t.shape...), data: d}
 }
 
-// CopyFrom copies src's data into t. Shapes must have equal element counts
-// and dtypes must match.
+// CopyFrom copies src's data into t. Shapes must have equal element counts.
 func (t *Tensor) CopyFrom(src *Tensor) {
-	if t.Size() != src.Size() || t.dtype != src.dtype {
-		panic(fmt.Sprintf("tensor: CopyFrom mismatch %v/%v vs %v/%v", t.shape, t.dtype, src.shape, src.dtype))
-	}
-	if t.dtype == Float32 {
-		copy(t.data32, src.data32)
-		return
+	if t.Size() != src.Size() {
+		panic(fmt.Sprintf("tensor: CopyFrom mismatch %v vs %v", t.shape, src.shape))
 	}
 	copy(t.data, src.data)
 }
@@ -147,29 +114,17 @@ func (t *Tensor) Item() float64 {
 	if t.Size() != 1 {
 		panic(fmt.Sprintf("tensor: Item on tensor with %d elements", t.Size()))
 	}
-	if t.dtype == Float32 {
-		return float64(t.data32[0])
-	}
 	return t.data[0]
 }
 
 // At returns the element at the given multi-index.
 func (t *Tensor) At(idx ...int) float64 {
-	off := t.offset(idx)
-	if t.dtype == Float32 {
-		return float64(t.data32[off])
-	}
-	return t.data[off]
+	return t.data[t.offset(idx)]
 }
 
 // Set writes v at the given multi-index.
 func (t *Tensor) Set(v float64, idx ...int) {
-	off := t.offset(idx)
-	if t.dtype == Float32 {
-		t.data32[off] = float32(v)
-		return
-	}
-	t.data[off] = v
+	t.data[t.offset(idx)] = v
 }
 
 func (t *Tensor) offset(idx []int) int {
@@ -210,19 +165,10 @@ func SameShape(a, b []int) bool {
 	return true
 }
 
-// Equal reports whether t and o have the same shape, dtype and identical
-// elements.
+// Equal reports whether t and o have the same shape and identical elements.
 func (t *Tensor) Equal(o *Tensor) bool {
-	if !SameShape(t.shape, o.shape) || t.dtype != o.dtype {
+	if !SameShape(t.shape, o.shape) {
 		return false
-	}
-	if t.dtype == Float32 {
-		for i := range t.data32 {
-			if t.data32[i] != o.data32[i] {
-				return false
-			}
-		}
-		return true
 	}
 	for i := range t.data {
 		if t.data[i] != o.data[i] {
@@ -233,41 +179,23 @@ func (t *Tensor) Equal(o *Tensor) bool {
 }
 
 // AllClose reports whether t and o have the same shape and elements within
-// absolute tolerance tol. Dtypes may differ; elements compare as float64.
+// absolute tolerance tol.
 func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
 	if !SameShape(t.shape, o.shape) {
 		return false
 	}
-	n := t.Size()
-	for i := 0; i < n; i++ {
-		if math.Abs(t.at(i)-o.at(i)) > tol {
+	for i := range t.data {
+		if math.Abs(t.data[i]-o.data[i]) > tol {
 			return false
 		}
 	}
 	return true
 }
 
-// at returns flat element i as float64 regardless of dtype.
-func (t *Tensor) at(i int) float64 {
-	if t.dtype == Float32 {
-		return float64(t.data32[i])
-	}
-	return t.data[i]
-}
-
 // String renders a compact description, eliding large tensors.
 func (t *Tensor) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Tensor%v", t.shape)
-	if t.dtype == Float32 {
-		fmt.Fprintf(&b, "f32")
-		if len(t.data32) <= 16 {
-			fmt.Fprintf(&b, "%v", t.data32)
-		} else {
-			fmt.Fprintf(&b, "[%g %g ... %g]", t.data32[0], t.data32[1], t.data32[len(t.data32)-1])
-		}
-		return b.String()
-	}
 	if len(t.data) <= 16 {
 		fmt.Fprintf(&b, "%v", t.data)
 	} else {
@@ -301,7 +229,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if NumElems(out) != t.Size() {
 		panic(fmt.Sprintf("tensor: reshape %v incompatible with %v", shape, t.shape))
 	}
-	return &Tensor{shape: out, data: t.data, dtype: t.dtype, data32: t.data32}
+	return &Tensor{shape: out, data: t.data}
 }
 
 // Flatten returns t reshaped to rank 1.

@@ -508,3 +508,108 @@ func TestSliceColsPadColsAdjoint(t *testing.T) {
 		t.Fatalf("adjoint mismatch %g vs %g", lhs, rhs)
 	}
 }
+
+// TestUnbroadcastIntoMatchesUnbroadcastTo pins the arena-friendly Into form
+// (and the rank>8 indexer fallback) bit-for-bit against UnbroadcastTo.
+func TestUnbroadcastIntoMatchesUnbroadcastTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cases := []struct{ gradShape, target []int }{
+		{[]int{32, 4}, []int{1, 4}},
+		{[]int{32, 4}, []int{32, 1}},
+		{[]int{2, 3, 4}, []int{4}},
+		{[]int{2, 3, 4}, []int{3, 1}},
+		{[]int{5}, []int{}},
+		{[]int{2, 1, 2, 1, 2, 1, 2, 1, 2}, []int{1, 2, 1, 2, 1, 2, 1, 2}}, // rank 9: indexer path
+	}
+	for _, cs := range cases {
+		grad := RandNormal(rng, 0, 1, cs.gradShape...)
+		want := UnbroadcastTo(grad, cs.target)
+		got := UnbroadcastInto(New(cs.target...), grad)
+		if !SameShape(got.Shape(), want.Shape()) {
+			t.Fatalf("shape %v vs %v", got.Shape(), want.Shape())
+		}
+		for i := range got.Data() {
+			if math.Float64bits(got.Data()[i]) != math.Float64bits(want.Data()[i]) {
+				t.Fatalf("grad %v target %v elem %d: %g vs %g", cs.gradShape, cs.target, i, got.Data()[i], want.Data()[i])
+			}
+		}
+	}
+}
+
+// TestAddBroadcastInPlaceMatchesAdd pins the accumulate-broadcast helper
+// bit-for-bit against the generic Add(zeros, src) formulation it replaced.
+func TestAddBroadcastInPlaceMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	cases := []struct{ dst, src []int }{
+		{[]int{32, 4}, []int{32, 1}},
+		{[]int{32, 4}, []int{1, 4}},
+		{[]int{32, 4}, []int{}},
+		{[]int{2, 3, 4}, []int{3, 1}},
+		{[]int{2, 1, 2, 1, 2, 1, 2, 1, 2}, []int{2, 1, 2, 1, 2, 1, 2, 1, 1}}, // rank 9: indexer path
+	}
+	for _, cs := range cases {
+		src := RandNormal(rng, 0, 1, cs.src...)
+		want := Add(New(cs.dst...), src)
+		got := New(cs.dst...)
+		AddBroadcastInPlace(got, src)
+		for i := range got.Data() {
+			if math.Float64bits(got.Data()[i]) != math.Float64bits(want.Data()[i]) {
+				t.Fatalf("dst %v src %v elem %d: %g vs %g", cs.dst, cs.src, i, got.Data()[i], want.Data()[i])
+			}
+		}
+	}
+}
+
+// TestBinaryBroadcastOdometerPinned pins the generic broadcast walk (the
+// stack odometer that replaced the indexer tables) against an explicit
+// coordinate-arithmetic reference, across suffix, column, middle-1 and
+// mutual-broadcast shapes plus a rank-9 case that takes the fallback path.
+func TestBinaryBroadcastOdometerPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cases := []struct{ a, b []int }{
+		{[]int{32, 4}, []int{32, 1}},
+		{[]int{32, 4}, []int{1, 4}},
+		{[]int{32, 1}, []int{1, 4}}, // mutual broadcast
+		{[]int{2, 3, 4}, []int{3, 1}},
+		{[]int{4, 1, 5}, []int{1, 6, 1}},
+		{[]int{2, 1, 2, 1, 2, 1, 2, 1, 2}, []int{1, 2, 1, 2, 1, 2, 1, 2, 1}}, // rank 9
+	}
+	for _, cs := range cases {
+		a := RandNormal(rng, 0, 1, cs.a...)
+		b := RandNormal(rng, 0, 1, cs.b...)
+		got := Sub(a, b) // Sub is order-sensitive: catches operand swaps too
+		outShape, err := BroadcastShapes(a.Shape(), b.Shape())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !SameShape(got.Shape(), outShape) {
+			t.Fatalf("shape %v want %v", got.Shape(), outShape)
+		}
+		// Reference: explicit coordinate decomposition per output element.
+		coord := make([]int, len(outShape))
+		offsetOf := func(t_ *Tensor) int {
+			pad := len(outShape) - t_.Rank()
+			off, stride := 0, 1
+			for d := t_.Rank() - 1; d >= 0; d-- {
+				c := coord[pad+d]
+				if t_.Shape()[d] == 1 {
+					c = 0
+				}
+				off += c * stride
+				stride *= t_.Shape()[d]
+			}
+			return off
+		}
+		for i, v := range got.Data() {
+			rem := i
+			for d := len(outShape) - 1; d >= 0; d-- {
+				coord[d] = rem % outShape[d]
+				rem /= outShape[d]
+			}
+			want := a.Data()[offsetOf(a)] - b.Data()[offsetOf(b)]
+			if math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("a %v b %v elem %d: %g vs %g", cs.a, cs.b, i, v, want)
+			}
+		}
+	}
+}

@@ -93,14 +93,11 @@ func (r *UpdateRule) NewState(shape ...int) *UpdateState {
 
 // Apply performs one update of w in place from gradient g, advancing st.
 // norm is the global gradient norm (only read when the rule clips). w, g and
-// the slots must be float64 tensors of one shape; g is not modified and must
+// the slots must be tensors of one shape; g is not modified and must
 // not alias w or a slot.
 func (r *UpdateRule) Apply(w *Tensor, st *UpdateState, g *Tensor, norm float64) {
 	if !SameShape(w.shape, g.shape) {
 		panic(fmt.Sprintf("tensor: UpdateRule.Apply gradient shape %v vs variable %v", g.shape, w.shape))
-	}
-	if w.dtype != Float64 || g.dtype != Float64 {
-		panic("tensor: UpdateRule.Apply needs float64 operands")
 	}
 	scale := 1.0
 	if r.MaxGradNorm > 0 {

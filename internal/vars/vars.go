@@ -20,25 +20,15 @@ import (
 // Val is written in two ways. Set, SetOwned and Store.SetWeights install a
 // new tensor, so anything holding the old pointer keeps a detached value.
 // Gradient application (AddTo, optimizer updates) mutates Val's storage in
-// place and must call MarkWritten afterwards: a VarRead result aliases Val,
-// so it is only valid until the next in-place write, and a consumer that
-// caches something derived from Val must key it on (Val, Generation()).
-// Snapshots that outlive a run (Store.Weights, target sync) clone.
+// place: a VarRead result aliases Val, so it is only valid until the next
+// in-place write. Snapshots that outlive a run (Store.Weights, target sync)
+// clone.
 type Variable struct {
 	Name      string
 	Val       *tensor.Tensor
 	Trainable bool
 	Device    string
-
-	gen uint64 // in-place writes to Val's storage so far
 }
-
-// MarkWritten records that Val's storage was mutated in place.
-func (v *Variable) MarkWritten() { v.gen++ }
-
-// Generation counts the in-place writes recorded by MarkWritten. Together
-// with the Val pointer it identifies one value of the variable.
-func (v *Variable) Generation() uint64 { return v.gen }
 
 // New returns a trainable variable initialized to init.
 func New(name string, init *tensor.Tensor) *Variable {
