@@ -381,7 +381,7 @@ func figConv(s benchkit.Scale) error {
 // with tunable knobs.
 func figServe(s benchkit.Scale) error {
 	header("Serving — micro-batched vs unbatched closed-loop inference")
-	rep, err := benchkit.ServeBench(s.ServeClients, s.ServeDuration, s.ServeMaxBatch, s.ServeFlush)
+	rep, err := benchkit.ServeBench(s.ServeClients, s.ServeDuration, s.ServeMaxBatch)
 	if err != nil {
 		return err
 	}
@@ -407,7 +407,7 @@ func figServe(s benchkit.Scale) error {
 // machines — the same convention as the kernel and conv benches.
 func figFleet(s benchkit.Scale) error {
 	header("Serving fleet — replica scaling, hot-swap pause, kill availability")
-	rep, err := benchkit.FleetBench(s.FleetClients, s.FleetDuration, s.ServeMaxBatch, s.ServeFlush,
+	rep, err := benchkit.FleetBench(s.FleetClients, s.FleetDuration, s.ServeMaxBatch,
 		s.FleetReplicas, s.FleetSwapEvery)
 	if err != nil {
 		return err

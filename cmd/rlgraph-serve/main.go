@@ -31,7 +31,6 @@ func main() {
 	clients := flag.Int("clients", 32, "concurrent closed-loop clients per mode")
 	duration := flag.Duration("duration", 2*time.Second, "measurement window per mode")
 	batch := flag.Int("batch", 64, "micro-batcher max batch size")
-	flush := flag.Duration("flush", 50*time.Microsecond, "micro-batcher flush latency")
 	fleetN := flag.Int("fleet", 0, "serve through a replica fleet of this size (0 = single-service mode)")
 	swapEvery := flag.Duration("swap-every", 20*time.Millisecond, "hot-swap cadence during the fleet swap window")
 	quick := flag.Bool("quick", false, "shrink the window to a smoke test")
@@ -42,16 +41,16 @@ func main() {
 		*duration = 500 * time.Millisecond
 	}
 	if *fleetN > 0 {
-		runFleet(*clients, *duration, *batch, *flush, *fleetN, *swapEvery, *out)
+		runFleet(*clients, *duration, *batch, *fleetN, *swapEvery, *out)
 		return
 	}
 	if *out == "" {
 		*out = "BENCH_serve.json"
 	}
 
-	fmt.Printf("serving gridworld8 dueling-dqn dense8x8: %d clients, %v per mode, batch<=%d, flush=%v\n",
-		*clients, *duration, *batch, *flush)
-	rep, err := benchkit.ServeBench(*clients, *duration, *batch, *flush)
+	fmt.Printf("serving gridworld8 dueling-dqn dense8x8: %d clients, %v per mode, batch<=%d\n",
+		*clients, *duration, *batch)
+	rep, err := benchkit.ServeBench(*clients, *duration, *batch)
 	if err != nil {
 		log.Fatalf("serve bench: %v", err)
 	}
@@ -77,8 +76,7 @@ func main() {
 
 // runFleet drives the replica-fleet measurements: scaling 1..n, the
 // hot-swap window, and the kill-a-replica availability run.
-func runFleet(clients int, duration time.Duration, batch int, flush time.Duration,
-	n int, swapEvery time.Duration, out string) {
+func runFleet(clients int, duration time.Duration, batch int, n int, swapEvery time.Duration, out string) {
 	if out == "" {
 		out = "BENCH_fleet.json"
 	}
@@ -88,7 +86,7 @@ func runFleet(clients int, duration time.Duration, batch int, flush time.Duratio
 	}
 	fmt.Printf("fleet serving gridworld8 dueling-dqn dense8x8: %d clients, %v per point, replicas 1..%d, swap every %v\n",
 		clients, duration, n, swapEvery)
-	rep, err := benchkit.FleetBench(clients, duration, batch, flush, replicaCounts, swapEvery)
+	rep, err := benchkit.FleetBench(clients, duration, batch, replicaCounts, swapEvery)
 	if err != nil {
 		log.Fatalf("fleet bench: %v", err)
 	}

@@ -66,13 +66,12 @@ type Scale struct {
 	// its buffer-reuse allocation measurement.
 	ConvIters      int
 	ConvReuseIters int
-	// ServeClients/ServeDuration/ServeMaxBatch/ServeFlush configure the
-	// micro-batching serving benchmark (closed-loop clients per mode, the
-	// measurement window, and the batcher's size-or-timer policy).
+	// ServeClients/ServeDuration/ServeMaxBatch configure the micro-batching
+	// serving benchmark (closed-loop clients per mode, the measurement
+	// window, and the batcher's size cap).
 	ServeClients  int
 	ServeDuration time.Duration
 	ServeMaxBatch int
-	ServeFlush    time.Duration
 	// FleetClients/FleetDuration/FleetReplicas/FleetSwapEvery configure the
 	// sharded serving-fleet benchmark (closed-loop clients, per-point
 	// window, the replica counts of the scaling sweep, and the cadence of
@@ -125,7 +124,6 @@ func LaptopScale() Scale {
 		ServeClients:      32,
 		ServeDuration:     2 * time.Second,
 		ServeMaxBatch:     64,
-		ServeFlush:        50 * time.Microsecond,
 		FleetClients:      16,
 		FleetDuration:     time.Second,
 		FleetReplicas:     []int{1, 2, 3},

@@ -69,7 +69,6 @@ type FleetBenchReport struct {
 	Workload   string              `json:"workload"`
 	Clients    int                 `json:"clients"`
 	MaxBatch   int                 `json:"max_batch"`
-	FlushUs    float64             `json:"flush_us"`
 	Gomaxprocs int                 `json:"gomaxprocs"`
 	Scaling    []FleetScalingPoint `json:"scaling"`
 	// ScalingX is throughput at the largest fleet over throughput at one
@@ -82,7 +81,7 @@ type FleetBenchReport struct {
 // buildFleetRouter assembles a DQN fleet on the serve-bench workload: every
 // replica builds the same seed-3 agent (its own executor and arena) and the
 // batcher blocks on a full queue so the closed loop never sheds.
-func buildFleetRouter(replicas, maxBatch int, flush time.Duration) (*fleet.Router, error) {
+func buildFleetRouter(replicas, maxBatch int) (*fleet.Router, error) {
 	elem := envs.NewGridWorld(8, 3).StateSpace()
 	return fleet.New(fleet.Config{
 		Replicas: replicas,
@@ -91,10 +90,9 @@ func buildFleetRouter(replicas, maxBatch int, flush time.Duration) (*fleet.Route
 			return a, err
 		}, false),
 		Serve: serve.Config{
-			Elem:         elem,
-			MaxBatch:     maxBatch,
-			FlushLatency: flush,
-			Block:        true,
+			Elem:     elem,
+			MaxBatch: maxBatch,
+			Block:    true,
 		},
 		ProbeEvery:     10 * time.Millisecond,
 		ProbeTimeout:   time.Second,
@@ -130,19 +128,18 @@ func fleetQuiesce(rt *fleet.Router, timeout time.Duration) (fleet.Metrics, bool)
 // FleetBench measures the serving fleet: closed-loop throughput at each
 // fleet size in replicaCounts, request p99 with and without continuous
 // weight hot-swaps, and availability through a replica kill.
-func FleetBench(clients int, window time.Duration, maxBatch int, flush time.Duration,
+func FleetBench(clients int, window time.Duration, maxBatch int,
 	replicaCounts []int, swapEvery time.Duration) (*FleetBenchReport, error) {
 	rep := &FleetBenchReport{
 		Workload:   "gridworld8 dueling-dqn dense8x8 get_actions_greedy, fleet-routed",
 		Clients:    clients,
 		MaxBatch:   maxBatch,
-		FlushUs:    float64(flush) / float64(time.Microsecond),
 		Gomaxprocs: runtime.GOMAXPROCS(0),
 	}
 
 	// --- throughput scaling 1 → N replicas -------------------------------
 	for _, n := range replicaCounts {
-		rt, err := buildFleetRouter(n, maxBatch, flush)
+		rt, err := buildFleetRouter(n, maxBatch)
 		if err != nil {
 			return nil, fmt.Errorf("benchkit: fleet build n=%d: %w", n, err)
 		}
@@ -174,7 +171,7 @@ func FleetBench(clients int, window time.Duration, maxBatch int, flush time.Dura
 
 	// --- swap-pause: p99 with and without continuous rolling swaps --------
 	{
-		rt, err := buildFleetRouter(nMax, maxBatch, flush)
+		rt, err := buildFleetRouter(nMax, maxBatch)
 		if err != nil {
 			return nil, fmt.Errorf("benchkit: fleet swap build: %w", err)
 		}
@@ -237,7 +234,7 @@ func FleetBench(clients int, window time.Duration, maxBatch int, flush time.Dura
 
 	// --- kill-a-replica availability --------------------------------------
 	{
-		rt, err := buildFleetRouter(nMax, maxBatch, flush)
+		rt, err := buildFleetRouter(nMax, maxBatch)
 		if err != nil {
 			return nil, fmt.Errorf("benchkit: fleet kill build: %w", err)
 		}

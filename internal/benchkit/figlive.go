@@ -38,9 +38,8 @@ type LiveConfig struct {
 	PublishEvery int
 	// Workers is the Ape-X sample-worker count (default 1).
 	Workers int
-	// MaxBatch/Flush tune the per-replica micro-batcher (defaults 8/100µs).
+	// MaxBatch caps the per-replica micro-batches (default 8).
 	MaxBatch int
-	Flush    time.Duration
 	// EvalPause throttles each eval client between serving calls so the
 	// closed loop does not starve the trainer of CPU on small machines
 	// (default 500µs, negative = none).
@@ -70,9 +69,6 @@ func (c LiveConfig) withDefaults() LiveConfig {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.Flush <= 0 {
-		c.Flush = 100 * time.Microsecond
 	}
 	switch {
 	case c.EvalPause == 0:
@@ -206,10 +202,9 @@ func LiveBench(cfg LiveConfig) (*LiveBenchReport, error) {
 			return BuildAgent(liveDQNConfig(int64(i)), envs.NewGridWorld(liveGridSize, int64(i)))
 		}, false),
 		Serve: serve.Config{
-			Elem:         env.StateSpace(),
-			MaxBatch:     cfg.MaxBatch,
-			FlushLatency: cfg.Flush,
-			Block:        true,
+			Elem:     env.StateSpace(),
+			MaxBatch: cfg.MaxBatch,
+			Block:    true,
 		},
 		ProbeEvery:     10 * time.Millisecond,
 		ProbeTimeout:   time.Second,

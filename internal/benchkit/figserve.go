@@ -50,7 +50,6 @@ type ServeBenchReport struct {
 	Workload  string          `json:"workload"`
 	Clients   int             `json:"clients"`
 	MaxBatch  int             `json:"max_batch"`
-	FlushUs   float64         `json:"flush_us"`
 	Unbatched ServeModeResult `json:"unbatched"`
 	Batched   ServeModeResult `json:"batched"`
 	// Speedup is batched throughput over unbatched throughput — gated at
@@ -175,12 +174,11 @@ func latQuantileMs(lats []time.Duration, q float64) float64 {
 // without dynamic micro-batching on the same static-graph agent. Each mode
 // gets a freshly built agent so arena counters and plan caches don't bleed
 // across modes.
-func ServeBench(clients int, window time.Duration, maxBatch int, flush time.Duration) (*ServeBenchReport, error) {
+func ServeBench(clients int, window time.Duration, maxBatch int) (*ServeBenchReport, error) {
 	rep := &ServeBenchReport{
 		Workload: "gridworld8 dueling-dqn dense8x8 get_actions_greedy",
 		Clients:  clients,
 		MaxBatch: maxBatch,
-		FlushUs:  float64(flush) / float64(time.Microsecond),
 	}
 
 	// --- unbatched: every client runs its own [1,elem] executor call ------
@@ -218,9 +216,8 @@ func ServeBench(clients int, window time.Duration, maxBatch int, flush time.Dura
 	}
 	pool2 := serveObsPool(env2, 256)
 	svc := serve.NewForDQN(a2, false, serve.Config{
-		MaxBatch:     maxBatch,
-		FlushLatency: flush,
-		Block:        true, // closed loop: clients wait for space, never shed
+		MaxBatch: maxBatch,
+		Block:    true, // closed loop: clients wait for space, never shed
 	})
 	batchedAct := func(obs *tensor.Tensor) error {
 		_, err := svc.Act(obs, time.Time{})

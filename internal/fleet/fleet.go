@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -170,6 +171,9 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Serve.Version != nil {
 		return nil, errors.New("fleet: Config.Serve.Version is owned by the fleet")
 	}
+	if cfg.Replicas > 64 {
+		return nil, fmt.Errorf("fleet: %d replicas, at most 64 fit the routing bitmask", cfg.Replicas)
+	}
 	rt := &Router{
 		cfg:  cfg,
 		ring: newHashRing(cfg.Replicas, 16),
@@ -203,6 +207,12 @@ type attemptResult struct {
 	lat     time.Duration
 }
 
+// replicaSet is a bitmask over replica indices (New caps the fleet at 64),
+// so routing a request tracks tried and tied replicas without allocating.
+type replicaSet uint64
+
+func (s replicaSet) has(i int) bool { return s>>uint(i)&1 != 0 }
+
 // Act routes one observation, retrying on a different replica when an
 // attempt fails. A zero deadline means wait indefinitely.
 func (rt *Router) Act(obs *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
@@ -211,42 +221,90 @@ func (rt *Router) Act(obs *tensor.Tensor, deadline time.Time) (*tensor.Tensor, e
 }
 
 // ActVersion is Act plus the weight-version stamp of the snapshot that
-// served the request.
+// served the request. Unless a hedge can race the first attempt, attempts
+// are strictly sequential and run on the caller's goroutine.
 func (rt *Router) ActVersion(obs *tensor.Tensor, deadline time.Time) (*tensor.Tensor, int64, error) {
 	if rt.closed.Load() {
 		return nil, 0, ErrClosed
 	}
 	rt.m.requests.Add(1)
-
-	results := make(chan attemptResult, rt.cfg.MaxRetries+2)
-	tried := make(map[int]bool, rt.cfg.Replicas)
-	launch := func(r *Replica) {
-		tried[r.idx] = true
-		rt.m.routed.Add(1)
-		r.inflight.Add(1)
-		go func() {
-			t0 := time.Now()
-			out, v, err := r.call(obs, deadline)
-			r.inflight.Add(-1)
-			rt.noteOutcome(r, err)
-			results <- attemptResult{out: out, version: v, err: err, lat: time.Since(t0)}
-		}()
-	}
-
-	first := rt.pick(obs, tried)
-	if first == nil {
+	r := rt.pick(obs, 0)
+	if r == nil {
 		rt.m.unroutable.Add(1)
 		return nil, 0, ErrNoReplicas
+	}
+	if rt.cfg.Hedge && rt.hedgeBudget(deadline) {
+		return rt.actHedged(r, obs, deadline)
+	}
+	var tried replicaSet
+	for retries := 0; ; retries++ {
+		tried |= 1 << r.idx
+		rt.begin(r)
+		res := rt.attempt(r, obs, deadline)
+		if res.err == nil || errors.Is(res.err, serve.ErrDeadline) {
+			return rt.resolve(res)
+		}
+		rt.recordVersion(res.version, true, res.lat)
+		r = nil
+		if retryable(res.err) && retries < rt.cfg.MaxRetries && !pastDeadline(deadline) {
+			r = rt.pick(obs, tried)
+		}
+		if r == nil {
+			rt.m.failed.Add(1)
+			return nil, 0, res.err
+		}
+		rt.m.retriedAway.Add(1)
+		rt.m.retries.Add(1)
+	}
+}
+
+// begin counts an attempt against r as routed and in flight — on the
+// caller's goroutine, so a concurrent pick already sees the load.
+func (rt *Router) begin(r *Replica) {
+	rt.m.routed.Add(1)
+	r.inflight.Add(1)
+}
+
+// attempt runs one begun attempt to its outcome and feeds the breaker.
+func (rt *Router) attempt(r *Replica, obs *tensor.Tensor, deadline time.Time) attemptResult {
+	t0 := time.Now()
+	out, v, err := r.call(obs, deadline)
+	r.inflight.Add(-1)
+	rt.noteOutcome(r, err)
+	return attemptResult{out: out, version: v, err: err, lat: time.Since(t0)}
+}
+
+// resolve accounts the attempt that ends its request without a retry: a
+// success, or a deadline miss (the request is out of time; retrying cannot
+// help).
+func (rt *Router) resolve(res attemptResult) (*tensor.Tensor, int64, error) {
+	rt.recordVersion(res.version, res.err != nil, res.lat)
+	if res.err != nil {
+		rt.m.misses.Add(1)
+		return nil, 0, serve.ErrDeadline
+	}
+	rt.m.completed.Add(1)
+	rt.m.lat.record(res.lat)
+	return res.out, res.version, nil
+}
+
+// actHedged is the racing form of the attempt loop: first already picked,
+// each attempt on its own goroutine, and one hedged second attempt on a
+// different replica when the first has not resolved within hedgeAfter.
+func (rt *Router) actHedged(first *Replica, obs *tensor.Tensor, deadline time.Time) (*tensor.Tensor, int64, error) {
+	results := make(chan attemptResult, rt.cfg.MaxRetries+2)
+	var tried replicaSet
+	launch := func(r *Replica) {
+		tried |= 1 << r.idx
+		rt.begin(r)
+		go func() { results <- rt.attempt(r, obs, deadline) }()
 	}
 	launch(first)
 	inFlight := 1
 
-	var hedgeTimer <-chan time.Time
-	if rt.cfg.Hedge && rt.hedgeBudget(deadline) {
-		t := time.NewTimer(rt.hedgeAfter())
-		defer t.Stop()
-		hedgeTimer = t.C
-	}
+	t := time.NewTimer(rt.hedgeAfter())
+	defer t.Stop()
+	hedgeTimer := t.C
 
 	retries := 0
 	heldFailures := 0 // failed attempts whose classification waits on the outcome
@@ -255,25 +313,16 @@ func (rt *Router) ActVersion(obs *tensor.Tensor, deadline time.Time) (*tensor.Te
 		select {
 		case res := <-results:
 			inFlight--
-			if res.err == nil {
-				rt.m.completed.Add(1)
-				rt.m.lat.record(res.lat)
-				rt.recordVersion(res.version, false, res.lat)
+			if res.err == nil || errors.Is(res.err, serve.ErrDeadline) {
 				rt.m.retriedAway.Add(int64(heldFailures))
 				rt.drainAbandoned(results, inFlight)
-				return res.out, res.version, nil
+				return rt.resolve(res)
 			}
 			rt.recordVersion(res.version, true, res.lat)
-			if errors.Is(res.err, serve.ErrDeadline) {
-				// The request is out of time; retrying cannot help.
-				rt.m.misses.Add(1)
-				rt.m.retriedAway.Add(int64(heldFailures))
-				rt.drainAbandoned(results, inFlight)
-				return nil, 0, serve.ErrDeadline
-			}
 			lastErr = res.err
 			if retryable(res.err) && retries < rt.cfg.MaxRetries && !pastDeadline(deadline) {
 				if next := rt.pick(obs, tried); next != nil {
+					retries++
 					rt.m.retriedAway.Add(1)
 					rt.m.retries.Add(1)
 					launch(next)
@@ -358,36 +407,27 @@ func (rt *Router) hedgeAfter() time.Duration {
 
 // pick selects the least-loaded healthy replica not yet tried, breaking
 // load ties with the consistent-hash ring over the observation.
-func (rt *Router) pick(obs *tensor.Tensor, tried map[int]bool) *Replica {
-	var best []*Replica
+func (rt *Router) pick(obs *tensor.Tensor, tried replicaSet) *Replica {
+	var best *Replica
+	var tied replicaSet // every replica at minLoad, best included
 	minLoad := int64(1<<62 - 1)
 	for _, r := range rt.replicas {
-		if tried[r.idx] || r.state.Load() != stateHealthy {
+		if tried.has(r.idx) || r.state.Load() != stateHealthy {
 			continue
 		}
-		l := r.inflight.Load()
-		switch {
+		switch l := r.inflight.Load(); {
 		case l < minLoad:
-			minLoad = l
-			best = append(best[:0], r)
+			minLoad, best, tied = l, r, 1<<r.idx
 		case l == minLoad:
-			best = append(best, r)
+			tied |= 1 << r.idx
 		}
 	}
-	switch len(best) {
-	case 0:
-		return nil
-	case 1:
-		return best[0]
+	if bits.OnesCount64(uint64(tied)) > 1 {
+		if idx, ok := rt.ring.lookup(hashObs(obs), tied); ok {
+			return rt.replicas[idx]
+		}
 	}
-	member := make(map[int]bool, len(best))
-	for _, r := range best {
-		member[r.idx] = true
-	}
-	if idx, ok := rt.ring.lookup(hashObs(obs), member); ok {
-		return rt.replicas[idx]
-	}
-	return best[0]
+	return best
 }
 
 // noteOutcome feeds the circuit breaker: successes reset the consecutive

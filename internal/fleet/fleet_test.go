@@ -215,6 +215,55 @@ func TestRetryFailsOverAndBreakerEjects(t *testing.T) {
 	checkIdentities(t, rt)
 }
 
+// TestMaxRetriesBoundsAttempts: with every runner failing, a request is
+// re-routed MaxRetries times and no more, however many untried replicas are
+// left — on the inline and on the hedged path.
+func TestMaxRetriesBoundsAttempts(t *testing.T) {
+	for _, hedge := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
+			f := newFakeFleet()
+			for i := 0; i < 4; i++ {
+				f.fail[i].Store(true)
+			}
+			rt := newTestRouter(t, f, Config{
+				Replicas: 4, MaxRetries: 1, EjectAfter: 100, ProbeEvery: time.Hour,
+				Hedge: hedge, HedgeAfter: time.Hour, // the hedge itself never fires
+			})
+			if _, err := rt.Act(obsOf(1, 1), time.Time{}); err == nil {
+				t.Fatal("request succeeded on a fleet of failing runners")
+			}
+			m := checkIdentities(t, rt)
+			if m.Routed != 2 || m.Retries != 1 || m.RetriedAway != 1 || m.Failed != 1 {
+				t.Fatalf("Routed=%d Retries=%d RetriedAway=%d Failed=%d, want 2/1/1/1", m.Routed, m.Retries, m.RetriedAway, m.Failed)
+			}
+		})
+	}
+}
+
+// TestRoutingAllocatesNothing: without a hedge to race, a request runs on
+// its caller's goroutine and the router adds no allocation to what the
+// replica's service makes — no goroutine closure, results channel, tried map
+// or tie-break set (both replicas idle, so every pick is a load tie).
+func TestRoutingAllocatesNothing(t *testing.T) {
+	f := newFakeFleet()
+	rt := newTestRouter(t, f, Config{Replicas: 2, ProbeEvery: time.Hour})
+	obs := obsOf(1, 2)
+	svc := rt.replicas[0].svc.Load()
+	direct := testing.AllocsPerRun(1000, func() {
+		if _, _, err := svc.ActVersion(obs, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	routed := testing.AllocsPerRun(1000, func() {
+		if _, _, err := rt.ActVersion(obs, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if routed > direct {
+		t.Fatalf("a routed request makes %.0f allocations, the service alone %.0f", routed, direct)
+	}
+}
+
 // TestKillRebuildsWithSnapshot kills a replica mid-fleet and asserts the
 // supervisor rebuilds it from the factory AND re-installs the fleet's
 // current weight snapshot, so the rebuilt replica rejoins serving the same
@@ -346,12 +395,19 @@ func TestSwapVersionStampConsistency(t *testing.T) {
 // TestExactlyOnceUnderChaos is the synthetic chaos gate: concurrent load
 // with mixed deadlines while a replica is repeatedly killed, another's
 // runner flaps, and weight swaps roll through — afterwards every routed
-// attempt and every request is accounted exactly once.
+// attempt and every request is accounted exactly once, on the hedged
+// (goroutine per attempt) and on the inline request path alike.
 func TestExactlyOnceUnderChaos(t *testing.T) {
+	for _, hedge := range []bool{true, false} {
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) { exactlyOnceUnderChaos(t, hedge) })
+	}
+}
+
+func exactlyOnceUnderChaos(t *testing.T, hedge bool) {
 	f := newFakeFleet()
 	rt := newTestRouter(t, f, Config{
 		Replicas: 3,
-		Hedge:    true,
+		Hedge:    hedge,
 		Seed:     42,
 	})
 
@@ -460,8 +516,7 @@ func TestUnroutableWhenAllReplicasDown(t *testing.T) {
 // moves keys that mapped to it.
 func TestHashRingDeterministicAndStable(t *testing.T) {
 	ring := newHashRing(4, 16)
-	all := map[int]bool{0: true, 1: true, 2: true, 3: true}
-	without2 := map[int]bool{0: true, 1: true, 3: true}
+	all, without2 := replicaSet(0b1111), replicaSet(0b1011)
 	moved, kept := 0, 0
 	for i := 0; i < 1000; i++ {
 		h := fnvMix(fnvOffset, [8]byte{byte(i), byte(i >> 8)})

@@ -68,14 +68,14 @@ func newHashRing(replicas, vnodes int) *hashRing {
 }
 
 // lookup walks the ring from h and returns the first member replica.
-func (r *hashRing) lookup(h uint64, member map[int]bool) (int, bool) {
+func (r *hashRing) lookup(h uint64, member replicaSet) (int, bool) {
 	if len(r.points) == 0 {
 		return 0, false
 	}
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	for i := 0; i < len(r.points); i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if member[p.idx] {
+		if member.has(p.idx) {
 			return p.idx, true
 		}
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +19,7 @@ import (
 func closedLoop(tb testing.TB, n int, deadline time.Duration) float64 {
 	tb.Helper()
 	agent, env := buildServeDQN(tb)
-	svc := NewForDQN(agent, false, Config{MaxBatch: 64, FlushLatency: 200 * time.Microsecond, Block: true})
+	svc := NewForDQN(agent, false, Config{MaxBatch: 64, Block: true})
 	defer svc.Close()
 	obs := env.Reset().Clone()
 	var left atomic.Int64
@@ -59,6 +60,23 @@ func BenchmarkServeClosedLoopDeadline(b *testing.B) {
 	}
 }
 
+// BenchmarkServeLoneRequest times one Act at a time against an idle service:
+// the latency floor of the serving path (admission, batcher wake-up, a
+// one-row plan run, scatter), with no batch window to sit out.
+func BenchmarkServeLoneRequest(b *testing.B) {
+	agent, env := buildServeDQN(b)
+	svc := NewForDQN(agent, false, Config{MaxBatch: 64})
+	defer svc.Close()
+	obs := env.Reset().Clone()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := svc.Act(obs, time.Time{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e3/float64(b.N), "µs/req")
+}
+
 // TestDeadlineTimersAreNotAbandoned: a request that resolves before its
 // deadline must leave no timer behind. An abandoned runtime timer stays
 // reachable until it fires, so 20 000 requests with a one-minute deadline
@@ -79,29 +97,35 @@ func TestDeadlineTimersAreNotAbandoned(t *testing.T) {
 }
 
 // TestDeadlineTimerIsCheap: a deadline that never fires must not cost the
-// closed loop much. At 300 k req/s on two cores a request takes 3.4 µs of
-// CPU, so what a deadline adds shows one to one: two clock reads, a third
-// channel in the select, and arming and stopping the timer come to 12 %
-// here; per-request time.After cost 26 %, growing with the deadline as the
-// abandoned timers pile up. The bound is 20 %, best of five rounds a side —
-// the rounds without a deadline first, so that no leftover timers weigh on
-// them — which a noisy host does not trip and abandoned timers do.
+// closed loop much. The comparison runs on one P, where throughput is one
+// over the CPU time of a request and does not depend on which core the
+// scheduler wakes (on two Ps the loop without a deadline runs 20 % faster
+// whenever a neighbour squeezes it onto one, and the loop with one does
+// not). At 700 k req/s a request takes 1.4 µs, and what a deadline adds
+// shows one to one: two clock reads, a third channel in the select, and
+// arming and stopping the timer come to 0.3 µs, 16 % (0.11–0.18 over
+// twenty runs beside a busy neighbour; the 12 % and the 20 % bound this test
+// started with were shares of the 3.4 µs a request then took on two Ps, and
+// best-of-five throughputs on two Ps read 15–26 % from run to run). The
+// bound is 25 % on the median of five pairs of rounds; each pair runs back
+// to back so that the neighbour weighs on both of its sides.
+// TestDeadlineTimersAreNotAbandoned checks for the defect that used to cost
+// more.
 func TestDeadlineTimerIsCheap(t *testing.T) {
 	if testing.Short() || israce.Enabled {
 		t.Skip("timing comparison")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 100000
 	closedLoop(t, n/10, 0) // warm up
-	best := func(deadline time.Duration) (rps float64) {
-		for round := 0; round < 5; round++ {
-			rps = max(rps, closedLoop(t, n, deadline))
-		}
-		return rps
+	var cost []float64
+	for pair := 0; pair < 5; pair++ {
+		none, with := closedLoop(t, n, 0), closedLoop(t, n, 2*time.Second)
+		t.Logf("closed loop on one P: %.0f req/s without a deadline, %.0f req/s with a 2 s deadline", none, with)
+		cost = append(cost, 1-with/none)
 	}
-	none, with := best(0), best(2*time.Second)
-	t.Logf("closed loop: %.0f req/s without a deadline, %.0f req/s with a 2 s deadline", none, with)
-	if with < 0.8*none {
-		t.Fatalf("a 2 s deadline costs %.1f %% of closed-loop throughput (%.0f vs %.0f req/s), want < 20 %%",
-			100*(1-with/none), with, none)
+	sort.Float64s(cost)
+	if c := cost[len(cost)/2]; c > 0.25 {
+		t.Fatalf("a 2 s deadline costs %.1f %% of closed-loop throughput (median of %.3f), want < 25 %%", 100*c, cost)
 	}
 }

@@ -5,8 +5,10 @@
 // production envelope around the act() path.
 //
 // A Service owns a bounded admission queue and one batcher goroutine. The
-// batcher collects requests until either the configured batch size is
-// reached or the oldest request has waited the flush latency, evicts
+// batcher is work-conserving: when idle it runs whatever is queued (after
+// one scheduler yield, so producers that were already runnable get in), and
+// while a batch is in flight the next one accumulates in the queue — batch
+// size follows load by itself, up to the configured maximum. It evicts
 // entries whose deadline already passed, stacks the surviving observations
 // along the wildcard batch dim (tensor.StackRows), runs the batch through
 // the Runner, and scatters per-row results back to the waiting callers
@@ -62,9 +64,9 @@ type Config struct {
 	// MaxBatch flushes a micro-batch when this many requests are gathered
 	// (default 32).
 	MaxBatch int
-	// FlushLatency flushes a partial batch when the request that opened it
-	// has waited this long (default 1ms) — the max-latency half of the
-	// size-or-timer policy.
+	// FlushLatency is the longest the batcher may hold a non-full batch
+	// open while producers keep trickling in (default 1ms). It is a ceiling,
+	// not a floor: a batch closes as soon as the queue stops growing.
 	FlushLatency time.Duration
 	// QueueDepth bounds the admission queue (default 4*MaxBatch).
 	QueueDepth int
@@ -144,6 +146,10 @@ type Service struct {
 	mu     sync.Mutex
 	q      []*request
 	closed bool
+
+	// Batcher-owned scratch, reused from batch to batch.
+	batch []*request
+	obs   []*tensor.Tensor
 
 	kick    chan struct{}   // 1-buffered: queue went non-empty
 	closing chan struct{}   // closed when shutdown begins
@@ -349,11 +355,13 @@ func (s *Service) loop() {
 			b.done <- runBarrier(b.fn)
 		default:
 		}
-		first, ok := s.awaitFirst()
-		if !ok {
+		if !s.awaitWork() {
 			return
 		}
-		s.dispatch(s.gather(first))
+		s.dispatch(s.gather())
+		// Drop the scratch's references: an idle service pins no caller data.
+		clear(s.batch)
+		clear(s.obs)
 	}
 }
 
@@ -393,21 +401,18 @@ func (s *Service) Barrier(fn func() error) error {
 	}
 }
 
-// awaitFirst blocks until a request can open a batch; ok=false means the
-// service is closed and the queue fully drained.
-func (s *Service) awaitFirst() (*request, bool) {
+// awaitWork blocks until the queue is non-empty; false means the service is
+// closed and the queue fully drained.
+func (s *Service) awaitWork() bool {
 	for {
 		s.mu.Lock()
-		if len(s.q) > 0 {
-			r := s.q[0]
-			s.q = s.q[1:]
-			s.mu.Unlock()
-			return r, true
-		}
-		closed := s.closed
+		n, closed := len(s.q), s.closed
 		s.mu.Unlock()
+		if n > 0 {
+			return true
+		}
 		if closed {
-			return nil, false
+			return false
 		}
 		select {
 		case <-s.kick:
@@ -418,50 +423,34 @@ func (s *Service) awaitFirst() (*request, bool) {
 	}
 }
 
-// gatherSpin is the tail of the flush window the batcher polls instead of
-// sleeping: OS timer slop on sub-millisecond sleeps would otherwise stretch
-// every flush by milliseconds, destroying the latency the size-or-timer
-// policy promises. The poll costs at most gatherSpin of one core per batch
-// and only while a partial batch is waiting — an idle service blocks in
-// awaitFirst and burns nothing.
-const gatherSpin = time.Millisecond
-
-// gather collects up to MaxBatch requests, waiting at most FlushLatency
-// from the moment the batch opened. During drain (service closing) it
-// flushes whatever is queued without waiting out the timer.
-func (s *Service) gather(first *request) []*request {
-	batch := make([]*request, 0, s.cfg.MaxBatch)
-	batch = append(batch, first)
-	flushAt := time.Now().Add(s.cfg.FlushLatency)
+// gather closes the next micro-batch: up to MaxBatch requests off the head
+// of the (non-empty) queue. A non-full batch is held only while the queue
+// keeps growing: the batcher yields once, and if nothing arrived every
+// producer that was already runnable has had its turn, so it flushes. An
+// idle service therefore answers a lone request at once, and under load the
+// batch is whatever queued up while the previous one ran. FlushLatency caps
+// how long a trickle of producers can keep a batch open; a closing service
+// flushes whatever is queued.
+func (s *Service) gather() []*request {
+	var flushAt time.Time
+	seen := 0 // queue length at the previous look
 	for {
 		s.mu.Lock()
-		for len(s.q) > 0 && len(batch) < s.cfg.MaxBatch {
-			batch = append(batch, s.q[0])
-			s.q = s.q[1:]
+		n := len(s.q)
+		if n >= s.cfg.MaxBatch || n == seen || s.closed || (seen > 0 && time.Now().After(flushAt)) {
+			n = min(n, s.cfg.MaxBatch)
+			s.batch = append(s.batch[:0], s.q[:n]...)
+			rest := copy(s.q, s.q[n:])
+			clear(s.q[rest:])
+			s.q = s.q[:rest]
+			s.mu.Unlock()
+			return s.batch
 		}
-		closed := s.closed
 		s.mu.Unlock()
-		if len(batch) >= s.cfg.MaxBatch || closed {
-			return batch
+		if seen == 0 {
+			flushAt = time.Now().Add(s.cfg.FlushLatency)
 		}
-		wait := time.Until(flushAt)
-		if wait <= 0 {
-			return batch
-		}
-		if wait > gatherSpin {
-			// Coarse sleep through the bulk of a long flush window; the
-			// precise tail below is polled. Serving a barrier here is safe —
-			// no Runner call is in flight while gathering — and keeps swap
-			// latency bounded by the flush window, not starved behind it.
-			select {
-			case <-s.kick:
-			case b := <-s.barrier:
-				b.done <- runBarrier(b.fn)
-			case <-time.After(wait - gatherSpin):
-			case <-s.closing:
-			}
-			continue
-		}
+		seen = n
 		runtime.Gosched()
 	}
 }
@@ -485,10 +474,11 @@ func (s *Service) dispatch(batch []*request) {
 	if len(live) == 0 {
 		return
 	}
-	obs := make([]*tensor.Tensor, len(live))
-	for i, r := range live {
-		obs[i] = r.obs
+	obs := s.obs[:0]
+	for _, r := range live {
+		obs = append(obs, r.obs)
 	}
+	s.obs = obs
 	elem := s.cfg.ElemShape
 	if elem == nil {
 		// No declared element shape: stack on the first row's shape (later

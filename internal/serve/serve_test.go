@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,10 +37,12 @@ func (d *doubler) run(batch *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// gatedRunner blocks each Runner call on gate after signalling entered.
+// gatedRunner blocks each Runner call on gate after signalling entered, then
+// runs inner (nil: echo the batch).
 type gatedRunner struct {
 	entered chan struct{}
 	gate    chan struct{}
+	inner   Runner
 }
 
 func newGatedRunner() *gatedRunner {
@@ -48,7 +52,37 @@ func newGatedRunner() *gatedRunner {
 func (g *gatedRunner) run(batch *tensor.Tensor) (*tensor.Tensor, error) {
 	g.entered <- struct{}{}
 	<-g.gate
+	if g.inner != nil {
+		return g.inner(batch)
+	}
 	return batch.Clone(), nil
+}
+
+// queueBehindFirstBatch blocks a one-row opening batch inside g, submits one
+// request per observation and waits until all of them are queued: releasing
+// g then yields a second batch of exactly those rows — the batch that
+// accumulated while the first was in flight. wait collects their results.
+func queueBehindFirstBatch(t *testing.T, s *Service, g *gatedRunner, obs []*tensor.Tensor) (wait func() ([]*tensor.Tensor, []error)) {
+	t.Helper()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := s.Act(obs[0], time.Time{}); err != nil {
+			t.Errorf("opening request: %v", err)
+		}
+	}()
+	waitEntered(t, g)
+	outs, errs := make([]*tensor.Tensor, len(obs)), make([]error, len(obs))
+	for i := range obs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], errs[i] = s.Act(obs[i], time.Time{})
+		}(i)
+	}
+	waitFor(t, "requests queued behind the first batch", func() bool { return s.QueueDepth() == len(obs) })
+	return func() ([]*tensor.Tensor, []error) { wg.Wait(); return outs, errs }
 }
 
 func waitEntered(t *testing.T, g *gatedRunner) {
@@ -77,30 +111,23 @@ func obsOf(vals ...float64) *tensor.Tensor {
 	return tensor.FromSlice(vals, len(vals))
 }
 
+// TestCoalescesConcurrentRequests: the requests that arrive while a batch is
+// in flight form the next batch, closed by reaching MaxBatch.
 func TestCoalescesConcurrentRequests(t *testing.T) {
 	d := &doubler{}
+	g := newGatedRunner()
+	g.inner = d.run
 	const n = 8
-	s := New(d.run, Config{
-		MaxBatch:     n,
-		FlushLatency: 2 * time.Second, // flush must come from hitting MaxBatch
-		ElemShape:    []int{3},
-	})
+	s := New(g.run, Config{MaxBatch: n, FlushLatency: time.Hour, ElemShape: []int{3}})
 	defer s.Close()
 
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	errs := make([]error, n)
-	outs := make([]*tensor.Tensor, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			outs[i], errs[i] = s.Act(obsOf(float64(i), 0, 1), time.Time{})
-		}(i)
+	obs := make([]*tensor.Tensor, n)
+	for i := range obs {
+		obs[i] = obsOf(float64(i), 0, 1)
 	}
-	close(start)
-	wg.Wait()
+	wait := queueBehindFirstBatch(t, s, g, obs)
+	close(g.gate)
+	outs, errs := wait()
 
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
@@ -114,35 +141,110 @@ func TestCoalescesConcurrentRequests(t *testing.T) {
 		}
 	}
 	m := s.Metrics()
-	if m.Batches != 1 || m.MeanBatch != n {
-		t.Fatalf("expected one coalesced batch of %d, got Batches=%d MeanBatch=%.1f (sizes %v)",
-			n, m.Batches, m.MeanBatch, d.batchSizes)
+	if m.Batches != 2 || len(d.batchSizes) != 2 || d.batchSizes[1] != n {
+		t.Fatalf("expected the opener and one coalesced batch of %d, got Batches=%d sizes %v", n, m.Batches, d.batchSizes)
 	}
-	if m.Admitted != n || m.Completed != n {
-		t.Fatalf("Admitted=%d Completed=%d, want %d/%d", m.Admitted, m.Completed, n, n)
+	if m.Admitted != n+1 || m.Completed != n+1 {
+		t.Fatalf("Admitted=%d Completed=%d, want %d/%d", m.Admitted, m.Completed, n+1, n+1)
 	}
-	// Batch of 8 lands in the histogram bucket with bound 8.
-	if m.BatchHist[3] != 1 {
-		t.Fatalf("BatchHist=%v, want one count in bucket ≤8", m.BatchHist)
+	// The opener lands in the bucket with bound 1, the batch of 8 in bound 8.
+	if m.BatchHist[0] != 1 || m.BatchHist[3] != 1 {
+		t.Fatalf("BatchHist=%v, want one count each in buckets ≤1 and ≤8", m.BatchHist)
 	}
 }
 
-func TestFlushTimerFiresPartialBatch(t *testing.T) {
+// TestPartialBatchFlushesOnIdle: a batch far below MaxBatch closes as soon
+// as the queue stops growing — FlushLatency (an hour here) is never waited
+// out.
+func TestPartialBatchFlushesOnIdle(t *testing.T) {
 	d := &doubler{}
-	s := New(d.run, Config{MaxBatch: 64, FlushLatency: 5 * time.Millisecond, ElemShape: []int{2}})
+	g := newGatedRunner()
+	g.inner = d.run
+	const n = 5
+	s := New(g.run, Config{MaxBatch: 64, FlushLatency: time.Hour, ElemShape: []int{2}})
 	defer s.Close()
 
+	obs := make([]*tensor.Tensor, n)
+	for i := range obs {
+		obs[i] = obsOf(3, float64(i))
+	}
+	wait := queueBehindFirstBatch(t, s, g, obs)
+	close(g.gate)
+	outs, errs := wait()
+	for i := range obs {
+		if errs[i] != nil || outs[i].Data()[0] != 6 || outs[i].Data()[1] != 2*float64(i) {
+			t.Fatalf("request %d: out=%v err=%v", i, outs[i], errs[i])
+		}
+	}
+	if len(d.batchSizes) != 2 || d.batchSizes[1] != n {
+		t.Fatalf("batch sizes %v, want [1 %d]", d.batchSizes, n)
+	}
+}
+
+// TestLoneRequestIsNotHeld: an idle service answers a lone request at once,
+// whatever FlushLatency says.
+func TestLoneRequestIsNotHeld(t *testing.T) {
+	d := &doubler{}
+	s := New(d.run, Config{MaxBatch: 64, FlushLatency: time.Second, ElemShape: []int{2}})
+	defer s.Close()
+
+	start := time.Now()
 	out, err := s.Act(obsOf(3, 4), time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if took := time.Since(start); took > 50*time.Millisecond {
+		t.Fatalf("a lone request on an idle service took %v", took)
+	}
 	if out.Data()[0] != 6 || out.Data()[1] != 8 {
 		t.Fatalf("got %v", out.Data())
 	}
-	m := s.Metrics()
-	if m.Batches != 1 || m.MeanBatch != 1 {
-		t.Fatalf("expected a single size-1 timer flush, got Batches=%d MeanBatch=%.1f", m.Batches, m.MeanBatch)
+	if m := s.Metrics(); m.Batches != 1 || m.MeanBatch != 1 {
+		t.Fatalf("expected a single size-1 batch, got Batches=%d MeanBatch=%.1f", m.Batches, m.MeanBatch)
 	}
+}
+
+// TestTrickleCannotHoldBatchPastFlushLatency: a producer that makes the
+// queue grow between any two looks of the batcher keeps a non-full batch
+// open, but only up to FlushLatency. The test goroutine is the batcher. On
+// one P its yield hands the CPU to the producer, which appends until the
+// runtime preempts it, so every look sees growth and only the ceiling can
+// close the batch. (One yield in 61 the scheduler hands the CPU straight
+// back; that look legitimately closes the batch early, hence the attempts.)
+func TestTrickleCannotHoldBatchPastFlushLatency(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const flush = 5 * time.Millisecond
+	const limit = 1 << 23 // appends before the producer gives up, ~100x what 5 ms take
+	for attempt := 0; attempt < 20; attempt++ {
+		s := &Service{cfg: Config{MaxBatch: 1 << 30, FlushLatency: flush}}
+		r := &request{}
+		s.q = append(s.q, r)
+		var stop atomic.Bool
+		producer := make(chan struct{})
+		go func() {
+			defer close(producer)
+			for i := 0; i < limit && !stop.Load(); i++ {
+				s.mu.Lock()
+				s.q = append(s.q, r)
+				s.mu.Unlock()
+			}
+		}()
+		start := time.Now()
+		rows := len(s.gather())
+		held := time.Since(start)
+		stop.Store(true)
+		<-producer
+		if held < flush {
+			continue // closed by a look that saw no growth
+		}
+		// Held to the ceiling. Had the ceiling not closed it, the batch would
+		// have stayed open until the producer gave up.
+		if rows >= limit {
+			t.Fatalf("the batch stayed open for %v and %d rows, until the trickle ended; FlushLatency is %v", held, rows, flush)
+		}
+		return
+	}
+	t.Fatalf("no batch was held up to FlushLatency = %v; the test exercised no ceiling", flush)
 }
 
 // buildServeDQN builds a small static dueling DQN over GridWorld for the
@@ -219,11 +321,14 @@ func TestDifferentialBatchedVsSingle(t *testing.T) {
 		singleQ[i] = append([]float64(nil), qOuts[0].Data()...)
 	}
 
-	// Batched: all n requests coalesce into one compiled-plan call.
+	// Batched: all n requests coalesce into one compiled-plan call — they
+	// queue up while the batcher is parked in a barrier.
 	runDifferential := func(api string, check func(i int, row *tensor.Tensor)) {
-		s := NewForExecutor(a.Executor(), api, a.StateSpace(),
-			Config{MaxBatch: n, FlushLatency: 2 * time.Second})
+		s := NewForExecutor(a.Executor(), api, a.StateSpace(), Config{MaxBatch: n})
 		defer s.Close()
+		parked, release := make(chan struct{}), make(chan struct{})
+		go s.Barrier(func() error { close(parked); <-release; return nil })
+		<-parked
 		var wg sync.WaitGroup
 		rows := make([]*tensor.Tensor, n)
 		errs := make([]error, n)
@@ -234,6 +339,8 @@ func TestDifferentialBatchedVsSingle(t *testing.T) {
 				rows[i], errs[i] = s.Act(obs[i], time.Time{})
 			}(i)
 		}
+		waitFor(t, "requests queued behind the barrier", func() bool { return s.QueueDepth() == n })
+		close(release)
 		wg.Wait()
 		for i := 0; i < n; i++ {
 			if errs[i] != nil {

@@ -117,6 +117,57 @@ func TestBarrierSwapsBetweenBatches(t *testing.T) {
 	}
 }
 
+// TestBarrierUnderLoadLandsWithinOneBatch: with the queue never empty, a
+// pending barrier still runs as soon as the batch in flight returns — the
+// batcher does not start another batch first.
+func TestBarrierUnderLoadLandsWithinOneBatch(t *testing.T) {
+	g := newGatedRunner()
+	var entries atomic.Int64
+	s := New(func(b *tensorT) (*tensorT, error) {
+		entries.Add(1)
+		return g.run(b)
+	}, Config{MaxBatch: 1, ElemShape: []int{1}})
+	defer s.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := s.Act(obsOf(1), time.Time{}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	waitEntered(t, g) // batch 1 is in flight, three callers are queued
+	waitFor(t, "callers queued", func() bool { return s.QueueDepth() == 3 })
+
+	ranAfter := make(chan int64, 1)
+	go s.Barrier(func() error { ranAfter <- entries.Load(); return nil })
+	time.Sleep(50 * time.Millisecond) // let the barrier reach the batcher's door
+	g.gate <- struct{}{}              // batch 1 returns
+	select {
+	case n := <-ranAfter:
+		if n != 1 {
+			t.Errorf("the barrier ran after %d batches, want 1: it waited behind queued requests", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the barrier never ran")
+	}
+	close(stop)
+	close(g.gate)
+	wg.Wait()
+}
+
 // TestBarrierAfterCloseReturnsErrClosed: a barrier submitted to a drained
 // service must not hang.
 func TestBarrierAfterCloseReturnsErrClosed(t *testing.T) {
