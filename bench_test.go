@@ -9,10 +9,14 @@ package rlgraph
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 	"time"
 
+	"rlgraph/internal/agents"
 	"rlgraph/internal/benchkit"
+	"rlgraph/internal/envs"
+	"rlgraph/internal/exec"
 	"rlgraph/internal/tensor"
 )
 
@@ -192,6 +196,60 @@ func BenchmarkPlanVsRecursive(b *testing.B) {
 	}
 }
 
+// BenchmarkDQNUpdateParallelism is the A/B behind keeping the parallel plan
+// executor (EXPERIMENTS.md, PR 21 decision record): one Update per iteration
+// on the two shipped training configs, with the session serial (par=1) and
+// with two plan workers (par=2). It has no gate; it exists so the comparison
+// reruns without patching the regression benchmark's driver.
+func BenchmarkDQNUpdateParallelism(b *testing.B) {
+	for _, w := range []struct {
+		name, config string
+		env          envs.Env
+	}{
+		{"dense", "configs/dqn_cartpole.json", envs.NewCartPole(1)},
+		{"pixels", "configs/dueling_dqn_pixels.json", envs.NewPongSim(envs.PongConfig{
+			Obs: envs.PongPixels, FrameSkip: 4, OpponentSkill: envs.DefaultPongOpponent, Seed: 1})},
+	} {
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/par=%d", w.name, par), func(b *testing.B) {
+				data, err := os.ReadFile(w.config)
+				if err != nil {
+					b.Fatal(err)
+				}
+				a, err := agents.FromConfig(data, w.env.StateSpace(), w.env.ActionSpace())
+				if err != nil {
+					b.Fatal(err)
+				}
+				agent := a.(*agents.DQN)
+				if _, err := agent.Build(); err != nil {
+					b.Fatal(err)
+				}
+				agent.Executor().(*exec.StaticExecutor).SetParallelism(par)
+
+				// Two batches' worth of replay, drawn from the spaces: an update
+				// costs the same whatever the transitions hold.
+				const n = 64
+				rng := rand.New(rand.NewSource(1))
+				states := w.env.StateSpace().WithBatchRank()
+				if err := agent.Observe(states.Sample(rng, n), w.env.ActionSpace().WithBatchRank().Sample(rng, n),
+					tensor.RandNormal(rng, 0, 1, n), states.Sample(rng, n), tensor.New(n)); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := agent.Update(); err != nil { // warm-up: arena and plan scratch
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := agent.Update(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
+			})
+		}
+	}
+}
+
 // BenchmarkKernelMatMul measures the blocked (serial and parallel) matmul
 // kernels against the seed naive kernel at quick scale ("sweep"; full sweeps
 // and the acceptance gates live in cmd/rlgraph-bench -fig kernels, which
@@ -235,21 +293,6 @@ func BenchmarkKernelMatMul(b *testing.B) {
 			}
 			b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
-	}
-}
-
-// BenchmarkEnvThroughput smoke-tests the vectorized env-stepping sweep:
-// sequential vs sharded parallel StepAll and the render-alloc comparison.
-func BenchmarkEnvThroughput(b *testing.B) {
-	s := benchkit.QuickScale()
-	for i := 0; i < b.N; i++ {
-		rep, err := benchkit.EnvBench(s.EnvBenchCounts, s.EnvBenchPars, s.EnvBenchSteps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rep.Points[len(rep.Points)-1]
-		b.ReportMetric(last.FPS, "fps_last")
-		b.ReportMetric(rep.RenderAllocs.NaivePerStep-rep.RenderAllocs.FlatPerStep, "allocs_saved")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command rlgraph-bench regenerates the paper's evaluation figures at laptop
 // scale, printing one series row per measured point. Select a figure with
-// -fig (5a, 5b, 6, 7a, 7b, 8, 9, or all).
+// -fig (see -h for the values; "all" runs every one).
 //
 // Usage:
 //
@@ -14,13 +14,29 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"rlgraph/internal/benchkit"
 )
 
+// figures lists every -fig value with its runner, in the order "all" runs
+// them. The help text and docs_test.go (root package) both read this list.
+var figures = []struct {
+	name string
+	run  func(benchkit.Scale) error
+}{
+	{"5a", fig5a}, {"5b", fig5b}, {"6", fig6}, {"7a", fig7a}, {"7b", fig7b}, {"8", fig8}, {"9", fig9},
+	{"chaos", chaos}, {"plan", figPlan}, {"kernels", figKernels}, {"conv", figConv},
+	{"serve", figServe}, {"fleet", figFleet}, {"live", figLive},
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 5a, 5b, 6, 7a, 7b, 8, 9, chaos, plan, kernels, conv, serve, fleet, live, env, partition, all")
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(names, ", ")+", all")
 	quick := flag.Bool("quick", false, "use the fast smoke-test scale")
 	flag.Parse()
 
@@ -29,26 +45,19 @@ func main() {
 		scale = benchkit.QuickScale()
 	}
 
-	runners := map[string]func(benchkit.Scale) error{
-		"5a": fig5a, "5b": fig5b, "6": fig6, "7a": fig7a, "7b": fig7b, "8": fig8, "9": fig9,
-		"chaos": chaos, "plan": figPlan, "kernels": figKernels, "conv": figConv, "serve": figServe,
-		"fleet": figFleet, "live": figLive, "env": figEnv, "partition": figPartition,
-	}
-	if *fig == "all" {
-		for _, k := range []string{"5a", "5b", "6", "7a", "7b", "8", "9", "chaos", "plan", "kernels", "conv", "serve", "fleet", "live", "env", "partition"} {
-			if err := runners[k](scale); err != nil {
-				log.Fatalf("figure %s: %v", k, err)
-			}
+	ran := false
+	for _, f := range figures {
+		if *fig != "all" && *fig != f.name {
+			continue
 		}
-		return
+		ran = true
+		if err := f.run(scale); err != nil {
+			log.Fatalf("figure %s: %v", f.name, err)
+		}
 	}
-	r, ok := runners[*fig]
-	if !ok {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
 		os.Exit(2)
-	}
-	if err := r(scale); err != nil {
-		log.Fatalf("figure %s: %v", *fig, err)
 	}
 }
 
@@ -468,65 +477,6 @@ func figLive(s benchkit.Scale) error {
 		fmt.Printf("acceptance: %s: %.3f vs %.3f: %v\n", g.Benchmark, g.Value, g.Threshold, g.Pass)
 	}
 	fmt.Println("wrote BENCH_live.json")
-	return nil
-}
-
-// figEnv measures vectorized env-stepping throughput: K PongSim copies
-// (feature and pixel mode) stepped with random actions, sequential vs
-// sharded parallel stepping, plus the pixel render-alloc comparison against
-// the seed-era renderer. The acceptance gate is gomaxprocs-conditional:
-// >= 2x frames/sec at P=4 on the largest pixel sweep with >= 4 cores, else
-// render allocs/step at most half the seed renderer's. Results land in
-// BENCH_env.json.
-func figEnv(s benchkit.Scale) error {
-	header("Env throughput — parallel vectorized stepping vs sequential (frames/s)")
-	rep, err := benchkit.EnvBench(s.EnvBenchCounts, s.EnvBenchPars, s.EnvBenchSteps)
-	if err != nil {
-		return err
-	}
-	for _, pt := range rep.Points {
-		fmt.Printf("mode=%-10s envs=%-4d par=%-2d fps=%-12.0f speedup=%.2f\n",
-			pt.Mode, pt.Envs, pt.Par, pt.FPS, pt.Speedup)
-	}
-	fmt.Printf("render allocs/step: naive=%.1f flat=%.1f\n",
-		rep.RenderAllocs.NaivePerStep, rep.RenderAllocs.FlatPerStep)
-	gate, err := benchkit.WriteEnvJSON(rep, "BENCH_env.json")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("acceptance: %s [%s]: %.2f (threshold %.2f): %v (wrote BENCH_env.json)\n",
-		gate.Benchmark, gate.Mode, gate.Value, gate.Threshold, gate.Pass)
-	return nil
-}
-
-// figPartition benchmarks partitioned (device-cut fragment actor) execution
-// against single-process plans and records the kill-and-restart recovery
-// scenario in BENCH_partition.json.
-func figPartition(s benchkit.Scale) error {
-	header("Partitioned execution — device-cut fragments on raysim actors vs single process")
-	rep, err := benchkit.PartitionBench(s.PartitionIters)
-	if err != nil {
-		return err
-	}
-	for _, r := range rep.Results {
-		fmt.Printf("workload=%-12s devices=%d fragments=%d cut_values=%d cut_bytes/run=%-6d single_ns=%-10.0f part_ns=%-10.0f overhead=%.2fx\n",
-			r.Workload, r.Devices, r.Fragments, r.CutValues, r.CutBytesPerRun, r.SingleNsOp, r.PartNsOp, r.Overhead)
-		for _, f := range r.FragmentStats {
-			fmt.Printf("  frag %-28s steps=%-3d cut_ins=%-2d out_values=%-2d mailbox_hwm=%-2d calls=%-4d avg_wait_ns=%.0f\n",
-				f.Actor, f.Steps, f.CutIns, f.OutValues, f.MailboxHWM, f.CallsProcessed, f.AvgQueueWaitNs)
-		}
-	}
-	rec := rep.Recovery
-	fmt.Printf("recovery: workload=%s runs=%d crash=%s@call%d restarts=%d retries=%d exact=%v\n",
-		rec.Workload, rec.Runs, rec.CrashedActor, rec.CrashOnCall, rec.Restarts, rec.Retries, rec.Exact)
-	gates, err := benchkit.WritePartitionJSON(rep, "BENCH_partition.json")
-	if err != nil {
-		return err
-	}
-	for _, g := range gates {
-		fmt.Printf("acceptance: %s: %.2f (threshold %.2f): %v\n", g.Benchmark, g.Value, g.Threshold, g.Pass)
-	}
-	fmt.Println("wrote BENCH_partition.json")
 	return nil
 }
 

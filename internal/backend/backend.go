@@ -129,11 +129,6 @@ type Ops interface {
 	// scalar. Variables the loss does not reach yield zero gradients.
 	Gradients(loss Ref, vs []*vars.Variable) []Ref
 
-	// AssignVar stores val into v when the returned ref is evaluated.
-	AssignVar(v *vars.Variable, val Ref) Ref
-	// AddToVar computes v += scale*delta when evaluated (gradient
-	// application without fresh graph construction per step).
-	AddToVar(v *vars.Variable, delta Ref, scale float64) Ref
 	// ApplyUpdate applies one fused optimizer update to v in place when
 	// evaluated — tensor.UpdateRule.Apply on both backends — keeping the
 	// rule's slots and step count in st, and yields norm, the step's global
@@ -142,8 +137,6 @@ type Ops interface {
 	// the norm input also orders every read of the old weights before the
 	// write (see graph.ApplyUpdate).
 	ApplyUpdate(v *vars.Variable, rule *tensor.UpdateRule, st *tensor.UpdateState, grad, norm Ref) Ref
-	// Group forces evaluation of all refs, yielding scalar 0.
-	Group(refs ...Ref) Ref
 
 	// Eval forces a ref to a concrete tensor. Only valid under define-by-run
 	// (static graphs evaluate through a Session instead); static backends

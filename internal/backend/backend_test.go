@@ -105,26 +105,6 @@ func TestGradientsZeroDuringEagerBuild(t *testing.T) {
 	}
 }
 
-func TestAssignAndAddToVarModes(t *testing.T) {
-	// Build mode must not mutate; run mode must.
-	v := vars.New("w", tensor.Scalar(1))
-	bops := NewEagerOps(nil, ModeBuild)
-	bops.AssignVar(v, bops.ConstScalar(9))
-	bops.AddToVar(v, bops.ConstScalar(9), 1)
-	if v.Val.Item() != 1 {
-		t.Fatal("build mode mutated variable")
-	}
-	rops := NewEagerOps(nil, ModeRun)
-	rops.AssignVar(v, rops.ConstScalar(9))
-	if v.Val.Item() != 9 {
-		t.Fatal("run-mode assign ignored")
-	}
-	rops.AddToVar(v, rops.ConstScalar(1), 2)
-	if v.Val.Item() != 11 {
-		t.Fatalf("AddToVar result = %g", v.Val.Item())
-	}
-}
-
 func TestApplyUpdateModes(t *testing.T) {
 	// Build mode must touch neither the variable nor the optimizer state;
 	// run mode applies the rule and passes the norm through; the static node

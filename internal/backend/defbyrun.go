@@ -276,22 +276,6 @@ func (e *EagerOps) Gradients(loss Ref, vsl []*vars.Variable) []Ref {
 	return out
 }
 
-// AssignVar stores val into the variable immediately (in ModeRun).
-func (e *EagerOps) AssignVar(vr *vars.Variable, val Ref) Ref {
-	if e.mode == ModeRun {
-		vr.Set(v(val).T)
-	}
-	return val
-}
-
-// AddToVar applies v += scale*delta immediately (in ModeRun).
-func (e *EagerOps) AddToVar(vr *vars.Variable, delta Ref, scale float64) Ref {
-	if e.mode == ModeRun {
-		tensor.AxpyInPlace(vr.Val, scale, v(delta).T)
-	}
-	return delta
-}
-
 // ApplyUpdate applies the fused optimizer update immediately (in ModeRun).
 func (e *EagerOps) ApplyUpdate(vr *vars.Variable, rule *tensor.UpdateRule, st *tensor.UpdateState, grad, norm Ref) Ref {
 	if e.mode == ModeRun {
@@ -299,9 +283,6 @@ func (e *EagerOps) ApplyUpdate(vr *vars.Variable, rule *tensor.UpdateRule, st *t
 	}
 	return norm
 }
-
-// Group returns scalar 0 (everything already executed eagerly).
-func (e *EagerOps) Group(...Ref) Ref { return eager.ConstScalar(0) }
 
 // Eval returns the concrete tensor behind x.
 func (e *EagerOps) Eval(x Ref) *tensor.Tensor { return v(x).T }

@@ -223,28 +223,9 @@ func (s *StaticOps) Gradients(loss Ref, vs []*vars.Variable) []Ref {
 	return out
 }
 
-// AssignVar emits a variable store.
-func (s *StaticOps) AssignVar(v *vars.Variable, val Ref) Ref {
-	return graph.Assign(s.G, v, n(val))
-}
-
-// AddToVar emits v += scale*delta.
-func (s *StaticOps) AddToVar(v *vars.Variable, delta Ref, scale float64) Ref {
-	return graph.AddTo(s.G, v, n(delta), scale)
-}
-
 // ApplyUpdate emits a fused in-place optimizer update of v.
 func (s *StaticOps) ApplyUpdate(v *vars.Variable, rule *tensor.UpdateRule, st *tensor.UpdateState, grad, norm Ref) Ref {
 	return graph.ApplyUpdate(s.G, v, rule, st, n(grad), n(norm))
-}
-
-// Group emits a node forcing evaluation of all refs.
-func (s *StaticOps) Group(refs ...Ref) Ref {
-	ns := make([]*graph.Node, len(refs))
-	for i, x := range refs {
-		ns[i] = n(x)
-	}
-	return graph.Group(s.G, ns...)
 }
 
 // Eval returns nil: static refs evaluate through a Session.

@@ -63,15 +63,6 @@ func (w *Worker) SetWeights(weights map[string]*tensor.Tensor) error {
 	return w.Agent.SetWeights(weights)
 }
 
-// SetEnvParallelism shards the vector env's stepping across p persistent
-// goroutines (envs.VectorEnv.SetParallelism). Env stepping is identical
-// machinery in both execution plans, so parallel sampling benchmarks still
-// isolate the post-processing difference the paper analyzes.
-func (w *Worker) SetEnvParallelism(p int) { w.Vec.SetParallelism(p) }
-
-// Close stops the vector env's shard goroutines (no-op when sequential).
-func (w *Worker) Close() { w.Vec.Close() }
-
 // Sample collects numSteps steps. Contrasts with the RLgraph worker:
 //   - priorities are computed with one executor call per matured transition
 //     (incremental post-processing through many small session calls);

@@ -88,15 +88,6 @@ type Scale struct {
 	LiveReplicas     int
 	LiveClients      int
 	LivePublishEvery int
-	// EnvBenchCounts/EnvBenchPars/EnvBenchSteps configure the vectorized
-	// env-stepping benchmark (env counts, shard counts including the
-	// sequential baseline 1, and timed StepAll iterations per point).
-	EnvBenchCounts []int
-	EnvBenchPars   []int
-	EnvBenchSteps  int
-	// PartitionIters is the timed Run count per point of the partitioned
-	// (device-cut fragment actor) execution benchmark.
-	PartitionIters int
 }
 
 // LaptopScale is the default scaled-down experiment preset.
@@ -132,10 +123,6 @@ func LaptopScale() Scale {
 		LiveReplicas:      3,
 		LiveClients:       3,
 		LivePublishEvery:  25,
-		EnvBenchCounts:    []int{32, 256},
-		EnvBenchPars:      []int{1, 2, 4, 8},
-		EnvBenchSteps:     300,
-		PartitionIters:    100,
 	}
 }
 
@@ -169,10 +156,6 @@ func QuickScale() Scale {
 	s.LiveReplicas = 2
 	s.LiveClients = 2
 	s.LivePublishEvery = 10
-	s.EnvBenchCounts = []int{8, 32}
-	s.EnvBenchPars = []int{1, 2, 4}
-	s.EnvBenchSteps = 40
-	s.PartitionIters = 10
 	return s
 }
 

@@ -69,7 +69,7 @@ func Chaos(workers int, duration time.Duration, points int) ([]ChaosResult, erro
 			Cluster:           raysim.Config{Faults: sc.plan},
 		}
 		ex, err := distexec.NewApex(cfg, learner, env.StateSpace(),
-			apexWorkerFactory(KindRLgraph, points, 4, false, envParallelism(4)))
+			apexWorkerFactory(KindRLgraph, points, 4, false))
 		if err != nil {
 			return nil, err
 		}

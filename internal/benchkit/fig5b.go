@@ -53,8 +53,6 @@ func fig5bPoint(variant string, numEnvs, steps int) (float64, error) {
 			backendName = "define-by-run"
 		}
 		vec := envs.NewVectorEnv(mkEnvs()...)
-		vec.SetParallelism(envParallelism(numEnvs))
-		defer vec.Close()
 		agent, err := BuildAgent(DuelingDQNConfig(backendName, atariNet(), 1), vec.Envs[0])
 		if err != nil {
 			return 0, err
@@ -97,8 +95,6 @@ func fig5bPoint(variant string, numEnvs, steps int) (float64, error) {
 
 	case "PT hand-tuned":
 		vec := envs.NewVectorEnv(mkEnvs()...)
-		vec.SetParallelism(envParallelism(numEnvs))
-		defer vec.Close()
 		actor := newHandTunedActor(1)
 		vec.ResetAll()
 		for s := 0; s < 3; s++ { // warm-up

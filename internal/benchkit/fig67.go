@@ -1,7 +1,6 @@
 package benchkit
 
 import (
-	"runtime"
 	"time"
 
 	"rlgraph/internal/agents"
@@ -46,32 +45,11 @@ func learnableDQNConfig(seed int64) agents.DQNConfig {
 	return cfg
 }
 
-// envParallelism picks the vector-env shard count for k envs: enough to use
-// spare cores, never more than the envs or cores available, capped at 4 so
-// sampling never starves the learner. 1 (sequential) on single-core boxes,
-// keeping committed figure numbers comparable across machines.
-func envParallelism(k int) int {
-	p := runtime.GOMAXPROCS(0)
-	if p > k {
-		p = k
-	}
-	if p > 4 {
-		p = 4
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
 // apexWorkerFactory builds a worker of the requested kind with its own agent
 // and 4 vectorized envs (the paper's per-worker env count). learnable
 // selects the calibrated learning hyper-parameters (curve runs) over the
-// default throughput configuration. envPar > 1 shards each worker's vector
-// env across that many stepping goroutines (bit-identical results); the
-// throughput figures whose axis is the worker count keep it at 1 so the
-// plan comparison stays per-core.
-func apexWorkerFactory(kind WorkerKind, points, envsPerWorker int, learnable bool, envPar int) func(i int) (distexec.SampleWorker, error) {
+// default throughput configuration.
+func apexWorkerFactory(kind WorkerKind, points, envsPerWorker int, learnable bool) func(i int) (distexec.SampleWorker, error) {
 	return func(i int) (distexec.SampleWorker, error) {
 		env := apexEnv(int64(1000+i), points)
 		cfg := DuelingDQNConfig("static", featureNet(), int64(i))
@@ -90,15 +68,10 @@ func apexWorkerFactory(kind WorkerKind, points, envsPerWorker int, learnable boo
 		}
 		vec := envs.NewVectorEnv(es...)
 		if kind == KindRLlib {
-			w := rlliblike.NewWorker(agent, vec, 3, 0.99, true, 4)
-			if envPar > 1 {
-				w.SetEnvParallelism(envPar)
-			}
-			return w, nil
+			return rlliblike.NewWorker(agent, vec, 3, 0.99, true, 4), nil
 		}
 		return execution.NewWorker(agent, vec, execution.WorkerConfig{
 			NStep: 3, Gamma: 0.99, ComputePriorities: true, FramesPerStep: 4,
-			EnvParallelism: envPar,
 		}), nil
 	}
 }
@@ -146,7 +119,7 @@ func Fig6(workers []int, duration time.Duration, points int) ([]Fig6Result, erro
 				BatchSize:       64,
 			}
 			ex, err := distexec.NewApex(cfg, learner, env.StateSpace(),
-				apexWorkerFactory(kind, points, 4, false, 1))
+				apexWorkerFactory(kind, points, 4, false))
 			if err != nil {
 				return nil, err
 			}
@@ -177,7 +150,7 @@ func Fig7a(taskSizes, envCounts []int, points int) ([]Fig7aResult, error) {
 	for _, kind := range []WorkerKind{KindRLlib, KindRLgraph} {
 		for _, ne := range envCounts {
 			for _, ts := range taskSizes {
-				w, err := apexWorkerFactory(kind, points, ne, false, envParallelism(ne))(0)
+				w, err := apexWorkerFactory(kind, points, ne, false)(0)
 				if err != nil {
 					return nil, err
 				}
@@ -199,9 +172,6 @@ func Fig7a(taskSizes, envCounts []int, points int) ([]Fig7aResult, error) {
 					Kind: kind, TaskSize: ts, Envs: ne,
 					FPS: float64(frames) / time.Since(start).Seconds(),
 				})
-				if c, ok := w.(interface{ Close() }); ok {
-					c.Close() // stop env-shard goroutines between points
-				}
 			}
 		}
 	}
@@ -235,7 +205,7 @@ func Fig7b(workers, points int, target float64, maxTime time.Duration) ([]Fig7bR
 			SyncWeightsEvery: 10,
 		}
 		ex, err := distexec.NewApex(cfg, learner, env.StateSpace(),
-			apexWorkerFactory(kind, points, 4, true, 1))
+			apexWorkerFactory(kind, points, 4, true))
 		if err != nil {
 			return nil, err
 		}

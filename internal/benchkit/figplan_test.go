@@ -15,7 +15,9 @@ func TestPlanBenchSmoke(t *testing.T) {
 			t.Fatalf("degenerate result: %+v", r)
 		}
 	}
-	if results[0].Workload != "chain" || results[0].Speedup <= 1 {
-		t.Fatalf("chain workload should beat the recursive evaluator: %+v", results[0])
+	// No timing ratio here: under -race sync.Pool drops Puts and the plan path
+	// reads below 1x. The >= 2x chain gate lives in non-race -fig plan.
+	if results[0].Workload != "chain" {
+		t.Fatalf("first workload = %q, want chain", results[0].Workload)
 	}
 }

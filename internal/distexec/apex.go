@@ -424,7 +424,7 @@ func (e *ApexExecutor) superviseWorker(wi int, restarts *int, backoff *time.Dura
 		select {
 		case <-stop:
 			return nil
-		case <-time.After(jitterDelay(*backoff)):
+		case <-time.After(raysim.Jitter(*backoff)):
 		}
 		if *backoff *= 2; *backoff > maxRestartBackoff {
 			*backoff = maxRestartBackoff

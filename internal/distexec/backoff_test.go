@@ -3,21 +3,23 @@ package distexec
 import (
 	"testing"
 	"time"
+
+	"rlgraph/internal/raysim"
 )
 
 // TestFullJitterMapsUniformDraws pins the pure mapping: u ∈ [0,1) scales the
 // backoff window linearly, and degenerate windows stay at zero.
 func TestFullJitterMapsUniformDraws(t *testing.T) {
-	if got := fullJitter(time.Second, 0); got != 0 {
+	if got := raysim.FullJitter(time.Second, 0); got != 0 {
 		t.Fatalf("u=0: got %v, want 0", got)
 	}
-	if got := fullJitter(time.Second, 0.5); got != 500*time.Millisecond {
+	if got := raysim.FullJitter(time.Second, 0.5); got != 500*time.Millisecond {
 		t.Fatalf("u=0.5: got %v, want 500ms", got)
 	}
-	if got := fullJitter(0, 0.9); got != 0 {
+	if got := raysim.FullJitter(0, 0.9); got != 0 {
 		t.Fatalf("zero window: got %v, want 0", got)
 	}
-	if got := fullJitter(-time.Second, 0.9); got != 0 {
+	if got := raysim.FullJitter(-time.Second, 0.9); got != 0 {
 		t.Fatalf("negative window: got %v, want 0", got)
 	}
 }
@@ -33,7 +35,7 @@ func TestJitterDelaySpreads(t *testing.T) {
 	var min, max time.Duration = window, 0
 	distinct := make(map[time.Duration]struct{}, n)
 	for i := 0; i < n; i++ {
-		d := jitterDelay(window)
+		d := raysim.Jitter(window)
 		if d < 0 || d >= window {
 			t.Fatalf("draw %d = %v outside [0, %v)", i, d, window)
 		}

@@ -10,6 +10,7 @@ import (
 	"rlgraph/internal/components/misc"
 	"rlgraph/internal/envs"
 	"rlgraph/internal/exec"
+	"rlgraph/internal/raysim"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 )
@@ -297,7 +298,7 @@ func (e *IMPALAExecutor) superviseActor(i int, st *impalaActorState, restarts *i
 		select {
 		case <-stop:
 			return false
-		case <-time.After(jitterDelay(*backoff)):
+		case <-time.After(raysim.Jitter(*backoff)):
 		}
 		if *backoff *= 2; *backoff > maxRestartBackoff {
 			*backoff = maxRestartBackoff

@@ -8,7 +8,6 @@
 package envs
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"rlgraph/internal/spaces"
@@ -38,23 +37,13 @@ type Env interface {
 // the record is a bounded ring, not an append-only slice.
 const FinishedWindow = 512
 
-// shard-dispatch opcodes.
-const (
-	opStep = iota
-	opReset
-)
-
 // VectorEnv steps a batch of environment copies with auto-reset — the
 // vectorized sample collection of the paper's worker benchmarks (Fig. 5b,
-// 7a). By default environments are called sequentially, matching the paper's
-// setup; SetParallelism fans the per-env work out across persistent shard
-// goroutines with results bit-identical to sequential stepping (DESIGN.md
-// §5.13).
+// 7a). Environments are called sequentially, matching the paper's setup.
 //
-// VectorEnv is single-caller: States/StepAll/ResetAll/SetParallelism must
-// not be invoked concurrently (parallelism lives in the internal shards, not
-// at the API). Concurrent misuse panics with a diagnostic rather than
-// corrupting the shared output buffers.
+// VectorEnv is single-caller: States/StepAll/ResetAll must not be invoked
+// concurrently. Concurrent misuse panics with a diagnostic rather than
+// corrupting the shared output buffers (DESIGN.md §5.13).
 type VectorEnv struct {
 	Envs []Env
 
@@ -85,39 +74,6 @@ type VectorEnv struct {
 	// mutating API call, so overlapping calls fail fast instead of racing on
 	// the shared buffers above.
 	inUse atomic.Bool
-
-	// shards are the persistent worker goroutines installed by
-	// SetParallelism (empty = sequential stepping). Dispatch state below is
-	// written by the coordinator before signalling the shards and read back
-	// only after wg.Wait(), so it needs no locking.
-	shards    []*vecShard
-	wg        sync.WaitGroup
-	curOp     int
-	curActs   []int
-	fastRows  bool  // batchBuf rows are shard-writable this dispatch
-	rowLen    int   // per-env element count when fastRows
-	elemShape []int // per-env element shape when fastRows
-}
-
-// vecShard owns the contiguous env index range [lo, hi). Its goroutine
-// blocks on start, performs the VectorEnv's current dispatch over its range
-// (writing only rows/indices it owns), and signals completion through the
-// shared WaitGroup. Closing start terminates the goroutine.
-type vecShard struct {
-	v      *VectorEnv
-	lo, hi int
-	start  chan struct{}
-
-	// finished collects this shard's completed-episode returns for the
-	// current dispatch, in ascending env-index order; the coordinator merges
-	// shards in shard order so the global ring matches sequential stepping
-	// exactly.
-	finished []float64
-	// slow is set when an observation's shape does not match the batch
-	// buffer's element shape; the coordinator then falls back to the
-	// sequential restack path (which handles reallocation and the Stack
-	// panic path exactly as sequential stepping would).
-	slow bool
 }
 
 // NewVectorEnv wraps the given environment copies. At least one environment
@@ -139,139 +95,11 @@ func NewVectorEnv(envs ...Env) *VectorEnv {
 // single-caller contract made loud. release is its deferred counterpart.
 func (v *VectorEnv) acquire() {
 	if !v.inUse.CompareAndSwap(false, true) {
-		panic("envs: concurrent VectorEnv call: States/StepAll/ResetAll/SetParallelism are " +
-			"single-caller — parallelism is provided by internal shards (SetParallelism), " +
-			"not by overlapping API calls")
+		panic("envs: concurrent VectorEnv call: States/StepAll/ResetAll are single-caller")
 	}
 }
 
 func (v *VectorEnv) release() { v.inUse.Store(false) }
-
-// SetParallelism installs p persistent shard goroutines, each owning a
-// contiguous range of env indices (p is clamped to the env count; p <= 1
-// restores sequential stepping and stops any existing shards). Shards write
-// observations, rewards and terminals directly into disjoint rows of the
-// reused output buffers, so StepAll/ResetAll fan out without per-step
-// goroutine spawns or extra copies, and results are bit-identical to
-// sequential stepping. Call Close (or SetParallelism(1)) when discarding a
-// parallel VectorEnv so the shard goroutines exit.
-func (v *VectorEnv) SetParallelism(p int) {
-	v.acquire()
-	defer v.release()
-	v.stopShards()
-	if p > len(v.Envs) {
-		p = len(v.Envs)
-	}
-	if p <= 1 {
-		return
-	}
-	k := len(v.Envs)
-	for s := 0; s < p; s++ {
-		sh := &vecShard{v: v, lo: s * k / p, hi: (s + 1) * k / p, start: make(chan struct{})}
-		v.shards = append(v.shards, sh)
-		go sh.run()
-	}
-}
-
-// Parallelism reports the installed shard count (1 = sequential).
-func (v *VectorEnv) Parallelism() int {
-	if len(v.shards) == 0 {
-		return 1
-	}
-	return len(v.shards)
-}
-
-// Close stops the shard goroutines. The VectorEnv remains usable
-// (sequentially) afterwards.
-func (v *VectorEnv) Close() { v.SetParallelism(1) }
-
-func (v *VectorEnv) stopShards() {
-	for _, sh := range v.shards {
-		close(sh.start)
-	}
-	v.shards = nil
-}
-
-// run is the shard goroutine body: one dispatch per start signal.
-func (sh *vecShard) run() {
-	v := sh.v
-	for range sh.start {
-		switch v.curOp {
-		case opReset:
-			for i := sh.lo; i < sh.hi; i++ {
-				v.states[i] = v.Envs[i].Reset()
-				v.EpisodeRewards[i] = 0
-				sh.writeRow(i)
-			}
-		case opStep:
-			for i := sh.lo; i < sh.hi; i++ {
-				s, r, done := v.Envs[i].Step(v.curActs[i])
-				v.rewardBuf[i] = r
-				v.termBuf[i] = 0
-				v.EpisodeRewards[i] += r
-				if done {
-					v.termBuf[i] = 1
-					sh.finished = append(sh.finished, v.EpisodeRewards[i])
-					v.EpisodeRewards[i] = 0
-					s = v.Envs[i].Reset()
-				}
-				v.states[i] = s
-				sh.writeRow(i)
-			}
-		}
-		v.wg.Done()
-	}
-}
-
-// writeRow copies env i's current observation into row i of the batch
-// buffer when the fast path is armed. A shape mismatch (wrapper swap,
-// misbehaving env) marks the shard slow instead; the coordinator then runs
-// the sequential restack, which reallocates or panics exactly as sequential
-// stepping would.
-func (sh *vecShard) writeRow(i int) {
-	v := sh.v
-	if !v.fastRows {
-		return
-	}
-	s := v.states[i]
-	if s.Size() != v.rowLen || !tensor.SameShape(s.Shape(), v.elemShape) {
-		sh.slow = true
-		return
-	}
-	copy(v.batchBuf.Data()[i*v.rowLen:(i+1)*v.rowLen], s.Data())
-}
-
-// dispatch runs one parallel operation across all shards and merges their
-// per-shard finished-episode records into the bounded ring in ascending
-// env-index order (shard ranges are contiguous and ascending, so shard-order
-// merge equals sequential completion order). Returns whether the batch
-// buffer was fully written by the shards.
-func (v *VectorEnv) dispatch(op int, actions []int) bool {
-	v.curOp, v.curActs = op, actions
-	v.fastRows = false
-	if b := v.batchBuf; b != nil && b.Dim(0) == len(v.Envs) {
-		v.fastRows = true
-		v.rowLen = b.Size() / b.Dim(0)
-		v.elemShape = b.Shape()[1:]
-	}
-	v.wg.Add(len(v.shards))
-	for _, sh := range v.shards {
-		sh.start <- struct{}{}
-	}
-	v.wg.Wait()
-	fast := v.fastRows
-	for _, sh := range v.shards {
-		if sh.slow {
-			fast = false
-			sh.slow = false
-		}
-		for _, r := range sh.finished {
-			v.recordFinished(r)
-		}
-		sh.finished = sh.finished[:0]
-	}
-	return fast
-}
 
 // recordFinished appends one completed-episode return to the bounded ring.
 func (v *VectorEnv) recordFinished(r float64) {
@@ -297,14 +125,6 @@ func (v *VectorEnv) ResetAll() *tensor.Tensor {
 }
 
 func (v *VectorEnv) resetAll() *tensor.Tensor {
-	if len(v.shards) > 0 {
-		fast := v.dispatch(opReset, nil)
-		v.started = true
-		if fast {
-			return v.batchBuf
-		}
-		return v.batch()
-	}
 	for i, e := range v.Envs {
 		v.states[i] = e.Reset()
 		v.EpisodeRewards[i] = 0
@@ -345,12 +165,6 @@ func (v *VectorEnv) StepAll(actions []int) (obs *tensor.Tensor, rewards, termina
 		v.termBuf = make([]float64, len(v.Envs))
 	}
 	rewards, terminals = v.rewardBuf, v.termBuf
-	if len(v.shards) > 0 {
-		if v.dispatch(opStep, actions) {
-			return v.batchBuf, rewards, terminals
-		}
-		return v.batch(), rewards, terminals
-	}
 	for i, e := range v.Envs {
 		s, r, done := e.Step(actions[i])
 		rewards[i] = r

@@ -3,8 +3,11 @@ package envs
 import (
 	"math"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
@@ -561,5 +564,127 @@ func TestFrameStackFeatures(t *testing.T) {
 		if obs.Data()[i] != prev.Data()[4+i] {
 			t.Fatal("stack did not roll")
 		}
+	}
+}
+
+// TestNewVectorEnvRejectsZeroEnvs: the zero-env vector has no element shape
+// to batch over and must fail loudly at construction, not inside the first
+// States call.
+func TestNewVectorEnvRejectsZeroEnvs(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected panic from NewVectorEnv()")
+		}
+		if !strings.Contains(r.(string), "at least one environment") {
+			t.Fatalf("unhelpful panic message: %v", r)
+		}
+	}()
+	NewVectorEnv()
+}
+
+// blockingEnv parks in Step until released, so a second VectorEnv call can
+// be provoked while the first is in flight.
+type blockingEnv struct {
+	enter chan struct{} // signals Step was entered
+	gate  chan struct{} // Step blocks until this closes
+}
+
+func (e *blockingEnv) StateSpace() spaces.Space    { return spaces.NewFloatBox(1) }
+func (e *blockingEnv) ActionSpace() *spaces.IntBox { return spaces.NewIntBox(1) }
+func (e *blockingEnv) Reset() *tensor.Tensor       { return tensor.New(1) }
+func (e *blockingEnv) Step(int) (*tensor.Tensor, float64, bool) {
+	e.enter <- struct{}{}
+	<-e.gate
+	return tensor.New(1), 0, false
+}
+
+// TestVectorEnvConcurrentMisuseGuard: VectorEnv is single-caller — a
+// StepAll racing another StepAll must panic with a diagnostic instead of
+// silently corrupting the shared output buffers.
+func TestVectorEnvConcurrentMisuseGuard(t *testing.T) {
+	be := &blockingEnv{enter: make(chan struct{}, 1), gate: make(chan struct{})}
+	v := NewVectorEnv(be)
+	v.ResetAll()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		v.StepAll([]int{0})
+	}()
+	<-be.enter // first StepAll is now mid-flight
+
+	done := make(chan interface{}, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		v.StepAll([]int{0})
+	}()
+	select {
+	case r := <-done:
+		if r == nil {
+			t.Fatal("concurrent StepAll did not panic")
+		}
+		if !strings.Contains(r.(string), "concurrent VectorEnv call") {
+			t.Fatalf("unhelpful panic message: %v", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("concurrent StepAll neither panicked nor returned")
+	}
+	close(be.gate)
+	wg.Wait()
+}
+
+func equalF64(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPongFlatRendererBitEqual pins the flat renderer to the naive one over
+// a long random playout: every pixel frame produced by Step must equal the
+// freshly drawn RenderNaive frame for the same simulator state.
+func TestPongFlatRendererBitEqual(t *testing.T) {
+	p := NewPongSim(PongConfig{Obs: PongPixels, FrameSkip: 2, PointsToWin: 3,
+		OpponentSkill: DefaultPongOpponent, Seed: 11})
+	rng := rand.New(rand.NewSource(3))
+	obs := p.Reset()
+	if !equalF64(obs.Data(), p.RenderNaive().Data()) {
+		t.Fatal("Reset frame differs from RenderNaive")
+	}
+	for s := 0; s < 3000; s++ {
+		obs, _, done := p.Step(rng.Intn(3))
+		naive := p.RenderNaive()
+		if !tensor.SameShape(obs.Shape(), naive.Shape()) {
+			t.Fatalf("step %d: shape %v != %v", s, obs.Shape(), naive.Shape())
+		}
+		if !equalF64(obs.Data(), naive.Data()) {
+			t.Fatalf("step %d: flat frame differs from RenderNaive", s)
+		}
+		if done {
+			obs = p.Reset()
+			if !equalF64(obs.Data(), p.RenderNaive().Data()) {
+				t.Fatalf("step %d: post-reset frame differs from RenderNaive", s)
+			}
+		}
+	}
+}
+
+// TestPongRenderAllocFree: after warm-up, pixel-mode stepping must not
+// allocate new frames (the reused-buffer hot path).
+func TestPongRenderAllocFree(t *testing.T) {
+	p := NewPongSim(PongConfig{Obs: PongPixels, FrameSkip: 1, OpponentSkill: DefaultPongOpponent, Seed: 5})
+	p.Reset()
+	allocs := testing.AllocsPerRun(200, func() {
+		p.Step(1)
+	})
+	if allocs > 0 {
+		t.Fatalf("pixel Step allocates %.1f objects/op, want 0", allocs)
 	}
 }

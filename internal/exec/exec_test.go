@@ -370,3 +370,33 @@ func TestDeviceMapStreamLimits(t *testing.T) {
 		t.Fatalf("nil registry: %v", nil2)
 	}
 }
+
+// TestDeviceRegistryValidatesPlacementAtBuild: with an inventory wired in,
+// placing a component on a device outside it must fail Build with an error
+// naming the device and listing the known ones.
+func TestDeviceRegistryValidatesPlacementAtBuild(t *testing.T) {
+	root, _, b := pipelineRoot()
+	b.SetDevice("gpu7")
+	ex := NewStatic(root)
+	ex.SetDeviceRegistry(devices.DefaultRegistry(1)) // cpu0, gpu0
+	_, err := ex.Build(inSpec())
+	if err == nil {
+		t.Fatal("Build accepted a placement on an uninventoried device")
+	}
+	for _, frag := range []string{"gpu7", "cpu0", "gpu0"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Fatalf("error %q should mention %q", err, frag)
+		}
+	}
+
+	// The same graph with a valid placement builds, and clearing the registry
+	// disables validation entirely.
+	root2, _, b2 := pipelineRoot()
+	b2.SetDevice("gpu7")
+	ex2 := NewStatic(root2)
+	ex2.SetDeviceRegistry(devices.DefaultRegistry(1))
+	ex2.SetDeviceRegistry(nil)
+	if _, err := ex2.Build(inSpec()); err != nil {
+		t.Fatalf("validation should be disabled: %v", err)
+	}
+}

@@ -8,8 +8,6 @@ import (
 	"rlgraph/internal/component"
 	"rlgraph/internal/devices"
 	"rlgraph/internal/graph"
-	"rlgraph/internal/partition"
-	"rlgraph/internal/raysim"
 	"rlgraph/internal/tensor"
 	"rlgraph/internal/vars"
 )
@@ -47,10 +45,6 @@ type StaticExecutor struct {
 	// devReg, when set, is the local device inventory: Build wires its names
 	// into the session so plans placed on unknown devices fail compilation.
 	devReg *devices.Registry
-
-	// dist, when non-nil, routes Execute through partitioned multi-actor
-	// execution instead of the local session.
-	dist *partition.DistSession
 }
 
 // NewStatic returns an unbuilt static executor for root.
@@ -213,40 +207,6 @@ func (e *StaticExecutor) SetDeviceRegistry(r *devices.Registry) {
 	}
 }
 
-// EnablePartitionedExecution switches Execute to partitioned multi-actor
-// execution: each registry entry's fetch-set is cut at device boundaries into
-// per-device fragments hosted in restartable actors on the cluster, with cut
-// tensors flowing actor-to-actor (see internal/partition). Results are
-// bit-for-bit identical to the local session path. Requires Build to have
-// run. The returned DistSession exposes Describe/Metrics; the executor owns
-// its lifecycle — DisablePartitionedExecution closes it.
-func (e *StaticExecutor) EnablePartitionedExecution(cluster *raysim.Cluster, cfg partition.Config) (*partition.DistSession, error) {
-	if e.g == nil {
-		return nil, fmt.Errorf("exec: partitioned execution requires Build first")
-	}
-	if e.dist != nil {
-		return nil, fmt.Errorf("exec: partitioned execution already enabled")
-	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = e.parallelism
-	}
-	e.dist = partition.NewDistSession(cluster, e.g, cfg)
-	return e.dist, nil
-}
-
-// PartitionedExecution returns the active distributed session, or nil when
-// Execute runs locally.
-func (e *StaticExecutor) PartitionedExecution() *partition.DistSession { return e.dist }
-
-// DisablePartitionedExecution closes the distributed session (stopping its
-// fragment actors) and returns Execute to the local session path.
-func (e *StaticExecutor) DisablePartitionedExecution() {
-	if e.dist != nil {
-		e.dist.Close()
-		e.dist = nil
-	}
-}
-
 // Execute looks the API up in the op registry, validates and assembles
 // feeds, and issues one batched session call over the entry's precompiled
 // plan.
@@ -266,9 +226,6 @@ func (e *StaticExecutor) Execute(api string, inputs ...*tensor.Tensor) ([]*tenso
 			return nil, err
 		}
 		feeds[ph] = in
-	}
-	if e.dist != nil {
-		return e.dist.Run(ent.fetches, feeds)
 	}
 	return e.sess.RunCompiled(ent.plan, feeds)
 }

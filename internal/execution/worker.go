@@ -69,11 +69,6 @@ type WorkerConfig struct {
 	ComputePriorities bool
 	// FramesPerStep is the frame-skip multiplier for frame accounting.
 	FramesPerStep int
-	// EnvParallelism > 1 shards the vector env's stepping across that many
-	// persistent goroutines (envs.VectorEnv.SetParallelism); results are
-	// bit-identical to sequential stepping. Call Close when discarding the
-	// worker so the shard goroutines exit.
-	EnvParallelism int
 }
 
 // pending is one not-yet-matured transition in an n-step window.
@@ -115,9 +110,6 @@ func NewWorker(agent *agents.DQN, vec *envs.VectorEnv, cfg WorkerConfig) *Worker
 	if cfg.FramesPerStep <= 0 {
 		cfg.FramesPerStep = 1
 	}
-	if cfg.EnvParallelism > 1 {
-		vec.SetParallelism(cfg.EnvParallelism)
-	}
 	return &Worker{
 		Agent:   agent,
 		Vec:     vec,
@@ -125,10 +117,6 @@ func NewWorker(agent *agents.DQN, vec *envs.VectorEnv, cfg WorkerConfig) *Worker
 		windows: make([][]pending, vec.Len()),
 	}
 }
-
-// Close stops the vector env's shard goroutines (no-op when sequential).
-// The worker remains usable afterwards, stepping sequentially.
-func (w *Worker) Close() { w.Vec.Close() }
 
 // SetWeights installs learner weights into the worker's agent.
 func (w *Worker) SetWeights(weights map[string]*tensor.Tensor) error {

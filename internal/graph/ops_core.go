@@ -60,11 +60,6 @@ func (o *varReadOp) Eval(*RunCtx, []*tensor.Tensor) (*tensor.Tensor, error) {
 }
 func (o *varReadOp) StatefulEval() {}
 
-// ReadOnlyStateful: VarRead observes state but never mutates it, so plans
-// containing only read-style stateful ops may be retried by the partition
-// driver after a fragment crash.
-func (o *varReadOp) ReadOnlyStateful() {}
-
 // VarRead adds a node that reads v at run time. Gradients flow into reads of
 // trainable variables via the Gradients wrt-node mechanism.
 func VarRead(g *Graph, v *vars.Variable) *Node {
@@ -116,26 +111,6 @@ func (o *assignOp) StatefulEval() {}
 func Assign(g *Graph, v *vars.Variable, val *Node) *Node {
 	_, vs := val.op.(ValueSemanticsOp)
 	return g.Add(&assignOp{v: v, owned: vs}, val)
-}
-
-// addToOp accumulates its input into a variable in place (for gradient
-// application without building per-step graphs).
-type addToOp struct {
-	v     *vars.Variable
-	scale float64
-}
-
-func (o *addToOp) Name() string                         { return "AddTo" }
-func (o *addToOp) InferShape(in [][]int) ([]int, error) { return in[0], nil }
-func (o *addToOp) Eval(_ *RunCtx, inputs []*tensor.Tensor) (*tensor.Tensor, error) {
-	tensor.AxpyInPlace(o.v.Val, o.scale, inputs[0])
-	return inputs[0], nil
-}
-func (o *addToOp) StatefulEval() {}
-
-// AddTo adds a stateful node computing v += scale*val.
-func AddTo(g *Graph, v *vars.Variable, val *Node, scale float64) *Node {
-	return g.Add(&addToOp{v: v, scale: scale}, val)
 }
 
 // applyUpdateOp runs one fused optimizer update of a variable and its slots

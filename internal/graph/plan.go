@@ -22,18 +22,6 @@ type StatefulOp interface {
 	StatefulEval()
 }
 
-// ReadOnlyStatefulOp marks a StatefulOp whose Eval only reads external state
-// (VarRead) and never mutates it. Order still matters — the scheduler chains
-// it like any stateful step — but re-executing a whole plan containing only
-// read-only stateful ops is idempotent, which lets the partition driver
-// transparently retry a run after a fragment host crashes. Ops that write
-// (Assign, AddTo, host-function ops) must not implement it.
-type ReadOnlyStatefulOp interface {
-	StatefulOp
-	// ReadOnlyStateful marks the op; it carries no behaviour.
-	ReadOnlyStateful()
-}
-
 // step is one compiled op evaluation: the node, its output value slot, and
 // the range of input slots in Plan.insSlots. Steps produced by the fusion
 // pass carry a specialized evaluator and the list of absorbed nodes.
@@ -165,96 +153,131 @@ const (
 	visitBlack
 )
 
-// planBuilder accumulates a Plan's steps and slots. compilePlan drives it
-// from a DFS over the fetch closure; compilePlanFromOrder (partition.go)
-// drives it from an explicit, already-topological step order when compiling
-// device fragments of a partitioned plan. Both end with finish, which runs
-// fusion, builds the parallel-scheduler edges, and precomputes the
-// buffer-release schedule.
-type planBuilder struct {
-	p           *Plan
-	statDevIdx  map[string]int32
-	schedDevIdx map[string]int32
-	nextSlot    int32
-}
+// compilePlan topologically sorts the transitive closure of fetches via an
+// iterative DFS that mirrors the recursive evaluator's visit order (control
+// deps before inputs, both in declaration order), assigns value slots, runs
+// the elementwise fusion pass (when fuse is set), and precomputes the
+// parallel-scheduler edge lists plus the buffer-release schedule. Fed nodes
+// become sources: they get slots but no steps, and their subgraphs are not
+// visited.
+func compilePlan(g *Graph, fetches []*Node, fed map[*Node]bool, fuse bool) (*Plan, error) {
+	p := &Plan{
+		g:        g,
+		feedSlot: make(map[*Node]int32),
+		slotOf:   make(map[*Node]int32),
+	}
+	state := make([]uint8, g.NumNodes())
+	statDevIdx := map[string]int32{}
+	schedDevIdx := map[string]int32{}
+	nextSlot := int32(0)
 
-func newPlanBuilder(g *Graph) *planBuilder {
-	return &planBuilder{
-		p: &Plan{
-			g:        g,
-			feedSlot: make(map[*Node]int32),
-			slotOf:   make(map[*Node]int32),
-		},
-		statDevIdx:  map[string]int32{},
-		schedDevIdx: map[string]int32{},
-	}
-}
-
-// ensureFeedSlot gives a fed source node a value slot (once).
-func (b *planBuilder) ensureFeedSlot(n *Node) {
-	if _, ok := b.p.slotOf[n]; ok {
-		return
-	}
-	slot := b.nextSlot
-	b.nextSlot++
-	b.p.slotOf[n] = slot
-	b.p.feedSlot[n] = slot
-	b.p.feeds = append(b.p.feeds, feedBind{node: n, slot: slot})
-}
-
-// emitStep appends the compiled step for n. Every data input of n must
-// already hold a slot (emitted earlier or fed).
-func (b *planBuilder) emitStep(n *Node) {
-	p := b.p
-	out := b.nextSlot
-	b.nextSlot++
-	p.slotOf[n] = out
-	insOff := int32(len(p.insSlots))
-	for _, in := range n.inputs {
-		p.insSlots = append(p.insSlots, p.slotOf[in])
-	}
-	sd, ok := b.statDevIdx[n.device]
-	if !ok {
-		sd = int32(len(p.statDevices))
-		b.statDevIdx[n.device] = sd
-		p.statDevices = append(p.statDevices, n.device)
-	}
-	schedDev := int32(-1)
-	if n.device != "" {
-		d, ok := b.schedDevIdx[n.device]
-		if !ok {
-			d = int32(len(p.schedDevices))
-			b.schedDevIdx[n.device] = d
-			p.schedDevices = append(p.schedDevices, n.device)
+	ensureFeedSlot := func(n *Node) {
+		if _, ok := p.slotOf[n]; ok {
+			return
 		}
-		schedDev = d
+		slot := nextSlot
+		nextSlot++
+		p.slotOf[n] = slot
+		p.feedSlot[n] = slot
+		p.feeds = append(p.feeds, feedBind{node: n, slot: slot})
 	}
-	p.steps = append(p.steps, step{
-		node: n, out: out,
-		insOff: insOff, insLen: int32(len(n.inputs)),
-		schedDev: schedDev, statDev: sd,
-	})
-}
 
-// finish seals the builder into an executable Plan: fetch slots, optional
-// fusion, scheduler edges (including the stateful chain in step order), the
-// liveness-derived release schedules, and the per-run scratch pool.
-//
-// Edges to nodes without a slot-holding step are dropped: in a full plan that
-// never happens (the DFS visits everything), while in a fragment plan it is
-// exactly the cross-fragment control-dependency case, whose ordering the
-// partition layer enforces at fragment granularity instead.
-func (b *planBuilder) finish(fetches []*Node, fuse bool) (*Plan, error) {
-	p := b.p
+	emitStep := func(n *Node) {
+		out := nextSlot
+		nextSlot++
+		p.slotOf[n] = out
+		insOff := int32(len(p.insSlots))
+		for _, in := range n.inputs {
+			p.insSlots = append(p.insSlots, p.slotOf[in])
+		}
+		sd, ok := statDevIdx[n.device]
+		if !ok {
+			sd = int32(len(p.statDevices))
+			statDevIdx[n.device] = sd
+			p.statDevices = append(p.statDevices, n.device)
+		}
+		schedDev := int32(-1)
+		if n.device != "" {
+			d, ok := schedDevIdx[n.device]
+			if !ok {
+				d = int32(len(p.schedDevices))
+				schedDevIdx[n.device] = d
+				p.schedDevices = append(p.schedDevices, n.device)
+			}
+			schedDev = d
+		}
+		p.steps = append(p.steps, step{
+			node: n, out: out,
+			insOff: insOff, insLen: int32(len(n.inputs)),
+			schedDev: schedDev, statDev: sd,
+		})
+	}
+
+	type frame struct {
+		n     *Node
+		child int
+	}
+	var stack []frame
+
+	visitRoot := func(root *Node) error {
+		if root.g != g {
+			return fmt.Errorf("graph: fetch %v belongs to a different graph", root)
+		}
+		if fed[root] {
+			ensureFeedSlot(root)
+			return nil
+		}
+		if state[root.id] == visitBlack {
+			return nil
+		}
+		state[root.id] = visitGrey
+		stack = append(stack[:0], frame{n: root})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			n := f.n
+			if nc := len(n.deps) + len(n.inputs); f.child < nc {
+				var c *Node
+				if f.child < len(n.deps) {
+					c = n.deps[f.child]
+				} else {
+					c = n.inputs[f.child-len(n.deps)]
+				}
+				f.child++
+				if c.g != g {
+					return fmt.Errorf("graph: node %v belongs to a different graph", c)
+				}
+				if fed[c] {
+					ensureFeedSlot(c)
+					continue
+				}
+				switch state[c.id] {
+				case visitBlack:
+					continue
+				case visitGrey:
+					return fmt.Errorf("graph: cycle detected through %v and %v", n, c)
+				}
+				state[c.id] = visitGrey
+				stack = append(stack, frame{n: c})
+				continue
+			}
+			state[n.id] = visitBlack
+			emitStep(n)
+			stack = stack[:len(stack)-1]
+		}
+		return nil
+	}
+
+	for _, f := range fetches {
+		if err := visitRoot(f); err != nil {
+			return nil, err
+		}
+	}
+
 	p.fetchSlots = make([]int32, len(fetches))
 	for i, f := range fetches {
-		slot, ok := p.slotOf[f]
-		if !ok {
-			return nil, fmt.Errorf("graph: fetch %v is not computed by the plan", f)
-		}
-		p.fetchSlots[i] = slot
+		p.fetchSlots[i] = p.slotOf[f]
 	}
-	p.nslots = int(b.nextSlot)
+	p.nslots = int(nextSlot)
 
 	if fuse {
 		p.fuseSteps()
@@ -335,79 +358,6 @@ func (b *planBuilder) finish(fetches []*Node, fuse bool) (*Plan, error) {
 		}
 	}
 	return p, nil
-}
-
-// compilePlan topologically sorts the transitive closure of fetches via an
-// iterative DFS that mirrors the recursive evaluator's visit order (control
-// deps before inputs, both in declaration order), assigns value slots, runs
-// the elementwise fusion pass (when fuse is set), and precomputes the
-// parallel-scheduler edge lists plus the buffer-release schedule. Fed nodes
-// become sources: they get slots but no steps, and their subgraphs are not
-// visited.
-func compilePlan(g *Graph, fetches []*Node, fed map[*Node]bool, fuse bool) (*Plan, error) {
-	b := newPlanBuilder(g)
-	state := make([]uint8, g.NumNodes())
-
-	type frame struct {
-		n     *Node
-		child int
-	}
-	var stack []frame
-
-	visitRoot := func(root *Node) error {
-		if root.g != g {
-			return fmt.Errorf("graph: fetch %v belongs to a different graph", root)
-		}
-		if fed[root] {
-			b.ensureFeedSlot(root)
-			return nil
-		}
-		if state[root.id] == visitBlack {
-			return nil
-		}
-		state[root.id] = visitGrey
-		stack = append(stack[:0], frame{n: root})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			n := f.n
-			if nc := len(n.deps) + len(n.inputs); f.child < nc {
-				var c *Node
-				if f.child < len(n.deps) {
-					c = n.deps[f.child]
-				} else {
-					c = n.inputs[f.child-len(n.deps)]
-				}
-				f.child++
-				if c.g != g {
-					return fmt.Errorf("graph: node %v belongs to a different graph", c)
-				}
-				if fed[c] {
-					b.ensureFeedSlot(c)
-					continue
-				}
-				switch state[c.id] {
-				case visitBlack:
-					continue
-				case visitGrey:
-					return fmt.Errorf("graph: cycle detected through %v and %v", n, c)
-				}
-				state[c.id] = visitGrey
-				stack = append(stack, frame{n: c})
-				continue
-			}
-			state[n.id] = visitBlack
-			b.emitStep(n)
-			stack = stack[:len(stack)-1]
-		}
-		return nil
-	}
-
-	for _, f := range fetches {
-		if err := visitRoot(f); err != nil {
-			return nil, err
-		}
-	}
-	return b.finish(fetches, fuse)
 }
 
 // computeRelease runs last-use liveness over the value slots and fills

@@ -170,6 +170,82 @@ func TestPlanCacheReuse(t *testing.T) {
 	}
 }
 
+// TestPlanCacheInvalidatedOnSetDevice is the stale-placement regression:
+// re-placing a node with SetDevice must not serve the previously cached plan
+// (which baked in the old device for stream scheduling and tallies).
+func TestPlanCacheInvalidatedOnSetDevice(t *testing.T) {
+	g := New()
+	x := Placeholder(g, "x", []int{2})
+	y := Tanh(g, AddScalar(g, x, 1))
+	sess := NewSession(g)
+	feeds := Feeds{x: tensor.FromSlice([]float64{0, 1}, 2)}
+	if _, err := sess.Run1(y, feeds); err != nil {
+		t.Fatal(err)
+	}
+	if n := sess.CompiledPlans(); n != 1 {
+		t.Fatalf("compiled plans = %d, want 1", n)
+	}
+	if got := sess.DeviceNodeCounts()["accel:0"]; got != 0 {
+		t.Fatalf("pre-placement accel tally = %d, want 0", got)
+	}
+
+	epoch := g.PlacementEpoch()
+	y.SetDevice("accel:0")
+	if g.PlacementEpoch() != epoch+1 {
+		t.Fatalf("PlacementEpoch = %d after SetDevice, want %d", g.PlacementEpoch(), epoch+1)
+	}
+	y.SetDevice("accel:0") // same device: no epoch bump, no extra invalidation
+	if g.PlacementEpoch() != epoch+1 {
+		t.Fatalf("PlacementEpoch bumped on no-op SetDevice")
+	}
+
+	if _, err := sess.Run1(y, feeds); err != nil {
+		t.Fatal(err)
+	}
+	if n := sess.CompiledPlans(); n != 2 {
+		t.Fatalf("compiled plans after re-placement = %d, want 2 (stale plan served)", n)
+	}
+	if got := sess.DeviceNodeCounts()["accel:0"]; got != 1 {
+		t.Fatalf("accel tally after re-placement = %d, want 1 (stale placement executed)", got)
+	}
+}
+
+// TestSessionKnownDeviceValidation: with a known-device set configured,
+// compiling a plan that places steps on an unknown device fails with an error
+// naming the known devices; the empty (default) device is always allowed.
+func TestSessionKnownDeviceValidation(t *testing.T) {
+	g := New()
+	x := Placeholder(g, "x", []int{1})
+	a := AddScalar(g, x, 1)
+	a.SetDevice("gpu:7")
+	sess := NewSession(g)
+	sess.SetKnownDevices([]string{"cpu:0", "gpu:0"})
+	_, err := sess.Run1(a, Feeds{x: tensor.FromSlice([]float64{1}, 1)})
+	if err == nil {
+		t.Fatal("unknown device accepted")
+	}
+	for _, want := range []string{"gpu:7", "cpu:0", "gpu:0"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+
+	a.SetDevice("gpu:0")
+	out, err := sess.Run1(a, Feeds{x: tensor.FromSlice([]float64{1}, 1)})
+	if err != nil {
+		t.Fatalf("known device rejected: %v", err)
+	}
+	if out.Item() != 2 {
+		t.Fatalf("got %g", out.Item())
+	}
+
+	sess.SetKnownDevices(nil) // disable validation
+	a.SetDevice("anything")
+	if _, err := sess.Run1(a, Feeds{x: tensor.FromSlice([]float64{1}, 1)}); err != nil {
+		t.Fatalf("validation not disabled: %v", err)
+	}
+}
+
 // TestFeedOverridesInteriorNode: feeding a non-placeholder node prunes its
 // subgraph from the plan, exactly like the recursive evaluator's
 // feeds-before-eval check; the feed-key-set is part of the plan cache key.

@@ -9,9 +9,7 @@ import (
 // u ∈ [0,1) to an actual sleep in [0, d) — AWS-style "full jitter". The
 // exponential schedule still bounds the restart rate, but simultaneous
 // failures no longer produce synchronized restart waves: each supervisor
-// re-spawns at an independent random point inside its window. Exposed here so
-// every layer that restarts actors (distexec supervisors, partition drivers)
-// shares one backoff policy.
+// re-spawns at an independent random point inside its window.
 func FullJitter(d time.Duration, u float64) time.Duration {
 	if d <= 0 {
 		return 0

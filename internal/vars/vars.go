@@ -19,7 +19,7 @@ import (
 //
 // Val is written in two ways. Set, SetOwned and Store.SetWeights install a
 // new tensor, so anything holding the old pointer keeps a detached value.
-// Gradient application (AddTo, optimizer updates) mutates Val's storage in
+// Gradient application (ApplyUpdate) mutates Val's storage in
 // place: a VarRead result aliases Val, so it is only valid until the next
 // in-place write. Snapshots that outlive a run (Store.Weights, target sync)
 // clone.
