@@ -176,26 +176,6 @@ func BenchmarkAblationFastPath(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanVsRecursive measures repeated-Run latency of the compiled
-// execution plans against the legacy recursive session evaluator on the
-// deep-chain, DQN-update, and wide-parallel workloads. The acceptance gate
-// (chain speedup >= 2x at parallelism 1) is checked by
-// cmd/rlgraph-bench -fig plan, which writes BENCH_plan.json.
-func BenchmarkPlanVsRecursive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := benchkit.PlanBench(2048, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			name := map[string]string{
-				"chain": "x_chain", "dqn-update": "x_dqn", "wide-parallel": "x_wide",
-			}[r.Workload]
-			b.ReportMetric(r.Speedup, name)
-		}
-	}
-}
-
 // BenchmarkDQNUpdateParallelism is the A/B behind keeping the parallel plan
 // executor (EXPERIMENTS.md, PR 21 decision record): one Update per iteration
 // on the two shipped training configs, with the session serial (par=1) and
@@ -250,33 +230,12 @@ func BenchmarkDQNUpdateParallelism(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMatMul measures the blocked (serial and parallel) matmul
-// kernels against the seed naive kernel at quick scale ("sweep"; full sweeps
-// and the acceptance gates live in cmd/rlgraph-bench -fig kernels, which
-// writes BENCH_kernels.json), and the single-core rate of the kernel on the
-// [m,k]x[k,n] products the regression benchmark's workloads actually issue:
-// the three conv layers' forward panels, the pixel network's first dense
-// layer, one backward-input and one backward-filter panel, and the dense
-// workloads' hidden layers.
+// BenchmarkKernelMatMul measures the single-core rate of the matmul kernel
+// on the [m,k]x[k,n] products the regression benchmark's workloads actually
+// issue: the three conv layers' forward panels, the pixel network's first
+// dense layer, one backward-input and one backward-filter panel, and the
+// dense workloads' hidden layers.
 func BenchmarkKernelMatMul(b *testing.B) {
-	b.Run("sweep", func(b *testing.B) {
-		s := benchkit.QuickScale()
-		for i := 0; i < b.N; i++ {
-			rep, err := benchkit.KernelBench(s.KernelSizes, s.KernelMatMulIters, s.KernelFusedIters, s.KernelReuseIters)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last := rep.MatMul[len(rep.MatMul)-1]
-			b.ReportMetric(last.BlockedSpeedup, "x_blocked")
-			b.ReportMetric(last.ParallelSpeedup, "x_parallel")
-			b.ReportMetric(rep.Reuse.AllocsOffOp-rep.Reuse.AllocsOnOp, "allocs_saved")
-			for _, f := range rep.Fused {
-				if f.Kernel == "AddScaled" {
-					b.ReportMetric(f.Speedup, "x_fused_addscaled")
-				}
-			}
-		}
-	})
 	defer tensor.SetKernelParallelism(tensor.KernelParallelism())
 	tensor.SetKernelParallelism(1)
 	rng := rand.New(rand.NewSource(1))

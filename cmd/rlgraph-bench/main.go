@@ -1,6 +1,7 @@
 // Command rlgraph-bench regenerates the paper's evaluation figures at laptop
 // scale, printing one series row per measured point. Select a figure with
-// -fig (see -h for the values; "all" runs every one).
+// -fig (see -h for the values; "all" runs every one). It exits 1 when a
+// figure errors or one of its acceptance gates fails, 2 on an unknown -fig.
 //
 // Usage:
 //
@@ -9,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -27,9 +27,11 @@ var figures = []struct {
 	run  func(benchkit.Scale) error
 }{
 	{"5a", fig5a}, {"5b", fig5b}, {"6", fig6}, {"7a", fig7a}, {"7b", fig7b}, {"8", fig8}, {"9", fig9},
-	{"chaos", chaos}, {"plan", figPlan}, {"kernels", figKernels}, {"conv", figConv},
-	{"serve", figServe}, {"fleet", figFleet}, {"live", figLive},
+	{"chaos", chaos}, {"live", figLive},
 }
+
+// stamp is the header of this run, shared by stdout and BENCH_live.json.
+var stamp benchkit.BenchHeader
 
 func main() {
 	names := make([]string, len(figures))
@@ -44,6 +46,11 @@ func main() {
 	if *quick {
 		scale = benchkit.QuickScale()
 	}
+
+	// The first output line names the code and machine measured, so a
+	// redirected run (bench_figures.txt) is stamped like BENCH_live.json.
+	stamp = benchkit.NewBenchHeader()
+	fmt.Println(stamp)
 
 	ran := false
 	for _, f := range figures {
@@ -167,287 +174,13 @@ func chaos(s benchkit.Scale) error {
 	return nil
 }
 
-// figPlan benchmarks the compiled-plan session executor against the legacy
-// recursive evaluator and records the result (plus the >= 2x chain-speedup
-// acceptance gate) in BENCH_plan.json.
-func figPlan(s benchkit.Scale) error {
-	header("Plan executor — compiled plans vs recursive session evaluation (ns per Run)")
-	rows, err := benchkit.PlanBench(s.PlanChainLen, s.PlanIters)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		fmt.Printf("workload=%-14s baseline=%-12s nodes=%-6d par=%-2d baseline_ns=%-11.0f plan_ns=%-11.0f speedup=%.2fx\n",
-			r.Workload, r.Baseline, r.Nodes, r.Parallelism, r.BaselineNsOp, r.PlanNsOp, r.Speedup)
-	}
-
-	const threshold = 2.0
-	report := struct {
-		Header     benchkit.BenchHeader       `json:"header"`
-		Benchmark  string                     `json:"benchmark"`
-		Workloads  []benchkit.PlanBenchResult `json:"workloads"`
-		Acceptance struct {
-			Benchmark string  `json:"benchmark"`
-			Speedup   float64 `json:"speedup"`
-			Threshold float64 `json:"threshold"`
-			Pass      bool    `json:"pass"`
-		} `json:"acceptance"`
-	}{Header: benchkit.NewBenchHeader(), Benchmark: "BenchmarkPlanVsRecursive", Workloads: rows}
-	for _, r := range rows {
-		if r.Workload == "chain" {
-			report.Acceptance.Benchmark = "chain (plan serial vs recursive)"
-			report.Acceptance.Speedup = r.Speedup
-			report.Acceptance.Threshold = threshold
-			report.Acceptance.Pass = r.Speedup >= threshold
-		}
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_plan.json", append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("acceptance: chain speedup %.2fx >= %.1fx: %v (wrote BENCH_plan.json)\n",
-		report.Acceptance.Speedup, threshold, report.Acceptance.Pass)
-	return nil
-}
-
-// figKernels benchmarks the tensor kernel layer (blocked/parallel matmul vs
-// the seed naive kernel, fused elementwise kernels, dqn-update allocations
-// with buffer reuse) and records the results in BENCH_kernels.json. The
-// parallel-matmul gate (>= 3x at size >= 512) only applies on machines with
-// GOMAXPROCS >= 4; on smaller boxes the gate falls back to the serial blocked
-// kernel being no slower than the seed kernel, and the JSON records
-// gomaxprocs so readers can tell which gate was applied.
-func figKernels(s benchkit.Scale) error {
-	header("Kernel layer — blocked/parallel matmul, fused elementwise, buffer reuse")
-	rep, err := benchkit.KernelBench(s.KernelSizes, s.KernelMatMulIters, s.KernelFusedIters, s.KernelReuseIters)
-	if err != nil {
-		return err
-	}
-	for _, r := range rep.MatMul {
-		fmt.Printf("matmul size=%-5d naive_ns=%-12.0f blocked_ns=%-12.0f parallel_ns=%-12.0f workers=%-2d blocked=%.2fx parallel=%.2fx\n",
-			r.Size, r.NaiveNsOp, r.BlockedNsOp, r.ParallelNsOp, r.Workers, r.BlockedSpeedup, r.ParallelSpeedup)
-	}
-	for _, r := range rep.Fused {
-		fmt.Printf("fused kernel=%-14s elems=%-7d composed_ns=%-10.0f fused_ns=%-10.0f speedup=%.2fx allocs_op=%.1f\n",
-			r.Kernel, r.Elems, r.ComposedNsOp, r.FusedNsOp, r.Speedup, r.AllocsPerOpOn)
-	}
-	fmt.Printf("reuse workload=%s allocs_off=%.1f allocs_on=%.1f bytes_off=%.0f bytes_on=%.0f arena_hit_rate=%.2f\n",
-		rep.Reuse.Workload, rep.Reuse.AllocsOffOp, rep.Reuse.AllocsOnOp,
-		rep.Reuse.BytesOffOp, rep.Reuse.BytesOnOp, rep.Reuse.ArenaHitRate)
-
-	type gate struct {
-		Benchmark string  `json:"benchmark"`
-		Speedup   float64 `json:"speedup,omitempty"`
-		Threshold float64 `json:"threshold,omitempty"`
-		Pass      bool    `json:"pass"`
-		Note      string  `json:"note,omitempty"`
-	}
-	report := struct {
-		Header benchkit.BenchHeader `json:"header"`
-		*benchkit.KernelBenchReport
-		Acceptance []gate `json:"acceptance"`
-	}{Header: benchkit.NewBenchHeader(), KernelBenchReport: rep}
-
-	// Gate 1: parallel matmul. The >= 3x target needs cores to scale across;
-	// on a small box the honest gate is blocked-serial >= 1x vs the seed.
-	var big *benchkit.KernelMatMulResult
-	for i := range rep.MatMul {
-		if rep.MatMul[i].Size >= 512 {
-			big = &rep.MatMul[i]
-			break
-		}
-	}
-	if big == nil {
-		big = &rep.MatMul[len(rep.MatMul)-1]
-	}
-	if rep.Gomaxprocs >= 4 {
-		report.Acceptance = append(report.Acceptance, gate{
-			Benchmark: fmt.Sprintf("matmul %dx%d parallel vs seed naive", big.Size, big.Size),
-			Speedup:   big.ParallelSpeedup, Threshold: 3.0,
-			Pass: big.ParallelSpeedup >= 3.0,
-		})
-	} else {
-		report.Acceptance = append(report.Acceptance, gate{
-			Benchmark: fmt.Sprintf("matmul %dx%d blocked serial vs seed naive", big.Size, big.Size),
-			Speedup:   big.BlockedSpeedup, Threshold: 1.0,
-			Pass: big.BlockedSpeedup >= 1.0,
-			Note: fmt.Sprintf("gomaxprocs=%d < 4: the 3x parallel gate needs cores to scale across; gating on the serial blocked kernel instead", rep.Gomaxprocs),
-		})
-	}
-
-	// Gate 2: buffer reuse must cut dqn-update allocations.
-	report.Acceptance = append(report.Acceptance, gate{
-		Benchmark: "dqn-update allocs/op with buffer reuse",
-		Speedup:   rep.Reuse.AllocsOffOp / rep.Reuse.AllocsOnOp, Threshold: 1.0,
-		Pass: rep.Reuse.AllocsOnOp < rep.Reuse.AllocsOffOp,
-		Note: fmt.Sprintf("allocs_off=%.1f allocs_on=%.1f", rep.Reuse.AllocsOffOp, rep.Reuse.AllocsOnOp),
-	})
-
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_kernels.json", append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, a := range report.Acceptance {
-		fmt.Printf("acceptance: %s: %.2fx >= %.1fx: %v\n", a.Benchmark, a.Speedup, a.Threshold, a.Pass)
-	}
-	fmt.Println("wrote BENCH_kernels.json")
-	return nil
-}
-
-// figConv benchmarks the tiled conv pipeline (naive vs tiled-serial vs
-// tiled-parallel forward timings, alloc deltas, scratch high-water mark) and
-// the parallel executor's completion-order buffer reuse on dqn-update,
-// recording the results in BENCH_conv.json. The peak-scratch gate (tiled
-// scratch <= 1/4 of the full im2col materialization on the N=8, 32x32x16
-// workload) always applies; the speedup gate is gomaxprocs-conditional like
-// the kernel gates: parallel conv >= 2x vs the seed path with >= 4 cores,
-// tiled-serial >= 1x otherwise.
-func figConv(s benchkit.Scale) error {
-	header("Conv pipeline — tiled arena-backed conv vs seed full-materialization")
-	rep, err := benchkit.ConvBench(s.ConvIters, s.ConvReuseIters)
-	if err != nil {
-		return err
-	}
-	c := rep.Conv
-	fmt.Printf("conv workload=%-26s naive_ns=%-12.0f tiled_ns=%-12.0f parallel_ns=%-12.0f workers=%-2d tiled=%.2fx parallel=%.2fx\n",
-		c.Workload, c.NaiveNsOp, c.TiledNsOp, c.ParallelNsOp, c.Workers, c.TiledSpeedup, c.ParallelSpeedup)
-	fmt.Printf("conv bytes/op naive=%-12.0f tiled=%-12.0f scratch peak=%d full_im2col=%d ratio=%.3f\n",
-		c.NaiveBytesOp, c.TiledBytesOp, c.PeakScratchElems, c.FullIm2ColElems, c.ScratchRatio)
-	fmt.Printf("reuse workload=%-30s par=%-2d allocs_off=%.1f allocs_on=%.1f bytes_off=%.0f bytes_on=%.0f arena_hit_rate=%.2f\n",
-		rep.Reuse.Workload, rep.Reuse.Parallelism, rep.Reuse.AllocsOffOp, rep.Reuse.AllocsOnOp,
-		rep.Reuse.BytesOffOp, rep.Reuse.BytesOnOp, rep.Reuse.ArenaHitRate)
-
-	type gate struct {
-		Benchmark string  `json:"benchmark"`
-		Value     float64 `json:"value,omitempty"`
-		Threshold float64 `json:"threshold,omitempty"`
-		Pass      bool    `json:"pass"`
-		Note      string  `json:"note,omitempty"`
-	}
-	report := struct {
-		Header benchkit.BenchHeader `json:"header"`
-		*benchkit.ConvBenchReport
-		Acceptance []gate `json:"acceptance"`
-	}{Header: benchkit.NewBenchHeader(), ConvBenchReport: rep}
-
-	// Gate 1 (unconditional): tiled conv peak scratch <= 1/4 of the full
-	// im2col materialization — structural, enforced by convPanelFor's cap.
-	report.Acceptance = append(report.Acceptance, gate{
-		Benchmark: "conv peak scratch vs full im2col (N=8, 32x32x16)",
-		Value:     c.ScratchRatio, Threshold: 0.25,
-		Pass: c.PeakScratchElems*4 <= c.FullIm2ColElems,
-		Note: fmt.Sprintf("peak=%d elems, full=%d elems", c.PeakScratchElems, c.FullIm2ColElems),
-	})
-
-	// Gate 2 (gomaxprocs-conditional): speedup vs the seed path.
-	if report.Header.Gomaxprocs >= 4 {
-		report.Acceptance = append(report.Acceptance, gate{
-			Benchmark: "conv parallel tiled vs seed naive",
-			Value:     c.ParallelSpeedup, Threshold: 2.0,
-			Pass: c.ParallelSpeedup >= 2.0,
-		})
-	} else {
-		report.Acceptance = append(report.Acceptance, gate{
-			Benchmark: "conv tiled serial vs seed naive",
-			Value:     c.TiledSpeedup, Threshold: 1.0,
-			Pass: c.TiledSpeedup >= 1.0,
-			Note: fmt.Sprintf("gomaxprocs=%d < 4: gating on the serial tiled pipeline instead of the parallel fan-out", report.Header.Gomaxprocs),
-		})
-	}
-
-	// Gate 3: completion-order release must cut parallel dqn-update allocs.
-	report.Acceptance = append(report.Acceptance, gate{
-		Benchmark: "parallel dqn-update allocs/op with completion-order reuse",
-		Value:     rep.Reuse.AllocsOffOp / rep.Reuse.AllocsOnOp, Threshold: 1.0,
-		Pass: rep.Reuse.AllocsOnOp < rep.Reuse.AllocsOffOp,
-		Note: fmt.Sprintf("allocs_off=%.1f allocs_on=%.1f", rep.Reuse.AllocsOffOp, rep.Reuse.AllocsOnOp),
-	})
-
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_conv.json", append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, a := range report.Acceptance {
-		fmt.Printf("acceptance: %s: %.3f (threshold %.2f): %v\n", a.Benchmark, a.Value, a.Threshold, a.Pass)
-	}
-	fmt.Println("wrote BENCH_conv.json")
-	return nil
-}
-
-// figServe measures closed-loop inference serving with and without the
-// serve package's dynamic micro-batching on the same static DQN, recording
-// throughput, latency quantiles, and the batched-throughput gate
-// (benchkit.ServeGateThreshold) in BENCH_serve.json. The cmd/rlgraph-serve driver exposes the same workload
-// with tunable knobs.
-func figServe(s benchkit.Scale) error {
-	header("Serving — micro-batched vs unbatched closed-loop inference")
-	rep, err := benchkit.ServeBench(s.ServeClients, s.ServeDuration, s.ServeMaxBatch)
-	if err != nil {
-		return err
-	}
-	for _, m := range []benchkit.ServeModeResult{rep.Unbatched, rep.Batched} {
-		fmt.Printf("mode=%-10s clients=%-3d rps=%-10.0f p50_ms=%-8.3f p95_ms=%-8.3f p99_ms=%-8.3f mean_batch=%-6.1f arena_hit=%.2f\n",
-			m.Mode, m.Clients, m.Throughput, m.P50Ms, m.P95Ms, m.P99Ms, m.MeanBatch, m.ArenaHitRate)
-	}
-	gate, err := benchkit.WriteServeJSON(rep, "BENCH_serve.json")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("acceptance: %s: %.2fx >= %.1fx at %d clients: %v (wrote BENCH_serve.json)\n",
-		gate.Benchmark, gate.Speedup, gate.Threshold, gate.Clients, gate.Pass)
-	return nil
-}
-
-// figFleet measures the sharded serving fleet (internal/fleet): closed-loop
-// throughput scaling across replica counts, request p99 under continuous
-// weight hot-swaps vs a swap-free baseline, and availability through a
-// replica kill. Results and acceptance gates land in BENCH_fleet.json; the
-// 1.7x scaling gate applies only with GOMAXPROCS >= 4 (replicas need cores
-// to scale across), falling back to the kill-availability gate on smaller
-// machines — the same convention as the kernel and conv benches.
-func figFleet(s benchkit.Scale) error {
-	header("Serving fleet — replica scaling, hot-swap pause, kill availability")
-	rep, err := benchkit.FleetBench(s.FleetClients, s.FleetDuration, s.ServeMaxBatch,
-		s.FleetReplicas, s.FleetSwapEvery)
-	if err != nil {
-		return err
-	}
-	for _, p := range rep.Scaling {
-		fmt.Printf("scaling replicas=%-2d rps=%-10.0f p50_ms=%-8.3f p99_ms=%-8.3f errors=%d\n",
-			p.Replicas, p.Throughput, p.P50Ms, p.P99Ms, p.Errors)
-	}
-	fmt.Printf("swap rollouts=%-4d roll_p99_ms=%-8.3f req_p99_ms no_swap=%-8.3f swapping=%-8.3f errors=%d\n",
-		rep.Swap.Swaps, rep.Swap.RollP99Ms, rep.Swap.ReqP99NoSwapMs, rep.Swap.ReqP99SwapMs, rep.Swap.Errors)
-	fmt.Printf("kill requests=%-7d completed=%-7d failed=%-3d unroutable=%-3d restarts=%-2d availability=%.4f identity_exact=%v\n",
-		rep.Kill.Requests, rep.Kill.Completed, rep.Kill.Failed, rep.Kill.Unroutable,
-		rep.Kill.Restarts, rep.Kill.Availability, rep.Kill.IdentityExact)
-	gates, err := benchkit.WriteFleetJSON(rep, "BENCH_fleet.json")
-	if err != nil {
-		return err
-	}
-	for _, g := range gates {
-		fmt.Printf("acceptance: %s: %.3f vs %.3f: %v\n", g.Benchmark, g.Value, g.Threshold, g.Pass)
-	}
-	fmt.Println("wrote BENCH_fleet.json")
-	return nil
-}
-
 // figLive runs the live training→serving pipeline: an Ape-X trainer on
 // GridWorld publishes weight snapshots to the parameter server as it learns,
 // a fleet.Publisher rolls each version across the serving fleet, and greedy
 // eval clients record serving reward per weight version the whole time.
-// Results and acceptance gates (≥5 served versions, non-decreasing reward
-// trend, ≥N−1 availability through every swap, exactly-once identities,
-// zero rollbacks) land in BENCH_live.json.
+// Results and acceptance gates (≥5 served versions, ≥N−1 availability
+// through every swap, exactly-once identities, zero rollbacks) land in
+// BENCH_live.json; a failed gate fails the run.
 func figLive(s benchkit.Scale) error {
 	header("Live loop — trainer → parameter server → fleet hot-swap, eval reward per version")
 	rep, err := benchkit.LiveBench(benchkit.LiveConfig{
@@ -466,18 +199,18 @@ func figLive(s benchkit.Scale) error {
 	for _, v := range rep.Versions {
 		fmt.Printf("  version=%-5d episodes=%-5d mean_reward=%.3f\n", v.Version, v.Episodes, v.MeanReward)
 	}
-	fmt.Printf("eval episodes=%-6d errors=%-3d served_versions=%-4d baseline=%.3f first_third=%.3f last_third=%.3f\n",
-		rep.Episodes, rep.EvalErrors, rep.ServedVersions, rep.BaselineMean, rep.FirstThirdMean, rep.LastThirdMean)
+	fmt.Printf("eval episodes=%-6d errors=%-3d served_versions=%d\n",
+		rep.Episodes, rep.EvalErrors, rep.ServedVersions)
 	fmt.Printf("fleet min_healthy=%d/%d identity_exact=%v\n", rep.MinHealthy, rep.Replicas, rep.IdentityExact)
-	gates, err := benchkit.WriteLiveJSON(rep, "BENCH_live.json")
-	if err != nil {
+	gates := benchkit.LiveAcceptance(rep)
+	if err := benchkit.WriteJSON("BENCH_live.json", stamp, rep, gates); err != nil {
 		return err
 	}
 	for _, g := range gates {
-		fmt.Printf("acceptance: %s: %.3f vs %.3f: %v\n", g.Benchmark, g.Value, g.Threshold, g.Pass)
+		fmt.Printf("acceptance: %s: %.3f vs %.3f: %v\n", g.Name, g.Value, g.Threshold, g.Pass)
 	}
 	fmt.Println("wrote BENCH_live.json")
-	return nil
+	return benchkit.FailedGates(gates)
 }
 
 func fig9(s benchkit.Scale) error {

@@ -174,7 +174,8 @@ func train(agent agents.Agent, env envs.Env, steps int) error {
 // liveServe runs the live training→serving pipeline and prints the
 // serving-side learning curve: greedy-eval reward per published weight
 // version, plus the fleet-contract evidence (availability through rolling
-// swaps, exactly-once accounting, rollbacks).
+// swaps, exactly-once accounting, rollbacks). A broken contract gate is an
+// error, as in rlgraph-bench -fig live.
 func liveServe(duration time.Duration, replicas, clients, publishEvery int) error {
 	fmt.Printf("live trainer→serving pipeline: gridworld, %d replicas, %d eval clients, publish every %d updates, %s\n",
 		replicas, clients, publishEvery, duration)
@@ -195,9 +196,9 @@ func liveServe(duration time.Duration, replicas, clients, publishEvery int) erro
 	for _, v := range rep.Versions {
 		fmt.Printf("  v%-5d episodes %-4d mean_reward %7.3f\n", v.Version, v.Episodes, v.MeanReward)
 	}
-	fmt.Printf("eval: %d episodes, %d errors; trend first-third %.3f -> last-third %.3f; identities exact: %v\n",
-		rep.Episodes, rep.EvalErrors, rep.FirstThirdMean, rep.LastThirdMean, rep.IdentityExact)
-	return nil
+	fmt.Printf("eval: %d episodes, %d errors; identities exact: %v\n",
+		rep.Episodes, rep.EvalErrors, rep.IdentityExact)
+	return benchkit.FailedGates(benchkit.LiveAcceptance(rep))
 }
 
 func mean(xs []float64) float64 {

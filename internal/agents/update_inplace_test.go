@@ -149,7 +149,6 @@ func TestDQNUpdateAllocatesNothingParameterSized(t *testing.T) {
 			agent, _ := trainingDQN(t, 256, 5)
 			ex := agent.Executor().(*exec.StaticExecutor)
 			ex.SetParallelism(c.par)
-			ex.SetBufferReuse(true)
 			paramBytes := 0
 			for _, w := range agent.GetWeights() {
 				paramBytes += 8 * w.Size()

@@ -1,14 +1,18 @@
 // Package benchkit implements the experiment workloads that regenerate the
-// paper's figures (DESIGN.md §4). Each experiment is a plain function so the
-// root bench_test.go benchmarks and the cmd/rlgraph-bench series printer
-// share one implementation. Absolute numbers differ from the paper (their
-// testbed was GCP with V100s; ours is a pure-Go simulator on one machine) —
-// the reproduced object is the *shape*: who wins, by roughly what factor,
-// and where curves cross.
+// paper's figures (Fig. 5a–9, DESIGN.md §4) plus the two system runs that
+// have no paper counterpart: chaos (Ape-X under injected faults) and live
+// (trainer → parameter server → serving fleet). Each experiment is a plain
+// function returning typed rows so the root bench_test.go benchmarks and the
+// cmd/rlgraph-bench series printer share one implementation; only live has
+// acceptance gates (Gate, WriteJSON). Kernel, plan and serving performance
+// are not measured here: the regression benchmark under bench/ and the
+// go test -bench shape benchmarks own them. Absolute numbers differ from the
+// paper (their testbed was GCP with V100s; ours is a pure-Go simulator on one
+// machine) — the reproduced object is the *shape*: who wins, by roughly what
+// factor, and where curves cross.
 package benchkit
 
 import (
-	"fmt"
 	"time"
 
 	"rlgraph/internal/agents"
@@ -48,38 +52,6 @@ type Scale struct {
 	ImpalaActors []int
 	// ImpalaDuration is the measurement window per point.
 	ImpalaDuration time.Duration
-	// PlanChainLen is the op-chain depth of the plan-vs-recursive
-	// session microbenchmark; PlanIters is its timed runs per point.
-	PlanChainLen int
-	PlanIters    int
-	// KernelSizes are the square matmul sizes of the kernel-layer
-	// microbenchmark; KernelMatMulIters is its timed-iteration base at size
-	// 64 (shrunk cubically with size), KernelFusedIters times the fused
-	// elementwise kernels, and KernelReuseIters counts the dqn-update runs
-	// of the buffer-reuse allocation measurement.
-	KernelSizes       []int
-	KernelMatMulIters int
-	KernelFusedIters  int
-	KernelReuseIters  int
-	// ConvIters is the timed-iteration count of the conv benchmark's
-	// forward passes; ConvReuseIters counts the parallel dqn-update runs of
-	// its buffer-reuse allocation measurement.
-	ConvIters      int
-	ConvReuseIters int
-	// ServeClients/ServeDuration/ServeMaxBatch configure the micro-batching
-	// serving benchmark (closed-loop clients per mode, the measurement
-	// window, and the batcher's size cap).
-	ServeClients  int
-	ServeDuration time.Duration
-	ServeMaxBatch int
-	// FleetClients/FleetDuration/FleetReplicas/FleetSwapEvery configure the
-	// sharded serving-fleet benchmark (closed-loop clients, per-point
-	// window, the replica counts of the scaling sweep, and the cadence of
-	// the continuous hot-swap load).
-	FleetClients   int
-	FleetDuration  time.Duration
-	FleetReplicas  []int
-	FleetSwapEvery time.Duration
 	// LiveDuration/LiveReplicas/LiveClients/LivePublishEvery configure the
 	// live trainer→fleet weight-sync benchmark (trainer wall-clock budget,
 	// serving-fleet size, greedy-eval client count, and the learner-update
@@ -93,36 +65,21 @@ type Scale struct {
 // LaptopScale is the default scaled-down experiment preset.
 func LaptopScale() Scale {
 	return Scale{
-		ApexWorkers:       []int{1, 2, 4, 8},
-		ApexDuration:      2 * time.Second,
-		TaskSizes:         []int{25, 50, 100, 200, 400},
-		EnvCounts:         []int{1, 4, 8},
-		ActEnvCounts:      []int{1, 2, 4, 8, 16, 32},
-		ActSteps:          30,
-		LearnTarget:       1.5,
-		LearnMaxTime:      240 * time.Second,
-		PongPoints:        3,
-		ImpalaActors:      []int{1, 2, 4, 8},
-		ImpalaDuration:    2 * time.Second,
-		PlanChainLen:      8192,
-		PlanIters:         50,
-		KernelSizes:       []int{64, 128, 256, 512, 1024},
-		KernelMatMulIters: 512,
-		KernelFusedIters:  2000,
-		KernelReuseIters:  200,
-		ConvIters:         30,
-		ConvReuseIters:    200,
-		ServeClients:      32,
-		ServeDuration:     2 * time.Second,
-		ServeMaxBatch:     64,
-		FleetClients:      16,
-		FleetDuration:     time.Second,
-		FleetReplicas:     []int{1, 2, 3},
-		FleetSwapEvery:    20 * time.Millisecond,
-		LiveDuration:      12 * time.Second,
-		LiveReplicas:      3,
-		LiveClients:       3,
-		LivePublishEvery:  25,
+		ApexWorkers:      []int{1, 2, 4, 8},
+		ApexDuration:     2 * time.Second,
+		TaskSizes:        []int{25, 50, 100, 200, 400},
+		EnvCounts:        []int{1, 4, 8},
+		ActEnvCounts:     []int{1, 2, 4, 8, 16, 32},
+		ActSteps:         30,
+		LearnTarget:      1.5,
+		LearnMaxTime:     240 * time.Second,
+		PongPoints:       3,
+		ImpalaActors:     []int{1, 2, 4, 8},
+		ImpalaDuration:   2 * time.Second,
+		LiveDuration:     12 * time.Second,
+		LiveReplicas:     3,
+		LiveClients:      3,
+		LivePublishEvery: 25,
 	}
 }
 
@@ -140,42 +97,10 @@ func QuickScale() Scale {
 	s.PongPoints = 2
 	s.ImpalaActors = []int{1, 2}
 	s.ImpalaDuration = 400 * time.Millisecond
-	s.PlanChainLen = 1024
-	s.PlanIters = 10
-	s.KernelSizes = []int{64, 128}
-	s.KernelMatMulIters = 32
-	s.KernelFusedIters = 100
-	s.KernelReuseIters = 20
-	s.ConvIters = 5
-	s.ConvReuseIters = 20
-	// ServeClients stays at full scale: the acceptance gate requires >= 8
-	// concurrent clients, and batch amortization needs the concurrency.
-	s.ServeDuration = 500 * time.Millisecond
-	s.FleetDuration = 300 * time.Millisecond
 	s.LiveDuration = 2 * time.Second
 	s.LiveReplicas = 2
 	s.LiveClients = 2
 	s.LivePublishEvery = 10
-	return s
-}
-
-// Row is one printed series point.
-type Row struct {
-	// Labels identify the series and x-coordinate.
-	Labels map[string]string
-	// Values are the measured metrics.
-	Values map[string]float64
-}
-
-// Format renders a row in the fixed "k=v" order given by keys.
-func (r Row) Format(labelKeys, valueKeys []string) string {
-	s := ""
-	for _, k := range labelKeys {
-		s += fmt.Sprintf("%s=%-14s ", k, r.Labels[k])
-	}
-	for _, k := range valueKeys {
-		s += fmt.Sprintf("%s=%-12.2f ", k, r.Values[k])
-	}
 	return s
 }
 

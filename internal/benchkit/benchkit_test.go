@@ -103,14 +103,3 @@ func TestScalesAreSane(t *testing.T) {
 		}
 	}
 }
-
-func TestRowFormatting(t *testing.T) {
-	r := Row{
-		Labels: map[string]string{"kind": "RLgraph"},
-		Values: map[string]float64{"fps": 123.456},
-	}
-	s := r.Format([]string{"kind"}, []string{"fps"})
-	if s == "" {
-		t.Fatal("empty format")
-	}
-}

@@ -33,14 +33,10 @@ type StaticExecutor struct {
 	registry map[string]*staticEntry
 	report   *BuildReport
 
-	// parallelism, devLimits, fusionOff and bufferReuseOff are applied to the
-	// session at Build (and immediately if already built). The kernel-layer
-	// optimizations default to on; the Off spelling keeps the zero value
-	// matching the session default.
-	parallelism    int
-	devLimits      map[string]int
-	fusionOff      bool
-	bufferReuseOff bool
+	// parallelism and devLimits are applied to the session at Build (and
+	// immediately if already built).
+	parallelism int
+	devLimits   map[string]int
 
 	// devReg, when set, is the local device inventory: Build wires its names
 	// into the session so plans placed on unknown devices fail compilation.
@@ -121,8 +117,6 @@ func (e *StaticExecutor) Build(in InputSpaces) (*BuildReport, error) {
 	if e.devLimits != nil {
 		e.sess.SetDeviceLimits(e.devLimits)
 	}
-	e.sess.SetFusion(!e.fusionOff)
-	e.sess.SetBufferReuse(!e.bufferReuseOff)
 	if e.devReg != nil {
 		e.sess.SetKnownDevices(e.devReg.Names())
 	}
@@ -169,26 +163,6 @@ func (e *StaticExecutor) SetDeviceLimits(limits map[string]int) {
 	e.devLimits = m
 	if e.sess != nil {
 		e.sess.SetDeviceLimits(m)
-	}
-}
-
-// SetFusion toggles elementwise fusion in plan compilation (default on; see
-// graph.Session.SetFusion). Plans precompiled by Build keep the setting in
-// effect at Build time, so call this before Build to affect them.
-func (e *StaticExecutor) SetFusion(on bool) {
-	e.fusionOff = !on
-	if e.sess != nil {
-		e.sess.SetFusion(on)
-	}
-}
-
-// SetBufferReuse toggles arena recycling of plan intermediates in both the
-// serial and parallel executors (default on; see
-// graph.Session.SetBufferReuse). May be called before or after Build.
-func (e *StaticExecutor) SetBufferReuse(on bool) {
-	e.bufferReuseOff = !on
-	if e.sess != nil {
-		e.sess.SetBufferReuse(on)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestFusionShrinksPlanAndMatchesRecursive(t *testing.T) {
 
 	fused := NewSession(g)
 	plain := NewSession(g)
-	plain.SetFusion(false)
+	plain.fusion.Store(false)
 
 	pf, err := fused.Compile([]*Node{fetch}, []*Node{feedKeys(feeds)[0]})
 	if err != nil {
@@ -89,7 +89,7 @@ func TestFusionShrinksPlanAndMatchesRecursive(t *testing.T) {
 
 	// Counter parity: a fused step counts itself plus its absorbed producers.
 	s1, s2 := NewSession(g), NewSession(g)
-	s2.SetFusion(false)
+	s2.fusion.Store(false)
 	if _, err := s1.Run([]*Node{fetch}, feeds); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestBufferReuseRecyclesAndStaysBitExact(t *testing.T) {
 
 	g2, v2, f2, fetch2 := build()
 	off := NewSession(g2)
-	off.SetBufferReuse(false)
+	off.bufferReuse.Store(false)
 	lastOff := run(off, fetch2, f2, iters)
 
 	g3, v3, f3, fetch3 := build()

@@ -552,12 +552,12 @@ func runRandomProgram(seed int64, mode evalMode) ([]*tensor.Tensor, error) {
 	case modeRecursive:
 		return sess.RunRecursive(fetches, feeds)
 	case modePlanSerialNoReuse:
-		sess.SetBufferReuse(false)
+		sess.bufferReuse.Store(false)
 	case modePlanParallel:
 		sess.SetParallelism(4) // buffer reuse on by default: completion-order release
 	case modePlanParallelNoReuse:
 		sess.SetParallelism(4)
-		sess.SetBufferReuse(false)
+		sess.bufferReuse.Store(false)
 	}
 	return sess.Run(fetches, feeds)
 }
@@ -622,7 +622,7 @@ func TestParallelExecutorRecyclesIntermediates(t *testing.T) {
 	}
 	sess := NewSession(g)
 	sess.SetParallelism(4)
-	sess.SetFusion(false) // keep every intermediate a separate step
+	sess.fusion.Store(false) // keep every intermediate a separate step
 	feeds := Feeds{x: tensor.New(64)}
 	if _, err := sess.Run1(n, feeds); err != nil {
 		t.Fatal(err)

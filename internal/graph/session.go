@@ -34,8 +34,11 @@ type Session struct {
 	// fusion enables the plan compiler's elementwise fusion pass; bufferReuse
 	// lets both executors recycle intermediate buffers through arena — the
 	// serial executor on last use, the parallel executor in completion order.
-	// Both default to on and preserve bit-for-bit results (see fuse.go and
-	// Plan.computeRelease).
+	// Both are always on outside this package's tests, which store false to
+	// get the unfused / no-reuse reference path: results are bit-for-bit
+	// identical either way (see fuse.go and Plan.computeRelease). Fused and
+	// unfused plans are cached under distinct keys and a compiled Plan keeps
+	// the setting it was compiled with; bufferReuse is read per run.
 	fusion      atomic.Bool
 	bufferReuse atomic.Bool
 	arena       *tensor.Arena
@@ -79,26 +82,6 @@ func (s *Session) SetParallelism(n int) { s.parallelism.Store(int32(n)) }
 
 // Parallelism returns the current worker count.
 func (s *Session) Parallelism() int { return int(s.parallelism.Load()) }
-
-// SetFusion toggles the plan compiler's elementwise fusion pass (default on).
-// Fused and unfused plans are cached under distinct keys, so toggling only
-// affects which compilation subsequent Runs select; results are bit-for-bit
-// identical either way. Plans obtained from Compile retain the setting they
-// were compiled with.
-func (s *Session) SetFusion(on bool) { s.fusion.Store(on) }
-
-// Fusion reports whether plan compilation fuses elementwise chains.
-func (s *Session) Fusion() bool { return s.fusion.Load() }
-
-// SetBufferReuse toggles arena recycling of intermediate buffers (default
-// on). The serial executor releases dead intermediates after their last-use
-// step; the parallel executor releases them in completion order via atomic
-// remaining-reader counters. It is a pure runtime switch — plans are
-// unaffected — and results are bit-for-bit identical either way.
-func (s *Session) SetBufferReuse(on bool) { s.bufferReuse.Store(on) }
-
-// BufferReuse reports whether plan executors recycle intermediates.
-func (s *Session) BufferReuse() bool { return s.bufferReuse.Load() }
 
 // ArenaStats reports the session arena's (allocations served, pool hits)
 // counters — the benchmark hook for verifying plan-level buffer reuse.
@@ -277,9 +260,9 @@ func (s *Session) planFor(fetches []*Node, feeds Feeds) (*Plan, error) {
 
 // RunRecursive evaluates fetches with the legacy recursive tree-walking
 // evaluator. It is retained as the reference semantics for differential
-// tests and as the baseline for the plan-vs-recursive microbenchmarks; it
-// recurses to the depth of the graph, so deep unrolled graphs can exhaust
-// the goroutine stack — use Run instead.
+// tests — the oracle the plan executors are checked against, not a path any
+// shipped code runs; it recurses to the depth of the graph, so deep unrolled
+// graphs can exhaust the goroutine stack — use Run instead.
 func (s *Session) RunRecursive(fetches []*Node, feeds Feeds) ([]*tensor.Tensor, error) {
 	s.runCount.Add(1)
 	ctx := &RunCtx{DeviceNodeCount: make(map[string]int)}

@@ -106,11 +106,6 @@ type Metrics struct {
 	// P50/P95/P99 are delivery-latency quantiles (enqueue to scatter) over
 	// the most recent completed requests.
 	P50, P95, P99 time.Duration
-	// ArenaGets/ArenaHits/ArenaHitRate surface the executor session's
-	// tensor-arena buffer-reuse counters when the service was configured
-	// with ArenaStats.
-	ArenaGets, ArenaHits int64
-	ArenaHitRate         float64
 }
 
 // Metrics snapshots the service counters.
@@ -142,12 +137,5 @@ func (s *Service) Metrics() Metrics {
 	m.P50 = quantile(lat, 0.50)
 	m.P95 = quantile(lat, 0.95)
 	m.P99 = quantile(lat, 0.99)
-	if s.cfg.ArenaStats != nil {
-		gets, hits := s.cfg.ArenaStats()
-		m.ArenaGets, m.ArenaHits = gets, hits
-		if gets > 0 {
-			m.ArenaHitRate = float64(hits) / float64(gets)
-		}
-	}
 	return m
 }

@@ -34,17 +34,11 @@ func AgentRunner(a agents.Agent, explore bool) Runner {
 }
 
 // NewForExecutor builds a Service over one executor API, deriving the
-// element shape (and admission check) from the API's observation space and
-// wiring the session's arena counters into Metrics when the executor is
-// static. elem is the UNBATCHED observation space of one request.
+// element shape (and admission check) from the API's observation space.
+// elem is the UNBATCHED observation space of one request.
 func NewForExecutor(e exec.Executor, api string, elem spaces.Space, cfg Config) *Service {
 	if cfg.Elem == nil {
 		cfg.Elem = elem
-	}
-	if se, ok := e.(*exec.StaticExecutor); ok {
-		if cfg.ArenaStats == nil && se.Session() != nil {
-			cfg.ArenaStats = se.Session().ArenaStats
-		}
 	}
 	return New(ExecutorRunner(e, api), cfg)
 }

@@ -82,9 +82,6 @@ type Config struct {
 	// ElemShape is the element shape used to stack observations. Derived
 	// from Elem when nil.
 	ElemShape []int
-	// ArenaStats optionally exposes the executor session's tensor-arena
-	// counters so Metrics can surface buffer-reuse hit rates.
-	ArenaStats func() (gets, hits int64)
 	// Version, when set, is sampled once per dispatched batch (in the
 	// batcher goroutine, before the Runner call) and stamped into every
 	// response of that batch — the weight-version tag the fleet layer uses

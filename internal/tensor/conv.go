@@ -69,8 +69,8 @@ func ConvPanelRows() int {
 }
 
 // Conv scratch accounting: current and high-water-mark float64 elements
-// checked out by conv panels, the measurement behind the BENCH_conv peak-
-// scratch acceptance gate.
+// checked out by conv panels, the measurement behind
+// TestConvScratchPeakCapped.
 var (
 	convScratchCur  atomic.Int64
 	convScratchPeak atomic.Int64
@@ -306,8 +306,7 @@ func Conv2DInto(out, input, filter *Tensor, p ConvParams) *Tensor {
 
 // Conv2DNaive is the seed full-materialization convolution: one monolithic
 // im2col matrix fed through the serial naive matmul. It is the arithmetic
-// reference the tiled pipeline is tested bit-for-bit against, and the
-// baseline for BENCH_conv.json.
+// reference the tiled pipeline is tested bit-for-bit against.
 func Conv2DNaive(input, filter *Tensor, p ConvParams) *Tensor {
 	n, _, _, c, kh, kw, oc, oh, ow := convDims(input, filter, p)
 	cols := Im2Col(input, kh, kw, p)    // [N*OH*OW, KH*KW*C]

@@ -323,8 +323,8 @@ func TestConvTiledMatchesNaiveBitForBit(t *testing.T) {
 	}
 }
 
-// TestConvScratchPeakCapped checks the structural ≤1/4 guarantee behind the
-// BENCH_conv gate: at the benchmark shape (N=8, 32x32x16, 3x3 SAME), total
+// TestConvScratchPeakCapped checks the structural ≤1/4 guarantee of
+// convPanelFor: at the shape N=8, 32x32x16, 3x3 SAME, total
 // in-flight panel scratch stays at or below a quarter of the full im2col
 // materialization regardless of parallelism.
 func TestConvScratchPeakCapped(t *testing.T) {

@@ -264,8 +264,7 @@ func matMulAxpy(ad, bd, od []float64, i0, i1, kb, ke, j0, j1, k, n int) {
 }
 
 // MatMulNaive is the straightforward i-k-j triple loop: the arithmetic
-// reference the blocked kernels are tested bit-for-bit against, and the
-// serial baseline for BENCH_kernels.json.
+// reference the blocked kernels are tested bit-for-bit against.
 func MatMulNaive(a, b *Tensor) *Tensor {
 	matMulDims("MatMul", a, b, a.shape[1], b.shape[0])
 	m, k := a.shape[0], a.shape[1]
