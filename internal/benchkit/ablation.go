@@ -80,6 +80,13 @@ func FastPathAblation(numEnvs, steps int) ([]AblationResult, error) {
 // behind the paper's RLlib comparison, isolated at the scale of a single
 // agent.
 func SessionBatchingAblation(updates int) ([]AblationResult, error) {
+	epoch := time.Now()
+	return sessionBatchingAblation(updates, func() time.Duration { return time.Since(epoch) })
+}
+
+// sessionBatchingAblation times each side with clock, which must not run
+// backwards; FPS is updates per second of it.
+func sessionBatchingAblation(updates int, clock func() time.Duration) ([]AblationResult, error) {
 	env := envs.NewGridWorld(4, 1)
 	var out []AblationResult
 
@@ -91,7 +98,7 @@ func SessionBatchingAblation(updates int) ([]AblationResult, error) {
 	if err := seedMemory(agent, env, 512); err != nil {
 		return nil, err
 	}
-	start := time.Now()
+	start := clock()
 	for i := 0; i < updates; i++ {
 		if _, err := agent.Update(); err != nil {
 			return nil, err
@@ -99,7 +106,7 @@ func SessionBatchingAblation(updates int) ([]AblationResult, error) {
 	}
 	out = append(out, AblationResult{
 		Name: "batched update (1 call)",
-		FPS:  float64(updates) / time.Since(start).Seconds(),
+		FPS:  float64(updates) / (clock() - start).Seconds(),
 	})
 
 	// Unbatched: priorities computed in a separate executor call after an
@@ -111,7 +118,7 @@ func SessionBatchingAblation(updates int) ([]AblationResult, error) {
 	if err := seedMemory(agent2, env, 512); err != nil {
 		return nil, err
 	}
-	start = time.Now()
+	start = clock()
 	for i := 0; i < updates; i++ {
 		if _, err := agent2.Update(); err != nil {
 			return nil, err
@@ -125,7 +132,7 @@ func SessionBatchingAblation(updates int) ([]AblationResult, error) {
 	}
 	out = append(out, AblationResult{
 		Name: "split update + postprocess (2 calls)",
-		FPS:  float64(updates) / time.Since(start).Seconds(),
+		FPS:  float64(updates) / (clock() - start).Seconds(),
 	})
 	return out, nil
 }

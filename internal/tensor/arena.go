@@ -102,8 +102,10 @@ func (a *Arena) Stats() (gets, hits int64) {
 	return a.gets.Load(), a.hits.Load()
 }
 
-// scratchArena recycles kernel-internal scratch (transpose panels). Scratch
-// is fully overwritten before use, so getScratch skips Get's zero fill.
+// scratchArena recycles kernel-internal scratch: im2col panels, the filter
+// transpose of the backward-input conv and MatMulTransB's transposes.
+// getScratch skips Get's zero fill: most scratch is fully overwritten before
+// use, and a caller that accumulates into it clears it first.
 var scratchArena Arena
 
 func getScratch(n int) *Tensor {

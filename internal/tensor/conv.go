@@ -297,7 +297,7 @@ func Conv2DInto(out, input, filter *Tensor, p ConvParams) *Tensor {
 		for s := r0; s < r1; s += pr {
 			e := min(s+pr, r1)
 			im2colRows(scratch.data, input.data, input.shape, s, e, kh, kw, p)
-			matMulRows(scratch.data, fd, od[s*oc:e*oc], 0, e-s, ckk, oc)
+			matMulRows(scratch.data, fd, od[s*oc:e*oc], 0, e-s, ckk, oc, ckk, 1)
 		}
 		convScratchPut(scratch)
 	})
@@ -348,7 +348,7 @@ func Conv2DBackwardInputInto(out, gradOut, filter *Tensor, p ConvParams) *Tensor
 		cp := colsPanel.data[:(e-s)*ckk]
 		clear(cp)
 		// colsGrad[s:e] = gradOut[s:e] x filterᵀ.
-		matMulCore(gm[s*oc:e*oc], ft.data, cp, e-s, oc, ckk)
+		matMulCore(gm[s*oc:e*oc], ft.data, cp, e-s, oc, ckk, oc, 1)
 		col2imRows(out, cp, s, e, kh, kw, p)
 	}
 	convScratchPut(colsPanel)
@@ -376,7 +376,8 @@ func Conv2DBackwardFilter(input, gradOut *Tensor, filterShape []int, p ConvParam
 // [KH,KW,C,OC] tensor, and returns out. Each output element of the filter
 // gradient sums products over all N*OH*OW patch rows; panels accumulate into
 // the gradient serially in ascending row order, reproducing the accumulation
-// sequence of the monolithic aᵀ x gy product.
+// sequence of the monolithic aᵀ x gy product. The matmul core reads each
+// im2col panel as its transpose in place, so one panel is the only scratch.
 func Conv2DBackwardFilterInto(out, input, gradOut *Tensor, p ConvParams) *Tensor {
 	if out.Rank() != 4 || input.Rank() != 4 || out.shape[2] != input.shape[3] {
 		panic(fmt.Sprintf("tensor: Conv2DBackwardFilterInto out shape %v for input %v", out.shape, input.shape))
@@ -392,16 +393,13 @@ func Conv2DBackwardFilterInto(out, input, gradOut *Tensor, p ConvParams) *Tensor
 	gm := gradOut.data // [rows, OC] viewed flat
 	panel := convPanelFor(rows, 1)
 	colsPanel := convScratchGet(panel * ckk)
-	tp := convScratchGet(ckk * panel)
 	for s := 0; s < rows; s += panel {
 		e := min(s+panel, rows)
 		im2colRows(colsPanel.data, input.data, input.shape, s, e, kh, kw, p)
-		// out += colsᵀ[s:e] x gradOut[s:e]; the transpose feeds the blocked
-		// core, which accumulates into out in ascending row order.
-		transposeInto(tp.data, colsPanel.data, e-s, ckk)
-		matMulCore(tp.data, gm[s*oc:e*oc], out.data, ckk, e-s, oc)
+		// out += colsᵀ[s:e] x gradOut[s:e]; the core accumulates into out in
+		// ascending row order.
+		matMulCore(colsPanel.data, gm[s*oc:e*oc], out.data, ckk, e-s, oc, 1, ckk)
 	}
-	convScratchPut(tp)
 	convScratchPut(colsPanel)
 	return out
 }

@@ -326,7 +326,8 @@ func TestConvTiledMatchesNaiveBitForBit(t *testing.T) {
 // TestConvScratchPeakCapped checks the structural ≤1/4 guarantee of
 // convPanelFor: at the shape N=8, 32x32x16, 3x3 SAME, total
 // in-flight panel scratch stays at or below a quarter of the full im2col
-// materialization regardless of parallelism.
+// materialization regardless of parallelism. The backward-filter pass reads
+// its panel transposed in place, so it holds exactly one panel.
 func TestConvScratchPeakCapped(t *testing.T) {
 	defer SetConvPanelRows(0)
 	defer SetKernelParallelism(0)
@@ -343,6 +344,12 @@ func TestConvScratchPeakCapped(t *testing.T) {
 		Conv2D(in, f, p)
 		if peak := ConvScratchPeak(); peak > full/4 {
 			t.Fatalf("par=%d: conv scratch peak %d exceeds quarter of full im2col %d", par, peak, full)
+		}
+		gy := RandNormal(rng, 0, 1, 8, 32, 32, 16)
+		ResetConvScratchStats()
+		Conv2DBackwardFilter(in, gy, f.Shape(), p)
+		if peak, panel := ConvScratchPeak(), int64(convPanelFor(rows, 1)*3*3*16); peak != panel {
+			t.Fatalf("par=%d: backward-filter scratch peak %d, want one panel of %d", par, peak, panel)
 		}
 	}
 }

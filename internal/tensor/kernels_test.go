@@ -55,6 +55,18 @@ func TestMatMulDifferential(t *testing.T) {
 			t.Fatalf("MatMulTransB [%d,%d]x[%d,%d] diverged from naive", m, k, n, k)
 		}
 	}
+	// MatMulTransB transposes b, or a and the result where those are smaller
+	// (m·k + m·n < n·k): shapes on the rule, on either side of it, and the
+	// pixel network's dense-layer input gradient [32,256]x[1568,256]ᵀ.
+	for _, s := range [][3]int{{1, 2, 2}, {1, 3, 2}, {5, 64, 100}, {100, 64, 5}, {32, 256, 1568}, {1568, 256, 32}} {
+		m, k, n := s[0], s[1], s[2]
+		a, bt := New(m, k), New(n, k)
+		fillOperand(rng, a.data, 0.03)
+		fillOperand(rng, bt.data, 0.03)
+		if got, want := MatMulTransB(a, bt), MatMulTransBNaive(a, bt); !bitsEq(got, want) {
+			t.Fatalf("MatMulTransB [%d,%d]x[%d,%d] diverged from naive (transposed result: %v)", m, k, n, k, m*k+m*n < n*k)
+		}
+	}
 }
 
 // TestMatMulParallelDifferential forces the parallel path (sizes above the
@@ -202,6 +214,27 @@ func TestReluBackwardSignedZero(t *testing.T) {
 	}
 	if !bitsEq(got, Mul(gy, ReluGrad(x))) {
 		t.Fatal("ReluBackward diverged from Mul(gy, ReluGrad(x)) on signed zero")
+	}
+}
+
+// TestReluFlatMatchesMathMax: the builtin max keeps math.Max's rules on
+// every special operand — -0 becomes +0, ±Inf and subnormals pass or clamp
+// bit for bit, and NaN stays NaN (its payload is not specified).
+func TestReluFlatMatchesMathMax(t *testing.T) {
+	src := append([]float64{1.5, -1.5, -0x1p-1074}, specials...)
+	dst := make([]float64, len(src))
+	ReluFlat(dst, src)
+	for i, x := range src {
+		want := math.Max(x, 0)
+		if math.IsNaN(want) {
+			if !math.IsNaN(dst[i]) {
+				t.Errorf("ReluFlat(NaN) = %v, want NaN", dst[i])
+			}
+			continue
+		}
+		if math.Float64bits(dst[i]) != math.Float64bits(want) {
+			t.Errorf("ReluFlat(%v) = %v (bits %x), math.Max gives %v (bits %x)", x, dst[i], math.Float64bits(dst[i]), want, math.Float64bits(want))
+		}
 	}
 }
 

@@ -5,14 +5,17 @@ import "fmt"
 // Matrix multiplication kernels.
 //
 // All three products (MatMul, MatMulTransA, MatMulTransB) lower onto one
-// cache-blocked row-panel kernel over a row-major A and B; the transposed
-// variants first transpose the relevant operand into pooled scratch, which
-// costs O(elements) against the O(m·k·n) product and lets every case share
-// the fast path. The kernel is blocked over k (so a panel of B stays in
-// cache), parallelized by partitioning output rows across a goroutine pool
-// (see kernels.go), and inside a panel runs one of two inner loops: an AVX2
-// micro-kernel in assembly, vectorised across output columns, or a portable
-// Go tile of 4 output rows x 4 k-steps.
+// cache-blocked row-panel kernel over a row-major B and an A it reads in
+// place through two strides: A's element (i, kk) is at a[i·rs + kk·ks]. A
+// plain product passes (rs, ks) = (k, 1); MatMulTransA reads its [k,m]
+// operand as the transpose (1, m), and so does the backward-filter conv with
+// each im2col panel, so neither copies an operand. B's rows are loaded as
+// vectors and cannot be strided: MatMulTransB transposes the smaller side,
+// either b or, through outᵀ = b·aᵀ, a and the result. The kernel is blocked
+// over k (so a panel of B stays in cache), parallelized by partitioning
+// output rows across a goroutine pool (see kernels.go), and inside a panel
+// runs one of two inner loops: an AVX2 micro-kernel in assembly, vectorised
+// across output columns, or a portable Go tile of 4 output rows x 4 k-steps.
 //
 // Every output element accumulates its k products in ascending-k order with
 // one rounded multiply and one rounded add per product — exactly the sequence
@@ -56,7 +59,8 @@ func matMulDims(name string, a, b *Tensor, ka, kb int) {
 func MatMul(a, b *Tensor) *Tensor {
 	matMulDims("MatMul", a, b, a.shape[1], b.shape[0])
 	out := New(a.shape[0], b.shape[1])
-	matMulCore(a.data, b.data, out.data, a.shape[0], a.shape[1], b.shape[1])
+	k := a.shape[1]
+	matMulCore(a.data, b.data, out.data, a.shape[0], k, b.shape[1], k, 1)
 	return out
 }
 
@@ -68,7 +72,8 @@ func MatMulInto(out, a, b *Tensor) *Tensor {
 	if out.Rank() != 2 || out.shape[0] != m || out.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto out shape %v, want [%d %d]", out.shape, m, n))
 	}
-	matMulCore(a.data, b.data, out.data, m, a.shape[1], n)
+	k := a.shape[1]
+	matMulCore(a.data, b.data, out.data, m, k, n, k, 1)
 	return out
 }
 
@@ -90,12 +95,11 @@ func MatMulTransAInto(out, a, b *Tensor) *Tensor {
 	return matMulTransAInto(out, a, b)
 }
 
+// matMulTransAInto reads a:[k,m] as aᵀ in place: row i of aᵀ is column i of
+// a, one element apart, and its k-steps are rows of a, m elements apart.
 func matMulTransAInto(out, a, b *Tensor) *Tensor {
 	k, m := a.shape[0], a.shape[1]
-	at := getScratch(m * k)
-	transposeInto(at.data, a.data, k, m)
-	matMulCore(at.data, b.data, out.data, m, k, b.shape[1])
-	putScratch(at)
+	matMulCore(a.data, b.data, out.data, m, k, b.shape[1], 1, m)
 	return out
 }
 
@@ -117,11 +121,27 @@ func MatMulTransBInto(out, a, b *Tensor) *Tensor {
 	return matMulTransBInto(out, a, b)
 }
 
+// matMulTransBInto transposes whichever side of a x bᵀ is smaller. When a
+// and the [m,n] result hold fewer elements than b, it computes outᵀ = b x aᵀ
+// into zeroed scratch and transposes that into out: each output element
+// takes the same products in the same k order, with the factors of each
+// product swapped, which rounds identically.
 func matMulTransBInto(out, a, b *Tensor) *Tensor {
-	n, k := b.shape[0], b.shape[1]
+	m, k, n := a.shape[0], a.shape[1], b.shape[0]
+	if m*k+m*n < n*k {
+		at := getScratch(k * m)
+		transposeInto(at.data, a.data, m, k)
+		ot := getScratch(n * m)
+		clear(ot.data)
+		matMulCore(b.data, at.data, ot.data, n, k, m, k, 1)
+		transposeInto(out.data, ot.data, n, m)
+		putScratch(ot)
+		putScratch(at)
+		return out
+	}
 	bt := getScratch(k * n)
 	transposeInto(bt.data, b.data, n, k)
-	matMulCore(a.data, bt.data, out.data, a.shape[0], k, n)
+	matMulCore(a.data, bt.data, out.data, m, k, n, k, 1)
 	putScratch(bt)
 	return out
 }
@@ -150,27 +170,29 @@ func transposeInto(dst, src []float64, rows, cols int) {
 	}
 }
 
-// matMulCore accumulates ad([m,k]) x bd([k,n]) into od([m,n]), partitioning
-// output rows across the kernel pool when the product is large enough.
-func matMulCore(ad, bd, od []float64, m, k, n int) {
+// matMulCore accumulates A([m,k]) x bd([k,n]) into od([m,n]), where A's
+// element (i, kk) is ad[i*rs + kk*ks], partitioning output rows across the
+// kernel pool when the product is large enough.
+func matMulCore(ad, bd, od []float64, m, k, n, rs, ks int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
 	parts := matmulParts(m, k, n)
 	if parts <= 1 {
-		matMulRows(ad, bd, od, 0, m, k, n)
+		matMulRows(ad, bd, od, 0, m, k, n, rs, ks)
 		return
 	}
 	parallelFor(parts, func(p int) {
-		matMulRows(ad, bd, od, m*p/parts, m*(p+1)/parts, k, n)
+		matMulRows(ad, bd, od, m*p/parts, m*(p+1)/parts, k, n, rs, ks)
 	})
 }
 
-// matMulRows computes output rows [i0,i1) of ad x bd, one k-panel at a time:
-// the assembly micro-kernel (amd64 with AVX2, see matmul_amd64.go) takes the
-// columns up to the last multiple of 4 and the Go tile takes the rest, which
-// is every column where there is no assembly.
-func matMulRows(ad, bd, od []float64, i0, i1, k, n int) {
+// matMulRows computes output rows [i0,i1) of A x bd, A strided as in
+// matMulCore, one k-panel at a time: the assembly micro-kernel (amd64 with
+// AVX2, see matmul_amd64.go) takes the columns up to the last multiple of 4
+// and the Go tile takes the rest, which is every column where there is no
+// assembly.
+func matMulRows(ad, bd, od []float64, i0, i1, k, n, rs, ks int) {
 	vec := 0
 	if useAVX2 {
 		vec = n &^ 3
@@ -181,27 +203,25 @@ func matMulRows(ad, bd, od []float64, i0, i1, k, n int) {
 		if vec > 0 {
 			step := max(4, asmCallMadds/((ke-kb)*vec)&^3)
 			for i := i0; i < i1; i += step {
-				matMulAVX2(&ad[i*k+kb], &bd[kb*n], &od[i*n], min(step, i1-i), ke-kb, vec, k, n)
+				matMulAVX2(&ad[i*rs+kb*ks], &bd[kb*n], &od[i*n], min(step, i1-i), ke-kb, vec, rs, n, ks)
 			}
 		}
 		if vec < n {
-			matMulTile(ad, bd, od, i0, i1, kb, ke, vec, n, k, n)
+			matMulTile(ad, bd, od, i0, i1, kb, ke, vec, n, rs, n, ks)
 		}
 	}
 }
 
-// matMulTile accumulates rows [i0,i1) x columns [j0,j1) of ad x bd over the
-// k-steps [kb,ke) in portable Go, register-tiled 4 output rows x 4 k-steps: 16
-// multiply-adds per 4 B-loads, the adds of each output element ordered by k.
-// Rows and k-steps that do not fill a tile go through matMulAxpy afterwards.
-func matMulTile(ad, bd, od []float64, i0, i1, kb, ke, j0, j1, k, n int) {
+// matMulTile accumulates rows [i0,i1) x columns [j0,j1) of A x bd over the
+// k-steps [kb,ke) in portable Go, A's element (i, kk) at ad[i*rs + kk*ks] and
+// the rows of bd and od n apart. It is register-tiled 4 output rows x 4
+// k-steps: 16 multiply-adds per 4 B-loads, the adds of each output element
+// ordered by k. Rows and k-steps that do not fill a tile go through
+// matMulAxpy afterwards.
+func matMulTile(ad, bd, od []float64, i0, i1, kb, ke, j0, j1, rs, n, ks int) {
 	k4 := kb + (ke-kb)&^3
 	i := i0
 	for ; i+4 <= i1; i += 4 {
-		a0 := ad[(i+0)*k : (i+0)*k+k]
-		a1 := ad[(i+1)*k : (i+1)*k+k]
-		a2 := ad[(i+2)*k : (i+2)*k+k]
-		a3 := ad[(i+3)*k : (i+3)*k+k]
 		o0 := od[(i+0)*n+j0 : (i+0)*n+j1]
 		o1 := od[(i+1)*n+j0 : (i+1)*n+j1]
 		o2 := od[(i+2)*n+j0 : (i+2)*n+j1]
@@ -211,10 +231,14 @@ func matMulTile(ad, bd, od []float64, i0, i1, kb, ke, j0, j1, k, n int) {
 			b1 := bd[(kk+1)*n+j0 : (kk+1)*n+j1]
 			b2 := bd[(kk+2)*n+j0 : (kk+2)*n+j1]
 			b3 := bd[(kk+3)*n+j0 : (kk+3)*n+j1]
-			a00, a01, a02, a03 := a0[kk], a0[kk+1], a0[kk+2], a0[kk+3]
-			a10, a11, a12, a13 := a1[kk], a1[kk+1], a1[kk+2], a1[kk+3]
-			a20, a21, a22, a23 := a2[kk], a2[kk+1], a2[kk+2], a2[kk+3]
-			a30, a31, a32, a33 := a3[kk], a3[kk+1], a3[kk+2], a3[kk+3]
+			p := i*rs + kk*ks
+			a00, a01, a02, a03 := ad[p], ad[p+ks], ad[p+2*ks], ad[p+3*ks]
+			p += rs
+			a10, a11, a12, a13 := ad[p], ad[p+ks], ad[p+2*ks], ad[p+3*ks]
+			p += rs
+			a20, a21, a22, a23 := ad[p], ad[p+ks], ad[p+2*ks], ad[p+3*ks]
+			p += rs
+			a30, a31, a32, a33 := ad[p], ad[p+ks], ad[p+2*ks], ad[p+3*ks]
 			for j := range o0 {
 				bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
 				s := o0[j]
@@ -244,17 +268,17 @@ func matMulTile(ad, bd, od []float64, i0, i1, kb, ke, j0, j1, k, n int) {
 			}
 		}
 	}
-	matMulAxpy(ad, bd, od, i0, i, k4, ke, j0, j1, k, n)
-	matMulAxpy(ad, bd, od, i, i1, kb, ke, j0, j1, k, n)
+	matMulAxpy(ad, bd, od, i0, i, k4, ke, j0, j1, rs, n, ks)
+	matMulAxpy(ad, bd, od, i, i1, kb, ke, j0, j1, rs, n, ks)
 }
 
 // matMulAxpy is the untiled form of matMulTile: one multiply-add per output
 // load and store, for the remainders of the tiling.
-func matMulAxpy(ad, bd, od []float64, i0, i1, kb, ke, j0, j1, k, n int) {
+func matMulAxpy(ad, bd, od []float64, i0, i1, kb, ke, j0, j1, rs, n, ks int) {
 	for i := i0; i < i1; i++ {
 		o := od[i*n+j0 : i*n+j1]
 		for kk := kb; kk < ke; kk++ {
-			av := ad[i*k+kk]
+			av := ad[i*rs+kk*ks]
 			b := bd[kk*n+j0 : kk*n+j1]
 			for j := range o {
 				o[j] += av * b[j]

@@ -8,11 +8,12 @@ var useAVX2 = hasAVX2()
 func hasAVX2() bool
 
 // matMulAVX2 accumulates a([rows,kc]) x b([kc,cols]) into o([rows,cols]) in
-// matmul_amd64.s. a's rows are k elements apart, b's and o's n elements;
-// cols must be a multiple of 4, and rows and kc at least 1. Each output
-// element is loaded once, takes its kc products in ascending order with one
-// rounded multiply and one rounded add each, and is stored once, so the
-// result is bit-for-bit what matMulTile produces.
+// matmul_amd64.s. a's element (i, kk) is at a[i·rs + kk·ks], so A may be read
+// row-major (rs = k, ks = 1) or through a transpose (rs = 1, ks = m); b's and
+// o's rows are n elements apart. cols must be a multiple of 4, and rows and
+// kc at least 1. Each output element is loaded once, takes its kc products in
+// ascending order with one rounded multiply and one rounded add each, and is
+// stored once, so the result is bit-for-bit what matMulTile produces.
 //
 //go:noescape
-func matMulAVX2(a, b, o *float64, rows, kc, cols, k, n int)
+func matMulAVX2(a, b, o *float64, rows, kc, cols, rs, n, ks int)

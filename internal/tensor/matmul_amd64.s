@@ -45,19 +45,22 @@ no:
 	VMULPD       Y8, Y10, Y11; \
 	VADDPD       Y11, acc, acc
 
-// func matMulAVX2(a, b, o *float64, rows, kc, cols, k, n int)
+// func matMulAVX2(a, b, o *float64, rows, kc, cols, rs, n, ks int)
 //
 // Registers: AX/SI A row group and cursor, BX/DX B column block and cursor,
 // DI output tile, R8 rows left, R9 kc, CX k counter, R10 columns left,
 // R11/R13 one and three A row strides in bytes, R12 the B and output row
-// stride in bytes, R14 byte offset of the column block.
-TEXT ·matMulAVX2(SB), NOSPLIT, $0-64
+// stride in bytes, R14 byte offset of the column block, R15 the A k-step
+// stride in bytes.
+TEXT ·matMulAVX2(SB), NOSPLIT, $0-72
 	MOVQ kc+32(FP), R9
 	MOVQ cols+40(FP), R10
-	MOVQ k+48(FP), R11
+	MOVQ rs+48(FP), R11
 	SHLQ $3, R11
 	MOVQ n+56(FP), R12
 	SHLQ $3, R12
+	MOVQ ks+64(FP), R15
+	SHLQ $3, R15
 	LEAQ (R11)(R11*2), R13
 	XORQ R14, R14
 
@@ -94,7 +97,7 @@ k4c8:
 	ROW8((SI)(R11*1), Y2, Y3)
 	ROW8((SI)(R11*2), Y4, Y5)
 	ROW8((SI)(R13*1), Y6, Y7)
-	ADDQ    $8, SI
+	ADDQ    R15, SI
 	ADDQ    R12, DX
 	DECQ    CX
 	JNZ     k4c8
@@ -126,7 +129,7 @@ k1c8:
 	VMOVUPD (DX), Y8
 	VMOVUPD 32(DX), Y9
 	ROW8((SI), Y0, Y1)
-	ADDQ    $8, SI
+	ADDQ    R15, SI
 	ADDQ    R12, DX
 	DECQ    CX
 	JNZ     k1c8
@@ -171,7 +174,7 @@ k4c4:
 	ROW4((SI)(R11*1), Y2)
 	ROW4((SI)(R11*2), Y4)
 	ROW4((SI)(R13*1), Y6)
-	ADDQ    $8, SI
+	ADDQ    R15, SI
 	ADDQ    R12, DX
 	DECQ    CX
 	JNZ     k4c4
@@ -197,7 +200,7 @@ r1c4:
 k1c4:
 	VMOVUPD (DX), Y8
 	ROW4((SI), Y0)
-	ADDQ    $8, SI
+	ADDQ    R15, SI
 	ADDQ    R12, DX
 	DECQ    CX
 	JNZ     k1c4

@@ -79,7 +79,9 @@ func sameBits(a, b []float64) int {
 // rest) with the Go tile alone, and the assembly alone with the Go tile on
 // the columns it is given, bit for bit, across every column count that mixes
 // 8-wide blocks, a 4-wide block and a tail, k around the tile and panel
-// sizes, and row counts around the 4-row tile.
+// sizes, and row counts around the 4-row tile. Each product runs twice: with
+// A row-major, and with A read in place through its transpose (row stride 1,
+// k-step stride m) as MatMulTransA and the backward-filter conv read it.
 func TestMatMulAsmMatchesGoTile(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2: matMulRows is the Go tile")
@@ -98,36 +100,55 @@ func TestMatMulAsmMatchesGoTile(t *testing.T) {
 					fillOperand(rng, init, special)
 
 					want := append([]float64(nil), init...)
-					matMulTile(a, b, want, 0, m, 0, k, 0, n, k, n)
+					matMulTile(a, b, want, 0, m, 0, k, 0, n, k, n, 1)
 
-					got, gotOK := guarded(m * n)
-					copy(got, init)
-					matMulRows(a, b, got, 0, m, k, n)
-					if i := sameBits(got, want); i >= 0 {
-						t.Fatalf("%s: matMulRows element %d = %x, Go tile %x", name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-					}
-					if !aOK() || !bOK() || !gotOK() {
-						t.Fatalf("%s: matMulRows wrote outside its operands", name)
-					}
+					// The same A, stored transposed: (i, kk) at at[kk*m+i].
+					at, atOK := guarded(k * m)
+					transposeInto(at, a, m, k)
+					intact := func() bool { return aOK() && atOK() && bOK() }
+					for _, l := range []struct {
+						name   string
+						ad     []float64
+						rs, ks int
+					}{{"row-major A", a, k, 1}, {"transposed A", at, 1, m}} {
+						name := name + " " + l.name
+						got, gotOK := guarded(m * n)
+						if l.ks != 1 {
+							copy(got, init)
+							matMulTile(l.ad, b, got, 0, m, 0, k, 0, n, l.rs, n, l.ks)
+							if i := sameBits(got, want); i >= 0 {
+								t.Fatalf("%s: strided Go tile element %d = %x, row-major %x", name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+							}
+						}
 
-					cols := n &^ 3
-					if cols == 0 {
-						continue
-					}
-					// The assembly alone: columns [cols,n) must keep their
-					// initial values, columns [0,cols) must match the tile.
-					copy(got, init)
-					matMulAVX2(&a[0], &b[0], &got[0], m, k, cols, k, n)
-					for i := 0; i < m; i++ {
-						if j := sameBits(got[i*n:i*n+cols], want[i*n:i*n+cols]); j >= 0 {
-							t.Fatalf("%s: assembly row %d column %d differs from the Go tile", name, i, j)
+						copy(got, init)
+						matMulRows(l.ad, b, got, 0, m, k, n, l.rs, l.ks)
+						if i := sameBits(got, want); i >= 0 {
+							t.Fatalf("%s: matMulRows element %d = %x, Go tile %x", name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 						}
-						if j := sameBits(got[i*n+cols:(i+1)*n], init[i*n+cols:(i+1)*n]); j >= 0 {
-							t.Fatalf("%s: assembly wrote column %d of row %d, past cols=%d", name, cols+j, i, cols)
+						if !intact() || !gotOK() {
+							t.Fatalf("%s: matMulRows wrote outside its operands", name)
 						}
-					}
-					if !aOK() || !bOK() || !gotOK() {
-						t.Fatalf("%s: assembly wrote outside its operands", name)
+
+						cols := n &^ 3
+						if cols == 0 {
+							continue
+						}
+						// The assembly alone: columns [cols,n) must keep their
+						// initial values, columns [0,cols) must match the tile.
+						copy(got, init)
+						matMulAVX2(&l.ad[0], &b[0], &got[0], m, k, cols, l.rs, n, l.ks)
+						for i := 0; i < m; i++ {
+							if j := sameBits(got[i*n:i*n+cols], want[i*n:i*n+cols]); j >= 0 {
+								t.Fatalf("%s: assembly row %d column %d differs from the Go tile", name, i, j)
+							}
+							if j := sameBits(got[i*n+cols:(i+1)*n], init[i*n+cols:(i+1)*n]); j >= 0 {
+								t.Fatalf("%s: assembly wrote column %d of row %d, past cols=%d", name, cols+j, i, cols)
+							}
+						}
+						if !intact() || !gotOK() {
+							t.Fatalf("%s: assembly wrote outside its operands", name)
+						}
 					}
 				}
 			}
@@ -147,7 +168,7 @@ func TestMatMulGoTileMatchesNaive(t *testing.T) {
 				fillOperand(rng, a.data, 0.03)
 				fillOperand(rng, b.data, 0.03)
 				got := New(m, n)
-				matMulTile(a.data, b.data, got.data, 0, m, 0, k, 0, n, k, n)
+				matMulTile(a.data, b.data, got.data, 0, m, 0, k, 0, n, k, n, 1)
 				if !bitsEq(got, MatMulNaive(a, b)) {
 					t.Fatalf("Go tile [%d,%d]x[%d,%d] diverged from naive", m, k, k, n)
 				}
@@ -177,9 +198,10 @@ func TestMatMulBenchShapesMatchNaive(t *testing.T) {
 
 // TestMatMulRowRangesAreDisjoint stands in for the race detector on the
 // assembly path: a row range writes exactly its own rows of a sentinel-filled
-// output and gets them right, and a product and a convolution large enough
-// to fork on their own agree with the naive references while four goroutines
-// run them at once.
+// output and gets them right, and products (plain, transposed-A, and
+// transposed-B on both sides of its smaller-side rule) and a convolution
+// large enough to fork on their own agree with the naive references while
+// four goroutines run them at once.
 func TestMatMulRowRangesAreDisjoint(t *testing.T) {
 	old := KernelParallelism()
 	SetKernelParallelism(4)
@@ -193,6 +215,14 @@ func TestMatMulRowRangesAreDisjoint(t *testing.T) {
 	if matmulParts(m, k, n) < 2 {
 		t.Fatalf("[%d,%d]x[%d,%d] does not fork", m, k, k, n)
 	}
+	// aᵀ read in place forks over the same m rows. a x cᵀ transposes the
+	// small c; c x aᵀ is computed as its transpose a x cᵀ, which forks over
+	// a's rows too.
+	at := Transpose(a, 1, 0)
+	c := randTensor(rng, n, k)
+	wantTA := MatMulTransANaive(at, b)
+	wantTB := MatMulTransBNaive(a, c)
+	wantBT := MatMulTransBNaive(c, a)
 
 	cuts := []int{0, 1, 5, 8, m / 2, m - 3, m}
 	for c := 0; c+1 < len(cuts); c++ {
@@ -202,7 +232,7 @@ func TestMatMulRowRangesAreDisjoint(t *testing.T) {
 			od[i] = math.Float64frombits(sentinel)
 		}
 		clear(od[i0*n : i1*n])
-		matMulRows(a.data, b.data, od, i0, i1, k, n)
+		matMulRows(a.data, b.data, od, i0, i1, k, n, k, 1)
 		for i, v := range od {
 			in := i >= i0*n && i < i1*n
 			if in && math.Float64bits(v) != math.Float64bits(want.data[i]) {
@@ -231,6 +261,14 @@ func TestMatMulRowRangesAreDisjoint(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				if !bitsEq(MatMul(a, b), want) {
 					errs <- "forked MatMul diverged from naive"
+					return
+				}
+				if !bitsEq(MatMulTransA(at, b), wantTA) {
+					errs <- "forked MatMulTransA diverged from naive"
+					return
+				}
+				if !bitsEq(MatMulTransB(a, c), wantTB) || !bitsEq(MatMulTransB(c, a), wantBT) {
+					errs <- "forked MatMulTransB diverged from naive"
 					return
 				}
 				if !bitsEq(Conv2D(in, f, p), wantConv) {
