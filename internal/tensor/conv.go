@@ -17,11 +17,14 @@ import (
 // size self-caps so in-flight scratch never exceeds a quarter of the full
 // materialization (see convPanelFor).
 //
-// Forward panels cover disjoint output rows and fan out across the kernel
-// worker pool. The backward passes accumulate overlapping contributions
-// (Col2Im) or a running filter-gradient sum, so their panels run serially in
-// ascending row order — exactly the accumulation sequence of the full
-// materialization, keeping every path bit-for-bit identical to Conv2DNaive.
+// Above matmulParallelThreshold multiply-adds each pass forks chunks that
+// write disjoint outputs (see kernels.go): the forward pass one output panel
+// per chunk, the backward-input pass one image per chunk (Col2Im folds an
+// image's rows only into that image), and the backward-filter pass one group
+// of kernel positions per chunk (each position owns its own rows of dW).
+// Inside a chunk, panels run in ascending row order, so every output
+// element keeps the accumulation sequence of the full materialization and
+// every path stays bit-for-bit identical to the naive references.
 
 // ConvParams describes a 2-D convolution in NHWC layout with filter layout
 // [KH, KW, InC, OutC].
@@ -117,30 +120,45 @@ func convPanelFor(rows, parts int) int {
 	return panel
 }
 
-// convParts picks the worker fan-out for a forward conv: row-partitioned like
-// matmul, serial below the same madd threshold.
-func convParts(rows, ckk, oc, panel int) int {
-	if rows*ckk*oc < matmulParallelThreshold {
+// convForwardChunks picks the forward conv's chunk count and panel size: one
+// chunk of full panels below the threshold, one panel per chunk above it,
+// with panels sized for every worker holding one at once.
+func convForwardChunks(rows, ckk, oc int) (chunks, panel int) {
+	if !forks(rows * ckk * oc) {
+		return 1, convPanelFor(rows, 1)
+	}
+	panel = convPanelFor(rows, KernelParallelism())
+	return (rows + panel - 1) / panel, panel
+}
+
+// convBackwardInputChunks picks the backward-input chunk count: one image
+// each above the threshold.
+func convBackwardInputChunks(n, rows, ckk, oc int) int {
+	if !forks(rows * ckk * oc) {
 		return 1
 	}
-	parts := KernelParallelism()
-	if max := (rows + panel - 1) / panel; parts > max {
-		parts = max
+	return n
+}
+
+// convBackwardFilterChunks picks the backward-filter chunk count: groups of
+// whole kernel positions of at least 32 rows of dW (C rows per position)
+// above the threshold.
+func convBackwardFilterChunks(rows, kk, c, oc int) int {
+	if !forks(rows * kk * c * oc) {
+		return 1
 	}
-	if parts < 1 {
-		parts = 1
-	}
-	return parts
+	return max(1, kk/((32+c-1)/c))
 }
 
 // im2colRows unfolds output rows [r0, r1) of the patch matrix of an NHWC
-// input (src, of the given shape) into dst, which must hold (r1-r0)*KH*KW*C
-// elements. Padded regions are written as explicit zeros, so dst may be
-// arbitrary reused scratch.
-func im2colRows(dst, src []float64, shape []int, r0, r1, kh, kw int, p ConvParams) {
+// input (src, of the given shape) into dst, keeping only the columns of
+// kernel positions [k0, k1) (position ky*KW+kx, C columns each), so dst must
+// hold (r1-r0)*(k1-k0)*C elements. Padded regions are written as explicit
+// zeros, so dst may be arbitrary reused scratch.
+func im2colRows(dst, src []float64, shape []int, r0, r1, kh, kw, k0, k1 int, p ConvParams) {
 	h, w, c := shape[1], shape[2], shape[3]
 	oh, ow := p.ConvOutDims(h, w, kh, kw)
-	ckk := kh * kw * c
+	width := (k1 - k0) * c
 	for row := r0; row < r1; row++ {
 		b := row / (oh * ow)
 		rem := row - b*oh*ow
@@ -148,26 +166,27 @@ func im2colRows(dst, src []float64, shape []int, r0, r1, kh, kw int, p ConvParam
 		ox := rem - oy*ow
 		iy0 := oy*p.StrideH - p.PadH
 		ix0 := ox*p.StrideW - p.PadW
-		d := dst[(row-r0)*ckk : (row-r0+1)*ckk]
+		d := dst[(row-r0)*width : (row-r0+1)*width]
 		imgBase := b * h * w * c
-		// Where padding does not cut it, a kernel row's kw pixels are one
-		// contiguous run of kw*c input elements.
-		wholeRun := ix0 >= 0 && ix0+kw <= w
 		di := 0
-		for ky := 0; ky < kh; ky++ {
+		for ky := k0 / kw; ky*kw < k1; ky++ {
+			kx0, kx1 := max(k0-ky*kw, 0), min(k1-ky*kw, kw)
+			run := (kx1 - kx0) * c
 			iy := iy0 + ky
 			if iy < 0 || iy >= h {
-				clear(d[di : di+kw*c])
-				di += kw * c
+				clear(d[di : di+run])
+				di += run
 				continue
 			}
 			rowBase := imgBase + iy*w*c
-			if wholeRun {
-				copy(d[di:di+kw*c], src[rowBase+ix0*c:])
-				di += kw * c
+			// Where padding does not cut it, a kernel row's pixels are one
+			// contiguous run of input elements.
+			if ix0+kx0 >= 0 && ix0+kx1 <= w {
+				copy(d[di:di+run], src[rowBase+(ix0+kx0)*c:])
+				di += run
 				continue
 			}
-			for kx := 0; kx < kw; kx++ {
+			for kx := kx0; kx < kx1; kx++ {
 				ix := ix0 + kx
 				if ix < 0 || ix >= w {
 					clear(d[di : di+c])
@@ -190,7 +209,7 @@ func Im2Col(input *Tensor, kh, kw int, p ConvParams) *Tensor {
 	n, h, w, c := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
 	oh, ow := p.ConvOutDims(h, w, kh, kw)
 	cols := New(n*oh*ow, kh*kw*c)
-	im2colRows(cols.data, input.data, input.shape, 0, n*oh*ow, kh, kw, p)
+	im2colRows(cols.data, input.data, input.shape, 0, n*oh*ow, kh, kw, 0, kh*kw, p)
 	return cols
 }
 
@@ -270,8 +289,8 @@ func Conv2D(input, filter *Tensor, p ConvParams) *Tensor {
 
 // Conv2DInto computes Conv2D into out, which must be a zero-filled
 // [N,OH,OW,OC] tensor (as produced by New or Arena.Get), and returns out.
-// Row-panels of the output are disjoint, so they fan out across the worker
-// pool; each worker reuses one pooled panel of scratch for its row range.
+// Row-panels of the output are disjoint, so above the threshold each panel is
+// a chunk of its own, unfolded into pooled scratch.
 func Conv2DInto(out, input, filter *Tensor, p ConvParams) *Tensor {
 	n, _, _, _, kh, kw, oc, oh, ow := convDims(input, filter, p)
 	if !SameShape(out.shape, []int{n, oh, ow, oc}) {
@@ -284,19 +303,14 @@ func Conv2DInto(out, input, filter *Tensor, p ConvParams) *Tensor {
 	}
 	fd := filter.data
 	od := out.data
-	panel0 := convPanelFor(rows, 1)
-	parts := convParts(rows, ckk, oc, panel0)
-	panel := convPanelFor(rows, parts)
-	parallelFor(parts, func(pt int) {
-		r0, r1 := rows*pt/parts, rows*(pt+1)/parts
-		if r0 == r1 {
-			return
-		}
+	chunks, panel := convForwardChunks(rows, ckk, oc)
+	parallelFor(chunks, func(ch int) {
+		r0, r1 := rows*ch/chunks, rows*(ch+1)/chunks
 		pr := min(panel, r1-r0)
 		scratch := convScratchGet(pr * ckk)
 		for s := r0; s < r1; s += pr {
 			e := min(s+pr, r1)
-			im2colRows(scratch.data, input.data, input.shape, s, e, kh, kw, p)
+			im2colRows(scratch.data, input.data, input.shape, s, e, kh, kw, 0, kh*kw, p)
 			matMulRows(scratch.data, fd, od[s*oc:e*oc], 0, e-s, ckk, oc, ckk, 1)
 		}
 		convScratchPut(scratch)
@@ -321,10 +335,11 @@ func Conv2DBackwardInput(gradOut, filter *Tensor, inputShape []int, p ConvParams
 }
 
 // Conv2DBackwardInputInto computes dL/dInput into out, a zero-filled tensor
-// of the forward input's shape [N,H,W,C], and returns out. Panels run
-// serially in ascending row order because Col2Im accumulates overlapping
-// contributions — the order of the full-materialization path — but each
-// panel's matmul still uses the blocked (row-parallel) core.
+// of the forward input's shape [N,H,W,C], and returns out. Col2Im accumulates
+// overlapping contributions, but only within an image: above the threshold
+// each image is a chunk. Inside a chunk panels run in ascending row order,
+// the order of the full-materialization path, and each panel's matmul still
+// uses the blocked core.
 func Conv2DBackwardInputInto(out, gradOut, filter *Tensor, p ConvParams) *Tensor {
 	kh, kw, c, oc := filter.shape[0], filter.shape[1], filter.shape[2], filter.shape[3]
 	if out.Rank() != 4 || out.shape[3] != c {
@@ -341,17 +356,24 @@ func Conv2DBackwardInputInto(out, gradOut, filter *Tensor, p ConvParams) *Tensor
 	// Transpose the filter once: [KH*KW*C, OC] -> [OC, KH*KW*C].
 	ft := convScratchGet(oc * ckk)
 	transposeInto(ft.data, filter.data, ckk, oc)
-	panel := convPanelFor(rows, 1)
-	colsPanel := convScratchGet(panel * ckk)
-	for s := 0; s < rows; s += panel {
-		e := min(s+panel, rows)
-		cp := colsPanel.data[:(e-s)*ckk]
-		clear(cp)
-		// colsGrad[s:e] = gradOut[s:e] x filterᵀ.
-		matMulCore(gm[s*oc:e*oc], ft.data, cp, e-s, oc, ckk, oc, 1)
-		col2imRows(out, cp, s, e, kh, kw, p)
+	chunks, panel := convBackwardInputChunks(n, rows, ckk, oc), convPanelFor(rows, 1)
+	if chunks > 1 {
+		panel = convPanelFor(rows, KernelParallelism())
 	}
-	convScratchPut(colsPanel)
+	parallelFor(chunks, func(ch int) {
+		r0, r1 := n*ch/chunks*oh*ow, n*(ch+1)/chunks*oh*ow
+		pr := min(panel, r1-r0)
+		colsPanel := convScratchGet(pr * ckk)
+		for s := r0; s < r1; s += pr {
+			e := min(s+pr, r1)
+			cp := colsPanel.data[:(e-s)*ckk]
+			clear(cp)
+			// colsGrad[s:e] = gradOut[s:e] x filterᵀ.
+			matMulCore(gm[s*oc:e*oc], ft.data, cp, e-s, oc, ckk, oc, 1)
+			col2imRows(out, cp, s, e, kh, kw, p)
+		}
+		convScratchPut(colsPanel)
+	})
 	convScratchPut(ft)
 	return out
 }
@@ -375,9 +397,12 @@ func Conv2DBackwardFilter(input, gradOut *Tensor, filterShape []int, p ConvParam
 // Conv2DBackwardFilterInto computes dL/dFilter into out, a zero-filled
 // [KH,KW,C,OC] tensor, and returns out. Each output element of the filter
 // gradient sums products over all N*OH*OW patch rows; panels accumulate into
-// the gradient serially in ascending row order, reproducing the accumulation
-// sequence of the monolithic aᵀ x gy product. The matmul core reads each
-// im2col panel as its transpose in place, so one panel is the only scratch.
+// the gradient in ascending row order, reproducing the accumulation sequence
+// of the monolithic aᵀ x gy product. Kernel position (ky, kx) owns C rows of
+// dW, so above the threshold each group of positions is a chunk that unfolds
+// only its own columns of every panel. The matmul core reads those columns as
+// their transpose in place, and the chunks' column slices add up to one
+// panel, the only scratch.
 func Conv2DBackwardFilterInto(out, input, gradOut *Tensor, p ConvParams) *Tensor {
 	if out.Rank() != 4 || input.Rank() != 4 || out.shape[2] != input.shape[3] {
 		panic(fmt.Sprintf("tensor: Conv2DBackwardFilterInto out shape %v for input %v", out.shape, input.shape))
@@ -389,17 +414,23 @@ func Conv2DBackwardFilterInto(out, input, gradOut *Tensor, p ConvParams) *Tensor
 	if rows == 0 {
 		return out
 	}
-	ckk := kh * kw * c
+	kk := kh * kw
 	gm := gradOut.data // [rows, OC] viewed flat
 	panel := convPanelFor(rows, 1)
-	colsPanel := convScratchGet(panel * ckk)
-	for s := 0; s < rows; s += panel {
-		e := min(s+panel, rows)
-		im2colRows(colsPanel.data, input.data, input.shape, s, e, kh, kw, p)
-		// out += colsᵀ[s:e] x gradOut[s:e]; the core accumulates into out in
-		// ascending row order.
-		matMulCore(colsPanel.data, gm[s*oc:e*oc], out.data, ckk, e-s, oc, 1, ckk)
-	}
+	colsPanel := convScratchGet(panel * kk * c)
+	chunks := convBackwardFilterChunks(rows, kk, c, oc)
+	parallelFor(chunks, func(ch int) {
+		k0, k1 := kk*ch/chunks, kk*(ch+1)/chunks
+		d0, dn := k0*c, (k1-k0)*c // the chunk's first row of dW, and its row count
+		cols := colsPanel.data[panel*d0 : panel*(d0+dn)]
+		for s := 0; s < rows; s += panel {
+			e := min(s+panel, rows)
+			im2colRows(cols, input.data, input.shape, s, e, kh, kw, k0, k1, p)
+			// dW[d0:d0+dn] += colsᵀ[s:e] x gradOut[s:e]; the core accumulates
+			// in ascending row order.
+			matMulCore(cols, gm[s*oc:e*oc], out.data[d0*oc:(d0+dn)*oc], dn, e-s, oc, 1, dn)
+		}
+	})
 	convScratchPut(colsPanel)
 	return out
 }

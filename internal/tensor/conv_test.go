@@ -282,8 +282,10 @@ func TestConvKernelLargerThanInput(t *testing.T) {
 // TestConvTiledMatchesNaiveBitForBit is the differential gate for the tiled
 // pipeline: forward and both backward passes must reproduce the seed
 // full-materialization path bit-for-bit at every panel size and parallelism
-// level, because panels only re-group — never re-order — the per-element
-// accumulation sequence.
+// level, because panels and chunks only re-group — never re-order — the
+// per-element accumulation sequence. The last config forks: one image, which
+// the backward-input pass cannot split, and nine kernel positions shared by
+// four workers in the backward-filter pass.
 func TestConvTiledMatchesNaiveBitForBit(t *testing.T) {
 	defer SetConvPanelRows(0)
 	defer SetKernelParallelism(0)
@@ -296,6 +298,7 @@ func TestConvTiledMatchesNaiveBitForBit(t *testing.T) {
 		{2, 6, 6, 2, 3, 3, 5, 2, 2, 1, 1},
 		{1, 3, 3, 2, 5, 5, 2, 1, 1, 2, 2}, // kernel larger than input
 		{3, 4, 4, 1, 1, 1, 2, 1, 1, 0, 0},
+		{1, 48, 48, 16, 3, 3, 32, 1, 1, 1, 1}, // 2304·144·32 multiply-adds: forks
 	}
 	for _, tc := range configs {
 		in := RandNormal(rng, 0, 1, tc.n, tc.h, tc.w, tc.c)
@@ -327,7 +330,8 @@ func TestConvTiledMatchesNaiveBitForBit(t *testing.T) {
 // convPanelFor: at the shape N=8, 32x32x16, 3x3 SAME, total
 // in-flight panel scratch stays at or below a quarter of the full im2col
 // materialization regardless of parallelism. The backward-filter pass reads
-// its panel transposed in place, so it holds exactly one panel.
+// its panel transposed in place and its chunks' column slices add up to one
+// panel, so it holds at most one panel at any parallelism.
 func TestConvScratchPeakCapped(t *testing.T) {
 	defer SetConvPanelRows(0)
 	defer SetKernelParallelism(0)
@@ -348,8 +352,8 @@ func TestConvScratchPeakCapped(t *testing.T) {
 		gy := RandNormal(rng, 0, 1, 8, 32, 32, 16)
 		ResetConvScratchStats()
 		Conv2DBackwardFilter(in, gy, f.Shape(), p)
-		if peak, panel := ConvScratchPeak(), int64(convPanelFor(rows, 1)*3*3*16); peak != panel {
-			t.Fatalf("par=%d: backward-filter scratch peak %d, want one panel of %d", par, peak, panel)
+		if peak, panel := ConvScratchPeak(), int64(convPanelFor(rows, 1)*3*3*16); peak > panel {
+			t.Fatalf("par=%d: backward-filter scratch peak %d exceeds one panel of %d", par, peak, panel)
 		}
 	}
 }

@@ -1,11 +1,14 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // bitsEq compares tensors bit-for-bit (distinguishes ±0, matches NaN bit
@@ -66,41 +69,6 @@ func TestMatMulDifferential(t *testing.T) {
 		if got, want := MatMulTransB(a, bt), MatMulTransBNaive(a, bt); !bitsEq(got, want) {
 			t.Fatalf("MatMulTransB [%d,%d]x[%d,%d] diverged from naive (transposed result: %v)", m, k, n, k, m*k+m*n < n*k)
 		}
-	}
-}
-
-// TestMatMulParallelDifferential forces the parallel path (sizes above the
-// threshold, parallelism 4) and checks bit-identity with the naive kernel,
-// concurrently from several goroutines so -race exercises the worker pool.
-func TestMatMulParallelDifferential(t *testing.T) {
-	old := KernelParallelism()
-	SetKernelParallelism(4)
-	defer SetKernelParallelism(old)
-
-	rng := rand.New(rand.NewSource(11))
-	const m, k, n = 96, 80, 70 // m*k*n > matmulParallelThreshold
-	a := randTensor(rng, m, k)
-	b := randTensor(rng, k, n)
-	want := MatMulNaive(a, b)
-
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				if got := MatMul(a, b); !bitsEq(got, want) {
-					errs <- "parallel MatMul diverged from naive"
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
 	}
 }
 
@@ -350,7 +318,79 @@ func TestSetKernelParallelism(t *testing.T) {
 		t.Fatalf("KernelParallelism = %d, want 3", got)
 	}
 	SetKernelParallelism(0)
-	if got := KernelParallelism(); got != runtime.NumCPU() {
-		t.Fatalf("KernelParallelism = %d, want NumCPU %d", got, runtime.NumCPU())
+	if got := KernelParallelism(); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("KernelParallelism = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
+}
+
+// TestParallelForRunsEveryChunkOnce: forks from eight goroutines at once run
+// each of their chunks exactly once, and a fork finishes on the caller alone
+// while every pool worker is held inside another job.
+func TestParallelForRunsEveryChunkOnce(t *testing.T) {
+	defer SetKernelParallelism(0)
+	SetKernelParallelism(4)
+
+	// A chunk sleeps before it counts, long enough for a parked worker to
+	// wake and claim chunks of its own that are still running when the
+	// caller runs out of chunks to claim.
+	run := func(chunks int) error {
+		counts := make([]atomic.Int32, chunks)
+		parallelFor(chunks, func(c int) {
+			time.Sleep(20 * time.Microsecond)
+			counts[c].Add(1)
+		})
+		for c := range counts {
+			if got := counts[c].Load(); got != 1 {
+				return fmt.Errorf("%d chunks: chunk %d ran %d times", chunks, c, got)
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				for _, chunks := range []int{1, 2, 3, 7, 64, 67} {
+					if err := run(chunks); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	// Hold every worker the pool has: one job with a chunk per worker, each
+	// blocking until released.
+	workers := int(atomic.LoadInt32(&kernelWorkers))
+	started, release := make(chan struct{}), make(chan struct{})
+	held := &kernelJob{chunks: int32(workers), fn: func(int) {
+		started <- struct{}{}
+		<-release
+	}}
+	held.pending.Add(workers)
+	for i := 0; i < workers; i++ {
+		kernelJobs <- held
+		<-started
+	}
+	done := make(chan error, 1)
+	go func() { done <- run(64) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Error("a fork with every worker busy did not finish")
+	}
+	close(release)
+	held.pending.Wait()
 }

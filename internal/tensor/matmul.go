@@ -12,8 +12,8 @@ import "fmt"
 // each im2col panel, so neither copies an operand. B's rows are loaded as
 // vectors and cannot be strided: MatMulTransB transposes the smaller side,
 // either b or, through outᵀ = b·aᵀ, a and the result. The kernel is blocked
-// over k (so a panel of B stays in cache), parallelized by partitioning
-// output rows across a goroutine pool (see kernels.go), and inside a panel
+// over k (so a panel of B stays in cache), parallelized by forking chunks of
+// output rows onto a goroutine pool (see kernels.go), and inside a panel
 // runs one of two inner loops: an AVX2 micro-kernel in assembly, vectorised
 // across output columns, or a portable Go tile of 4 output rows x 4 k-steps.
 //
@@ -171,19 +171,19 @@ func transposeInto(dst, src []float64, rows, cols int) {
 }
 
 // matMulCore accumulates A([m,k]) x bd([k,n]) into od([m,n]), where A's
-// element (i, kk) is ad[i*rs + kk*ks], partitioning output rows across the
-// kernel pool when the product is large enough.
+// element (i, kk) is ad[i*rs + kk*ks], forking chunks of output rows when the
+// product is large enough.
 func matMulCore(ad, bd, od []float64, m, k, n, rs, ks int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
-	parts := matmulParts(m, k, n)
-	if parts <= 1 {
+	chunks := matmulChunks(m, k, n)
+	if chunks <= 1 {
 		matMulRows(ad, bd, od, 0, m, k, n, rs, ks)
 		return
 	}
-	parallelFor(parts, func(p int) {
-		matMulRows(ad, bd, od, m*p/parts, m*(p+1)/parts, k, n, rs, ks)
+	parallelFor(chunks, func(c int) {
+		matMulRows(ad, bd, od, m*c/chunks, m*(c+1)/chunks, k, n, rs, ks)
 	})
 }
 

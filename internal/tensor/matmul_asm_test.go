@@ -199,9 +199,9 @@ func TestMatMulBenchShapesMatchNaive(t *testing.T) {
 // TestMatMulRowRangesAreDisjoint stands in for the race detector on the
 // assembly path: a row range writes exactly its own rows of a sentinel-filled
 // output and gets them right, and products (plain, transposed-A, and
-// transposed-B on both sides of its smaller-side rule) and a convolution
-// large enough to fork on their own agree with the naive references while
-// four goroutines run them at once.
+// transposed-B on both sides of its smaller-side rule) and a convolution with
+// both its backward passes, all large enough to fork on their own, agree with
+// the naive references while four goroutines run them at once.
 func TestMatMulRowRangesAreDisjoint(t *testing.T) {
 	old := KernelParallelism()
 	SetKernelParallelism(4)
@@ -212,7 +212,7 @@ func TestMatMulRowRangesAreDisjoint(t *testing.T) {
 	m := matmulParallelThreshold/(k*n) + 9 // forks in matMulCore
 	a, b := randTensor(rng, m, k), randTensor(rng, k, n)
 	want := MatMulNaive(a, b)
-	if matmulParts(m, k, n) < 2 {
+	if matmulChunks(m, k, n) < 2 {
 		t.Fatalf("[%d,%d]x[%d,%d] does not fork", m, k, k, n)
 	}
 	// aᵀ read in place forks over the same m rows. a x cᵀ transposes the
@@ -247,10 +247,17 @@ func TestMatMulRowRangesAreDisjoint(t *testing.T) {
 	in := randTensor(rng, 8, 20, 20, 8)
 	f := randTensor(rng, 3, 3, 8, 32)
 	p := ConvParams{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	if convParts(8*20*20, 3*3*8, 32, ConvPanelRows()) < 2 {
+	const rows, ckk = 8 * 20 * 20, 3 * 3 * 8
+	if chunks, _ := convForwardChunks(rows, ckk, 32); chunks < 2 {
 		t.Fatal("the convolution does not fork")
 	}
+	if convBackwardInputChunks(8, rows, ckk, 32) < 2 || convBackwardFilterChunks(rows, 3*3, 8, 32) < 2 {
+		t.Fatal("a backward pass of the convolution does not fork")
+	}
 	wantConv := Conv2DNaive(in, f, p)
+	gy := randTensor(rng, wantConv.Shape()...)
+	wantGI := Conv2DBackwardInputNaive(gy, f, in.Shape(), p)
+	wantGF := Conv2DBackwardFilterNaive(in, gy, f.Shape(), p)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -275,6 +282,14 @@ func TestMatMulRowRangesAreDisjoint(t *testing.T) {
 					errs <- "forked Conv2D diverged from naive"
 					return
 				}
+				if !bitsEq(Conv2DBackwardInput(gy, f, in.Shape(), p), wantGI) {
+					errs <- "forked Conv2DBackwardInput diverged from naive"
+					return
+				}
+				if !bitsEq(Conv2DBackwardFilter(in, gy, f.Shape(), p), wantGF) {
+					errs <- "forked Conv2DBackwardFilter diverged from naive"
+					return
+				}
 			}
 		}()
 	}
@@ -288,7 +303,8 @@ func TestMatMulRowRangesAreDisjoint(t *testing.T) {
 // TestIm2ColRunAndPixelBranches: on a padded, strided grid the patches of
 // one image take both branches of im2colRows — interior patches copy each
 // kernel row as one run, border patches go pixel by pixel — and both must be
-// the plain gather.
+// the plain gather, over all kernel positions and over position ranges that
+// start and end inside a kernel row.
 func TestIm2ColRunAndPixelBranches(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, c := range []int{1, 3} {
@@ -313,9 +329,20 @@ func TestIm2ColRunAndPixelBranches(t *testing.T) {
 		for i := range got.data {
 			got.data[i] = math.Float64frombits(sentinel)
 		}
-		im2colRows(got.data, in.data, in.shape, 0, n*oh*ow, kh, kw, p)
+		im2colRows(got.data, in.data, in.shape, 0, n*oh*ow, kh, kw, 0, kh*kw, p)
 		if !tensorsBitEqual(got, want) {
 			t.Fatalf("c=%d: im2colRows differs from the plain gather", c)
+		}
+		for _, r := range [][2]int{{1, 5}, {4, 12}, {11, 12}} {
+			k0, k1 := r[0], r[1]
+			part := New(n*oh*ow, (k1-k0)*c)
+			for i := range part.data {
+				part.data[i] = math.Float64frombits(sentinel)
+			}
+			im2colRows(part.data, in.data, in.shape, 0, n*oh*ow, kh, kw, k0, k1, p)
+			if !tensorsBitEqual(part, SliceCols(want, k0*c, k1*c)) {
+				t.Fatalf("c=%d: im2colRows of positions [%d,%d) differs from the plain gather", c, k0, k1)
+			}
 		}
 	}
 }

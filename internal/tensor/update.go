@@ -91,6 +91,14 @@ func (r *UpdateRule) NewState(shape ...int) *UpdateState {
 	return st
 }
 
+// applyParallelFloor is the element count from which Apply forks, in chunks
+// of applyChunk elements; every element is updated independently, so the
+// chunking never changes results.
+const (
+	applyParallelFloor = 1 << 16
+	applyChunk         = 1 << 14
+)
+
 // Apply performs one update of w in place from gradient g, advancing st.
 // norm is the global gradient norm (only read when the rule clips). w, g and
 // the slots must be tensors of one shape; g is not modified and must
@@ -99,12 +107,30 @@ func (r *UpdateRule) Apply(w *Tensor, st *UpdateState, g *Tensor, norm float64) 
 	if !SameShape(w.shape, g.shape) {
 		panic(fmt.Sprintf("tensor: UpdateRule.Apply gradient shape %v vs variable %v", g.shape, w.shape))
 	}
-	scale := 1.0
-	if r.MaxGradNorm > 0 {
-		scale = math.Min(1, r.MaxGradNorm/(norm+1e-12))
-	}
+	scale := r.clipScale(norm)
 	st.Steps++
-	wd, gd, nlr := w.data, g.data[:len(w.data)], -r.LR
+	n := len(w.data)
+	if n < applyParallelFloor || KernelParallelism() == 1 {
+		r.apply(w, st, g, scale, 0, n)
+		return
+	}
+	parallelFor((n+applyChunk-1)/applyChunk, func(c int) {
+		r.apply(w, st, g, scale, c*applyChunk, min((c+1)*applyChunk, n))
+	})
+}
+
+// clipScale is the factor every gradient element is multiplied by:
+// min(1, MaxGradNorm/(norm+1e-12)) when the rule clips, 1 otherwise.
+func (r *UpdateRule) clipScale(norm float64) float64 {
+	if r.MaxGradNorm > 0 {
+		return math.Min(1, r.MaxGradNorm/(norm+1e-12))
+	}
+	return 1
+}
+
+// apply updates elements [i0, i1) of w and the slots.
+func (r *UpdateRule) apply(w *Tensor, st *UpdateState, g *Tensor, scale float64, i0, i1 int) {
+	wd, gd, nlr := w.data[i0:i1], g.data[i0:i1], -r.LR
 	switch r.Kind {
 	case UpdateSGD:
 		// AddTo(w, Mul(g, scale), -lr)
@@ -114,7 +140,7 @@ func (r *UpdateRule) Apply(w *Tensor, st *UpdateState, g *Tensor, norm float64) 
 		}
 	case UpdateMomentum:
 		// m' = Add(Scale(m, β1), gs); AddTo(w, m', -lr)
-		md, b1 := st.M.data[:len(wd)], r.Beta1
+		md, b1 := st.M.data[i0:i1], r.Beta1
 		for i := range wd {
 			gs := float64(gd[i] * scale)
 			m := flushSlot(float64(md[i]*b1) + gs)
@@ -124,7 +150,7 @@ func (r *UpdateRule) Apply(w *Tensor, st *UpdateState, g *Tensor, norm float64) 
 	case UpdateRMSProp:
 		// v' = Add(Scale(v, β2), Scale(Square(gs), 1-β2));
 		// AddTo(w, Div(gs, Sqrt(AddScalar(v', ε))), -lr)
-		vd, b2, omb2, eps := st.V.data[:len(wd)], r.Beta2, 1-r.Beta2, r.Epsilon
+		vd, b2, omb2, eps := st.V.data[i0:i1], r.Beta2, 1-r.Beta2, r.Epsilon
 		for i := range wd {
 			gs := float64(gd[i] * scale)
 			v := flushSlot(float64(vd[i]*b2) + float64(float64(gs*gs)*omb2))
@@ -135,7 +161,7 @@ func (r *UpdateRule) Apply(w *Tensor, st *UpdateState, g *Tensor, norm float64) 
 		// m' = Add(Scale(m, β1), Scale(gs, 1-β1));
 		// v' = Add(Scale(v, β2), Scale(Square(gs), 1-β2));
 		// AddTo(w, Div(Mul(m', c), AddScalar(Sqrt(v'), ε)), -lr)
-		md, vd := st.M.data[:len(wd)], st.V.data[:len(wd)]
+		md, vd := st.M.data[i0:i1], st.V.data[i0:i1]
 		b1, omb1, b2, omb2, eps := r.Beta1, 1-r.Beta1, r.Beta2, 1-r.Beta2, r.Epsilon
 		t := float64(st.Steps)
 		c := math.Sqrt(1-math.Pow(b2, t)) / (1 - math.Pow(b1, t))

@@ -50,12 +50,15 @@ func slotOrZero(t *Tensor, n int) *Tensor {
 
 // TestUpdateMatchesComposedOps: five consecutive fused updates equal the
 // composed elementwise chain bit for bit — weights and slots — for every
-// rule, with and without clipping, at lengths around the unroll widths.
+// rule, with and without clipping, at lengths around the unroll widths and
+// at one above the floor from which four workers share the update.
 func TestUpdateMatchesComposedOps(t *testing.T) {
+	defer SetKernelParallelism(0)
+	SetKernelParallelism(4)
 	rng := rand.New(rand.NewSource(11))
 	for _, maxNorm := range []float64{0, 0.7} {
 		for _, r := range testRules(maxNorm) {
-			for _, n := range []int{1, 3, 4, 5, 4097} {
+			for _, n := range []int{1, 3, 4, 5, 4097, applyParallelFloor + 4097} {
 				w := RandNormal(rng, 0, 1, n)
 				st := r.NewState(n)
 				wRef, mRef, vRef := w.Clone(), slotOrZero(st.M, n), slotOrZero(st.V, n)
