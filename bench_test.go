@@ -255,6 +255,39 @@ func BenchmarkKernelMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelElementwise measures the single-core cost per element of the
+// small-tensor kernels at the dense workloads' shapes: a 32x64 hidden
+// activation, its ReLU backward, its bias gradient [32,64]→[64], an add of
+// two of them, and one Adam step over a 64x64 layer and its bias.
+func BenchmarkKernelElementwise(b *testing.B) {
+	defer tensor.SetKernelParallelism(tensor.KernelParallelism())
+	tensor.SetKernelParallelism(1)
+	rng := rand.New(rand.NewSource(1))
+	x, y := tensor.RandNormal(rng, 0, 1, 32, 64), tensor.RandNormal(rng, 0, 1, 32, 64)
+	out, bias := tensor.New(32, 64), tensor.New(64)
+	rule := tensor.UpdateRule{Kind: tensor.UpdateAdam, LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
+	w, g := tensor.RandNormal(rng, 0, 1, 4160), tensor.RandNormal(rng, 0, 1, 4160)
+	st := rule.NewState(4160)
+	for _, k := range []struct {
+		name string
+		n    int
+		run  func()
+	}{
+		{"ReluFlat/2048", 2048, func() { tensor.ReluFlat(out.Data(), x.Data()) }},
+		{"ReluBackwardInto/32x64", 2048, func() { tensor.ReluBackwardInto(out, x, y) }},
+		{"AddFlat/2048", 2048, func() { tensor.AddFlat(out.Data(), x.Data(), y.Data()) }},
+		{"UnbroadcastInto/32x64-64", 2048, func() { tensor.UnbroadcastInto(bias, x) }},
+		{"AdamApply/4160", 4160, func() { rule.Apply(w, st, g, 0) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.n), "ns/elem")
+		})
+	}
+}
+
 // BenchmarkAblationSessionBatching isolates the cost of splitting an update
 // into multiple executor calls versus the single batched call RLgraph emits.
 func BenchmarkAblationSessionBatching(b *testing.B) {

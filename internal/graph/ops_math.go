@@ -8,10 +8,12 @@ import (
 
 // binOp is a broadcasting elementwise binary op. gradFn may be nil for
 // non-differentiable ops (comparisons); autodiff then treats the op as a
-// constant. flat, when set, is the same-shape flat kernel: it lets Eval skip
-// the broadcast machinery and allocate the output from the run's arena; the
-// loop body is identical to the tensor-package op's same-shape path, so both
-// paths are bit-for-bit equal.
+// constant. flat, when set, is the op's flat kernel: Eval runs it on same
+// shapes and suffix broadcasts — bias adds ([B,N]+[N]), scalar operands —
+// one tile at a time, and on column broadcasts — the dueling head's
+// [B,N]-[B,1] and [B,1]+[B,N] — one row at a time, with the output from the
+// run's arena. Element order and arithmetic are those of the tensor-package
+// op, so both paths are bit-for-bit equal.
 type binOp struct {
 	name   string
 	fn     func(a, b *tensor.Tensor) *tensor.Tensor
@@ -27,37 +29,25 @@ func (o *binOp) InferShape(in [][]int) ([]int, error) {
 	return broadcastStatic(in[0], in[1])
 }
 func (o *binOp) Eval(ctx *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	if o.flat != nil {
-		a, b := in[0], in[1]
-		if tensor.SameShape(a.Shape(), b.Shape()) {
-			out := ctx.NewTensor(a.Shape()...)
-			o.flat(out.Data(), a.Data(), b.Data())
-			return out, nil
-		}
-		// Suffix broadcasts — bias adds ([B,N]+[N]) and scalar operands —
-		// tile the smaller operand over the larger one's leading dims, so the
-		// flat kernel can run once per tile with no broadcast indexers and no
-		// offset tables. Element order and arithmetic are exactly those of
-		// the generic tensor-package broadcast path, so results stay
-		// bit-for-bit identical.
-		if n := b.Size(); n > 0 && suffixShape(a.Shape(), b.Shape()) {
-			out := ctx.NewTensor(a.Shape()...)
-			od, ad, bd := out.Data(), a.Data(), b.Data()
-			for r := 0; r+n <= len(od); r += n {
-				o.flat(od[r:r+n], ad[r:r+n], bd)
-			}
-			return out, nil
-		}
-		if n := a.Size(); n > 0 && suffixShape(b.Shape(), a.Shape()) {
-			out := ctx.NewTensor(b.Shape()...)
-			od, ad, bd := out.Data(), a.Data(), b.Data()
-			for r := 0; r+n <= len(od); r += n {
-				o.flat(od[r:r+n], ad, bd[r:r+n])
-			}
-			return out, nil
-		}
+	a, b := in[0], in[1]
+	if o.flat == nil {
+		return o.fn(a, b), nil
 	}
-	return o.fn(in[0], in[1]), nil
+	big, small := a.Shape(), b.Shape()
+	if tensor.SuffixShape(small, big) || tensor.ColumnShape(small, big) {
+		big, small = small, big
+	}
+	switch {
+	case tensor.SuffixShape(big, small):
+		out := ctx.NewTensor(big...)
+		tensor.TileFlat(o.flat, out.Data(), a.Data(), b.Data())
+		return out, nil
+	case tensor.ColumnShape(big, small):
+		out := ctx.NewTensor(big...)
+		tensor.ColumnFlat(o.flat, out.Data(), a.Data(), b.Data())
+		return out, nil
+	}
+	return o.fn(a, b), nil
 }
 func (o *binOp) Grad(g *Graph, n *Node, gy *Node) []*Node {
 	if o.gradFn == nil {
@@ -66,25 +56,6 @@ func (o *binOp) Grad(g *Graph, n *Node, gy *Node) []*Node {
 	return o.gradFn(g, n, gy)
 }
 func (o *binOp) ValueSemantics() {}
-
-// suffixShape reports whether small broadcasts against big purely by tiling:
-// after stripping leading 1-dims, small's shape must be a suffix of big's.
-// Scalars (rank 0 or all-ones shapes) trivially qualify.
-func suffixShape(big, small []int) bool {
-	for len(small) > 0 && small[0] == 1 {
-		small = small[1:]
-	}
-	if len(small) > len(big) {
-		return false
-	}
-	off := len(big) - len(small)
-	for i, d := range small {
-		if big[off+i] != d {
-			return false
-		}
-	}
-	return true
-}
 
 // unOp is an elementwise unary op. flat is the flat fast-path kernel (see
 // binOp); sval carries the compile-time scalar of parameterized ops (Scale,

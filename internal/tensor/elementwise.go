@@ -35,63 +35,94 @@ func BroadcastShapes(a, b []int) ([]int, error) {
 	return out, nil
 }
 
-// broadcastIndexer produces, for an output shape, the flat source offset in a
-// tensor of shape src for each output element. Dimensions of size 1 in src
-// repeat.
-type broadcastIndexer struct {
-	outShape  []int
-	srcStride []int // stride per output dim (0 where src dim == 1)
-}
-
-func newBroadcastIndexer(src, out []int) broadcastIndexer {
-	pad := len(out) - len(src)
-	strides := Strides(src)
-	ss := make([]int, len(out))
-	for i := range out {
-		if i < pad {
-			ss[i] = 0
-			continue
-		}
-		if src[i-pad] == 1 {
-			ss[i] = 0
-		} else {
-			ss[i] = strides[i-pad]
-		}
+// SuffixShape reports whether small broadcasts against big purely by tiling,
+// into big's shape: small has no more dims than big, and after stripping its
+// leading 1-dims its shape is a suffix of big's. Equal shapes and scalars
+// (rank 0 or all-ones shapes) qualify.
+func SuffixShape(big, small []int) bool {
+	if len(small) > len(big) {
+		return false
 	}
-	return broadcastIndexer{outShape: out, srcStride: ss}
+	for len(small) > 0 && small[0] == 1 {
+		small = small[1:]
+	}
+	return SameShape(big[len(big)-len(small):], small)
 }
 
-// forEach walks the output space in row-major order invoking fn with the
-// source offset for each output position.
-func (bi broadcastIndexer) forEach(fn func(outIdx, srcIdx int)) {
-	n := NumElems(bi.outShape)
-	if n == 0 {
+// ColumnShape reports whether small is big with its last dim cut to 1, so
+// that it holds one scalar per row of big: [B,N] against [B,1].
+func ColumnShape(big, small []int) bool {
+	r := len(big) - 1
+	return r >= 0 && len(small) == r+1 && small[r] == 1 && SameShape(big[:r], small[:r])
+}
+
+// The two broadcast row paths below run a flat kernel fn on slices of its
+// operands, so each element is fn's expression on the operands, in the
+// order, of the generic broadcast path; dst has the longer operand's length.
+
+// TileFlat is the row path of a suffix broadcast (SuffixShape): the shorter
+// of a and b repeats across the longer, one fn call per repetition.
+func TileFlat(fn func(dst, a, b []float64), dst, a, b []float64) {
+	n := min(len(a), len(b))
+	for r := 0; n > 0 && r < len(dst); r += n {
+		fn(dst[r:r+n], tile(a, r, n), tile(b, r, n))
+	}
+}
+
+// tile returns the n elements of x from r on, or x itself when it is the
+// repeating operand.
+func tile(x []float64, r, n int) []float64 {
+	if len(x) == n {
+		return x
+	}
+	return x[r : r+n]
+}
+
+// ColumnFlat is the row path of a column broadcast (ColumnShape): the
+// shorter of a and b holds one scalar per row of the longer. Each row's
+// scalar is copied across a scratch row, which stands in for that operand.
+func ColumnFlat(fn func(dst, a, b []float64), dst, a, b []float64) {
+	if len(dst) == 0 {
 		return
 	}
-	idx := make([]int, len(bi.outShape))
-	src := 0
-	for out := 0; out < n; out++ {
-		fn(out, src)
-		// Increment multi-index.
-		for d := len(idx) - 1; d >= 0; d-- {
-			idx[d]++
-			src += bi.srcStride[d]
-			if idx[d] < bi.outShape[d] {
-				break
-			}
-			src -= idx[d] * bi.srcStride[d]
-			idx[d] = 0
+	colFirst := len(a) < len(b)
+	col, full := b, a
+	if colFirst {
+		col, full = a, b
+	}
+	n := len(dst) / len(col)
+	s := getScratch(n)
+	row := s.data
+	for r, c := range col {
+		for j := range row {
+			row[j] = c
+		}
+		d, f := dst[r*n:(r+1)*n], full[r*n:(r+1)*n]
+		if colFirst {
+			fn(d, row, f)
+		} else {
+			fn(d, f, row)
 		}
 	}
+	putScratch(s)
 }
 
-// maxOdoRank bounds the stack-resident odometer used by the broadcast walks
-// below; higher-rank operands fall back to the allocating indexer path.
+// maxOdoRank bounds the stack-resident odometers of the broadcast walks
+// below; higher ranks allocate theirs (odoScratch).
 const maxOdoRank = 8
 
+// odoScratch returns n zeroed ints for an odometer's strides and index: buf,
+// the caller's stack array, when it is long enough, else a fresh slice.
+func odoScratch(buf []int, n int) []int {
+	if n > len(buf) {
+		return make([]int, n)
+	}
+	return buf[:n]
+}
+
 // broadcastOdoStrides fills dst (length len(out)) with the per-output-dim
-// flat strides into a tensor of shape src, exactly as newBroadcastIndexer
-// computes them (0 for padded and size-1 dims), without allocating.
+// flat strides into a tensor of shape src: 0 for padded and size-1 dims,
+// which therefore repeat.
 func broadcastOdoStrides(dst []int, src, out []int) {
 	pad := len(out) - len(src)
 	for i := 0; i < pad; i++ {
@@ -110,35 +141,21 @@ func broadcastOdoStrides(dst []int, src, out []int) {
 
 // binary applies fn elementwise with broadcasting. The hot named ops below
 // bypass this for the contiguous same-shape case with flat kernels that pay
-// no per-element closure call; this generic path remains the broadcast
-// reference. The broadcast walk advances both source offsets with a single
-// stack-resident odometer — same element order and arithmetic as the
-// indexer-table formulation it replaced, with no per-call offset tables.
+// no per-element closure call; this generic path remains the reference. It
+// visits the output in row-major order and advances both source offsets
+// with one odometer.
 func binary(a, b *Tensor, fn func(x, y float64) float64) *Tensor {
-	if SameShape(a.shape, b.shape) {
-		out := New(a.shape...)
-		for i := range out.data {
-			out.data[i] = fn(a.data[i], b.data[i])
-		}
-		return out
-	}
 	shape, err := BroadcastShapes(a.shape, b.shape)
 	if err != nil {
 		panic(err)
 	}
 	out := New(shape...)
 	r := len(shape)
-	if r > maxOdoRank {
-		ai := newBroadcastIndexer(a.shape, shape)
-		biB := newBroadcastIndexer(b.shape, shape)
-		aoff := make([]int, out.Size())
-		ai.forEach(func(o, s int) { aoff[o] = s })
-		biB.forEach(func(o, s int) { out.data[o] = fn(a.data[aoff[o]], b.data[s]) })
-		return out
-	}
-	var as, bs, ix [maxOdoRank]int
-	broadcastOdoStrides(as[:r], a.shape, shape)
-	broadcastOdoStrides(bs[:r], b.shape, shape)
+	var buf [3 * maxOdoRank]int
+	odo := odoScratch(buf[:], 3*r)
+	as, bs, ix := odo[:r], odo[r:2*r], odo[2*r:]
+	broadcastOdoStrides(as, a.shape, shape)
+	broadcastOdoStrides(bs, b.shape, shape)
 	ai, bi := 0, 0
 	for o := range out.data {
 		out.data[o] = fn(a.data[ai], b.data[bi])
@@ -168,9 +185,37 @@ func binary(a, b *Tensor, fn func(x, y float64) float64) *Tensor {
 // (gonum-style): four independent lanes per iteration amortize bounds checks
 // and let the compiler keep the lane values in registers. Elementwise lanes
 // are independent, so unrolling cannot change results.
+//
+// AddFlat and ReluFlat, like ReluBackwardInto and Adam's update, hand their
+// first vecLen elements to an AVX2 kernel that reproduces the Go loop bit for
+// bit (elementwise_amd64.s), at most asmCallElems per call; the Go loop runs
+// the rest.
+
+// asmCallElems bounds the elements of one call into a streaming elementwise
+// kernel (~20 µs), for the reason asmCallMadds bounds a matmul call.
+const asmCallElems = 1 << 16
+
+// vecLen is how many leading elements of an n-element loop the assembly
+// kernels take: n rounded down to a multiple of 4 with AVX2, none without.
+func vecLen(n int) int {
+	if useAVX2 {
+		return n &^ 3
+	}
+	return 0
+}
 
 // AddFlat sets dst[i] = a[i] + b[i].
 func AddFlat(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	v := vecLen(len(dst))
+	for i := 0; i < v; i += asmCallElems {
+		addAVX2(&dst[i], &a[i], &b[i], min(asmCallElems, v-i))
+	}
+	addGo(dst[v:], a[v:], b[v:])
+}
+
+// addGo is AddFlat's Go loop.
+func addGo(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
@@ -351,8 +396,19 @@ func AbsFlat(dst, a []float64) {
 
 // ReluFlat sets dst[i] = max(a[i], 0). The builtin follows math.Max's rules
 // (NaN stays NaN, -0 becomes +0) but compiles to an inline branch-free
-// sequence instead of a call per element.
+// sequence instead of a call per element; on amd64 its NaN is the input's
+// with the sign bit cleared, which the assembly kernel reproduces.
 func ReluFlat(dst, a []float64) {
+	a = a[:len(dst)]
+	v := vecLen(len(dst))
+	for i := 0; i < v; i += asmCallElems {
+		reluAVX2(&dst[i], &a[i], min(asmCallElems, v-i))
+	}
+	reluGo(dst[v:], a[v:])
+}
+
+// reluGo is ReluFlat's Go loop.
+func reluGo(dst, a []float64) {
 	a = a[:len(dst)]
 	for i := range dst {
 		dst[i] = max(a[i], 0)
@@ -567,17 +623,34 @@ func Where(cond, a, b *Tensor) *Tensor {
 		}
 		return out
 	}
-	coff := make([]int, out.Size())
-	aoff := make([]int, out.Size())
-	newBroadcastIndexer(cond.shape, shape).forEach(func(o, s int) { coff[o] = s })
-	newBroadcastIndexer(a.shape, shape).forEach(func(o, s int) { aoff[o] = s })
-	newBroadcastIndexer(b.shape, shape).forEach(func(o, s int) {
-		if cond.data[coff[o]] != 0 {
-			out.data[o] = a.data[aoff[o]]
+	r := len(shape)
+	var buf [4 * maxOdoRank]int
+	odo := odoScratch(buf[:], 4*r)
+	st, ix := odo[:3*r], odo[3*r:]
+	for k, t := range []*Tensor{cond, a, b} {
+		broadcastOdoStrides(st[k*r:(k+1)*r], t.shape, shape)
+	}
+	var off [3]int
+	for o := range out.data {
+		if cond.data[off[0]] != 0 {
+			out.data[o] = a.data[off[1]]
 		} else {
-			out.data[o] = b.data[s]
+			out.data[o] = b.data[off[2]]
 		}
-	})
+		for d := r - 1; d >= 0; d-- {
+			ix[d]++
+			for k := range off {
+				off[k] += st[k*r+d]
+			}
+			if ix[d] < shape[d] {
+				break
+			}
+			for k := range off {
+				off[k] -= ix[d] * st[k*r+d]
+			}
+			ix[d] = 0
+		}
+	}
 	return out
 }
 
@@ -691,19 +764,18 @@ func AddInPlace(dst, src *Tensor) {
 	if !SameShape(dst.shape, src.shape) {
 		panic(fmt.Sprintf("tensor: AddInPlace shape mismatch %v vs %v", dst.shape, src.shape))
 	}
-	for i := range dst.data {
-		dst.data[i] += src.data[i]
-	}
+	AddFlat(dst.data, dst.data, src.data)
 }
 
 // AddBroadcastInPlace accumulates src into dst, broadcasting src up to dst's
 // shape. Each dst element receives dst[i] += src[bcast(i)], so with dst
 // zero-filled the result matches Add(zeros(dstShape), src) exactly (including
 // the +0 result of 0 + (-0)). src must be broadcast-compatible with dst and
-// must not exceed it in any dimension.
+// must not exceed it in any dimension. When src tiles dst (SuffixShape), each
+// tile of dst takes AddFlat(tile, tile, src).
 func AddBroadcastInPlace(dst, src *Tensor) {
-	if SameShape(dst.shape, src.shape) {
-		AddInPlace(dst, src)
+	if SuffixShape(dst.shape, src.shape) {
+		TileFlat(AddFlat, dst.data, dst.data, src.data)
 		return
 	}
 	pad := len(dst.shape) - len(src.shape)
@@ -716,15 +788,10 @@ func AddBroadcastInPlace(dst, src *Tensor) {
 		}
 	}
 	r := len(dst.shape)
-	if r > maxOdoRank {
-		bi := newBroadcastIndexer(src.shape, dst.shape)
-		bi.forEach(func(dstIdx, srcIdx int) {
-			dst.data[dstIdx] += src.data[srcIdx]
-		})
-		return
-	}
-	var ss, ix [maxOdoRank]int
-	broadcastOdoStrides(ss[:r], src.shape, dst.shape)
+	var buf [2 * maxOdoRank]int
+	odo := odoScratch(buf[:], 2*r)
+	ss, ix := odo[:r], odo[r:]
+	broadcastOdoStrides(ss, src.shape, dst.shape)
 	si := 0
 	for d := range dst.data {
 		dst.data[d] += src.data[si]
@@ -769,20 +836,29 @@ func UnbroadcastTo(grad *Tensor, target []int) *Tensor {
 // (or hold a partial sum to accumulate onto) and broadcast-compatible with
 // grad. It is the allocation-free core of UnbroadcastTo, for callers that
 // provide arena-backed output storage.
+//
+// When out's shape tiles grad's (SuffixShape: the bias gradient [B,N]→[N] or
+// [1,N]), grad's rows are added into out in ascending order with AddFlat —
+// the odometer's accumulation order, without its index arithmetic.
 func UnbroadcastInto(out, grad *Tensor) *Tensor {
-	target := out.shape
-	r := len(grad.shape)
-	if r > maxOdoRank {
-		bi := newBroadcastIndexer(target, grad.shape)
-		bi.forEach(func(gradIdx, srcIdx int) {
-			out.data[srcIdx] += grad.data[gradIdx]
-		})
+	if n := len(out.data); n > 0 && SuffixShape(grad.shape, out.shape) {
+		for r := 0; r < len(grad.data); r += n {
+			AddFlat(out.data, out.data, grad.data[r:r+n])
+		}
 		return out
 	}
-	// Same grad-row-major accumulation order as the indexer formulation,
-	// via the stack odometer.
-	var ts, ix [maxOdoRank]int
-	broadcastOdoStrides(ts[:r], target, grad.shape)
+	return unbroadcastOdometer(out, grad)
+}
+
+// unbroadcastOdometer is UnbroadcastInto for any compatible shapes: it walks
+// grad in row-major order and adds each element into the out element it was
+// broadcast from.
+func unbroadcastOdometer(out, grad *Tensor) *Tensor {
+	r := len(grad.shape)
+	var buf [2 * maxOdoRank]int
+	odo := odoScratch(buf[:], 2*r)
+	ts, ix := odo[:r], odo[r:]
+	broadcastOdoStrides(ts, out.shape, grad.shape)
 	si := 0
 	for g := range grad.data {
 		out.data[si] += grad.data[g]

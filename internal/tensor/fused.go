@@ -84,6 +84,17 @@ func ReluBackwardInto(out, gy, x *Tensor) *Tensor {
 	sameShape3("ReluBackward", gy, x)
 	gd, xd := gy.data, x.data[:len(gy.data)]
 	od := out.data[:len(gy.data)]
+	v := vecLen(len(od))
+	for i := 0; i < v; i += asmCallElems {
+		reluBackwardAVX2(&od[i], &gd[i], &xd[i], min(asmCallElems, v-i))
+	}
+	reluBackwardGo(od[v:], gd[v:], xd[v:])
+	return out
+}
+
+// reluBackwardGo is ReluBackwardInto's Go loop.
+func reluBackwardGo(od, gd, xd []float64) {
+	gd, xd = gd[:len(od)], xd[:len(od)]
 	for i := range od {
 		m := 0.0
 		if xd[i] > 0 {
@@ -91,7 +102,6 @@ func ReluBackwardInto(out, gy, x *Tensor) *Tensor {
 		}
 		od[i] = gd[i] * m
 	}
-	return out
 }
 
 // ReluBackward returns gy*mask(x) — the fusion of Mul(gy, ReluGrad(x)), the

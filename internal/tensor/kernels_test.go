@@ -185,23 +185,22 @@ func TestReluBackwardSignedZero(t *testing.T) {
 	}
 }
 
-// TestReluFlatMatchesMathMax: the builtin max keeps math.Max's rules on
-// every special operand — -0 becomes +0, ±Inf and subnormals pass or clamp
-// bit for bit, and NaN stays NaN (its payload is not specified).
+// TestReluFlatMatchesMathMax: ReluFlat is the builtin max(x, 0) bit for bit,
+// which keeps math.Max's rules on every special operand — -0 becomes +0, ±Inf
+// and subnormals pass or clamp — and keeps the builtin's NaN, whose bits
+// differ by architecture: amd64 clears the sign (0x7ff8000000000000 for
+// Inf-Inf), 386 returns the operand. The operands fill more than one 4-lane
+// vector, so the assembly kernel sees them too.
 func TestReluFlatMatchesMathMax(t *testing.T) {
 	src := append([]float64{1.5, -1.5, -0x1p-1074}, specials...)
+	for _, b := range []uint64{0x7ff8000000000001, 0xfff8dead0000beef, 0x7ff0000000000001, 0xfff0000000000001} {
+		src = append(src, math.Float64frombits(b))
+	}
 	dst := make([]float64, len(src))
 	ReluFlat(dst, src)
 	for i, x := range src {
-		want := math.Max(x, 0)
-		if math.IsNaN(want) {
-			if !math.IsNaN(dst[i]) {
-				t.Errorf("ReluFlat(NaN) = %v, want NaN", dst[i])
-			}
-			continue
-		}
-		if math.Float64bits(dst[i]) != math.Float64bits(want) {
-			t.Errorf("ReluFlat(%v) = %v (bits %x), math.Max gives %v (bits %x)", x, dst[i], math.Float64bits(dst[i]), want, math.Float64bits(want))
+		if want := max(x, 0); math.Float64bits(dst[i]) != math.Float64bits(want) {
+			t.Errorf("ReluFlat(%v) = %v (bits %x), max(x, 0) gives %v (bits %x)", x, dst[i], math.Float64bits(dst[i]), want, math.Float64bits(want))
 		}
 	}
 }

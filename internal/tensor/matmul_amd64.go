@@ -1,8 +1,8 @@
 package tensor
 
-// useAVX2 reports whether matMulRows may call the assembly micro-kernel. It
-// is read once, at package initialisation, from CPUID and XGETBV: the CPU
-// must implement AVX2 and the operating system must save YMM state.
+// useAVX2 reports whether the assembly kernels may run. It is read once, at
+// package initialisation, from CPUID and XGETBV: the CPU must implement AVX2
+// and the operating system must save YMM state.
 var useAVX2 = hasAVX2()
 
 func hasAVX2() bool
@@ -17,3 +17,19 @@ func hasAVX2() bool
 //
 //go:noescape
 func matMulAVX2(a, b, o *float64, rows, kc, cols, rs, n, ks int)
+
+// The elementwise kernels in elementwise_amd64.s each run the Go loop of the
+// function that calls them on n elements, n a multiple of 4, bit for bit:
+// ReluFlat's, ReluBackwardInto's, AddFlat's and adamStep.update's.
+
+//go:noescape
+func reluAVX2(dst, a *float64, n int)
+
+//go:noescape
+func reluBackwardAVX2(dst, gy, x *float64, n int)
+
+//go:noescape
+func addAVX2(dst, a, b *float64, n int)
+
+//go:noescape
+func adamAVX2(w, grad, m, v *float64, n int, s adamStep)

@@ -510,7 +510,7 @@ func TestSliceColsPadColsAdjoint(t *testing.T) {
 }
 
 // TestUnbroadcastIntoMatchesUnbroadcastTo pins the arena-friendly Into form
-// (and the rank>8 indexer fallback) bit-for-bit against UnbroadcastTo.
+// bit-for-bit against UnbroadcastTo.
 func TestUnbroadcastIntoMatchesUnbroadcastTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cases := []struct{ gradShape, target []int }{
@@ -519,7 +519,7 @@ func TestUnbroadcastIntoMatchesUnbroadcastTo(t *testing.T) {
 		{[]int{2, 3, 4}, []int{4}},
 		{[]int{2, 3, 4}, []int{3, 1}},
 		{[]int{5}, []int{}},
-		{[]int{2, 1, 2, 1, 2, 1, 2, 1, 2}, []int{1, 2, 1, 2, 1, 2, 1, 2}}, // rank 9: indexer path
+		{[]int{2, 1, 2, 1, 2, 1, 2, 1, 2}, []int{1, 2, 1, 2, 1, 2, 1, 2}}, // rank 9, a suffix: the row path
 	}
 	for _, cs := range cases {
 		grad := RandNormal(rng, 0, 1, cs.gradShape...)
@@ -545,7 +545,7 @@ func TestAddBroadcastInPlaceMatchesAdd(t *testing.T) {
 		{[]int{32, 4}, []int{1, 4}},
 		{[]int{32, 4}, []int{}},
 		{[]int{2, 3, 4}, []int{3, 1}},
-		{[]int{2, 1, 2, 1, 2, 1, 2, 1, 2}, []int{2, 1, 2, 1, 2, 1, 2, 1, 1}}, // rank 9: indexer path
+		{[]int{2, 1, 2, 1, 2, 1, 2, 1, 2}, []int{2, 1, 2, 1, 2, 1, 2, 1, 1}}, // rank 9: heap odometer scratch
 	}
 	for _, cs := range cases {
 		src := RandNormal(rng, 0, 1, cs.src...)
@@ -560,10 +560,10 @@ func TestAddBroadcastInPlaceMatchesAdd(t *testing.T) {
 	}
 }
 
-// TestBinaryBroadcastOdometerPinned pins the generic broadcast walk (the
-// stack odometer that replaced the indexer tables) against an explicit
-// coordinate-arithmetic reference, across suffix, column, middle-1 and
-// mutual-broadcast shapes plus a rank-9 case that takes the fallback path.
+// TestBinaryBroadcastOdometerPinned pins the generic broadcast walk (one
+// odometer) against an explicit coordinate-arithmetic reference, across
+// suffix, column, middle-1 and mutual-broadcast shapes plus a rank-9 case
+// whose odometer scratch comes from the heap.
 func TestBinaryBroadcastOdometerPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []struct{ a, b []int }{

@@ -158,22 +158,51 @@ func (r *UpdateRule) apply(w *Tensor, st *UpdateState, g *Tensor, scale float64,
 			wd[i] += float64(nlr * (gs / math.Sqrt(v+eps)))
 		}
 	case UpdateAdam:
-		// m' = Add(Scale(m, β1), Scale(gs, 1-β1));
-		// v' = Add(Scale(v, β2), Scale(Square(gs), 1-β2));
-		// AddTo(w, Div(Mul(m', c), AddScalar(Sqrt(v'), ε)), -lr)
 		md, vd := st.M.data[i0:i1], st.V.data[i0:i1]
-		b1, omb1, b2, omb2, eps := r.Beta1, 1-r.Beta1, r.Beta2, 1-r.Beta2, r.Epsilon
-		t := float64(st.Steps)
-		c := math.Sqrt(1-math.Pow(b2, t)) / (1 - math.Pow(b1, t))
-		for i := range wd {
-			gs := float64(gd[i] * scale)
-			m := flushSlot(float64(md[i]*b1) + float64(gs*omb1))
-			v := flushSlot(float64(vd[i]*b2) + float64(float64(gs*gs)*omb2))
-			md[i], vd[i] = m, v
-			wd[i] += float64(nlr * (float64(m*c) / (math.Sqrt(v) + eps)))
+		s := r.adamStep(scale, st.Steps)
+		v := vecLen(len(wd))
+		for i := 0; i < v; i += adamCallElems {
+			adamAVX2(&wd[i], &gd[i], &md[i], &vd[i], min(adamCallElems, v-i), s)
 		}
+		s.update(wd[v:], gd[v:], md[v:], vd[v:])
 	default:
 		panic(fmt.Sprintf("tensor: unknown update kind %d", r.Kind))
+	}
+}
+
+// adamCallElems bounds the elements of one adamAVX2 call (~15 µs: the loop
+// waits on the divider for each vector's square root and division).
+const adamCallElems = 1 << 13
+
+// adamStep holds the scalars of one Adam update; the field order is
+// adamAVX2's frame layout.
+type adamStep struct {
+	scale, b1, omb1, b2, omb2, c, eps, nlr, thr float64
+}
+
+// adamStep returns the scalars of update number steps with clip factor
+// scale. c is the bias correction sqrt(1-β2^t)/(1-β1^t).
+func (r *UpdateRule) adamStep(scale float64, steps int) adamStep {
+	t := float64(steps)
+	return adamStep{
+		scale: scale, b1: r.Beta1, omb1: 1 - r.Beta1, b2: r.Beta2, omb2: 1 - r.Beta2,
+		c:   math.Sqrt(1-math.Pow(r.Beta2, t)) / (1 - math.Pow(r.Beta1, t)),
+		eps: r.Epsilon, nlr: -r.LR, thr: slotFlushBelow,
+	}
+}
+
+// update is the Adam loop in Go:
+// m' = Add(Scale(m, β1), Scale(gs, 1-β1));
+// v' = Add(Scale(v, β2), Scale(Square(gs), 1-β2));
+// AddTo(w, Div(Mul(m', c), AddScalar(Sqrt(v'), ε)), -lr)
+func (s adamStep) update(wd, gd, md, vd []float64) {
+	gd, md, vd = gd[:len(wd)], md[:len(wd)], vd[:len(wd)]
+	for i := range wd {
+		gs := float64(gd[i] * s.scale)
+		m := flushSlot(float64(md[i]*s.b1) + float64(gs*s.omb1))
+		v := flushSlot(float64(vd[i]*s.b2) + float64(float64(gs*gs)*s.omb2))
+		md[i], vd[i] = m, v
+		wd[i] += float64(s.nlr * (float64(m*s.c) / (math.Sqrt(v) + s.eps)))
 	}
 }
 
