@@ -163,19 +163,6 @@ func BenchmarkFig9ImpalaThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFastPath isolates define-by-run component-dispatch
-// overhead via the contracted-call fast path (paper §5.1 edge contraction).
-func BenchmarkAblationFastPath(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := benchkit.FastPathAblation(4, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].FPS, "fps_dispatch")
-		b.ReportMetric(rows[1].FPS, "fps_fastpath")
-	}
-}
-
 // BenchmarkDQNUpdateParallelism is the A/B behind keeping the parallel plan
 // executor (EXPERIMENTS.md, PR 21 decision record): one Update per iteration
 // on the two shipped training configs, with the session serial (par=1) and
@@ -204,7 +191,7 @@ func BenchmarkDQNUpdateParallelism(b *testing.B) {
 				if _, err := agent.Build(); err != nil {
 					b.Fatal(err)
 				}
-				agent.Executor().(*exec.StaticExecutor).SetParallelism(par)
+				agent.Executor().(*exec.StaticExecutor).Session().SetParallelism(par)
 
 				// Two batches' worth of replay, drawn from the spaces: an update
 				// costs the same whatever the transitions hold.
@@ -285,18 +272,5 @@ func BenchmarkKernelElementwise(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.n), "ns/elem")
 		})
-	}
-}
-
-// BenchmarkAblationSessionBatching isolates the cost of splitting an update
-// into multiple executor calls versus the single batched call RLgraph emits.
-func BenchmarkAblationSessionBatching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := benchkit.SessionBatchingAblation(10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].FPS, "updates_batched")
-		b.ReportMetric(rows[1].FPS, "updates_split")
 	}
 }

@@ -1,6 +1,6 @@
 // Package agents implements pre-built RL agents behind the high-level agent
 // API of the paper's Listing 2: build, get_actions, observe, update,
-// get/set_weights, import/export_model. Agents are configured declaratively
+// get/set_weights, export_model. Agents are configured declaratively
 // (JSON documents specifying network, memory, optimizer, exploration and
 // backend) and assemble their component graphs through the standard
 // three-phase build.
@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"rlgraph/internal/component"
 	"rlgraph/internal/exec"
@@ -38,8 +37,6 @@ type Agent interface {
 	SetWeights(map[string]*tensor.Tensor) error
 	// ExportModel serializes the weights.
 	ExportModel(w io.Writer) error
-	// ImportModel restores serialized weights.
-	ImportModel(r io.Reader) error
 }
 
 // newExecutor constructs the chosen backend's executor for a root component.
@@ -54,7 +51,7 @@ func newExecutor(backendName string, root *component.Component) (exec.Executor, 
 	}
 }
 
-// serializedWeights is the on-disk model format.
+// serializedWeights is the model format ExportModel writes.
 type serializedWeights struct {
 	Weights map[string]serializedTensor `json:"weights"`
 }
@@ -78,28 +75,6 @@ func exportStore(store *vars.Store, w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// importStore restores weights previously written by exportStore.
-func importStore(store *vars.Store, r io.Reader) error {
-	var in serializedWeights
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return fmt.Errorf("agents: decoding model: %w", err)
-	}
-	names := make([]string, 0, len(in.Weights))
-	for n := range in.Weights {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	w := make(map[string]*tensor.Tensor, len(names))
-	for _, n := range names {
-		st := in.Weights[n]
-		if len(st.Data) != tensor.NumElems(st.Shape) {
-			return fmt.Errorf("agents: weight %q has %d values for shape %v", n, len(st.Data), st.Shape)
-		}
-		w[n] = tensor.FromSlice(st.Data, st.Shape...)
-	}
-	return store.SetWeights(w)
 }
 
 // trainableWeights snapshots trainable variables by name.

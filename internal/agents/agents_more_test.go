@@ -229,58 +229,6 @@ func TestIMPALAUpdateOnDefineByRun(t *testing.T) {
 	if math.IsNaN(last) || math.IsNaN(first) {
 		t.Fatal("NaN loss on define-by-run")
 	}
-	if agent.Updates() != 40 {
-		t.Fatalf("updates = %d", agent.Updates())
-	}
-}
-
-// TestObserveBuffering verifies the per-env buffered observe of Listing 2:
-// transitions accumulate per env_id and flush as one batched insert at the
-// flush size or on terminals.
-func TestObserveBuffering(t *testing.T) {
-	agent, err := NewDQN(smallDQNConfig("static"), spaces.NewFloatBox(4), spaces.NewIntBox(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := agent.Build(); err != nil {
-		t.Fatal(err)
-	}
-	agent.ObserveFlushSize = 4
-	st := tensor.New(4)
-	// Three non-terminal observations on env 0: buffered, nothing in memory.
-	for i := 0; i < 3; i++ {
-		if err := agent.ObserveOne(st, 0, 0.5, st, false, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if agent.MemorySize() != 0 || agent.BufferedObservations(0) != 3 {
-		t.Fatalf("mem=%d buf=%d", agent.MemorySize(), agent.BufferedObservations(0))
-	}
-	// A second env buffers independently.
-	if err := agent.ObserveOne(st, 1, -0.5, st, false, 7); err != nil {
-		t.Fatal(err)
-	}
-	if agent.BufferedObservations(7) != 1 {
-		t.Fatal("env buffers not independent")
-	}
-	// Fourth observation on env 0 hits the flush size.
-	if err := agent.ObserveOne(st, 1, 0.5, st, false, 0); err != nil {
-		t.Fatal(err)
-	}
-	if agent.MemorySize() != 4 || agent.BufferedObservations(0) != 0 {
-		t.Fatalf("after flush: mem=%d buf=%d", agent.MemorySize(), agent.BufferedObservations(0))
-	}
-	// Terminals flush immediately.
-	if err := agent.ObserveOne(st, 0, 1, st, true, 7); err != nil {
-		t.Fatal(err)
-	}
-	if agent.MemorySize() != 6 || agent.BufferedObservations(7) != 0 {
-		t.Fatalf("after terminal: mem=%d buf=%d", agent.MemorySize(), agent.BufferedObservations(7))
-	}
-	// Explicit flush of an empty buffer is a no-op.
-	if err := agent.FlushObservations(99); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestMultiGPUTowerExpansion verifies the synchronous multi-GPU strategy:

@@ -52,18 +52,6 @@ type DQN struct {
 
 	executor exec.Executor
 	updates  int
-
-	// Per-env observe buffers (paper Listing 2: observe(..., env_id)):
-	// single transitions accumulate and flush to the memory in one batched
-	// insert once ObserveFlushSize is reached.
-	obsBuf           map[int]*obsBuffer
-	ObserveFlushSize int
-}
-
-// obsBuffer accumulates one environment's transitions.
-type obsBuffer struct {
-	s, ns   []*tensor.Tensor
-	a, r, t []float64
 }
 
 // NewDQN constructs (but does not build) a DQN agent.
@@ -72,10 +60,7 @@ func NewDQN(cfg DQNConfig, stateSpace spaces.Space, actionSpace *spaces.IntBox) 
 	if len(cfg.Network) == 0 {
 		return nil, fmt.Errorf("agents: dqn needs a network spec")
 	}
-	a := &DQN{
-		cfg: cfg, stateSpace: stateSpace, actionSpace: actionSpace,
-		obsBuf: make(map[int]*obsBuffer), ObserveFlushSize: 16,
-	}
+	a := &DQN{cfg: cfg, stateSpace: stateSpace, actionSpace: actionSpace}
 	a.root = component.New("dqn-agent")
 
 	// Networks: shared trunk spec + output head; target uses the same seed
@@ -389,67 +374,6 @@ func (a *DQN) Observe(s, act, r, ns, t *tensor.Tensor) error {
 	return err
 }
 
-// ObserveOne buffers a single transition for the named environment and
-// flushes the env's buffer to the memory as one batched insert when it
-// reaches ObserveFlushSize (or when the transition is terminal) — the
-// buffered observe of the paper's Listing 2.
-func (a *DQN) ObserveOne(s *tensor.Tensor, action int, reward float64, ns *tensor.Tensor, terminal bool, envID int) error {
-	b := a.obsBuf[envID]
-	if b == nil {
-		b = &obsBuffer{}
-		a.obsBuf[envID] = b
-	}
-	b.s = append(b.s, s)
-	b.ns = append(b.ns, ns)
-	b.a = append(b.a, float64(action))
-	b.r = append(b.r, reward)
-	tv := 0.0
-	if terminal {
-		tv = 1
-	}
-	b.t = append(b.t, tv)
-	if len(b.a) >= a.ObserveFlushSize || terminal {
-		return a.FlushObservations(envID)
-	}
-	return nil
-}
-
-// FlushObservations inserts an env's buffered transitions (no-op if empty).
-func (a *DQN) FlushObservations(envID int) error {
-	b := a.obsBuf[envID]
-	if b == nil || len(b.a) == 0 {
-		return nil
-	}
-	n := len(b.a)
-	err := a.Observe(
-		tensor.Stack(b.s...),
-		tensor.FromSlice(b.a, n),
-		tensor.FromSlice(b.r, n),
-		tensor.Stack(b.ns...),
-		tensor.FromSlice(b.t, n),
-	)
-	delete(a.obsBuf, envID)
-	return err
-}
-
-// BufferedObservations reports how many transitions are pending for an env.
-func (a *DQN) BufferedObservations(envID int) int {
-	if b := a.obsBuf[envID]; b != nil {
-		return len(b.a)
-	}
-	return 0
-}
-
-// ObserveWithPriorities inserts transitions with explicit priorities
-// (prioritized memory only).
-func (a *DQN) ObserveWithPriorities(s, act, r, ns, t, prio *tensor.Tensor) error {
-	if !a.prioritized {
-		return fmt.Errorf("agents: observe_with_priorities needs a prioritized memory")
-	}
-	_, err := a.executor.Execute("observe_with_priorities", s, act, r, ns, t, prio)
-	return err
-}
-
 // Update learns one batch from memory, syncing the target network on the
 // configured cadence, and returns the loss.
 func (a *DQN) Update() (float64, error) {
@@ -515,6 +439,3 @@ func (a *DQN) SetWeights(w map[string]*tensor.Tensor) error {
 
 // ExportModel writes the online network weights as JSON.
 func (a *DQN) ExportModel(w io.Writer) error { return exportStore(a.online.AllVariables(), w) }
-
-// ImportModel restores weights written by ExportModel.
-func (a *DQN) ImportModel(r io.Reader) error { return importStore(a.online.AllVariables(), r) }

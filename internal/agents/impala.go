@@ -260,9 +260,6 @@ func (a *IMPALA) UpdateRollout(states, actions, rewards, discounts, behaviorLogp
 	return outs[0].Item(), nil
 }
 
-// Updates counts applied learning steps.
-func (a *IMPALA) Updates() int { return a.updates }
-
 // RolloutLen returns the configured rollout length T.
 func (a *IMPALA) RolloutLen() int { return a.cfg.RolloutLen }
 
@@ -296,6 +293,3 @@ func (a *IMPALA) SetWeights(w map[string]*tensor.Tensor) error {
 
 // ExportModel writes policy weights as JSON.
 func (a *IMPALA) ExportModel(w io.Writer) error { return exportStore(a.policyStore(), w) }
-
-// ImportModel restores weights written by ExportModel.
-func (a *IMPALA) ImportModel(r io.Reader) error { return importStore(a.policyStore(), r) }

@@ -185,7 +185,7 @@ func shippedAgent(t *testing.T, name string, seed int64, set map[string]interfac
 	if _, err := a.Build(); err != nil {
 		t.Fatal(err)
 	}
-	a.(interface{ Executor() exec.Executor }).Executor().(*exec.StaticExecutor).SetParallelism(par)
+	a.(interface{ Executor() exec.Executor }).Executor().(*exec.StaticExecutor).Session().SetParallelism(par)
 	return a
 }
 
@@ -223,7 +223,7 @@ func trainInGraph(t *testing.T, h *trajectoryHash, a *DQN, vec *envs.VectorEnv, 
 		}
 		h.float(loss)
 	}
-	h.variables(a.Executor().Variables(), a.opt)
+	h.variables(a.Root().AllVariables(), a.opt)
 }
 
 func runDQNCartPole(t *testing.T, h *trajectoryHash, par int) {
@@ -319,7 +319,7 @@ func runApexLearner(t *testing.T, h *trajectoryHash, par int) {
 			t.Fatal(err)
 		}
 	}
-	h.variables(learner.Executor().Variables(), learner.opt)
+	h.variables(learner.Root().AllVariables(), learner.opt)
 }
 
 // runIMPALALearner applies update to rollouts an IMPALA agent collects with
@@ -357,5 +357,5 @@ func runIMPALALearner(t *testing.T, h *trajectoryHash, par int) {
 		}
 		h.float(loss)
 	}
-	h.variables(a.Executor().Variables(), a.opt)
+	h.variables(a.Root().AllVariables(), a.opt)
 }

@@ -80,14 +80,16 @@ func TestSnapshotsDetachFromInPlaceUpdates(t *testing.T) {
 
 func snapshotsDetach(t *testing.T, par int) {
 	agent, s := trainingDQN(t, 16, 5)
-	agent.Executor().(*exec.StaticExecutor).SetParallelism(par)
+	agent.Executor().(*exec.StaticExecutor).Session().SetParallelism(par)
 	mustUpdate(t, agent, 3)
 
 	// Mutating a returned snapshot must not move the agent.
 	q := mustQ(t, agent, s)
 	snap := agent.GetWeights()
 	for _, w := range snap {
-		tensor.Fill(w, 7)
+		for i := range w.Data() {
+			w.Data()[i] = 7
+		}
 	}
 	if !mustQ(t, agent, s).Equal(q) {
 		t.Fatal("mutating GetWeights' result changed the agent")
@@ -148,7 +150,7 @@ func TestDQNUpdateAllocatesNothingParameterSized(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			agent, _ := trainingDQN(t, 256, 5)
 			ex := agent.Executor().(*exec.StaticExecutor)
-			ex.SetParallelism(c.par)
+			ex.Session().SetParallelism(c.par)
 			paramBytes := 0
 			for _, w := range agent.GetWeights() {
 				paramBytes += 8 * w.Size()

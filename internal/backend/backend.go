@@ -54,8 +54,6 @@ const (
 type Ops interface {
 	// Name identifies the backend: "static" or "define-by-run".
 	Name() string
-	// Mode reports whether this pass builds or runs.
-	Mode() Mode
 
 	// ShapeOf returns the (static) shape of a ref; -1 marks unknown dims.
 	ShapeOf(x Ref) []int
@@ -69,10 +67,7 @@ type Ops interface {
 	Add(a, b Ref) Ref
 	Sub(a, b Ref) Ref
 	Mul(a, b Ref) Ref
-	Div(a, b Ref) Ref
 	Neg(x Ref) Ref
-	Exp(x Ref) Ref
-	Log(x Ref) Ref
 	Sqrt(x Ref) Ref
 	Square(x Ref) Ref
 	Abs(x Ref) Ref
@@ -82,10 +77,6 @@ type Ops interface {
 	Scale(x Ref, s float64) Ref
 	AddScalar(x Ref, s float64) Ref
 	OneMinus(x Ref) Ref
-	Clip(x Ref, lo, hi float64) Ref
-	Maximum(a, b Ref) Ref
-	Minimum(a, b Ref) Ref
-	GreaterEqual(a, b Ref) Ref
 	LessEqual(a, b Ref) Ref
 	Where(cond, a, b Ref) Ref
 	StopGradient(x Ref) Ref
@@ -95,7 +86,6 @@ type Ops interface {
 
 	Sum(x Ref) Ref
 	Mean(x Ref) Ref
-	SumAxis(x Ref, axis int, keepDims bool) Ref
 	MeanAxis(x Ref, axis int, keepDims bool) Ref
 	MaxAxis(x Ref, axis int, keepDims bool) Ref
 	ArgMaxAxis(x Ref, axis int) Ref
@@ -111,10 +101,7 @@ type Ops interface {
 	// ShardRows selects shard i of k along the (runtime) leading axis — the
 	// tower input splitter of the synchronous multi-GPU strategy.
 	ShardRows(x Ref, i, k int) Ref
-	Transpose(x Ref, perm ...int) Ref
 	TakeAlongLastAxis(x, idx Ref) Ref
-	GatherRows(table, idx Ref) Ref
-	OneHot(idx Ref, depth int) Ref
 
 	// Stateful embeds a host computation with declared output shape. During
 	// a define-by-run build pass the function is NOT invoked; a zero tensor
@@ -137,11 +124,6 @@ type Ops interface {
 	// the norm input also orders every read of the old weights before the
 	// write (see graph.ApplyUpdate).
 	ApplyUpdate(v *vars.Variable, rule *tensor.UpdateRule, st *tensor.UpdateState, grad, norm Ref) Ref
-
-	// Eval forces a ref to a concrete tensor. Only valid under define-by-run
-	// (static graphs evaluate through a Session instead); static backends
-	// return nil.
-	Eval(x Ref) *tensor.Tensor
 
 	// SetDefaultDevice assigns subsequently created operations to a device.
 	// The builder brackets each component's graph functions with its device,

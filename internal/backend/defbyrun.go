@@ -30,9 +30,6 @@ func NewEagerOps(tape *eager.Tape, mode Mode) *EagerOps {
 // Name identifies the backend.
 func (e *EagerOps) Name() string { return "define-by-run" }
 
-// Mode reports build vs run.
-func (e *EagerOps) Mode() Mode { return e.mode }
-
 func v(x Ref) *eager.Value { return x.(*eager.Value) }
 
 // ShapeOf returns the concrete tensor shape.
@@ -63,17 +60,8 @@ func (e *EagerOps) Sub(a, b Ref) Ref { return e.Tape.Sub(v(a), v(b)) }
 // Mul computes a*b.
 func (e *EagerOps) Mul(a, b Ref) Ref { return e.Tape.Mul(v(a), v(b)) }
 
-// Div computes a/b.
-func (e *EagerOps) Div(a, b Ref) Ref { return e.Tape.Div(v(a), v(b)) }
-
 // Neg computes -x.
 func (e *EagerOps) Neg(x Ref) Ref { return e.Tape.Neg(v(x)) }
-
-// Exp computes e**x.
-func (e *EagerOps) Exp(x Ref) Ref { return e.Tape.Exp(v(x)) }
-
-// Log computes ln(x).
-func (e *EagerOps) Log(x Ref) Ref { return e.Tape.Log(v(x)) }
 
 // Sqrt computes sqrt(x).
 func (e *EagerOps) Sqrt(x Ref) Ref { return e.Tape.Sqrt(v(x)) }
@@ -102,18 +90,6 @@ func (e *EagerOps) AddScalar(x Ref, s float64) Ref { return e.Tape.AddScalar(v(x
 // OneMinus computes 1-x.
 func (e *EagerOps) OneMinus(x Ref) Ref { return e.Tape.OneMinus(v(x)) }
 
-// Clip computes clip(x, lo, hi).
-func (e *EagerOps) Clip(x Ref, lo, hi float64) Ref { return e.Tape.Clip(v(x), lo, hi) }
-
-// Maximum computes max(a,b).
-func (e *EagerOps) Maximum(a, b Ref) Ref { return e.Tape.Maximum(v(a), v(b)) }
-
-// Minimum computes min(a,b).
-func (e *EagerOps) Minimum(a, b Ref) Ref { return e.Tape.Minimum(v(a), v(b)) }
-
-// GreaterEqual computes a>=b.
-func (e *EagerOps) GreaterEqual(a, b Ref) Ref { return e.Tape.GreaterEqual(v(a), v(b)) }
-
 // LessEqual computes a<=b.
 func (e *EagerOps) LessEqual(a, b Ref) Ref { return e.Tape.LessEqual(v(a), v(b)) }
 
@@ -136,11 +112,6 @@ func (e *EagerOps) Sum(x Ref) Ref { return e.Tape.Sum(v(x)) }
 
 // Mean reduces all elements to their mean.
 func (e *EagerOps) Mean(x Ref) Ref { return e.Tape.Mean(v(x)) }
-
-// SumAxis sums along one axis.
-func (e *EagerOps) SumAxis(x Ref, axis int, keep bool) Ref {
-	return e.Tape.SumAxis(v(x), axis, keep)
-}
 
 // MeanAxis averages along one axis.
 func (e *EagerOps) MeanAxis(x Ref, axis int, keep bool) Ref {
@@ -176,19 +147,10 @@ func (e *EagerOps) Concat(axis int, xs ...Ref) Ref {
 	return e.Tape.Concat(axis, vsx...)
 }
 
-// Transpose permutes dimensions.
-func (e *EagerOps) Transpose(x Ref, perm ...int) Ref { return e.Tape.Transpose(v(x), perm...) }
-
 // TakeAlongLastAxis selects per-row elements.
 func (e *EagerOps) TakeAlongLastAxis(x, idx Ref) Ref {
 	return e.Tape.TakeAlongLastAxis(v(x), v(idx))
 }
-
-// GatherRows gathers table rows.
-func (e *EagerOps) GatherRows(table, idx Ref) Ref { return e.Tape.GatherRows(v(table), v(idx)) }
-
-// OneHot one-hot encodes indices.
-func (e *EagerOps) OneHot(idx Ref, depth int) Ref { return e.Tape.OneHot(v(idx), depth) }
 
 // Stateful runs fn immediately in ModeRun. In ModeBuild it is skipped and a
 // zero tensor of the declared shape (unknown dims as 1) is returned, so

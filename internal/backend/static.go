@@ -22,9 +22,6 @@ func NewStaticOps(g *graph.Graph) *StaticOps {
 // Name identifies the backend.
 func (s *StaticOps) Name() string { return "static" }
 
-// Mode is always ModeBuild: static graphs are only ever constructed here.
-func (s *StaticOps) Mode() Mode { return ModeBuild }
-
 func n(x Ref) *graph.Node { return x.(*graph.Node) }
 
 // ShapeOf returns the node's static shape.
@@ -55,17 +52,8 @@ func (s *StaticOps) Sub(a, b Ref) Ref { return graph.Sub(s.G, n(a), n(b)) }
 // Mul emits a*b.
 func (s *StaticOps) Mul(a, b Ref) Ref { return graph.Mul(s.G, n(a), n(b)) }
 
-// Div emits a/b.
-func (s *StaticOps) Div(a, b Ref) Ref { return graph.Div(s.G, n(a), n(b)) }
-
 // Neg emits -x.
 func (s *StaticOps) Neg(x Ref) Ref { return graph.Neg(s.G, n(x)) }
-
-// Exp emits e**x.
-func (s *StaticOps) Exp(x Ref) Ref { return graph.Exp(s.G, n(x)) }
-
-// Log emits ln(x).
-func (s *StaticOps) Log(x Ref) Ref { return graph.Log(s.G, n(x)) }
 
 // Sqrt emits sqrt(x).
 func (s *StaticOps) Sqrt(x Ref) Ref { return graph.Sqrt(s.G, n(x)) }
@@ -94,18 +82,6 @@ func (s *StaticOps) AddScalar(x Ref, v float64) Ref { return graph.AddScalar(s.G
 // OneMinus emits 1-x.
 func (s *StaticOps) OneMinus(x Ref) Ref { return graph.OneMinus(s.G, n(x)) }
 
-// Clip emits clip(x, lo, hi).
-func (s *StaticOps) Clip(x Ref, lo, hi float64) Ref { return graph.Clip(s.G, n(x), lo, hi) }
-
-// Maximum emits max(a,b).
-func (s *StaticOps) Maximum(a, b Ref) Ref { return graph.Maximum(s.G, n(a), n(b)) }
-
-// Minimum emits min(a,b).
-func (s *StaticOps) Minimum(a, b Ref) Ref { return graph.Minimum(s.G, n(a), n(b)) }
-
-// GreaterEqual emits a>=b.
-func (s *StaticOps) GreaterEqual(a, b Ref) Ref { return graph.GreaterEqual(s.G, n(a), n(b)) }
-
 // LessEqual emits a<=b.
 func (s *StaticOps) LessEqual(a, b Ref) Ref { return graph.LessEqual(s.G, n(a), n(b)) }
 
@@ -128,11 +104,6 @@ func (s *StaticOps) Sum(x Ref) Ref { return graph.Sum(s.G, n(x)) }
 
 // Mean emits a full mean reduction.
 func (s *StaticOps) Mean(x Ref) Ref { return graph.Mean(s.G, n(x)) }
-
-// SumAxis emits a single-axis sum.
-func (s *StaticOps) SumAxis(x Ref, axis int, keep bool) Ref {
-	return graph.SumAxis(s.G, n(x), axis, keep)
-}
 
 // MeanAxis emits a single-axis mean.
 func (s *StaticOps) MeanAxis(x Ref, axis int, keep bool) Ref {
@@ -168,23 +139,10 @@ func (s *StaticOps) Concat(axis int, xs ...Ref) Ref {
 	return graph.Concat(s.G, axis, ns...)
 }
 
-// Transpose emits a dimension permutation.
-func (s *StaticOps) Transpose(x Ref, perm ...int) Ref {
-	return graph.Transpose(s.G, n(x), perm...)
-}
-
 // TakeAlongLastAxis emits per-row selection.
 func (s *StaticOps) TakeAlongLastAxis(x, idx Ref) Ref {
 	return graph.TakeAlongLastAxis(s.G, n(x), n(idx))
 }
-
-// GatherRows emits a row gather.
-func (s *StaticOps) GatherRows(table, idx Ref) Ref {
-	return graph.GatherRows(s.G, n(table), n(idx))
-}
-
-// OneHot emits a one-hot encoding.
-func (s *StaticOps) OneHot(idx Ref, depth int) Ref { return graph.OneHot(s.G, n(idx), depth) }
 
 // Stateful emits a host-computation node.
 func (s *StaticOps) Stateful(name string, outShape []int, fn StatefulFn, ins ...Ref) Ref {
@@ -227,9 +185,6 @@ func (s *StaticOps) Gradients(loss Ref, vs []*vars.Variable) []Ref {
 func (s *StaticOps) ApplyUpdate(v *vars.Variable, rule *tensor.UpdateRule, st *tensor.UpdateState, grad, norm Ref) Ref {
 	return graph.ApplyUpdate(s.G, v, rule, st, n(grad), n(norm))
 }
-
-// Eval returns nil: static refs evaluate through a Session.
-func (s *StaticOps) Eval(Ref) *tensor.Tensor { return nil }
 
 // SetDefaultDevice routes new nodes to a device.
 func (s *StaticOps) SetDefaultDevice(d string) { s.G.SetDefaultDevice(d) }

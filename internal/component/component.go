@@ -195,9 +195,6 @@ func (c *Component) rescope(parentScope string) {
 	}
 }
 
-// Sub returns the direct sub-component with the given name, or nil.
-func (c *Component) Sub(name string) *Component { return c.subMap[name] }
-
 // Subs returns direct sub-components in registration order.
 func (c *Component) Subs() []*Component { return c.subs }
 
@@ -341,21 +338,6 @@ func (c *Component) GraphFn(ctx *Ctx, name string, nOut int, fn GraphFn, in ...*
 		return recs
 	}
 }
-
-// VarsCreated reports whether the input-completeness barrier has fired.
-func (c *Component) VarsCreated() bool { return c.varsCreated }
-
-// ResetBuild clears build state so the component tree can be rebuilt (used
-// when an executor expands the graph, e.g. for device strategies).
-func (c *Component) ResetBuild() {
-	c.Walk(func(cc *Component) {
-		cc.varsCreated = false
-		cc.variables = vars.NewStore()
-	})
-}
-
-// Variables returns this component's own variable store.
-func (c *Component) Variables() *vars.Store { return c.variables }
 
 // AddVariable registers a variable under this component's scope and device.
 func (c *Component) AddVariable(v *vars.Variable) *vars.Variable {

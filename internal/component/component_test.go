@@ -19,7 +19,7 @@ func TestScopesNestOnAdd(t *testing.T) {
 	if leaf.Scope() != "root/mid/leaf" {
 		t.Fatalf("scope = %q", leaf.Scope())
 	}
-	if root.Sub("mid") != mid || mid.Sub("leaf") != leaf {
+	if root.Subs()[0] != mid || mid.Subs()[0] != leaf {
 		t.Fatal("sub lookup broken")
 	}
 	if root.NumComponents() != 3 {
@@ -130,13 +130,13 @@ func TestVariableCreationBarrierFiresOnce(t *testing.T) {
 	if v.created != 1 {
 		t.Fatalf("CreateVariables ran %d times", v.created)
 	}
-	if !v.VarsCreated() {
+	if !v.varsCreated {
 		t.Fatal("barrier flag not set")
 	}
-	if v.Variables().Len() != 1 {
+	if v.variables.Len() != 1 {
 		t.Fatal("variable not registered")
 	}
-	if got := v.Variables().All()[0].Name; got != "owner/w" {
+	if got := v.variables.All()[0].Name; got != "owner/w" {
 		t.Fatalf("scoped name = %q", got)
 	}
 }
@@ -160,26 +160,6 @@ func TestVarCreatorFnRestriction(t *testing.T) {
 		}
 	}()
 	v.Call(ctx, "read", NewRec(ops.Const(tensor.New(1, 2)), nil))
-}
-
-func TestResetBuildClearsState(t *testing.T) {
-	v := &varOwner{Component: New("owner")}
-	v.SetImpl(v)
-	v.DefineAPI("f", func(ctx *Ctx, in []*Rec) []*Rec {
-		return v.GraphFn(ctx, "fn", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-			return refs
-		}, in...)
-	})
-	ops := backend.NewEagerOps(nil, backend.ModeBuild)
-	ctx := &Ctx{Mode: ModeCompile, Ops: ops}
-	v.Call(ctx, "f", NewRec(ops.Const(tensor.New(1, 2)), nil))
-	if !v.VarsCreated() {
-		t.Fatal("not built")
-	}
-	v.ResetBuild()
-	if v.VarsCreated() || v.Variables().Len() != 0 {
-		t.Fatal("reset incomplete")
-	}
 }
 
 func TestRunModeCountsDispatches(t *testing.T) {

@@ -20,9 +20,6 @@ func TestSegmentTreeSumBasics(t *testing.T) {
 	if st.Reduce() != 21 {
 		t.Fatalf("total = %g", st.Reduce())
 	}
-	if st.ReduceRange(1, 4) != 9 {
-		t.Fatalf("range = %g", st.ReduceRange(1, 4))
-	}
 	st.Set(2, 0)
 	if st.Reduce() != 18 {
 		t.Fatalf("after update total = %g", st.Reduce())
@@ -80,7 +77,7 @@ func TestSegmentTreeProperties(t *testing.T) {
 		}
 		p := rng.Float64() * direct
 		idx := st.FindPrefixSum(p)
-		if idx < 0 || idx >= st.Capacity() {
+		if idx < 0 || idx >= st.size {
 			return false
 		}
 		// Cumulative sum up to idx-1 must be < p <= cumulative up to idx
@@ -298,7 +295,11 @@ func TestPrioritizedReplayStaticBackend(t *testing.T) {
 		t.Fatalf("state shape = %v", outs[0].Shape())
 	}
 	// The component graph includes the segment-tree sub-component (Fig. 2).
-	if m.Component.Sub("segment-tree") == nil {
+	found := false
+	for _, sub := range m.Component.Subs() {
+		found = found || sub.Name() == "segment-tree"
+	}
+	if !found {
 		t.Fatal("segment-tree sub-component missing")
 	}
 }

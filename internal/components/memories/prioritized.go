@@ -197,6 +197,3 @@ func (m *PrioritizedReplay) Size() int {
 	}
 	return m.storage.size
 }
-
-// MaxPriority returns the running maximum priority (used for fresh inserts).
-func (m *PrioritizedReplay) MaxPriority() float64 { return m.maxPrio }

@@ -110,6 +110,3 @@ func (m *RingReplay) Size() int {
 	}
 	return m.storage.size
 }
-
-// Capacity returns the configured capacity.
-func (m *RingReplay) Capacity() int { return m.capacity }

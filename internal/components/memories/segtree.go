@@ -51,26 +51,6 @@ func (st *SegmentTree) Get(i int) float64 { return st.values[i+st.size] }
 // Reduce returns the reduction over all leaves.
 func (st *SegmentTree) Reduce() float64 { return st.values[1] }
 
-// ReduceRange reduces leaves [lo, hi).
-func (st *SegmentTree) ReduceRange(lo, hi int) float64 {
-	res := st.ident
-	lo += st.size
-	hi += st.size
-	for lo < hi {
-		if lo&1 == 1 {
-			res = st.op(res, st.values[lo])
-			lo++
-		}
-		if hi&1 == 1 {
-			hi--
-			res = st.op(res, st.values[hi])
-		}
-		lo /= 2
-		hi /= 2
-	}
-	return res
-}
-
 // FindPrefixSum returns the smallest leaf index i such that the sum of
 // leaves [0, i] is >= p. Only valid for sum trees with non-negative leaves.
 func (st *SegmentTree) FindPrefixSum(p float64) int {
@@ -86,6 +66,3 @@ func (st *SegmentTree) FindPrefixSum(p float64) int {
 	}
 	return idx - st.size
 }
-
-// Capacity returns the leaf count (power of two).
-func (st *SegmentTree) Capacity() int { return st.size }

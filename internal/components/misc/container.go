@@ -39,9 +39,6 @@ func NewContainerSplitter(name string, space spaces.Space) *ContainerSplitter {
 	return s
 }
 
-// NumLeaves returns the number of primitive outputs.
-func (s *ContainerSplitter) NumLeaves() int { return len(s.leaves) }
-
 // LeafPaths lists the leaf paths in output order.
 func (s *ContainerSplitter) LeafPaths() []string {
 	out := make([]string, len(s.leaves))

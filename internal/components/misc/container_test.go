@@ -22,9 +22,6 @@ func TestSplitterRecoversLeaves(t *testing.T) {
 	space := containerSpace()
 	for _, b := range exec.Backends() {
 		s := NewContainerSplitter("split", space)
-		if s.NumLeaves() != 3 {
-			t.Fatalf("leaves = %d", s.NumLeaves())
-		}
 		// Leaf order is the deterministic Flatten order (sorted keys).
 		want := []string{"camera", "health", "position"}
 		for i, p := range s.LeafPaths() {

@@ -26,12 +26,13 @@ func TestSyncStoresCopiesValues(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}
-	if dst.Get("a2").Val.Item() != 1 || dst.Get("b2").Val.Item() != 2 {
+	a2, b2 := dst.All()[0], dst.All()[1]
+	if a2.Val.Item() != 1 || b2.Val.Item() != 2 {
 		t.Fatal("values not copied")
 	}
 	// Deep copy: mutating source must not affect destination.
-	src.Get("a").Val.Data()[0] = 99
-	if dst.Get("a2").Val.Item() != 1 {
+	src.All()[0].Val.Data()[0] = 99
+	if a2.Val.Item() != 1 {
 		t.Fatal("sync aliased storage")
 	}
 }
@@ -55,7 +56,7 @@ func TestSynchronizerComponent(t *testing.T) {
 	if _, err := ct.Test("sync"); err != nil {
 		t.Fatal(err)
 	}
-	if dst.Get("b").Val.Item() != 5 {
+	if dst.All()[0].Val.Item() != 5 {
 		t.Fatal("synchronizer did not copy")
 	}
 	if s.Syncs != 1 {

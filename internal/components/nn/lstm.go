@@ -112,6 +112,3 @@ func (l *LSTM) unrollFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
 	}
 	return []backend.Ref{h}
 }
-
-// Units returns the state width.
-func (l *LSTM) Units() int { return l.units }

@@ -118,7 +118,7 @@ func newLSTMRegressor() *lstmRegressor {
 	r.head = NewDense("head", 1, "", 6)
 	r.AddSub(r.lstm.Component)
 	r.AddSub(r.head.Component)
-	r.opt = optimizers.Must("opt", optimizers.Config{Type: "adam", LearningRate: 0.02},
+	opt, err := optimizers.New("opt", optimizers.Config{Type: "adam", LearningRate: 0.02},
 		func() []*vars.Variable {
 			all := vars.NewStore()
 			for _, v := range r.lstm.AllVariables().All() {
@@ -129,6 +129,10 @@ func newLSTMRegressor() *lstmRegressor {
 			}
 			return all.Trainable()
 		})
+	if err != nil {
+		panic(err)
+	}
+	r.opt = opt
 	r.AddSub(r.opt.Component)
 	r.DefineAPI("train", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
 		hidden := r.lstm.Call(ctx, "call", in[0])
@@ -166,9 +170,9 @@ func TestLSTMLearnsToRememberFirstInput(t *testing.T) {
 		if i%2 == 0 {
 			v = -1
 		}
-		x.Set(v, i, 0, 0)
+		x.Data()[i*T] = v
 		for s := 1; s < T; s++ {
-			x.Set(0.1*float64((i+s)%3), i, s, 0)
+			x.Data()[i*T+s] = 0.1 * float64((i+s)%3)
 		}
 		y.Data()[i] = v
 	}

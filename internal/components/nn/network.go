@@ -98,9 +98,6 @@ func ParseNetworkSpec(data []byte) ([]LayerSpec, error) {
 	return specs, nil
 }
 
-// NumLayers returns the number of stacked layer components.
-func (n *NeuralNetwork) NumLayers() int { return len(n.layers) }
-
 // DuelingHead maps features to Q-values via separate value and advantage
 // streams: Q = V + A - mean(A) (Wang et al.; the architecture used in the
 // paper's Fig. 5 workloads).

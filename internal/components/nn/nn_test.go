@@ -102,8 +102,8 @@ func TestNetworkFromSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := MustNetwork("net", specs, 9)
-	if n.NumLayers() != 2 {
-		t.Fatalf("layers = %d", n.NumLayers())
+	if len(n.layers) != 2 {
+		t.Fatalf("layers = %d", len(n.layers))
 	}
 	ct, err := exec.NewComponentTest("static", n.Component, exec.InputSpaces{
 		"call": {spaces.NewFloatBox(6).WithBatchRank()},

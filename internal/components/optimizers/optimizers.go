@@ -72,15 +72,6 @@ func New(name string, cfg Config, provider VarsProvider) (*Optimizer, error) {
 	return o, nil
 }
 
-// Must is New, panicking on config errors.
-func Must(name string, cfg Config, provider VarsProvider) *Optimizer {
-	o, err := New(name, cfg, provider)
-	if err != nil {
-		panic(err)
-	}
-	return o
-}
-
 // rule validates cfg and translates it, with defaults, into the kernel's
 // hyperparameters.
 func (cfg Config) rule() (tensor.UpdateRule, error) {
@@ -146,13 +137,4 @@ func (o *Optimizer) applyUpdate(ops backend.Ops, v *vars.Variable, g, norm backe
 		o.state[v] = st
 	}
 	return ops.ApplyUpdate(v, &o.rule, st, g, norm)
-}
-
-// Step returns the number of applied optimizer steps. A step updates every
-// variable once, so all per-variable counts agree.
-func (o *Optimizer) Step() int {
-	for _, st := range o.state {
-		return st.Steps
-	}
-	return 0
 }

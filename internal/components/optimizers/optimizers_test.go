@@ -27,7 +27,7 @@ type quadModel struct {
 func newQuadModel(cfg Config, target []float64) *quadModel {
 	m := &quadModel{Component: component.New("quad"), target: target}
 	m.SetImpl(m)
-	m.opt = Must("opt", cfg, func() []*vars.Variable { return []*vars.Variable{m.w} })
+	m.opt = mustNew("opt", cfg, func() []*vars.Variable { return []*vars.Variable{m.w} })
 	m.AddSub(m.opt.Component)
 	m.DefineAPI("update", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
 		loss := m.GraphFn(ctx, "loss", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
@@ -152,8 +152,8 @@ func TestStepCounterAdvances(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.opt.Step() != 5 {
-		t.Fatalf("steps = %d", m.opt.Step())
+	if stepsOf(m.opt) != 5 {
+		t.Fatalf("steps = %d", stepsOf(m.opt))
 	}
 }
 
@@ -178,7 +178,7 @@ type mlpModel struct {
 func newMLPModel(cfg Config) *mlpModel {
 	m := &mlpModel{Component: component.New("mlp")}
 	m.SetImpl(m)
-	m.opt = Must("opt", cfg, func() []*vars.Variable { return []*vars.Variable{m.w1, m.b1, m.w2} })
+	m.opt = mustNew("opt", cfg, func() []*vars.Variable { return []*vars.Variable{m.w1, m.b1, m.w2} })
 	m.AddSub(m.opt.Component)
 	m.DefineAPI("update", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
 		loss := m.GraphFn(ctx, "loss", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
@@ -217,8 +217,8 @@ func trainMLP(t *testing.T, backendName string, cfg Config, steps int,
 			t.Fatal(err)
 		}
 	}
-	if m.opt.Step() != steps {
-		t.Fatalf("%s/%s: Step() = %d, want %d", backendName, cfg.Type, m.opt.Step(), steps)
+	if stepsOf(m.opt) != steps {
+		t.Fatalf("%s/%s: Step() = %d, want %d", backendName, cfg.Type, stepsOf(m.opt), steps)
 	}
 	var out []*tensor.Tensor
 	for _, v := range []*vars.Variable{m.w1, m.b1, m.w2} {
@@ -265,7 +265,7 @@ func TestUpdatesBitIdenticalAcrossBackendsAndExecutors(t *testing.T) {
 			requireBitEqual(t, name+" define-by-run", serial, trainMLP(t, "define-by-run", cfg, 200, execute))
 			requireBitEqual(t, name+" parallel", serial, trainMLP(t, "static", cfg, 200,
 				func(ct *exec.ComponentTest, x, y *tensor.Tensor) error {
-					ct.Executor().(*exec.StaticExecutor).SetParallelism(4)
+					ct.Executor().(*exec.StaticExecutor).Session().SetParallelism(4)
 					return execute(ct, x, y)
 				}))
 			requireBitEqual(t, name+" recursive", serial, trainMLP(t, "static", cfg, 200,
@@ -277,4 +277,22 @@ func TestUpdatesBitIdenticalAcrossBackendsAndExecutors(t *testing.T) {
 				}))
 		}
 	}
+}
+
+// mustNew is New for configs the test knows are valid.
+func mustNew(name string, cfg Config, provider VarsProvider) *Optimizer {
+	o, err := New(name, cfg, provider)
+	if err != nil {
+		panic(err)
+	}
+	return o
+}
+
+// steps returns the optimizer's applied step count; every variable's state
+// counts the same steps.
+func stepsOf(o *Optimizer) int {
+	for _, st := range o.state {
+		return st.Steps
+	}
+	return 0
 }

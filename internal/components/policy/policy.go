@@ -65,12 +65,6 @@ func New(name string, network *component.Component, actionSpace *spaces.IntBox, 
 	return p
 }
 
-// NumActions returns the discrete action count.
-func (p *Policy) NumActions() int { return p.numActions }
-
-// Network returns the wrapped network component.
-func (p *Policy) Network() *component.Component { return p.network }
-
 // TrainableVariables lists the policy's trainable variables (for optimizer
 // wiring and weight sync).
 func (p *Policy) TrainableVariables() []*vars.Variable {

@@ -40,7 +40,7 @@ type IMPALAConfig struct {
 	RestartBackoff time.Duration
 	// BaselineOverheads enables the DeepMind-reference inefficiencies
 	// (redundant actor variable assignments, unstage preprocessing copies)
-	// the paper identified; see internal/baselines/dmimpala.
+	// the paper identified (Fig. 9's DeepMind-reference baseline).
 	BaselineOverheads bool
 	// PublishTo, when non-nil, pushes a learner weight snapshot to this
 	// parameter server every PublishEvery updates — the live

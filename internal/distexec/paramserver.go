@@ -3,7 +3,6 @@ package distexec
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"rlgraph/internal/tensor"
 )
@@ -24,10 +23,6 @@ type ParameterServer struct {
 	subMu  sync.Mutex
 	subs   map[int]chan int64
 	nextID int
-
-	// Pushes and Pulls count synchronization operations (read with
-	// PushCount/PullCount).
-	pushes, pulls int64
 }
 
 // NewParameterServer initializes the global variables from a snapshot.
@@ -54,7 +49,6 @@ func (ps *ParameterServer) Pull() (map[string]*tensor.Tensor, int64) {
 	for k, v := range ps.weights {
 		out[k] = v.Clone()
 	}
-	atomic.AddInt64(&ps.pulls, 1)
 	return out, ps.version
 }
 
@@ -75,47 +69,13 @@ func (ps *ParameterServer) Push(weights map[string]*tensor.Tensor) (int64, error
 		ps.weights[k] = v.Clone()
 	}
 	ps.version++
-	atomic.AddInt64(&ps.pushes, 1)
 	v := ps.version
 	ps.notify(v)
 	return v, nil
-}
-
-// ApplyDelta adds scale*delta into the global weights (asynchronous
-// Downpour-style workers) and returns the new version.
-func (ps *ParameterServer) ApplyDelta(delta map[string]*tensor.Tensor, scale float64) (int64, error) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for k, d := range delta {
-		cur, ok := ps.weights[k]
-		if !ok {
-			return 0, fmt.Errorf("distexec: parameter server has no variable %q", k)
-		}
-		if !tensor.SameShape(cur.Shape(), d.Shape()) {
-			return 0, fmt.Errorf("distexec: delta shape mismatch for %q", k)
-		}
-		tensor.AxpyInPlace(cur, scale, d)
-	}
-	ps.version++
-	atomic.AddInt64(&ps.pushes, 1)
-	v := ps.version
-	ps.notify(v)
-	return v, nil
-}
-
-// PushCount returns the number of writes applied.
-func (ps *ParameterServer) PushCount() int64 { return atomic.LoadInt64(&ps.pushes) }
-
-// PullCount returns the number of snapshots served.
-func (ps *ParameterServer) PullCount() int64 { return atomic.LoadInt64(&ps.pulls) }
-
-// Staleness returns how many versions behind a pulled snapshot is.
-func (ps *ParameterServer) Staleness(pulledVersion int64) int64 {
-	return ps.Version() - pulledVersion
 }
 
 // Subscribe registers a version-change subscriber: the returned channel
-// receives the new version number after every Push/ApplyDelta. The channel
+// receives the new version number after every Push. The channel
 // is coalescing — when the subscriber lags, intermediate versions are
 // dropped and only the newest is delivered — so a write never blocks and a
 // reader always converges on the latest version. cancel unregisters the

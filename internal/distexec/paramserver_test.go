@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"rlgraph/internal/agents"
 	"rlgraph/internal/tensor"
 )
 
@@ -36,8 +35,8 @@ func TestParameterServerPushPull(t *testing.T) {
 	if v != 1 || w3["w"].Data()[1] != 6 {
 		t.Fatal("push not visible")
 	}
-	if ps.Staleness(v0) != 1 {
-		t.Fatalf("staleness = %d", ps.Staleness(v0))
+	if st := ps.Version() - v0; st != 1 {
+		t.Fatalf("staleness = %d", st)
 	}
 }
 
@@ -49,59 +48,38 @@ func TestParameterServerValidation(t *testing.T) {
 	if _, err := ps.Push(map[string]*tensor.Tensor{"w": tensor.New(3)}); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
-	if _, err := ps.ApplyDelta(map[string]*tensor.Tensor{"zzz": tensor.Scalar(1)}, 1); err == nil {
-		t.Fatal("unknown delta accepted")
-	}
-}
-
-func TestParameterServerApplyDeltaAccumulates(t *testing.T) {
-	ps := NewParameterServer(psInit())
-	delta := map[string]*tensor.Tensor{"b": tensor.Scalar(2)}
-	if _, err := ps.ApplyDelta(delta, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ps.ApplyDelta(delta, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	w, v := ps.Pull()
-	if w["b"].Item() != 2 {
-		t.Fatalf("b = %g, want 2", w["b"].Item())
-	}
-	if v != 2 {
-		t.Fatalf("version = %d", v)
-	}
 }
 
 // TestParameterServerConcurrentWorkers mimics the distributed-TF pattern:
-// many async workers applying deltas while readers pull snapshots. The final
-// sum must equal the total applied mass (no lost updates).
+// many workers pushing whole snapshots while they pull. Every pull must be
+// one push's snapshot (never half of two), and no write may be lost.
 func TestParameterServerConcurrentWorkers(t *testing.T) {
-	ps := NewParameterServer(map[string]*tensor.Tensor{"acc": tensor.Scalar(0)})
+	ps := NewParameterServer(psInit())
 	const workers, perWorker = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := ps.ApplyDelta(map[string]*tensor.Tensor{"acc": tensor.Scalar(1)}, 1); err != nil {
+				x := float64(w*perWorker + i)
+				if _, err := ps.Push(map[string]*tensor.Tensor{
+					"w": tensor.FromSlice([]float64{x, x}, 2), "b": tensor.Scalar(x),
+				}); err != nil {
 					t.Error(err)
 					return
 				}
-				ps.Pull()
+				snap, _ := ps.Pull()
+				if d := snap["w"].Data(); d[0] != d[1] || d[0] != snap["b"].Item() {
+					t.Errorf("torn snapshot: w=%v b=%g", d, snap["b"].Item())
+					return
+				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
-	w, v := ps.Pull()
-	if w["acc"].Item() != workers*perWorker {
-		t.Fatalf("acc = %g, want %d (lost updates)", w["acc"].Item(), workers*perWorker)
-	}
-	if v != workers*perWorker {
-		t.Fatalf("version = %d", v)
-	}
-	if ps.PullCount() == 0 || ps.PushCount() == 0 {
-		t.Fatal("counters not maintained")
+	if _, v := ps.Pull(); v != workers*perWorker {
+		t.Fatalf("version = %d, want %d (lost writes)", v, workers*perWorker)
 	}
 }
 
@@ -136,71 +114,8 @@ func TestParameterServerWithAgents(t *testing.T) {
 	}
 }
 
-// TestAsyncPSTraining runs Downpour-style asynchronous training: workers
-// learn locally and publish weight deltas through the parameter server.
-// With a shared quadratic objective (all workers see the same data), the
-// global weights must improve despite staleness.
-func TestAsyncPSTraining(t *testing.T) {
-	env := gridEnvFactory(14)
-	mkWorker := func(seed int64) *agents.DQN { return newDQN(t, env, seed) }
-	w0 := mkWorker(1)
-	workers := []*agents.DQN{w0, mkWorker(1), mkWorker(1)}
-	ps := NewParameterServer(w0.GetWeights())
-
-	// Seed every worker's memory with deterministic transitions.
-	n := 64
-	s := tensor.New(n, 9)
-	for i := 0; i < n; i++ {
-		s.Set(1, i, i%9)
-	}
-	a := tensor.New(n)
-	r := tensor.Ones(n)
-	tm := tensor.Ones(n)
-	for _, w := range workers {
-		if err := w.Observe(s, a, r, s, tm); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	lossBefore, err := w0.Update()
-	if err != nil {
-		t.Fatal(err)
-	}
-	step := func(w *agents.DQN) (map[string]*tensor.Tensor, error) {
-		before := w.GetWeights()
-		if _, err := w.Update(); err != nil {
-			return nil, err
-		}
-		return WeightDelta(before, w.GetWeights()), nil
-	}
-	res, err := RunPSTraining(PSTrainerConfig{PullEvery: 2}, ps, workers, step, 400*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Updates == 0 || res.Pushes == 0 || res.Pulls == 0 {
-		t.Fatalf("no progress: %+v", res)
-	}
-	// Install the final global weights into a fresh evaluator: loss must
-	// have dropped versus the first local update's loss.
-	eval := mkWorker(1)
-	if err := eval.Observe(s, a, r, s, tm); err != nil {
-		t.Fatal(err)
-	}
-	w, _ := ps.Pull()
-	if err := eval.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
-	lossAfter, err := eval.Update()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(lossAfter < lossBefore) {
-		t.Fatalf("async PS training did not improve: %g → %g", lossBefore, lossAfter)
-	}
-}
-
-// TestParameterServerVersionMonotonicUnderConcurrentWrites hammers Push and
-// ApplyDelta from many goroutines and asserts every write observed a unique,
+// TestParameterServerVersionMonotonicUnderConcurrentWrites hammers Push from
+// many goroutines and asserts every write observed a unique,
 // monotonically assigned version: no two writers can be told the same
 // version, no version is skipped, and the final Version equals the write
 // count.
@@ -214,13 +129,7 @@ func TestParameterServerVersionMonotonicUnderConcurrentWrites(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				var v int64
-				var err error
-				if (g+i)%2 == 0 {
-					v, err = ps.Push(map[string]*tensor.Tensor{"b": tensor.Scalar(float64(i))})
-				} else {
-					v, err = ps.ApplyDelta(map[string]*tensor.Tensor{"b": tensor.Scalar(1)}, 0.1)
-				}
+				v, err := ps.Push(map[string]*tensor.Tensor{"b": tensor.Scalar(float64(i))})
 				if err != nil {
 					t.Errorf("writer %d: %v", g, err)
 					return
@@ -282,7 +191,7 @@ func TestParameterServerStalenessDuringConcurrentPushes(t *testing.T) {
 					return
 				}
 				lastV = v
-				if st := ps.Staleness(v); st < 0 {
+				if st := ps.Version() - v; st < 0 {
 					t.Errorf("negative staleness %d for pulled version %d", st, v)
 					return
 				}
@@ -296,8 +205,8 @@ func TestParameterServerStalenessDuringConcurrentPushes(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if _, v := ps.Pull(); ps.Staleness(v) != 0 {
-		t.Fatalf("quiescent staleness = %d, want 0", ps.Staleness(v))
+	if _, v := ps.Pull(); ps.Version()-v != 0 {
+		t.Fatalf("quiescent staleness = %d, want 0", ps.Version()-v)
 	}
 }
 
@@ -326,7 +235,7 @@ func TestParameterServerSubscribeCoalesces(t *testing.T) {
 		t.Fatal("no notification delivered")
 	}
 	// Channel is now drained: the next write notifies again.
-	v, err := ps.ApplyDelta(map[string]*tensor.Tensor{"b": tensor.Scalar(1)}, 1)
+	v, err := ps.Push(map[string]*tensor.Tensor{"b": tensor.Scalar(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,6 @@ type Value struct {
 	v       *vars.Variable // set when this value watches a variable
 }
 
-// Tensor returns the concrete tensor.
-func (v *Value) Tensor() *tensor.Tensor { return v.T }
-
 // Grad returns the accumulated gradient after Backward (nil before).
 func (v *Value) Grad() *tensor.Tensor { return v.grad }
 
@@ -49,17 +46,6 @@ func ConstScalar(x float64) *Value { return Const(tensor.Scalar(x)) }
 // the returned value during Backward.
 func (tp *Tape) Watch(v *vars.Variable) *Value {
 	val := &Value{T: v.Val, v: v}
-	if tp != nil {
-		val.tracked = true
-		tp.values = append(tp.values, val)
-	}
-	return val
-}
-
-// Input wraps an input tensor as a tracked value (for gradient checks and
-// losses differentiated with respect to inputs).
-func (tp *Tape) Input(t *tensor.Tensor) *Value {
-	val := &Value{T: t}
 	if tp != nil {
 		val.tracked = true
 		tp.values = append(tp.values, val)
@@ -132,12 +118,4 @@ func (tp *Tape) GradOf(v *vars.Variable) *tensor.Tensor {
 		}
 	}
 	return nil
-}
-
-// NumRecorded returns the number of tracked values on the tape.
-func (tp *Tape) NumRecorded() int {
-	if tp == nil {
-		return 0
-	}
-	return len(tp.values)
 }

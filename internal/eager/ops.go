@@ -31,35 +31,10 @@ func (tp *Tape) Mul(a, b *Value) *Value {
 	}, a, b)
 }
 
-// Div computes a/b elementwise with broadcasting.
-func (tp *Tape) Div(a, b *Value) *Value {
-	out := tensor.Div(a.T, b.T)
-	return tp.record(out, func(gy *tensor.Tensor) {
-		accum(a, tensor.UnbroadcastTo(tensor.Div(gy, b.T), a.T.Shape()))
-		db := tensor.Neg(tensor.Div(tensor.Mul(gy, a.T), tensor.Mul(b.T, b.T)))
-		accum(b, tensor.UnbroadcastTo(db, b.T.Shape()))
-	}, a, b)
-}
-
 // Neg computes -x.
 func (tp *Tape) Neg(x *Value) *Value {
 	return tp.record(tensor.Neg(x.T), func(gy *tensor.Tensor) {
 		accum(x, tensor.Neg(gy))
-	}, x)
-}
-
-// Exp computes e**x.
-func (tp *Tape) Exp(x *Value) *Value {
-	out := tensor.Exp(x.T)
-	return tp.record(out, func(gy *tensor.Tensor) {
-		accum(x, tensor.Mul(gy, out))
-	}, x)
-}
-
-// Log computes ln(x).
-func (tp *Tape) Log(x *Value) *Value {
-	return tp.record(tensor.Log(x.T), func(gy *tensor.Tensor) {
-		accum(x, tensor.Div(gy, x.T))
 	}, x)
 }
 
@@ -132,42 +107,6 @@ func (tp *Tape) OneMinus(x *Value) *Value {
 	}, x)
 }
 
-// Clip limits x to [lo,hi] with pass-through subgradient inside the range.
-func (tp *Tape) Clip(x *Value, lo, hi float64) *Value {
-	return tp.record(tensor.Clip(x.T, lo, hi), func(gy *tensor.Tensor) {
-		mask := tensor.Mul(tensor.GreaterEqual(x.T, tensor.Scalar(lo)),
-			tensor.GreaterEqual(tensor.Scalar(hi), x.T))
-		accum(x, tensor.Mul(gy, mask))
-	}, x)
-}
-
-// Maximum computes elementwise max(a,b); ties route gradient to a.
-func (tp *Tape) Maximum(a, b *Value) *Value {
-	out := tensor.Maximum(a.T, b.T)
-	return tp.record(out, func(gy *tensor.Tensor) {
-		mask := tensor.GreaterEqual(a.T, b.T)
-		accum(a, tensor.UnbroadcastTo(tensor.Mul(gy, mask), a.T.Shape()))
-		accum(b, tensor.UnbroadcastTo(
-			tensor.Mul(gy, tensor.AddScalar(tensor.Neg(mask), 1)), b.T.Shape()))
-	}, a, b)
-}
-
-// Minimum computes elementwise min(a,b); ties route gradient to a.
-func (tp *Tape) Minimum(a, b *Value) *Value {
-	out := tensor.Minimum(a.T, b.T)
-	return tp.record(out, func(gy *tensor.Tensor) {
-		mask := tensor.GreaterEqual(b.T, a.T)
-		accum(a, tensor.UnbroadcastTo(tensor.Mul(gy, mask), a.T.Shape()))
-		accum(b, tensor.UnbroadcastTo(
-			tensor.Mul(gy, tensor.AddScalar(tensor.Neg(mask), 1)), b.T.Shape()))
-	}, a, b)
-}
-
-// GreaterEqual returns the 0/1 comparison (non-differentiable).
-func (tp *Tape) GreaterEqual(a, b *Value) *Value {
-	return Const(tensor.GreaterEqual(a.T, b.T))
-}
-
 // LessEqual returns the 0/1 comparison (non-differentiable).
 func (tp *Tape) LessEqual(a, b *Value) *Value {
 	return Const(tensor.GreaterEqual(b.T, a.T))
@@ -216,13 +155,6 @@ func (tp *Tape) Sum(x *Value) *Value {
 func (tp *Tape) Mean(x *Value) *Value {
 	return tp.record(tensor.Mean(x.T), func(gy *tensor.Tensor) {
 		accum(x, tensor.Full(gy.Item()/float64(x.T.Size()), x.T.Shape()...))
-	}, x)
-}
-
-// SumAxis sums along one axis.
-func (tp *Tape) SumAxis(x *Value, axis int, keepDims bool) *Value {
-	return tp.record(tensor.SumAxis(x.T, axis, keepDims), func(gy *tensor.Tensor) {
-		accum(x, expandReduceGrad(gy, x.T, axis, keepDims, false))
 	}, x)
 }
 
@@ -326,41 +258,6 @@ func (tp *Tape) TakeAlongLastAxis(x, idx *Value) *Value {
 	out := tensor.TakeAlongLastAxis(x.T, idx.T)
 	return tp.record(out, func(gy *tensor.Tensor) {
 		accum(x, tensor.PutAlongLastAxis(x.T.Shape(), idx.T, gy))
-	}, x)
-}
-
-// GatherRows selects table rows by index.
-func (tp *Tape) GatherRows(table, idx *Value) *Value {
-	out := tensor.GatherRows(table.T, idx.T)
-	return tp.record(out, func(gy *tensor.Tensor) {
-		dt := tensor.New(table.T.Shape()...)
-		tensor.ScatterAddRows(dt, gy, idx.T)
-		accum(table, dt)
-	}, table)
-}
-
-// OneHot encodes indices (non-differentiable).
-func (tp *Tape) OneHot(idx *Value, depth int) *Value {
-	return Const(tensor.OneHot(idx.T, depth))
-}
-
-// Transpose permutes dimensions (empty perm reverses).
-func (tp *Tape) Transpose(x *Value, perm ...int) *Value {
-	out := tensor.Transpose(x.T, perm...)
-	return tp.record(out, func(gy *tensor.Tensor) {
-		r := x.T.Rank()
-		p := perm
-		if len(p) == 0 {
-			p = make([]int, r)
-			for i := range p {
-				p[i] = r - 1 - i
-			}
-		}
-		inv := make([]int, len(p))
-		for i, q := range p {
-			inv[q] = i
-		}
-		accum(x, tensor.Transpose(gy, inv...))
 	}, x)
 }
 

@@ -3,7 +3,6 @@ package envs
 import (
 	"math"
 	"math/rand"
-	"time"
 
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
@@ -213,6 +212,3 @@ func (l *LabyrinthSim) render() *tensor.Tensor {
 	}
 	return t
 }
-
-// Elapsed is a helper for wall-clock bench bookkeeping.
-func Elapsed(start time.Time) float64 { return time.Since(start).Seconds() }

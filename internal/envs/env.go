@@ -65,10 +65,9 @@ type VectorEnv struct {
 
 	// finished is a bounded ring of the most recent FinishedWindow
 	// completed-episode returns; finishedCur is the next overwrite index once
-	// the ring is full, and finishedTotal counts every completion ever.
-	finished      []float64
-	finishedCur   int
-	finishedTotal int64
+	// the ring is full.
+	finished    []float64
+	finishedCur int
 
 	// inUse is the single-caller misuse guard: set for the duration of every
 	// mutating API call, so overlapping calls fail fast instead of racing on
@@ -109,7 +108,6 @@ func (v *VectorEnv) recordFinished(r float64) {
 		v.finished[v.finishedCur] = r
 		v.finishedCur = (v.finishedCur + 1) % FinishedWindow
 	}
-	v.finishedTotal++
 }
 
 // Len returns the number of environments.
@@ -202,10 +200,6 @@ func (v *VectorEnv) batch() *tensor.Tensor {
 	return b
 }
 
-// FinishedCount returns the total number of episodes completed since
-// construction (not just those still retained in the ring).
-func (v *VectorEnv) FinishedCount() int64 { return v.finishedTotal }
-
 // FinishedEpisodes returns a copy of the retained completed-episode returns
 // in completion order (oldest first), at most FinishedWindow entries.
 func (v *VectorEnv) FinishedEpisodes() []float64 {
@@ -215,16 +209,6 @@ func (v *VectorEnv) FinishedEpisodes() []float64 {
 	}
 	out = append(out, v.finished[v.finishedCur:]...)
 	return append(out, v.finished[:v.finishedCur]...)
-}
-
-// DrainFinished returns the retained completed-episode returns in completion
-// order and empties the ring, so long-running consumers can poll without the
-// record growing or overlapping between polls. FinishedCount is unaffected.
-func (v *VectorEnv) DrainFinished() []float64 {
-	out := v.FinishedEpisodes()
-	v.finished = v.finished[:0]
-	v.finishedCur = 0
-	return out
 }
 
 // MeanFinishedReward averages the most recent n completed episode returns

@@ -60,7 +60,6 @@ type PongSim struct {
 	oppScore       int
 
 	stateSpace spaces.Space
-	frames     int
 
 	// frameBuf is the reused pixel frame; dirty lists the flat [lo,hi) spans
 	// drawn into it last render, so the next render erases sparsely instead
@@ -117,12 +116,6 @@ func (p *PongSim) StateSpace() spaces.Space { return p.stateSpace }
 // ActionSpace is {noop, up, down}.
 func (p *PongSim) ActionSpace() *spaces.IntBox { return spaces.NewIntBox(3) }
 
-// Frames returns total simulated frames (including skips).
-func (p *PongSim) Frames() int { return p.frames }
-
-// Score returns (agent, opponent) points in the current episode.
-func (p *PongSim) Score() (int, int) { return p.agentScore, p.oppScore }
-
 // Reset starts a fresh episode.
 func (p *PongSim) Reset() *tensor.Tensor {
 	p.agentScore, p.oppScore = 0, 0
@@ -155,7 +148,6 @@ func (p *PongSim) Step(action int) (*tensor.Tensor, float64, bool) {
 
 // frame advances the simulation one tick.
 func (p *PongSim) frame(action int) (float64, bool) {
-	p.frames++
 	// Agent paddle.
 	switch action {
 	case 1:
@@ -299,6 +291,7 @@ func (p *PongSim) fillRow(lo, hi int) {
 // retained (like MatMulNaive/Conv2DNaive) as the differential baseline the
 // flat renderer is pinned bit-equal against, and as the allocation baseline
 // for the env bench's render-alloc gate.
+// oracle: TestPongFlatRendererBitEqual checks the flat renderer against it.
 func (p *PongSim) RenderNaive() *tensor.Tensor {
 	t := tensor.New(84, 84, 1)
 	d := t.Data()

@@ -9,7 +9,6 @@ import (
 	"rlgraph/internal/eager"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
-	"rlgraph/internal/vars"
 )
 
 // DefineByRunExecutor builds the component graph once by pushing artificial
@@ -37,9 +36,6 @@ func NewDefineByRun(root *component.Component) *DefineByRunExecutor {
 
 // BackendName identifies the backend.
 func (e *DefineByRunExecutor) BackendName() string { return "define-by-run" }
-
-// Root returns the root component.
-func (e *DefineByRunExecutor) Root() *component.Component { return e.root }
 
 // Build traces the component graph and then pushes zero tensors shaped by
 // the declared input spaces through every API so each component becomes
@@ -148,6 +144,3 @@ func (e *DefineByRunExecutor) execute(api string, inputs ...*tensor.Tensor) ([]*
 	}
 	return res, nil
 }
-
-// Variables returns all variables created during the build.
-func (e *DefineByRunExecutor) Variables() *vars.Store { return e.root.AllVariables() }

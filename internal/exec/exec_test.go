@@ -186,8 +186,8 @@ func TestNestedAPIMethodsShareVariables(t *testing.T) {
 	if out.Data()[0] != 9 {
 		t.Fatalf("apply_twice = %v, want 9", out)
 	}
-	if ct.Executor().Variables().Len() != 1 {
-		t.Fatalf("variables = %d, want 1", ct.Executor().Variables().Len())
+	if n := s.AllVariables().Len(); n != 1 {
+		t.Fatalf("variables = %d, want 1", n)
 	}
 }
 
@@ -335,10 +335,10 @@ func TestParallelExecuteMatchesSerial(t *testing.T) {
 	run := func(workers int) *tensor.Tensor {
 		root, _, _ := pipelineRoot()
 		ex := NewStatic(root)
-		ex.SetParallelism(workers) // before Build: applied to the new session
 		if _, err := ex.Build(inSpec()); err != nil {
 			t.Fatal(err)
 		}
+		ex.Session().SetParallelism(workers)
 		out, err := ex.Execute("forward", in)
 		if err != nil {
 			t.Fatal(err)

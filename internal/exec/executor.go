@@ -13,7 +13,6 @@ import (
 	"rlgraph/internal/component"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
-	"rlgraph/internal/vars"
 )
 
 // InputSpaces declares, per root API method, the spaces of its parameters —
@@ -58,27 +57,19 @@ type Executor interface {
 	Build(in InputSpaces) (*BuildReport, error)
 	// Execute invokes a root API method with concrete inputs.
 	Execute(api string, inputs ...*tensor.Tensor) ([]*tensor.Tensor, error)
-	// Root returns the root component.
-	Root() *component.Component
-	// Variables returns all variables of the built graph.
-	Variables() *vars.Store
 }
 
-// placeholderShape converts a primitive space into a static shape with -1
-// batch/time dims.
+// placeholderShape converts a primitive space into a static shape with a
+// -1 batch dim.
 func placeholderShape(sp spaces.Space) []int {
-	var shape []int
 	if sp.HasBatchRank() {
-		shape = append(shape, -1)
+		return append([]int{-1}, sp.Shape()...)
 	}
-	if sp.HasTimeRank() {
-		shape = append(shape, -1)
-	}
-	return append(shape, sp.Shape()...)
+	return append([]int(nil), sp.Shape()...)
 }
 
 // shapeCompatible reports whether a concrete tensor shape matches a
-// wildcard shape (-1 dims, the batch/time ranks of placeholderShape, match
+// wildcard shape (-1 dims, the batch rank of placeholderShape, match
 // any size — including 0, so an all-rows-evicted serving batch still
 // validates).
 func shapeCompatible(want, got []int) bool {

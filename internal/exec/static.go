@@ -9,7 +9,6 @@ import (
 	"rlgraph/internal/devices"
 	"rlgraph/internal/graph"
 	"rlgraph/internal/tensor"
-	"rlgraph/internal/vars"
 )
 
 // staticEntry is one op-registry record: the placeholders, fetch nodes and
@@ -33,10 +32,9 @@ type StaticExecutor struct {
 	registry map[string]*staticEntry
 	report   *BuildReport
 
-	// parallelism and devLimits are applied to the session at Build (and
-	// immediately if already built).
-	parallelism int
-	devLimits   map[string]int
+	// devLimits is applied to the session at Build (and immediately if
+	// already built).
+	devLimits map[string]int
 
 	// devReg, when set, is the local device inventory: Build wires its names
 	// into the session so plans placed on unknown devices fail compilation.
@@ -50,9 +48,6 @@ func NewStatic(root *component.Component) *StaticExecutor {
 
 // BackendName identifies the backend.
 func (e *StaticExecutor) BackendName() string { return "static" }
-
-// Root returns the root component.
-func (e *StaticExecutor) Root() *component.Component { return e.root }
 
 // Graph exposes the built dataflow graph (for visualization/inspection).
 func (e *StaticExecutor) Graph() *graph.Graph { return e.g }
@@ -111,9 +106,6 @@ func (e *StaticExecutor) Build(in InputSpaces) (*BuildReport, error) {
 	buildTime := time.Since(start)
 
 	e.sess = graph.NewSession(e.g)
-	if e.parallelism > 0 {
-		e.sess.SetParallelism(e.parallelism)
-	}
 	if e.devLimits != nil {
 		e.sess.SetDeviceLimits(e.devLimits)
 	}
@@ -141,15 +133,6 @@ func (e *StaticExecutor) Build(in InputSpaces) (*BuildReport, error) {
 		GraphNodes:    e.g.NumNodes(),
 	}
 	return e.report, nil
-}
-
-// SetParallelism sets the session worker count for plan execution (<=1 =
-// serial). May be called before or after Build.
-func (e *StaticExecutor) SetParallelism(n int) {
-	e.parallelism = n
-	if e.sess != nil {
-		e.sess.SetParallelism(n)
-	}
 }
 
 // SetDeviceLimits sets per-device op-stream limits for the parallel
@@ -203,6 +186,3 @@ func (e *StaticExecutor) Execute(api string, inputs ...*tensor.Tensor) ([]*tenso
 	}
 	return e.sess.RunCompiled(ent.plan, feeds)
 }
-
-// Variables returns all variables created during the build.
-func (e *StaticExecutor) Variables() *vars.Store { return e.root.AllVariables() }

@@ -102,7 +102,7 @@ func TestWorkerTerminalFlushTruncates(t *testing.T) {
 	if terminals == 0 {
 		t.Fatal("no terminal transitions despite finished episodes")
 	}
-	if vec.FinishedCount() == 0 {
+	if len(vec.FinishedEpisodes()) == 0 {
 		t.Fatal("no episodes recorded")
 	}
 }

@@ -182,7 +182,8 @@ func TestChaosGateDQN(t *testing.T) {
 	if err := ref.SetWeights(trained.GetWeights()); err != nil {
 		t.Fatalf("SetWeights: %v", err)
 	}
-	refSvc := serve.NewForDQN(ref, false, serve.Config{Elem: elem, MaxBatch: 8, FlushLatency: 200 * time.Microsecond})
+	refSvc := serve.New(serve.ExecutorRunner(ref.Executor(), "get_actions_greedy"),
+		serve.Config{Elem: elem, MaxBatch: 8, FlushLatency: 200 * time.Microsecond})
 	defer func() { _ = refSvc.Close() }()
 	for i, obs := range pool {
 		got, v, err := rt.ActVersion(obs, time.Time{})

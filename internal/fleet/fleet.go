@@ -553,14 +553,6 @@ func (rt *Router) syncSnapshot(r *Replica) {
 	}
 }
 
-// Snapshot returns the fleet's current weight snapshot and version (nil
-// before the first SwapAll).
-func (rt *Router) Snapshot() (map[string]*tensor.Tensor, int64) {
-	rt.snapMu.Lock()
-	defer rt.snapMu.Unlock()
-	return rt.snapW, rt.snapV
-}
-
 // Replicas returns the fleet size.
 func (rt *Router) Replicas() int { return len(rt.replicas) }
 

@@ -188,9 +188,6 @@ func (p *Publisher) regressed(new, base VersionStats) bool {
 // Applied returns the newest version ever swapped into the fleet.
 func (p *Publisher) Applied() int64 { return p.applied.Load() }
 
-// LastGood returns the version the fleet is known-good on.
-func (p *Publisher) LastGood() int64 { return p.lastGoodV.Load() }
-
 // Published returns how many snapshots were rolled out.
 func (p *Publisher) Published() int64 { return p.published.Load() }
 

@@ -94,7 +94,7 @@ func TestPublisherRollsBackRegression(t *testing.T) {
 		t.Fatalf("Push: %v", err)
 	}
 	waitFor(t, 5*time.Second, "rollback to v1", func() bool {
-		return p.Rollbacks() == 1 && p.LastGood() == 1
+		return p.Rollbacks() == 1 && p.lastGoodV.Load() == 1
 	})
 	waitFor(t, 3*time.Second, "fleet serving v1 again", func() bool {
 		out, v, err := rt.ActVersion(obsOf(3, 0), time.Time{})

@@ -65,8 +65,8 @@ func TestFusionShrinksPlanAndMatchesRecursive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pf.Steps() >= pp.Steps() {
-		t.Fatalf("fusion did not shrink the plan: fused %d steps, unfused %d", pf.Steps(), pp.Steps())
+	if len(pf.steps) >= len(pp.steps) {
+		t.Fatalf("fusion did not shrink the plan: fused %d steps, unfused %d", len(pf.steps), len(pp.steps))
 	}
 
 	ref := NewSession(g)
@@ -123,8 +123,8 @@ func TestFusionBroadcastFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Steps() != 3 { // a, b, fused Add (Scale absorbed)
-		t.Fatalf("expected 3 steps after fusion, got %d", p.Steps())
+	if len(p.steps) != 3 { // a, b, fused Add (Scale absorbed)
+		t.Fatalf("expected 3 steps after fusion, got %d", len(p.steps))
 	}
 	got, err := fused.Run([]*Node{fetch}, nil)
 	if err != nil {
@@ -154,8 +154,8 @@ func TestFusionRespectsFetchesAndSharedUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Steps() != 4 {
-		t.Fatalf("fetched producer was absorbed: %d steps, want 4", p.Steps())
+	if len(p.steps) != 4 {
+		t.Fatalf("fetched producer was absorbed: %d steps, want 4", len(p.steps))
 	}
 	got, err := s.Run([]*Node{sum, sc}, nil)
 	if err != nil {
@@ -182,8 +182,8 @@ func TestFusionRespectsFetchesAndSharedUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.Steps() != 5 { // a2, const, sc2, f1, f2
-		t.Fatalf("shared producer was absorbed: %d steps, want 5", p2.Steps())
+	if len(p2.steps) != 5 { // a2, const, sc2, f1, f2
+		t.Fatalf("shared producer was absorbed: %d steps, want 5", len(p2.steps))
 	}
 }
 
@@ -202,8 +202,8 @@ func TestFusionAcrossDeviceBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Steps() != 4 {
-		t.Fatalf("cross-device producer was absorbed: %d steps, want 4", p.Steps())
+	if len(p.steps) != 4 {
+		t.Fatalf("cross-device producer was absorbed: %d steps, want 4", len(p.steps))
 	}
 	if _, err := s.Run([]*Node{sum}, nil); err != nil {
 		t.Fatal(err)
@@ -216,8 +216,9 @@ func TestFusionAcrossDeviceBoundary(t *testing.T) {
 // TestBufferReuseRecyclesAndStaysBitExact: repeated serial runs must start
 // drawing intermediates from the session arena, and reuse-on vs reuse-off vs
 // recursive results must agree bit for bit. Variable state must be immune to
-// recycling (Assign consumers pin their input slots), and so must later runs
-// to a caller mutating the tensors an earlier run returned.
+// recycling (the update writes in place once its gradient and norm inputs,
+// which every read of the old weights feeds, are done), and so must later
+// runs to a caller mutating the tensors an earlier run returned.
 func TestBufferReuseRecyclesAndStaysBitExact(t *testing.T) {
 	build := func() (*Graph, *vars.Variable, Feeds, []*Node) {
 		g := New()
@@ -225,11 +226,11 @@ func TestBufferReuseRecyclesAndStaysBitExact(t *testing.T) {
 		x := Placeholder(g, "x", []int{2, 3})
 		w := VarRead(g, v)
 		h := Tanh(g, Add(g, Mul(g, x, w), Scale(g, x, 0.1)))
-		upd := Assign(g, v, Sub(g, w, Scale(g, h, 0.01)))
 		loss := Sum(g, Square(g, h))
-		loss.AddDep(upd)
+		rule := &tensor.UpdateRule{Kind: tensor.UpdateSGD, LR: 0.01}
+		upd := ApplyUpdate(g, v, rule, rule.NewState(2, 3), h, loss)
 		feeds := Feeds{x: tensor.FromSlice([]float64{0.3, -0.2, 0.7, -1.1, 0.05, 2.2}, 2, 3)}
-		return g, v, feeds, []*Node{loss}
+		return g, v, feeds, []*Node{upd}
 	}
 
 	run := func(s *Session, fetches []*Node, feeds Feeds, n int) []*tensor.Tensor {
@@ -242,7 +243,9 @@ func TestBufferReuseRecyclesAndStaysBitExact(t *testing.T) {
 			if last != nil {
 				// Fetches belong to the caller: scribbling on one must not
 				// reach the next run through the arena.
-				tensor.Fill(last[0], -999)
+				for i := range last[0].Data() {
+					last[0].Data()[i] = -999
+				}
 			}
 			last = out
 		}

@@ -57,24 +57,31 @@ func TestMemoizationEvaluatesSharedNodesOnce(t *testing.T) {
 	}
 }
 
+// sgdStep adds an ApplyUpdate node that moves v by -grad (plain SGD, unit
+// step size), yielding norm.
+func sgdStep(g *Graph, v *vars.Variable, grad, norm *Node) *Node {
+	rule := &tensor.UpdateRule{Kind: tensor.UpdateSGD, LR: 1}
+	return ApplyUpdate(g, v, rule, rule.NewState(v.Val.Shape()...), grad, norm)
+}
+
 func TestVariablesAndAssign(t *testing.T) {
 	g := New()
 	v := vars.New("w", tensor.FromSlice([]float64{1, 2}, 2))
 	r := VarRead(g, v)
-	upd := Assign(g, v, Scale(g, r, 2))
+	upd := sgdStep(g, v, Neg(g, r), ConstScalar(g, 0))
 	sess := NewSession(g)
 	if _, err := sess.Run1(upd, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !v.Val.Equal(tensor.FromSlice([]float64{2, 4}, 2)) {
-		t.Fatalf("after assign, v = %v", v.Val)
+		t.Fatalf("after the update, v = %v", v.Val)
 	}
 }
 
 func TestControlDependencies(t *testing.T) {
 	g := New()
 	v := vars.New("c", tensor.Scalar(0))
-	bump := Assign(g, v, AddScalar(g, VarRead(g, v), 1))
+	bump := sgdStep(g, v, ConstScalar(g, -1), ConstScalar(g, 0))
 	read := Identity(g, VarRead(g, v))
 	read.AddDep(bump)
 	sess := NewSession(g)
@@ -84,20 +91,6 @@ func TestControlDependencies(t *testing.T) {
 	}
 	if out.Item() != 1 {
 		t.Fatalf("read = %g, want 1 (dep ran first)", out.Item())
-	}
-}
-
-func TestGroupForcesEvaluation(t *testing.T) {
-	g := New()
-	v := vars.New("c", tensor.Scalar(0))
-	b1 := Assign(g, v, ConstScalar(g, 5))
-	grp := Group(g, b1)
-	sess := NewSession(g)
-	if _, err := sess.Run1(grp, nil); err != nil {
-		t.Fatal(err)
-	}
-	if v.Val.Item() != 5 {
-		t.Fatal("group did not evaluate its input")
 	}
 }
 
@@ -149,7 +142,7 @@ func TestStaticShapesPropagate(t *testing.T) {
 func TestWhereAndComparisons(t *testing.T) {
 	g := New()
 	x := Placeholder(g, "x", []int{3})
-	y := Where(g, GreaterEqual(g, x, ConstScalar(g, 0)), x, Neg(g, x))
+	y := Where(g, LessEqual(g, ConstScalar(g, 0), x), x, Neg(g, x))
 	sess := NewSession(g)
 	out, err := sess.Run1(y, Feeds{x: tensor.FromSlice([]float64{-2, 0, 3}, 3)})
 	if err != nil {
@@ -209,13 +202,12 @@ func TestArgMaxAndOneHot(t *testing.T) {
 	g := New()
 	q := Placeholder(g, "q", []int{-1, 4})
 	am := ArgMaxAxis(g, q, -1)
-	oh := OneHot(g, am, 4)
 	sess := NewSession(g)
-	out, err := sess.Run1(oh, Feeds{q: tensor.FromSlice([]float64{1, 9, 2, 3, 8, 1, 1, 1}, 2, 4)})
+	out, err := sess.Run1(am, Feeds{q: tensor.FromSlice([]float64{1, 9, 2, 3, 8, 1, 1, 1}, 2, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tensor.FromSlice([]float64{0, 1, 0, 0, 1, 0, 0, 0}, 2, 4)
+	want := tensor.FromSlice([]float64{1, 0}, 2)
 	if !out.Equal(want) {
 		t.Fatalf("got %v", out)
 	}
@@ -258,7 +250,7 @@ func TestGradElementwiseChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.RandUniform(rng, 0.1, 2, 2, 3)
 	checkGrad(t, func(g *Graph, x *Node) *Node {
-		return Sum(g, Mul(g, Log(g, x), Exp(g, Neg(g, x))))
+		return Sum(g, Mul(g, Sqrt(g, x), Exp(g, Neg(g, x))))
 	}, x, 1e-5)
 }
 
@@ -337,15 +329,6 @@ func TestGradTakeAlongLastAxis(t *testing.T) {
 	}, x, 1e-5)
 }
 
-func TestGradGatherRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x := tensor.RandNormal(rng, 0, 1, 5, 2)
-	checkGrad(t, func(g *Graph, x *Node) *Node {
-		idx := Const(g, tensor.FromSlice([]float64{1, 1, 4}, 3))
-		return Sum(g, Square(g, GatherRows(g, x, idx)))
-	}, x, 1e-5)
-}
-
 func TestGradWhere(t *testing.T) {
 	x := tensor.FromSlice([]float64{-2, -1, 1, 2}, 4)
 	checkGrad(t, func(g *Graph, x *Node) *Node {
@@ -406,8 +389,7 @@ func TestGradReshapeTranspose(t *testing.T) {
 	x := tensor.RandNormal(rng, 0, 1, 2, 6)
 	checkGrad(t, func(g *Graph, x *Node) *Node {
 		r := Reshape(g, x, -1, 3)
-		tr := Transpose(g, r)
-		return Sum(g, Square(g, tr))
+		return Sum(g, Square(g, Reshape(g, r, 3, -1)))
 	}, x, 1e-5)
 }
 
@@ -425,23 +407,6 @@ func TestGradVariableRead(t *testing.T) {
 	if !out.Equal(tensor.FromSlice([]float64{4, 6}, 2)) {
 		t.Fatalf("grad = %v", out)
 	}
-}
-
-func TestGradMaximumMinimum(t *testing.T) {
-	x := tensor.FromSlice([]float64{-2, 0.5, 3}, 3)
-	checkGrad(t, func(g *Graph, x *Node) *Node {
-		return Sum(g, Square(g, Maximum(g, x, ConstScalar(g, 1))))
-	}, x, 1e-5)
-	checkGrad(t, func(g *Graph, x *Node) *Node {
-		return Sum(g, Square(g, Minimum(g, x, ConstScalar(g, 1))))
-	}, x, 1e-5)
-}
-
-func TestGradClip(t *testing.T) {
-	x := tensor.FromSlice([]float64{-5, -0.2, 0.4, 7}, 4)
-	checkGrad(t, func(g *Graph, x *Node) *Node {
-		return Sum(g, Square(g, Clip(g, x, -1, 1)))
-	}, x, 1e-5)
 }
 
 func TestGradSliceCols(t *testing.T) {

@@ -66,53 +66,6 @@ func VarRead(g *Graph, v *vars.Variable) *Node {
 	return g.Add(&varReadOp{v: v}).WithName(v.Name)
 }
 
-// Variable returns the variable a VarRead node reads, or nil.
-func (n *Node) Variable() *vars.Variable {
-	if o, ok := n.op.(*varReadOp); ok {
-		return o.v
-	}
-	return nil
-}
-
-// assignOp writes its input into a variable and yields the written value.
-// When owned is set, the input tensor is installed without a copy (ownership
-// transfer); otherwise the variable clones it.
-type assignOp struct {
-	v     *vars.Variable
-	owned bool
-}
-
-func (o *assignOp) Name() string { return "Assign" }
-func (o *assignOp) InferShape(in [][]int) ([]int, error) {
-	return in[0], nil
-}
-func (o *assignOp) Eval(_ *RunCtx, inputs []*tensor.Tensor) (*tensor.Tensor, error) {
-	if o.owned {
-		o.v.SetOwned(inputs[0])
-	} else {
-		o.v.Set(inputs[0])
-	}
-	return inputs[0], nil
-}
-func (o *assignOp) StatefulEval() {}
-
-// Assign adds a stateful node that stores val into v when evaluated.
-//
-// When val is produced by a value-semantics op its output is a fresh tensor
-// aliasing nothing else, and — because assignOp is a non-value-semantics
-// consumer — the plan's release analysis never recycles it through the run
-// arena. The assign can therefore transfer ownership instead of cloning,
-// which removes the dominant steady-state heap traffic of optimizer updates
-// (one full parameter-sized clone per slot variable per step). Aliasing
-// producers (varRead, identity, feeds, consts) keep the defensive clone.
-// Callers must not assign one value-semantics node to two different
-// variables (both would own the same tensor); no graph builder in this
-// repo does.
-func Assign(g *Graph, v *vars.Variable, val *Node) *Node {
-	_, vs := val.op.(ValueSemanticsOp)
-	return g.Add(&assignOp{v: v, owned: vs}, val)
-}
-
 // applyUpdateOp runs one fused optimizer update of a variable and its slots
 // in place (tensor.UpdateRule.Apply) and yields a copy of its second input,
 // the global gradient norm. It has value semantics towards the plan — the
@@ -149,22 +102,6 @@ func (o *applyUpdateOp) ValueSemantics() {}
 func ApplyUpdate(g *Graph, v *vars.Variable, rule *tensor.UpdateRule, st *tensor.UpdateState, grad, norm *Node) *Node {
 	return g.Add(&applyUpdateOp{v: v, rule: rule, st: st}, grad, norm)
 }
-
-// groupOp evaluates all inputs and returns a scalar zero (like tf.group).
-type groupOp struct{}
-
-func (groupOp) Name() string                      { return "Group" }
-func (groupOp) InferShape([][]int) ([]int, error) { return []int{}, nil }
-func (groupOp) Eval(ctx *RunCtx, _ []*tensor.Tensor) (*tensor.Tensor, error) {
-	// Arena-backed zero scalar: group results are produced once per optimizer
-	// step chain, so a heap Scalar here shows up directly in allocs/op.
-	return ctx.NewTensor(), nil
-}
-
-func (groupOp) ValueSemantics() {}
-
-// Group adds a node that forces evaluation of all inputs, yielding 0.
-func Group(g *Graph, ins ...*Node) *Node { return g.Add(groupOp{}, ins...) }
 
 // StatefulFunc is an arbitrary host-side computation embedded in the graph.
 // It is the bridge that lets components with native Go state (replay

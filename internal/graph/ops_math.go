@@ -131,49 +131,11 @@ func Div(g *Graph, a, b *Node) *Node {
 		}}, a, b)
 }
 
-// Maximum returns elementwise max(a,b) with subgradient routed to the larger
-// operand (ties go to a).
-func Maximum(g *Graph, a, b *Node) *Node {
-	return g.Add(&binOp{name: "Maximum", fn: tensor.Maximum, flat: tensor.MaximumFlat,
-		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
-			a, b := n.inputs[0], n.inputs[1]
-			mask := GreaterEqual(g, a, b)
-			return []*Node{
-				UnbroadcastLike(g, Mul(g, gy, mask), a),
-				UnbroadcastLike(g, Mul(g, gy, OneMinus(g, mask)), b),
-			}
-		}}, a, b)
-}
-
-// Minimum returns elementwise min(a,b) with subgradient to the smaller
-// operand (ties go to a).
-func Minimum(g *Graph, a, b *Node) *Node {
-	return g.Add(&binOp{name: "Minimum", fn: tensor.Minimum, flat: tensor.MinimumFlat,
-		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
-			a, b := n.inputs[0], n.inputs[1]
-			mask := LessEqual(g, a, b)
-			return []*Node{
-				UnbroadcastLike(g, Mul(g, gy, mask), a),
-				UnbroadcastLike(g, Mul(g, gy, OneMinus(g, mask)), b),
-			}
-		}}, a, b)
-}
-
-// GreaterEqual returns 1 where a>=b else 0 (non-differentiable).
-func GreaterEqual(g *Graph, a, b *Node) *Node {
-	return g.Add(&binOp{name: "GreaterEqual", fn: tensor.GreaterEqual, flat: tensor.GreaterEqualFlat}, a, b)
-}
-
 // LessEqual returns 1 where a<=b else 0 (non-differentiable).
 func LessEqual(g *Graph, a, b *Node) *Node {
 	return g.Add(&binOp{name: "LessEqual", fn: func(x, y *tensor.Tensor) *tensor.Tensor {
 		return tensor.GreaterEqual(y, x)
 	}}, a, b)
-}
-
-// Less returns 1 where a<b else 0 (non-differentiable).
-func Less(g *Graph, a, b *Node) *Node {
-	return g.Add(&binOp{name: "Less", fn: tensor.Less, flat: tensor.LessFlat}, a, b)
 }
 
 // EqualElems returns 1 where a==b else 0 (non-differentiable).
@@ -194,14 +156,6 @@ func Exp(g *Graph, x *Node) *Node {
 	return g.Add(&unOp{name: "Exp", fn: tensor.Exp, flat: tensor.ExpFlat,
 		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
 			return []*Node{Mul(g, gy, n)} // d exp = exp(x) = n's output
-		}}, x)
-}
-
-// Log returns ln(x).
-func Log(g *Graph, x *Node) *Node {
-	return g.Add(&unOp{name: "Log", fn: tensor.Log, flat: tensor.LogFlat,
-		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
-			return []*Node{Div(g, gy, n.inputs[0])}
 		}}, x)
 }
 
@@ -291,20 +245,6 @@ func AddScalar(g *Graph, x *Node, s float64) *Node {
 		flat: func(dst, a []float64) { tensor.AddScalarFlat(dst, a, s) },
 		gradFn: func(g *Graph, _ *Node, gy *Node) []*Node {
 			return []*Node{gy}
-		}}, x)
-}
-
-// Clip limits x to [lo,hi] with a pass-through subgradient inside the range.
-func Clip(g *Graph, x *Node, lo, hi float64) *Node {
-	return g.Add(&unOp{name: "Clip",
-		fn:   func(a *tensor.Tensor) *tensor.Tensor { return tensor.Clip(a, lo, hi) },
-		flat: func(dst, a []float64) { tensor.ClipFlat(dst, a, lo, hi) },
-		gradFn: func(g *Graph, n *Node, gy *Node) []*Node {
-			inRange := g.Add(&unOp{name: "ClipMask", fn: func(a *tensor.Tensor) *tensor.Tensor {
-				return tensor.Mul(tensor.GreaterEqual(a, tensor.Scalar(lo)),
-					tensor.GreaterEqual(tensor.Scalar(hi), a))
-			}}, n.inputs[0])
-			return []*Node{Mul(g, gy, inRange)}
 		}}, x)
 }
 

@@ -86,8 +86,6 @@ func (o *axisReduceOp) Eval(_ *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, err
 		return tensor.MeanAxis(in[0], o.axis, o.keepDims), nil
 	case "max":
 		return tensor.MaxAxis(in[0], o.axis, o.keepDims), nil
-	case "min":
-		return tensor.MinAxis(in[0], o.axis, o.keepDims), nil
 	}
 	return nil, fmt.Errorf("unknown reduce kind %q", o.kind)
 }
@@ -100,10 +98,10 @@ func (o *axisReduceOp) Grad(g *Graph, n *Node, gy *Node) []*Node {
 	case "sum", "mean":
 		grad := g.Add(&axisReduceGradOp{axis: o.axis, keepDims: o.keepDims, mean: o.kind == "mean"}, gy, x)
 		return []*Node{grad}
-	case "max", "min":
+	case "max":
 		// Subgradient: route gy to elements equal to the reduced value.
 		// Ties receive duplicated gradient; acceptable for RL losses where
-		// max/min reductions sit inside StopGradient or ties have measure 0.
+		// max reductions sit inside StopGradient or ties have measure 0.
 		expanded := g.Add(&axisReduceGradOp{axis: o.axis, keepDims: o.keepDims}, gy, x)
 		reduced := g.Add(&axisReduceOp{kind: o.kind, axis: o.axis, keepDims: true}, x)
 		mask := EqualElems(g, x, reduced)
@@ -156,11 +154,6 @@ func MeanAxis(g *Graph, x *Node, axis int, keepDims bool) *Node {
 // MaxAxis adds a single-axis max.
 func MaxAxis(g *Graph, x *Node, axis int, keepDims bool) *Node {
 	return g.Add(&axisReduceOp{kind: "max", axis: axis, keepDims: keepDims}, x)
-}
-
-// MinAxis adds a single-axis min.
-func MinAxis(g *Graph, x *Node, axis int, keepDims bool) *Node {
-	return g.Add(&axisReduceOp{kind: "min", axis: axis, keepDims: keepDims}, x)
 }
 
 // argmaxOp is non-differentiable.

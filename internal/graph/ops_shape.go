@@ -166,112 +166,6 @@ func TakeAlongLastAxis(g *Graph, x, idx *Node) *Node {
 	return g.Add(takeAlongLastOp{}, x, idx)
 }
 
-// gatherRowsOp selects rows of a table by index.
-type gatherRowsOp struct{}
-
-func (gatherRowsOp) Name() string { return "GatherRows" }
-func (gatherRowsOp) InferShape(in [][]int) ([]int, error) {
-	table, idx := in[0], in[1]
-	if len(idx) != 1 {
-		return nil, fmt.Errorf("GatherRows wants rank-1 indices, got %v", idx)
-	}
-	return append([]int{idx[0]}, table[1:]...), nil
-}
-func (gatherRowsOp) Eval(_ *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.GatherRows(in[0], in[1]), nil
-}
-func (gatherRowsOp) ValueSemantics() {}
-
-func (gatherRowsOp) Grad(g *Graph, n *Node, gy *Node) []*Node {
-	dt := g.Add(gatherRowsGradOp{}, gy, n.inputs[0], n.inputs[1])
-	return []*Node{dt, nil}
-}
-
-// gatherRowsGradOp scatter-adds gy into a table-shaped zero tensor.
-type gatherRowsGradOp struct{}
-
-func (gatherRowsGradOp) Name() string                         { return "GatherRowsGrad" }
-func (gatherRowsGradOp) InferShape(in [][]int) ([]int, error) { return in[1], nil }
-func (gatherRowsGradOp) Eval(_ *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	out := tensor.New(in[1].Shape()...)
-	tensor.ScatterAddRows(out, in[0], in[2])
-	return out, nil
-}
-
-func (gatherRowsGradOp) ValueSemantics() {}
-
-// GatherRows adds a row-gather (embedding lookup) node.
-func GatherRows(g *Graph, table, idx *Node) *Node {
-	return g.Add(gatherRowsOp{}, table, idx)
-}
-
-// oneHotOp encodes integer indices as one-hot rows (non-differentiable).
-type oneHotOp struct{ depth int }
-
-func (o *oneHotOp) Name() string { return "OneHot" }
-func (o *oneHotOp) InferShape(in [][]int) ([]int, error) {
-	if len(in[0]) != 1 {
-		return nil, fmt.Errorf("OneHot wants rank-1 indices, got %v", in[0])
-	}
-	return []int{in[0][0], o.depth}, nil
-}
-func (o *oneHotOp) Eval(_ *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.OneHot(in[0], o.depth), nil
-}
-
-func (o *oneHotOp) ValueSemantics() {}
-
-// OneHot adds a one-hot encoding node.
-func OneHot(g *Graph, idx *Node, depth int) *Node { return g.Add(&oneHotOp{depth: depth}, idx) }
-
-// transposeOp permutes dimensions.
-type transposeOp struct{ perm []int }
-
-func (o *transposeOp) Name() string { return "Transpose" }
-func (o *transposeOp) InferShape(in [][]int) ([]int, error) {
-	s := in[0]
-	perm := o.perm
-	if len(perm) == 0 {
-		perm = make([]int, len(s))
-		for i := range perm {
-			perm[i] = len(s) - 1 - i
-		}
-	}
-	if len(perm) != len(s) {
-		return nil, fmt.Errorf("transpose perm %v vs shape %v", o.perm, s)
-	}
-	out := make([]int, len(s))
-	for i, p := range perm {
-		out[i] = s[p]
-	}
-	return out, nil
-}
-func (o *transposeOp) Eval(_ *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Transpose(in[0], o.perm...), nil
-}
-func (o *transposeOp) ValueSemantics() {}
-
-func (o *transposeOp) Grad(g *Graph, n *Node, gy *Node) []*Node {
-	r := len(n.inputs[0].shape)
-	perm := o.perm
-	if len(perm) == 0 {
-		perm = make([]int, r)
-		for i := range perm {
-			perm[i] = r - 1 - i
-		}
-	}
-	inv := make([]int, len(perm))
-	for i, p := range perm {
-		inv[p] = i
-	}
-	return []*Node{g.Add(&transposeOp{perm: inv}, gy)}
-}
-
-// Transpose adds a dimension permutation (empty perm reverses dims).
-func Transpose(g *Graph, x *Node, perm ...int) *Node {
-	return g.Add(&transposeOp{perm: append([]int(nil), perm...)}, x)
-}
-
 // sliceColsOp selects a last-axis column range.
 type sliceColsOp struct{ lo, hi int }
 

@@ -97,12 +97,6 @@ type Plan struct {
 	scratch sync.Pool
 }
 
-// Steps returns the number of compiled op evaluations per run.
-func (p *Plan) Steps() int { return len(p.steps) }
-
-// Slots returns the size of the per-run value array.
-func (p *Plan) Slots() int { return p.nslots }
-
 // planScratch is the reusable per-run buffer set.
 type planScratch struct {
 	values  []*tensor.Tensor

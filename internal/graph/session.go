@@ -69,9 +69,6 @@ func NewSession(g *Graph) *Session {
 	return s
 }
 
-// Graph returns the session's graph.
-func (s *Session) Graph() *Graph { return s.g }
-
 // SetParallelism sets the number of workers used to execute plan steps
 // (n <= 1 selects the serial executor). Steps on the same named device still
 // serialize through the device's stream limit (see SetDeviceLimits), and
@@ -79,9 +76,6 @@ func (s *Session) Graph() *Graph { return s.g }
 // independent of the parallelism level. Safe to call concurrently with Run;
 // it affects subsequent runs.
 func (s *Session) SetParallelism(n int) { s.parallelism.Store(int32(n)) }
-
-// Parallelism returns the current worker count.
-func (s *Session) Parallelism() int { return int(s.parallelism.Load()) }
 
 // ArenaStats reports the session arena's (allocations served, pool hits)
 // counters — the benchmark hook for verifying plan-level buffer reuse.
@@ -178,13 +172,6 @@ func (s *Session) CompiledPlans() int {
 	return len(s.plans)
 }
 
-// ClearPlans drops the plan cache (e.g. after mutating the graph).
-func (s *Session) ClearPlans() {
-	s.planMu.Lock()
-	s.plans = make(map[string]*Plan)
-	s.planMu.Unlock()
-}
-
 // Run evaluates the fetch nodes under the given feeds, returning one tensor
 // per fetch. All fetches (and their control dependencies) are evaluated
 // within a single pass over a compiled plan — the static-graph analogue of
@@ -263,6 +250,7 @@ func (s *Session) planFor(fetches []*Node, feeds Feeds) (*Plan, error) {
 // tests — the oracle the plan executors are checked against, not a path any
 // shipped code runs; it recurses to the depth of the graph, so deep unrolled
 // graphs can exhaust the goroutine stack — use Run instead.
+// oracle: TestPlanDifferentialRandomDAGs checks every plan executor against it.
 func (s *Session) RunRecursive(fetches []*Node, feeds Feeds) ([]*tensor.Tensor, error) {
 	s.runCount.Add(1)
 	ctx := &RunCtx{DeviceNodeCount: make(map[string]int)}
@@ -290,6 +278,8 @@ func (s *Session) RunRecursive(fetches []*Node, feeds Feeds) ([]*tensor.Tensor, 
 	return out, nil
 }
 
+// evalRecursive evaluates n for RunRecursive, memoizing shared subgraphs.
+// oracle: the recursion behind RunRecursive.
 func (s *Session) evalRecursive(n *Node, feeds Feeds, memo map[*Node]*tensor.Tensor, ctx *RunCtx) (*tensor.Tensor, error) {
 	if n.g != s.g {
 		return nil, fmt.Errorf("graph: fetch %v belongs to a different graph", n)

@@ -28,14 +28,6 @@ type ActorMetrics struct {
 	QueueWaitMax   time.Duration
 }
 
-// AvgQueueWait returns the mean enqueue-to-dequeue latency.
-func (m ActorMetrics) AvgQueueWait() time.Duration {
-	if m.CallsProcessed == 0 {
-		return 0
-	}
-	return m.QueueWaitTotal / time.Duration(m.CallsProcessed)
-}
-
 // metricState is the per-actor-name metrics accumulator.
 type metricState struct {
 	mu sync.Mutex
@@ -75,20 +67,6 @@ func (c *Cluster) metricStateFor(name string) *metricState {
 		c.metrics[name] = st
 	}
 	return st
-}
-
-// ActorMetricsFor returns the named actor's metrics snapshot (zero value for
-// a name that never enqueued anything).
-func (c *Cluster) ActorMetricsFor(name string) ActorMetrics {
-	c.mu.Lock()
-	st := c.metrics[name]
-	c.mu.Unlock()
-	if st == nil {
-		return ActorMetrics{}
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.m
 }
 
 // ActorMetricsSnapshot returns a copy of every actor's metrics, keyed by

@@ -15,7 +15,6 @@
 package raysim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -207,19 +206,6 @@ func (f *Future) GetTimeout(d time.Duration) (interface{}, error) {
 	}
 }
 
-// GetContext is Get bounded by a context.
-func (f *Future) GetContext(ctx context.Context) (interface{}, error) {
-	select {
-	case <-f.done:
-		return f.val, f.err
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return nil, fmt.Errorf("raysim: %w: %v", ErrTimeout, ctx.Err())
-		}
-		return nil, fmt.Errorf("raysim: call canceled: %w", ctx.Err())
-	}
-}
-
 // TryGet reports the result without blocking; ok is false while the call is
 // still in flight.
 func (f *Future) TryGet() (v interface{}, err error, ok bool) {
@@ -229,16 +215,6 @@ func (f *Future) TryGet() (v interface{}, err error, ok bool) {
 	default:
 		return nil, nil, false
 	}
-}
-
-// MustGet is Get, panicking on error (driver-loop convenience for examples
-// and tests; executor hot loops propagate errors instead).
-func (f *Future) MustGet() interface{} {
-	v, err := f.Get()
-	if err != nil {
-		panic(err)
-	}
-	return v
 }
 
 func (c *Cluster) newRef(name string, behavior Behavior) *ActorRef {
@@ -321,13 +297,6 @@ func (c *Cluster) Restart(name string) (*ActorRef, error) {
 	atomic.AddInt64(&c.Restarts, 1)
 	go a.run()
 	return a, nil
-}
-
-// Actor returns the current incarnation of a registered actor, or nil.
-func (c *Cluster) Actor(name string) *ActorRef {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.actors[name]
 }
 
 func (a *ActorRef) run() {
@@ -448,10 +417,6 @@ func (a *ActorRef) drainAbandoned(cause error) {
 
 // Name returns the actor's registered name.
 func (a *ActorRef) Name() string { return a.name }
-
-// Crashed reports whether this incarnation died from a panic, injected
-// crash, or kill (restart) rather than a graceful Stop.
-func (a *ActorRef) Crashed() bool { return a.crashed.Load() }
 
 func (a *ActorRef) killReason() error {
 	a.killMu.Lock()

@@ -1,7 +1,6 @@
 package raysim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -128,7 +127,7 @@ func TestCallCountsAndStop(t *testing.T) {
 		"f": func([]interface{}) (interface{}, error) { return nil, nil },
 	})
 	for i := 0; i < 5; i++ {
-		a.Call("f").MustGet()
+		mustGet(t, a.Call("f"))
 	}
 	if c.Calls != 5 {
 		t.Fatalf("calls = %d", c.Calls)
@@ -168,7 +167,7 @@ func TestPipelinedThroughput(t *testing.T) {
 			t.Fatalf("fut %d = %v, %v", i, v, err)
 		}
 	}
-	if c.Actor("pipe") != a {
+	if actorOf(c, "pipe") != a {
 		t.Fatal("lookup failed")
 	}
 }
@@ -212,7 +211,7 @@ func TestPanicCrashesActorCleanly(t *testing.T) {
 		t.Fatalf("queued call after panic did not fail: %v", err)
 	}
 	a.Wait()
-	if !a.Crashed() {
+	if !a.crashed.Load() {
 		t.Fatal("actor not marked crashed")
 	}
 	if _, err := a.Call("ok").Get(); !errors.Is(err, ErrCrashed) {
@@ -236,22 +235,6 @@ func TestGetTimeoutAbandonsSlowCall(t *testing.T) {
 	// The call still completes; a later blocking Get sees the value.
 	if v, err := f.GetTimeout(2 * time.Second); err != nil || v.(int) != 42 {
 		t.Fatalf("late result lost: %v, %v", v, err)
-	}
-}
-
-func TestGetContextCancel(t *testing.T) {
-	c := NewCluster(Config{})
-	a := mustActor(t, c, "ctx", Behavior{
-		"f": func([]interface{}) (interface{}, error) {
-			time.Sleep(50 * time.Millisecond)
-			return nil, nil
-		},
-	})
-	defer c.StopAll()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := a.Call("f").GetContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want canceled, got %v", err)
 	}
 }
 
@@ -300,7 +283,7 @@ func TestRestartRespawnsFromFactory(t *testing.T) {
 	if v, err := nw.Call("id").Get(); err != nil || v.(int) != 2 {
 		t.Fatalf("restarted incarnation = %v, %v", v, err)
 	}
-	if c.Actor("phoenix") != nw {
+	if actorOf(c, "phoenix") != nw {
 		t.Fatal("registry not updated")
 	}
 	if c.Restarts != 1 {
@@ -447,7 +430,7 @@ func TestStopAllAbandonsHungActor(t *testing.T) {
 	mustActor(t, c, "hung", Behavior{
 		"hang": func([]interface{}) (interface{}, error) { <-block; return nil, nil },
 	})
-	f := c.Actor("hung").Call("hang")
+	f := actorOf(c, "hung").Call("hang")
 	time.Sleep(10 * time.Millisecond)
 	start := time.Now()
 	c.StopAll() // must not wait forever on the hung actor
@@ -477,7 +460,7 @@ func TestStoppedActorsReleaseTheirState(t *testing.T) {
 		a := mustActor(t, c, fmt.Sprintf("holder-%d", i), Behavior{
 			"touch": func([]interface{}) (interface{}, error) { state[0]++; return int(state[0]), nil },
 		})
-		a.Call("touch").MustGet()
+		mustGet(t, a.Call("touch"))
 	}
 	if held := heap(); held < base+(19<<20) {
 		t.Fatalf("live actors hold %d bytes over baseline, want ~20 MiB (test no longer measures actor state)", held-base)
@@ -487,7 +470,24 @@ func TestStoppedActorsReleaseTheirState(t *testing.T) {
 		t.Fatalf("20 stopped actors pin %d bytes over baseline, want < 2 MiB", after-base)
 	}
 	// The dead refs still answer — with an error, never a hang.
-	if _, err := c.Actor("holder-0").Call("touch").Get(); !errors.Is(err, ErrStopped) {
+	if _, err := actorOf(c, "holder-0").Call("touch").Get(); !errors.Is(err, ErrStopped) {
 		t.Fatalf("stopped actor accepted call: %v", err)
 	}
+}
+
+// actorOf returns the current incarnation of a registered actor, or nil.
+func actorOf(c *Cluster, name string) *ActorRef {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.actors[name]
+}
+
+// mustGet waits for f and fails the test on an error.
+func mustGet(t *testing.T, f *Future) interface{} {
+	t.Helper()
+	v, err := f.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

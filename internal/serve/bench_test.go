@@ -19,7 +19,8 @@ import (
 func closedLoop(tb testing.TB, n int, deadline time.Duration) float64 {
 	tb.Helper()
 	agent, env := buildServeDQN(tb)
-	svc := NewForDQN(agent, false, Config{MaxBatch: 64, Block: true})
+	svc := New(ExecutorRunner(agent.Executor(), "get_actions_greedy"),
+		Config{Elem: agent.StateSpace(), MaxBatch: 64, Block: true})
 	defer svc.Close()
 	obs := env.Reset().Clone()
 	var left atomic.Int64
@@ -65,7 +66,8 @@ func BenchmarkServeClosedLoopDeadline(b *testing.B) {
 // one-row plan run, scatter), with no batch window to sit out.
 func BenchmarkServeLoneRequest(b *testing.B) {
 	agent, env := buildServeDQN(b)
-	svc := NewForDQN(agent, false, Config{MaxBatch: 64})
+	svc := New(ExecutorRunner(agent.Executor(), "get_actions_greedy"),
+		Config{Elem: agent.StateSpace(), MaxBatch: 64})
 	defer svc.Close()
 	obs := env.Reset().Clone()
 	b.ResetTimer()

@@ -3,9 +3,7 @@ package serve
 import (
 	"fmt"
 
-	"rlgraph/internal/agents"
 	"rlgraph/internal/exec"
-	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 )
 
@@ -24,31 +22,4 @@ func ExecutorRunner(e exec.Executor, api string) Runner {
 		}
 		return outs[0], nil
 	}
-}
-
-// AgentRunner adapts an agent's action path into a Runner.
-func AgentRunner(a agents.Agent, explore bool) Runner {
-	return func(batch *tensor.Tensor) (*tensor.Tensor, error) {
-		return a.GetActions(batch, explore)
-	}
-}
-
-// NewForExecutor builds a Service over one executor API, deriving the
-// element shape (and admission check) from the API's observation space.
-// elem is the UNBATCHED observation space of one request.
-func NewForExecutor(e exec.Executor, api string, elem spaces.Space, cfg Config) *Service {
-	if cfg.Elem == nil {
-		cfg.Elem = elem
-	}
-	return New(ExecutorRunner(e, api), cfg)
-}
-
-// NewForDQN serves a built DQN agent's greedy (explore=false) or
-// ε-greedy (explore=true) action path.
-func NewForDQN(a *agents.DQN, explore bool, cfg Config) *Service {
-	api := "get_actions_greedy"
-	if explore {
-		api = "get_actions"
-	}
-	return NewForExecutor(a.Executor(), api, a.StateSpace(), cfg)
 }

@@ -324,7 +324,7 @@ func TestDifferentialBatchedVsSingle(t *testing.T) {
 	// Batched: all n requests coalesce into one compiled-plan call — they
 	// queue up while the batcher is parked in a barrier.
 	runDifferential := func(api string, check func(i int, row *tensor.Tensor)) {
-		s := NewForExecutor(a.Executor(), api, a.StateSpace(), Config{MaxBatch: n})
+		s := New(ExecutorRunner(a.Executor(), api), Config{Elem: a.StateSpace(), MaxBatch: n})
 		defer s.Close()
 		parked, release := make(chan struct{}), make(chan struct{})
 		go s.Barrier(func() error { close(parked); <-release; return nil })

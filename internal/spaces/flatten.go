@@ -3,24 +3,19 @@ package spaces
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 
 	"rlgraph/internal/tensor"
 )
 
-// Value is a (possibly nested) space element: either a tensor leaf, a dict of
-// values, or a tuple of values. Exactly one field is set.
+// Value is a (possibly nested) space element: either a tensor leaf or a
+// dict of values. Exactly one field is set.
 type Value struct {
-	Leaf  *tensor.Tensor
-	Dict  map[string]*Value
-	Tuple []*Value
+	Leaf *tensor.Tensor
+	Dict map[string]*Value
 }
 
 // LeafValue wraps a tensor as a Value.
 func LeafValue(t *tensor.Tensor) *Value { return &Value{Leaf: t} }
-
-// IsLeaf reports whether v is a tensor leaf.
-func (v *Value) IsLeaf() bool { return v.Leaf != nil }
 
 // Get returns the sub-value for a dict key, panicking when absent.
 func (v *Value) Get(key string) *Value {
@@ -31,11 +26,8 @@ func (v *Value) Get(key string) *Value {
 	return s
 }
 
-// At returns the i-th tuple sub-value.
-func (v *Value) At(i int) *Value { return v.Tuple[i] }
-
 // LeafPath names one primitive leaf within a container space, e.g.
-// "discrete" for Dict{discrete, cont} or "0/pos" for nested containers.
+// "discrete" for Dict{discrete, cont} or "obs/pos" for nested dicts.
 type LeafPath struct {
 	Path  string
 	Space Space
@@ -43,7 +35,7 @@ type LeafPath struct {
 
 // Flatten returns the ordered primitive leaves of a space. A primitive space
 // flattens to a single leaf with an empty path. Dict keys flatten in sorted
-// order; tuples in index order. This ordering is the contract behind
+// order. This ordering is the contract behind
 // RLgraph's ContainerSplitter/Merger components.
 func Flatten(s Space) []LeafPath {
 	var out []LeafPath
@@ -53,10 +45,6 @@ func Flatten(s Space) []LeafPath {
 		case *Dict:
 			for _, k := range sp.Keys() {
 				walk(join(prefix, k), sp.Sub(k))
-			}
-		case *Tuple:
-			for i := 0; i < sp.Len(); i++ {
-				walk(join(prefix, strconv.Itoa(i)), sp.Sub(i))
 			}
 		default:
 			out = append(out, LeafPath{Path: prefix, Space: s})
@@ -84,10 +72,6 @@ func FlattenValue(s Space, v *Value) []*tensor.Tensor {
 			for _, k := range sp.Keys() {
 				walk(sp.Sub(k), v.Get(k))
 			}
-		case *Tuple:
-			for i := 0; i < sp.Len(); i++ {
-				walk(sp.Sub(i), v.At(i))
-			}
 		default:
 			if v.Leaf == nil {
 				panic("spaces: FlattenValue hit a non-leaf value at a primitive space")
@@ -112,12 +96,6 @@ func UnflattenValue(s Space, leaves []*tensor.Tensor) *Value {
 				m[k] = walk(sp.Sub(k))
 			}
 			return &Value{Dict: m}
-		case *Tuple:
-			vs := make([]*Value, sp.Len())
-			for j := 0; j < sp.Len(); j++ {
-				vs[j] = walk(sp.Sub(j))
-			}
-			return &Value{Tuple: vs}
 		default:
 			if i >= len(leaves) {
 				panic("spaces: UnflattenValue ran out of leaves")
@@ -145,16 +123,6 @@ func SampleContainer(s Space, rng *rand.Rand, batch int) *Value {
 	return UnflattenValue(s, ts)
 }
 
-// ZerosContainer builds a zero Value tree for any space.
-func ZerosContainer(s Space, batch int) *Value {
-	leaves := Flatten(s)
-	ts := make([]*tensor.Tensor, len(leaves))
-	for i, l := range leaves {
-		ts[i] = l.Space.Zeros(batch)
-	}
-	return UnflattenValue(s, ts)
-}
-
 // ContainsValue reports whether v is a valid element of s, recursing through
 // containers.
 func ContainsValue(s Space, v *Value) bool {
@@ -170,20 +138,7 @@ func ContainsValue(s Space, v *Value) bool {
 			}
 		}
 		return true
-	case *Tuple:
-		if len(v.Tuple) != sp.Len() {
-			return false
-		}
-		for i := 0; i < sp.Len(); i++ {
-			if !ContainsValue(sp.Sub(i), v.Tuple[i]) {
-				return false
-			}
-		}
-		return true
 	default:
 		return v.Leaf != nil && s.Contains(v.Leaf)
 	}
 }
-
-// NumLeaves returns the number of primitive leaves of s.
-func NumLeaves(s Space) int { return len(Flatten(s)) }

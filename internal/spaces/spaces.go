@@ -5,9 +5,9 @@
 // create variables, and generate placeholders.
 //
 // Primitive spaces are boxes (FloatBox, IntBox, BoolBox) with an element
-// shape plus optional batch and time ranks. Container spaces (Dict, Tuple)
-// nest arbitrarily and can be flattened to an ordered list of primitive
-// leaves — the mechanism behind RLgraph's auto split/merge utilities.
+// shape plus an optional batch rank. Dict container spaces nest arbitrarily
+// and flatten to an ordered list of primitive leaves — the mechanism behind
+// RLgraph's auto split/merge utilities.
 package spaces
 
 import (
@@ -25,12 +25,8 @@ type Space interface {
 	Shape() []int
 	// HasBatchRank reports whether values carry a leading batch dimension.
 	HasBatchRank() bool
-	// HasTimeRank reports whether values carry a time dimension after batch.
-	HasTimeRank() bool
 	// WithBatchRank returns a copy of the space with a batch rank added.
 	WithBatchRank() Space
-	// WithTimeRank returns a copy of the space with a time rank added.
-	WithTimeRank() Space
 	// Sample draws one random element (with the given batch size if the
 	// space has a batch rank; pass 1 for unbatched use).
 	Sample(rng *rand.Rand, batch int) *tensor.Tensor
@@ -43,7 +39,7 @@ type Space interface {
 }
 
 // ContainsElement reports whether t is a valid single element of a
-// primitive space, ignoring the space's declared batch/time ranks — the
+// primitive space, ignoring the space's declared batch rank — the
 // admission-time check for serving APIs that accept one observation per
 // request and batch them internally along the wildcard batch dim. Value
 // constraints (bounds, integrality) are checked like Contains.
@@ -54,59 +50,37 @@ func ContainsElement(sp Space, t *tensor.Tensor) bool {
 	if !tensor.SameShape(t.Shape(), sp.Shape()) {
 		return false
 	}
-	lead := 0
-	if sp.HasBatchRank() {
-		lead++
-	}
-	if sp.HasTimeRank() {
-		lead++
-	}
-	if lead == 0 {
+	if !sp.HasBatchRank() {
 		return sp.Contains(t)
 	}
-	// Reinstate the lead dims as size-1 so Contains sees the declared rank.
-	shape := make([]int, 0, lead+t.Rank())
-	for i := 0; i < lead; i++ {
-		shape = append(shape, 1)
-	}
-	shape = append(shape, t.Shape()...)
-	return sp.Contains(t.Reshape(shape...))
+	// Reinstate the batch dim as size 1 so Contains sees the declared rank.
+	return sp.Contains(t.Reshape(append([]int{1}, t.Shape()...)...))
 }
 
 // box holds the fields shared by the primitive spaces.
 type box struct {
 	shape     []int
 	batchRank bool
-	timeRank  bool
 }
 
 func (b box) Shape() []int       { return b.shape }
 func (b box) HasBatchRank() bool { return b.batchRank }
-func (b box) HasTimeRank() bool  { return b.timeRank }
 
-// fullShape prepends batch (and time) dims to the element shape.
+// fullShape prepends the batch dim to the element shape.
 func (b box) fullShape(batch int) []int {
-	var s []int
 	if b.batchRank {
-		s = append(s, batch)
+		return append([]int{batch}, b.shape...)
 	}
-	if b.timeRank {
-		s = append(s, 1)
-	}
-	return append(s, b.shape...)
+	return append([]int(nil), b.shape...)
 }
 
 // leadRanks counts how many leading dims a value carries beyond the element
 // shape.
 func (b box) leadRanks() int {
-	n := 0
 	if b.batchRank {
-		n++
+		return 1
 	}
-	if b.timeRank {
-		n++
-	}
-	return n
+	return 0
 }
 
 func (b box) containsShape(t *tensor.Tensor) bool {
@@ -119,17 +93,10 @@ func (b box) containsShape(t *tensor.Tensor) bool {
 }
 
 func (b box) rankSuffix() string {
-	var tags []string
 	if b.batchRank {
-		tags = append(tags, "B")
+		return "+B"
 	}
-	if b.timeRank {
-		tags = append(tags, "T")
-	}
-	if len(tags) == 0 {
-		return ""
-	}
-	return "+" + strings.Join(tags, "")
+	return ""
 }
 
 // FloatBox is a continuous space with optional bounds.
@@ -154,13 +121,6 @@ func NewBoundedFloatBox(low, high float64, shape ...int) *FloatBox {
 func (f *FloatBox) WithBatchRank() Space {
 	c := *f
 	c.batchRank = true
-	return &c
-}
-
-// WithTimeRank returns a copy with a time rank.
-func (f *FloatBox) WithTimeRank() Space {
-	c := *f
-	c.timeRank = true
 	return &c
 }
 
@@ -213,13 +173,6 @@ func NewIntBox(n int, shape ...int) *IntBox {
 func (i *IntBox) WithBatchRank() Space {
 	c := *i
 	c.batchRank = true
-	return &c
-}
-
-// WithTimeRank returns a copy with a time rank.
-func (i *IntBox) WithTimeRank() Space {
-	c := *i
-	c.timeRank = true
 	return &c
 }
 
@@ -276,13 +229,6 @@ func NewBoolBox(shape ...int) *BoolBox {
 func (b *BoolBox) WithBatchRank() Space {
 	c := *b
 	c.batchRank = true
-	return &c
-}
-
-// WithTimeRank returns a copy with a time rank.
-func (b *BoolBox) WithTimeRank() Space {
-	c := *b
-	c.timeRank = true
 	return &c
 }
 
@@ -358,30 +304,11 @@ func (d *Dict) HasBatchRank() bool {
 	return len(d.keys) > 0
 }
 
-// HasTimeRank reports whether all leaves carry a time rank.
-func (d *Dict) HasTimeRank() bool {
-	for _, k := range d.keys {
-		if !d.subs[k].HasTimeRank() {
-			return false
-		}
-	}
-	return len(d.keys) > 0
-}
-
 // WithBatchRank applies WithBatchRank to every sub-space.
 func (d *Dict) WithBatchRank() Space {
 	m := make(map[string]Space, len(d.keys))
 	for _, k := range d.keys {
 		m[k] = d.subs[k].WithBatchRank()
-	}
-	return NewDict(m)
-}
-
-// WithTimeRank applies WithTimeRank to every sub-space.
-func (d *Dict) WithTimeRank() Space {
-	m := make(map[string]Space, len(d.keys))
-	for _, k := range d.keys {
-		m[k] = d.subs[k].WithTimeRank()
 	}
 	return NewDict(m)
 }
@@ -407,82 +334,4 @@ func (d *Dict) String() string {
 		parts[i] = fmt.Sprintf("%s:%s", k, d.subs[k])
 	}
 	return "Dict{" + strings.Join(parts, ", ") + "}"
-}
-
-// Tuple is an ordered container space.
-type Tuple struct {
-	subs []Space
-}
-
-// NewTuple builds a tuple space from sub-spaces.
-func NewTuple(subs ...Space) *Tuple { return &Tuple{subs: subs} }
-
-// Len returns the number of sub-spaces.
-func (tp *Tuple) Len() int { return len(tp.subs) }
-
-// Sub returns sub-space i.
-func (tp *Tuple) Sub(i int) Space { return tp.subs[i] }
-
-// Shape panics: container spaces have no single shape.
-func (tp *Tuple) Shape() []int { panic("spaces: Tuple has no primitive shape") }
-
-// HasBatchRank reports whether all leaves carry a batch rank.
-func (tp *Tuple) HasBatchRank() bool {
-	for _, s := range tp.subs {
-		if !s.HasBatchRank() {
-			return false
-		}
-	}
-	return len(tp.subs) > 0
-}
-
-// HasTimeRank reports whether all leaves carry a time rank.
-func (tp *Tuple) HasTimeRank() bool {
-	for _, s := range tp.subs {
-		if !s.HasTimeRank() {
-			return false
-		}
-	}
-	return len(tp.subs) > 0
-}
-
-// WithBatchRank applies WithBatchRank to every sub-space.
-func (tp *Tuple) WithBatchRank() Space {
-	out := make([]Space, len(tp.subs))
-	for i, s := range tp.subs {
-		out[i] = s.WithBatchRank()
-	}
-	return NewTuple(out...)
-}
-
-// WithTimeRank applies WithTimeRank to every sub-space.
-func (tp *Tuple) WithTimeRank() Space {
-	out := make([]Space, len(tp.subs))
-	for i, s := range tp.subs {
-		out[i] = s.WithTimeRank()
-	}
-	return NewTuple(out...)
-}
-
-// Sample panics: use SampleContainer.
-func (tp *Tuple) Sample(*rand.Rand, int) *tensor.Tensor {
-	panic("spaces: Sample on Tuple; use SampleContainer")
-}
-
-// Zeros panics: use ZerosContainer.
-func (tp *Tuple) Zeros(int) *tensor.Tensor {
-	panic("spaces: Zeros on Tuple; use ZerosContainer")
-}
-
-// Contains panics: use ContainsValue.
-func (tp *Tuple) Contains(*tensor.Tensor) bool {
-	panic("spaces: Contains on Tuple; use ContainsValue")
-}
-
-func (tp *Tuple) String() string {
-	parts := make([]string, len(tp.subs))
-	for i, s := range tp.subs {
-		parts[i] = s.String()
-	}
-	return "Tuple(" + strings.Join(parts, ", ") + ")"
 }

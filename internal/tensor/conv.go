@@ -53,16 +53,6 @@ const defaultConvPanelRows = 64
 
 var convPanelRows atomic.Int32
 
-// SetConvPanelRows sets the output-row count of the tiled conv pipeline's
-// im2col panels. n <= 0 restores the default (64). Panel size is a pure
-// memory/latency knob — results are identical at any setting.
-func SetConvPanelRows(n int) {
-	if n <= 0 {
-		n = defaultConvPanelRows
-	}
-	convPanelRows.Store(int32(n))
-}
-
 // ConvPanelRows reports the current conv panel size.
 func ConvPanelRows() int {
 	if v := convPanelRows.Load(); v > 0 {
@@ -78,16 +68,6 @@ var (
 	convScratchCur  atomic.Int64
 	convScratchPeak atomic.Int64
 )
-
-// ResetConvScratchStats zeroes the conv scratch high-water mark.
-func ResetConvScratchStats() {
-	convScratchCur.Store(0)
-	convScratchPeak.Store(0)
-}
-
-// ConvScratchPeak reports the peak number of float64 scratch elements held
-// concurrently by conv panels since the last reset.
-func ConvScratchPeak() int64 { return convScratchPeak.Load() }
 
 func convScratchGet(n int) *Tensor {
 	cur := convScratchCur.Add(int64(n))
@@ -202,6 +182,7 @@ func im2colRows(dst, src []float64, shape []int, r0, r1, kh, kw, k0, k1 int, p C
 
 // Im2Col unfolds input [N,H,W,C] into patches [N*OH*OW, KH*KW*C] so that
 // convolution becomes a single matmul against the reshaped filter.
+// oracle: the unfold behind Conv2DNaive and Conv2DBackwardFilterNaive.
 func Im2Col(input *Tensor, kh, kw int, p ConvParams) *Tensor {
 	if input.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Im2Col wants NHWC rank-4 input, got %v", input.shape))
@@ -256,6 +237,7 @@ func col2imRows(out *Tensor, src []float64, r0, r1, kh, kw int, p ConvParams) {
 // Col2Im folds patch gradients [N*OH*OW, KH*KW*C] back into an input-shaped
 // gradient [N,H,W,C], accumulating overlapping contributions. The adjoint of
 // Im2Col.
+// oracle: the fold behind Conv2DBackwardInputNaive.
 func Col2Im(cols *Tensor, n, h, w, c, kh, kw int, p ConvParams) *Tensor {
 	out := New(n, h, w, c)
 	oh, ow := p.ConvOutDims(h, w, kh, kw)
@@ -321,6 +303,7 @@ func Conv2DInto(out, input, filter *Tensor, p ConvParams) *Tensor {
 // Conv2DNaive is the seed full-materialization convolution: one monolithic
 // im2col matrix fed through the serial naive matmul. It is the arithmetic
 // reference the tiled pipeline is tested bit-for-bit against.
+// oracle: TestConvTiledMatchesNaiveBitForBit checks Conv2D against it.
 func Conv2DNaive(input, filter *Tensor, p ConvParams) *Tensor {
 	n, _, _, c, kh, kw, oc, oh, ow := convDims(input, filter, p)
 	cols := Im2Col(input, kh, kw, p)    // [N*OH*OW, KH*KW*C]
@@ -380,6 +363,7 @@ func Conv2DBackwardInputInto(out, gradOut, filter *Tensor, p ConvParams) *Tensor
 
 // Conv2DBackwardInputNaive is the full-materialization reference for the
 // input gradient.
+// oracle: TestConvTiledMatchesNaiveBitForBit checks the input gradient against it.
 func Conv2DBackwardInputNaive(gradOut, filter *Tensor, inputShape []int, p ConvParams) *Tensor {
 	kh, kw, c, oc := filter.shape[0], filter.shape[1], filter.shape[2], filter.shape[3]
 	n, h, w := inputShape[0], inputShape[1], inputShape[2]
@@ -437,6 +421,7 @@ func Conv2DBackwardFilterInto(out, input, gradOut *Tensor, p ConvParams) *Tensor
 
 // Conv2DBackwardFilterNaive is the full-materialization reference for the
 // filter gradient.
+// oracle: TestConvTiledMatchesNaiveBitForBit checks the filter gradient against it.
 func Conv2DBackwardFilterNaive(input, gradOut *Tensor, filterShape []int, p ConvParams) *Tensor {
 	kh, kw, c, oc := filterShape[0], filterShape[1], filterShape[2], filterShape[3]
 	cols := Im2Col(input, kh, kw, p) // [N*OH*OW, KH*KW*C]

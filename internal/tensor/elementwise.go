@@ -278,39 +278,11 @@ func DivFlat(dst, a, b []float64) {
 	}
 }
 
-// MaximumFlat sets dst[i] = math.Max(a[i], b[i]).
-func MaximumFlat(dst, a, b []float64) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = math.Max(a[i], b[i])
-	}
-}
-
-// MinimumFlat sets dst[i] = math.Min(a[i], b[i]).
-func MinimumFlat(dst, a, b []float64) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = math.Min(a[i], b[i])
-	}
-}
-
 // GreaterEqualFlat sets dst[i] = 1 where a[i] >= b[i] else 0.
 func GreaterEqualFlat(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
 		if a[i] >= b[i] {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
-	}
-}
-
-// LessFlat sets dst[i] = 1 where a[i] < b[i] else 0.
-func LessFlat(dst, a, b []float64) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		if a[i] < b[i] {
 			dst[i] = 1
 		} else {
 			dst[i] = 0
@@ -351,14 +323,6 @@ func ExpFlat(dst, a []float64) {
 	a = a[:len(dst)]
 	for i := range dst {
 		dst[i] = math.Exp(a[i])
-	}
-}
-
-// LogFlat sets dst[i] = ln(a[i]).
-func LogFlat(dst, a []float64) {
-	a = a[:len(dst)]
-	for i := range dst {
-		dst[i] = math.Log(a[i])
 	}
 }
 
@@ -484,14 +448,6 @@ func AddScalarFlat(dst, a []float64, s float64) {
 	}
 }
 
-// ClipFlat sets dst[i] = math.Max(lo, math.Min(hi, a[i])).
-func ClipFlat(dst, a []float64, lo, hi float64) {
-	a = a[:len(dst)]
-	for i := range dst {
-		dst[i] = math.Max(lo, math.Min(hi, a[i]))
-	}
-}
-
 // Add returns a + b with broadcasting.
 func Add(a, b *Tensor) *Tensor {
 	if SameShape(a.shape, b.shape) {
@@ -532,29 +488,6 @@ func Div(a, b *Tensor) *Tensor {
 	return binary(a, b, func(x, y float64) float64 { return x / y })
 }
 
-// Pow returns a ** b elementwise with broadcasting.
-func Pow(a, b *Tensor) *Tensor { return binary(a, b, math.Pow) }
-
-// Maximum returns the elementwise max with broadcasting.
-func Maximum(a, b *Tensor) *Tensor {
-	if SameShape(a.shape, b.shape) {
-		out := New(a.shape...)
-		MaximumFlat(out.data, a.data, b.data)
-		return out
-	}
-	return binary(a, b, math.Max)
-}
-
-// Minimum returns the elementwise min with broadcasting.
-func Minimum(a, b *Tensor) *Tensor {
-	if SameShape(a.shape, b.shape) {
-		out := New(a.shape...)
-		MinimumFlat(out.data, a.data, b.data)
-		return out
-	}
-	return binary(a, b, math.Min)
-}
-
 // GreaterEqual returns 1 where a >= b else 0, with broadcasting.
 func GreaterEqual(a, b *Tensor) *Tensor {
 	if SameShape(a.shape, b.shape) {
@@ -564,21 +497,6 @@ func GreaterEqual(a, b *Tensor) *Tensor {
 	}
 	return binary(a, b, func(x, y float64) float64 {
 		if x >= y {
-			return 1
-		}
-		return 0
-	})
-}
-
-// Less returns 1 where a < b else 0, with broadcasting.
-func Less(a, b *Tensor) *Tensor {
-	if SameShape(a.shape, b.shape) {
-		out := New(a.shape...)
-		LessFlat(out.data, a.data, b.data)
-		return out
-	}
-	return binary(a, b, func(x, y float64) float64 {
-		if x < y {
 			return 1
 		}
 		return 0
@@ -675,13 +593,6 @@ func Exp(a *Tensor) *Tensor {
 	return out
 }
 
-// Log returns ln(a) elementwise.
-func Log(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	LogFlat(out.data, a.data)
-	return out
-}
-
 // Sqrt returns sqrt(a) elementwise.
 func Sqrt(a *Tensor) *Tensor {
 	out := New(a.shape...)
@@ -735,13 +646,6 @@ func sigmoidPoint(x float64) float64 {
 func Sigmoid(a *Tensor) *Tensor {
 	out := New(a.shape...)
 	SigmoidFlat(out.data, a.data)
-	return out
-}
-
-// Clip limits every element to [lo, hi].
-func Clip(a *Tensor, lo, hi float64) *Tensor {
-	out := New(a.shape...)
-	ClipFlat(out.data, a.data, lo, hi)
 	return out
 }
 
@@ -811,13 +715,6 @@ func AddBroadcastInPlace(dst, src *Tensor) {
 func ScaleInPlace(dst *Tensor, s float64) {
 	for i := range dst.data {
 		dst.data[i] *= s
-	}
-}
-
-// Fill sets every element of dst to v.
-func Fill(dst *Tensor, v float64) {
-	for i := range dst.data {
-		dst.data[i] = v
 	}
 }
 

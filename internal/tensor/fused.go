@@ -37,11 +37,6 @@ func AddScaledInto(out, a, b *Tensor, s float64) *Tensor {
 	return out
 }
 
-// AddScaled returns a + s*b (the fusion of Add(a, Scale(b, s))).
-func AddScaled(a, b *Tensor, s float64) *Tensor {
-	return AddScaledInto(New(a.shape...), a, b, s)
-}
-
 // MulAddInto sets out[i] = a[i] + b[i]*c[i] and returns out.
 func MulAddInto(out, a, b, c *Tensor) *Tensor {
 	sameShape3("MulAdd", a, b)
@@ -55,11 +50,6 @@ func MulAddInto(out, a, b, c *Tensor) *Tensor {
 	return out
 }
 
-// MulAdd returns a + b*c (the fusion of Add(a, Mul(b, c))).
-func MulAdd(a, b, c *Tensor) *Tensor {
-	return MulAddInto(New(a.shape...), a, b, c)
-}
-
 // AddMulInto sets out[i] = a[i]*b[i] + c[i] and returns out.
 func AddMulInto(out, a, b, c *Tensor) *Tensor {
 	sameShape3("AddMul", a, b)
@@ -71,11 +61,6 @@ func AddMulInto(out, a, b, c *Tensor) *Tensor {
 		od[i] = t + cd[i]
 	}
 	return out
-}
-
-// AddMul returns a*b + c (the fusion of Add(Mul(a, b), c)).
-func AddMul(a, b, c *Tensor) *Tensor {
-	return AddMulInto(New(a.shape...), a, b, c)
 }
 
 // ReluBackwardInto sets out[i] = gy[i] * mask(x[i]) where mask is 1 for
@@ -101,25 +86,5 @@ func reluBackwardGo(od, gd, xd []float64) {
 			m = 1
 		}
 		od[i] = gd[i] * m
-	}
-}
-
-// ReluBackward returns gy*mask(x) — the fusion of Mul(gy, ReluGrad(x)), the
-// backward pass of Relu.
-func ReluBackward(gy, x *Tensor) *Tensor {
-	return ReluBackwardInto(New(gy.shape...), gy, x)
-}
-
-// AxpyInPlace accumulates dst[i] += s*x[i] in one pass — the fusion of
-// AddInPlace(dst, Scale(x, s)), the SGD/gradient-accumulation update. The
-// product is rounded before the add, exactly like the unfused pair.
-func AxpyInPlace(dst *Tensor, s float64, x *Tensor) {
-	if !SameShape(dst.shape, x.shape) {
-		panic(fmt.Sprintf("tensor: AxpyInPlace shape mismatch %v vs %v", dst.shape, x.shape))
-	}
-	dd, xd := dst.data, x.data[:len(dst.data)]
-	for i := range dd {
-		t := s * xd[i]
-		dd[i] += t
 	}
 }

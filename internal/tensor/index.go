@@ -2,41 +2,6 @@ package tensor
 
 import "fmt"
 
-// GatherRows selects rows of t (leading axis) by the integer-valued indices
-// tensor (rank 1). Output shape is [len(indices), t.shape[1:]...].
-func GatherRows(t *Tensor, indices *Tensor) *Tensor {
-	if indices.Rank() != 1 {
-		panic(fmt.Sprintf("tensor: GatherRows wants rank-1 indices, got %v", indices.shape))
-	}
-	rest := t.shape[1:]
-	size := NumElems(rest)
-	shape := append([]int{indices.shape[0]}, rest...)
-	out := New(shape...)
-	for i, fi := range indices.data {
-		idx := int(fi)
-		if idx < 0 || idx >= t.shape[0] {
-			panic(fmt.Sprintf("tensor: GatherRows index %d out of range %d", idx, t.shape[0]))
-		}
-		copy(out.data[i*size:(i+1)*size], t.data[idx*size:(idx+1)*size])
-	}
-	return out
-}
-
-// ScatterAddRows accumulates each row of src into dst at the row given by
-// indices. dst is modified in place.
-func ScatterAddRows(dst, src *Tensor, indices *Tensor) {
-	rest := dst.shape[1:]
-	size := NumElems(rest)
-	for i, fi := range indices.data {
-		idx := int(fi)
-		drow := dst.data[idx*size : (idx+1)*size]
-		srow := src.data[i*size : (i+1)*size]
-		for j := range drow {
-			drow[j] += srow[j]
-		}
-	}
-}
-
 // TakeAlongLastAxis picks, for each leading position, the element of the last
 // axis selected by indices. For t:[b,n] and indices:[b], returns [b] with
 // out[i] = t[i, indices[i]].
@@ -69,22 +34,6 @@ func PutAlongLastAxis(shape []int, indices, values *Tensor) *Tensor {
 	for r := 0; r < rows; r++ {
 		k := int(indices.data[r])
 		out.data[r*n+k] = values.data[r]
-	}
-	return out
-}
-
-// OneHot encodes rank-1 integer-valued indices as [len, depth] one-hot rows.
-func OneHot(indices *Tensor, depth int) *Tensor {
-	if indices.Rank() != 1 {
-		panic(fmt.Sprintf("tensor: OneHot wants rank-1 indices, got %v", indices.shape))
-	}
-	out := New(indices.shape[0], depth)
-	for i, fi := range indices.data {
-		k := int(fi)
-		if k < 0 || k >= depth {
-			panic(fmt.Sprintf("tensor: OneHot index %d out of range %d", k, depth))
-		}
-		out.data[i*depth+k] = 1
 	}
 	return out
 }

@@ -101,16 +101,8 @@ func TestElementwiseFlatDifferential(t *testing.T) {
 		{"Sub", Sub, func(x, y float64) float64 { return x - y }},
 		{"Mul", Mul, func(x, y float64) float64 { return x * y }},
 		{"Div", Div, func(x, y float64) float64 { return x / y }},
-		{"Maximum", Maximum, math.Max},
-		{"Minimum", Minimum, math.Min},
 		{"GreaterEqual", GreaterEqual, func(x, y float64) float64 {
 			if x >= y {
-				return 1
-			}
-			return 0
-		}},
-		{"Less", Less, func(x, y float64) float64 {
-			if x < y {
 				return 1
 			}
 			return 0
@@ -150,16 +142,16 @@ func TestFusedKernelsDifferential(t *testing.T) {
 		c := randTensor(rng, shape...)
 		s := rng.NormFloat64()
 
-		if got, want := AddScaled(a, b, s), Add(a, Scale(b, s)); !bitsEq(got, want) {
+		if got, want := AddScaledInto(New(shape...), a, b, s), Add(a, Scale(b, s)); !bitsEq(got, want) {
 			t.Fatalf("AddScaled diverged on %v", shape)
 		}
-		if got, want := MulAdd(a, b, c), Add(a, Mul(b, c)); !bitsEq(got, want) {
+		if got, want := MulAddInto(New(shape...), a, b, c), Add(a, Mul(b, c)); !bitsEq(got, want) {
 			t.Fatalf("MulAdd diverged on %v", shape)
 		}
-		if got, want := AddMul(a, b, c), Add(Mul(a, b), c); !bitsEq(got, want) {
+		if got, want := AddMulInto(New(shape...), a, b, c), Add(Mul(a, b), c); !bitsEq(got, want) {
 			t.Fatalf("AddMul diverged on %v", shape)
 		}
-		if got, want := ReluBackward(a, b), Mul(a, ReluGrad(b)); !bitsEq(got, want) {
+		if got, want := ReluBackwardInto(New(shape...), a, b), Mul(a, ReluGrad(b)); !bitsEq(got, want) {
 			t.Fatalf("ReluBackward diverged on %v", shape)
 		}
 		dst1, dst2 := a.Clone(), a.Clone()
@@ -176,7 +168,7 @@ func TestFusedKernelsDifferential(t *testing.T) {
 func TestReluBackwardSignedZero(t *testing.T) {
 	gy := FromSlice([]float64{-2, 2, -2}, 3)
 	x := FromSlice([]float64{-1, -1, 1}, 3)
-	got := ReluBackward(gy, x)
+	got := ReluBackwardInto(New(3), gy, x)
 	if math.Float64bits(got.data[0]) != math.Float64bits(math.Copysign(0, -1)) {
 		t.Fatalf("ReluBackward(-2, mask 0) = %v bits %x, want -0", got.data[0], math.Float64bits(got.data[0]))
 	}

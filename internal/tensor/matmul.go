@@ -289,6 +289,7 @@ func matMulAxpy(ad, bd, od []float64, i0, i1, kb, ke, j0, j1, rs, n, ks int) {
 
 // MatMulNaive is the straightforward i-k-j triple loop: the arithmetic
 // reference the blocked kernels are tested bit-for-bit against.
+// oracle: TestMatMulGoTileMatchesNaive checks the tiled kernels against it.
 func MatMulNaive(a, b *Tensor) *Tensor {
 	matMulDims("MatMul", a, b, a.shape[1], b.shape[0])
 	m, k := a.shape[0], a.shape[1]
@@ -310,6 +311,7 @@ func MatMulNaive(a, b *Tensor) *Tensor {
 }
 
 // MatMulTransANaive is the k-outer saxpy reference for aᵀ x b.
+// oracle: TestMatMulDifferential checks MatMulTransA against it.
 func MatMulTransANaive(a, b *Tensor) *Tensor {
 	matMulDims("MatMulTransA", a, b, a.shape[0], b.shape[0])
 	k, m := a.shape[0], a.shape[1]
@@ -331,6 +333,7 @@ func MatMulTransANaive(a, b *Tensor) *Tensor {
 }
 
 // MatMulTransBNaive is the dot-product reference for a x bᵀ.
+// oracle: TestMatMulDifferential checks MatMulTransB against it.
 func MatMulTransBNaive(a, b *Tensor) *Tensor {
 	matMulDims("MatMulTransB", a, b, a.shape[1], b.shape[1])
 	m, k := a.shape[0], a.shape[1]
@@ -349,34 +352,4 @@ func MatMulTransBNaive(a, b *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// MatVec multiplies a rank-2 tensor [m,k] with a rank-1 vector [k] -> [m].
-func MatVec(a, v *Tensor) *Tensor {
-	if a.Rank() != 2 || v.Rank() != 1 || a.shape[1] != v.shape[0] {
-		panic(fmt.Sprintf("tensor: MatVec shape mismatch %v x %v", a.shape, v.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	out := New(m)
-	for i := 0; i < m; i++ {
-		row := a.data[i*k : (i+1)*k]
-		sum := 0.0
-		for j := range row {
-			sum += row[j] * v.data[j]
-		}
-		out.data[i] = sum
-	}
-	return out
-}
-
-// Dot returns the inner product of two rank-1 tensors of equal length.
-func Dot(a, b *Tensor) float64 {
-	if a.Rank() != 1 || b.Rank() != 1 || a.shape[0] != b.shape[0] {
-		panic(fmt.Sprintf("tensor: Dot shape mismatch %v . %v", a.shape, b.shape))
-	}
-	sum := 0.0
-	for i := range a.data {
-		sum += a.data[i] * b.data[i]
-	}
-	return sum
 }

@@ -29,13 +29,3 @@ func GlorotUniform(rng *rand.Rand, fanIn, fanOut int, shape ...int) *Tensor {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	return RandUniform(rng, -limit, limit, shape...)
 }
-
-// RandPerm returns a rank-1 tensor holding a random permutation of [0,n).
-func RandPerm(rng *rand.Rand, n int) *Tensor {
-	p := rng.Perm(n)
-	d := make([]float64, n)
-	for i, v := range p {
-		d[i] = float64(v)
-	}
-	return FromSlice(d, n)
-}

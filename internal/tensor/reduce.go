@@ -68,11 +68,6 @@ func MaxAxis(t *Tensor, axis int, keepDims bool) *Tensor {
 	return reduceAxis(t, axis, keepDims, math.Inf(-1), math.Max)
 }
 
-// MinAxis takes the min along axis.
-func MinAxis(t *Tensor, axis int, keepDims bool) *Tensor {
-	return reduceAxis(t, axis, keepDims, math.Inf(1), math.Min)
-}
-
 // Sum returns the sum of all elements as a scalar tensor.
 func Sum(t *Tensor) *Tensor {
 	s := 0.0
@@ -88,15 +83,6 @@ func Mean(t *Tensor) *Tensor {
 		return Scalar(0)
 	}
 	return Scalar(Sum(t).Item() / float64(t.Size()))
-}
-
-// Max returns the max of all elements.
-func Max(t *Tensor) float64 {
-	m := math.Inf(-1)
-	for _, v := range t.data {
-		m = math.Max(m, v)
-	}
-	return m
 }
 
 // ArgMaxAxis returns, along axis, the index of the maximum element. Ties go

@@ -2,55 +2,6 @@ package tensor
 
 import "fmt"
 
-// Transpose permutes the tensor's dimensions by perm. An empty perm reverses
-// all dimensions (matrix transpose for rank 2).
-func Transpose(a *Tensor, perm ...int) *Tensor {
-	r := a.Rank()
-	if len(perm) == 0 {
-		perm = make([]int, r)
-		for i := range perm {
-			perm[i] = r - 1 - i
-		}
-	}
-	if len(perm) != r {
-		panic(fmt.Sprintf("tensor: Transpose perm %v does not match rank %d", perm, r))
-	}
-	seen := make([]bool, r)
-	outShape := make([]int, r)
-	for i, p := range perm {
-		if p < 0 || p >= r || seen[p] {
-			panic(fmt.Sprintf("tensor: invalid perm %v for rank %d", perm, r))
-		}
-		seen[p] = true
-		outShape[i] = a.shape[p]
-	}
-	out := New(outShape...)
-	if out.Size() == 0 {
-		return out
-	}
-	inStrides := Strides(a.shape)
-	// Stride of output dim i in the input layout.
-	srcStride := make([]int, r)
-	for i, p := range perm {
-		srcStride[i] = inStrides[p]
-	}
-	idx := make([]int, r)
-	src := 0
-	for o := 0; o < out.Size(); o++ {
-		out.data[o] = a.data[src]
-		for d := r - 1; d >= 0; d-- {
-			idx[d]++
-			src += srcStride[d]
-			if idx[d] < outShape[d] {
-				break
-			}
-			src -= idx[d] * srcStride[d]
-			idx[d] = 0
-		}
-	}
-	return out
-}
-
 // Concat concatenates tensors along the given axis. All inputs must agree on
 // every other dimension.
 func Concat(axis int, ts ...*Tensor) *Tensor {
@@ -151,23 +102,6 @@ func Stack(ts ...*Tensor) *Tensor {
 	return out
 }
 
-// Unstack splits t along its leading axis into t.Dim(0) tensors.
-func Unstack(t *Tensor) []*Tensor {
-	if t.Rank() == 0 {
-		panic("tensor: Unstack of scalar")
-	}
-	n := t.shape[0]
-	rest := t.shape[1:]
-	size := NumElems(rest)
-	outs := make([]*Tensor, n)
-	for i := 0; i < n; i++ {
-		d := make([]float64, size)
-		copy(d, t.data[i*size:(i+1)*size])
-		outs[i] = FromSlice(d, rest...)
-	}
-	return outs
-}
-
 // SliceRows returns rows [lo,hi) along the leading axis.
 func SliceRows(t *Tensor, lo, hi int) *Tensor {
 	if t.Rank() == 0 || lo < 0 || hi > t.shape[0] || lo > hi {
@@ -197,45 +131,6 @@ func ExpandDims(t *Tensor, axis int) *Tensor {
 	shape = append(shape, 1)
 	shape = append(shape, t.shape[axis:]...)
 	return t.Reshape(shape...)
-}
-
-// Squeeze removes all size-1 dimensions (or only axis if given).
-func Squeeze(t *Tensor, axes ...int) *Tensor {
-	drop := map[int]bool{}
-	for _, a := range axes {
-		if a < 0 {
-			a += t.Rank()
-		}
-		if t.shape[a] != 1 {
-			panic(fmt.Sprintf("tensor: Squeeze axis %d of %v is not 1", a, t.shape))
-		}
-		drop[a] = true
-	}
-	var shape []int
-	for i, d := range t.shape {
-		if len(axes) == 0 {
-			if d != 1 {
-				shape = append(shape, d)
-			}
-		} else if !drop[i] {
-			shape = append(shape, d)
-		}
-	}
-	return t.Reshape(shape...)
-}
-
-// Tile repeats t reps times along the leading axis.
-func Tile(t *Tensor, reps int) *Tensor {
-	if t.Rank() == 0 {
-		panic("tensor: Tile of scalar")
-	}
-	shape := append([]int(nil), t.shape...)
-	shape[0] *= reps
-	out := New(shape...)
-	for i := 0; i < reps; i++ {
-		copy(out.data[i*t.Size():(i+1)*t.Size()], t.data)
-	}
-	return out
 }
 
 // SliceCols returns columns [lo, hi) of the last axis.

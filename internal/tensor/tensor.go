@@ -122,11 +122,6 @@ func (t *Tensor) At(idx ...int) float64 {
 	return t.data[t.offset(idx)]
 }
 
-// Set writes v at the given multi-index.
-func (t *Tensor) Set(v float64, idx ...int) {
-	t.data[t.offset(idx)] = v
-}
-
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: index rank %d does not match shape %v", len(idx), t.shape))
@@ -139,17 +134,6 @@ func (t *Tensor) offset(idx []int) int {
 		off = off*t.shape[i] + x
 	}
 	return off
-}
-
-// Strides returns row-major strides for shape.
-func Strides(shape []int) []int {
-	s := make([]int, len(shape))
-	acc := 1
-	for i := len(shape) - 1; i >= 0; i-- {
-		s[i] = acc
-		acc *= shape[i]
-	}
-	return s
 }
 
 // SameShape reports whether a and b have identical shapes.
@@ -231,6 +215,3 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	}
 	return &Tensor{shape: out, data: t.data}
 }
-
-// Flatten returns t reshaped to rank 1.
-func (t *Tensor) Flatten() *Tensor { return t.Reshape(t.Size()) }

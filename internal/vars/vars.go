@@ -17,12 +17,11 @@ import (
 // Variables are not internally synchronized: each agent executes its graph
 // from a single goroutine, and cross-agent weight transfer copies values.
 //
-// Val is written in two ways. Set, SetOwned and Store.SetWeights install a
-// new tensor, so anything holding the old pointer keeps a detached value.
-// Gradient application (ApplyUpdate) mutates Val's storage in
-// place: a VarRead result aliases Val, so it is only valid until the next
-// in-place write. Snapshots that outlive a run (Store.Weights, target sync)
-// clone.
+// Val is written in two ways. Store.SetWeights installs a new tensor, so
+// anything holding the old pointer keeps a detached value. Gradient
+// application (ApplyUpdate) mutates Val's storage in place: a VarRead result
+// aliases Val, so it is only valid until the next in-place write. Snapshots
+// that outlive a run (agent weights, target sync) clone.
 type Variable struct {
 	Name      string
 	Val       *tensor.Tensor
@@ -35,38 +34,8 @@ func New(name string, init *tensor.Tensor) *Variable {
 	return &Variable{Name: name, Val: init, Trainable: true}
 }
 
-// NewNonTrainable returns a non-trainable variable (e.g. counters, buffers).
-func NewNonTrainable(name string, init *tensor.Tensor) *Variable {
-	return &Variable{Name: name, Val: init, Trainable: false}
-}
-
-// Set replaces the variable's value with a copy of t.
-func (v *Variable) Set(t *tensor.Tensor) {
-	if v.Val != nil && !tensor.SameShape(v.Val.Shape(), t.Shape()) {
-		panic(fmt.Sprintf("vars: assigning shape %v to variable %q of shape %v",
-			t.Shape(), v.Name, v.Val.Shape()))
-	}
-	v.Val = t.Clone()
-}
-
-// SetOwned installs t as the variable's value without copying, transferring
-// ownership to the variable. The caller must guarantee t is freshly computed
-// and not aliased by any other variable or by caller-held mutable state —
-// after the call, t belongs to the variable and may be mutated in place by
-// gradient application. Readers of the previous value keep their (now
-// detached) tensor. Used by the static backend's assign lowering when
-// the assigned value comes from a value-semantics producer; everything else
-// should use Set.
-func (v *Variable) SetOwned(t *tensor.Tensor) {
-	if v.Val != nil && !tensor.SameShape(v.Val.Shape(), t.Shape()) {
-		panic(fmt.Sprintf("vars: assigning shape %v to variable %q of shape %v",
-			t.Shape(), v.Name, v.Val.Shape()))
-	}
-	v.Val = t
-}
-
 // Store is an ordered collection of variables, keyed by name. It backs
-// get_weights/set_weights/import_model/export_model on the agent API.
+// get_weights/set_weights/export_model on the agent API.
 type Store struct {
 	byName map[string]*Variable
 	order  []string
@@ -85,9 +54,6 @@ func (s *Store) Add(v *Variable) {
 	s.byName[v.Name] = v
 	s.order = append(s.order, v.Name)
 }
-
-// Get returns the variable with the given name, or nil.
-func (s *Store) Get(name string) *Variable { return s.byName[name] }
 
 // All returns all variables in registration order.
 func (s *Store) All() []*Variable {
@@ -111,16 +77,6 @@ func (s *Store) Trainable() []*Variable {
 
 // Len returns the number of variables.
 func (s *Store) Len() int { return len(s.order) }
-
-// Weights returns a name→value snapshot (deep copies) in sorted-name order
-// for deterministic serialization.
-func (s *Store) Weights() map[string]*tensor.Tensor {
-	out := make(map[string]*tensor.Tensor, len(s.order))
-	for _, n := range s.order {
-		out[n] = s.byName[n].Val.Clone()
-	}
-	return out
-}
 
 // SetWeights assigns values by name. Unknown names are an error; missing
 // names are left untouched.

@@ -6,27 +6,11 @@ import (
 	"rlgraph/internal/tensor"
 )
 
-func TestVariableSetClonesAndChecksShape(t *testing.T) {
-	v := New("w", tensor.FromSlice([]float64{1, 2}, 2))
-	src := tensor.FromSlice([]float64{3, 4}, 2)
-	v.Set(src)
-	src.Data()[0] = 99
-	if v.Val.Data()[0] != 3 {
-		t.Fatal("Set aliased the source")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shape mismatch accepted")
-		}
-	}()
-	v.Set(tensor.New(3))
-}
-
 func TestStoreOrderingAndLookup(t *testing.T) {
 	s := NewStore()
 	s.Add(New("b", tensor.Scalar(2)))
 	s.Add(New("a", tensor.Scalar(1)))
-	s.Add(NewNonTrainable("c", tensor.Scalar(3)))
+	s.Add(&Variable{Name: "c", Val: tensor.Scalar(3)})
 	all := s.All()
 	if len(all) != 3 || all[0].Name != "b" || all[1].Name != "a" {
 		t.Fatalf("registration order lost: %v", all)
@@ -34,11 +18,8 @@ func TestStoreOrderingAndLookup(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	if s.Get("a").Val.Item() != 1 {
+	if s.byName["a"].Val.Item() != 1 {
 		t.Fatal("lookup failed")
-	}
-	if s.Get("zzz") != nil {
-		t.Fatal("missing lookup should be nil")
 	}
 	tr := s.Trainable()
 	if len(tr) != 2 {
@@ -57,16 +38,6 @@ func TestStoreDuplicatePanics(t *testing.T) {
 	s.Add(New("x", tensor.Scalar(1)))
 }
 
-func TestWeightsSnapshotIsDeep(t *testing.T) {
-	s := NewStore()
-	s.Add(New("w", tensor.FromSlice([]float64{5}, 1)))
-	snap := s.Weights()
-	snap["w"].Data()[0] = -1
-	if s.Get("w").Val.Item() != 5 {
-		t.Fatal("snapshot aliased storage")
-	}
-}
-
 func TestSetWeightsValidation(t *testing.T) {
 	s := NewStore()
 	s.Add(New("w", tensor.New(2)))
@@ -76,10 +47,15 @@ func TestSetWeightsValidation(t *testing.T) {
 	if err := s.SetWeights(map[string]*tensor.Tensor{"w": tensor.New(3)}); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
-	if err := s.SetWeights(map[string]*tensor.Tensor{"w": tensor.FromSlice([]float64{1, 2}, 2)}); err != nil {
+	src := tensor.FromSlice([]float64{1, 2}, 2)
+	if err := s.SetWeights(map[string]*tensor.Tensor{"w": src}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Get("w").Val.Data()[1] != 2 {
+	if s.byName["w"].Val.Data()[1] != 2 {
 		t.Fatal("value not installed")
+	}
+	src.Data()[1] = 99
+	if s.byName["w"].Val.Data()[1] != 2 {
+		t.Fatal("SetWeights aliased the source")
 	}
 }
