@@ -3,11 +3,14 @@
 //
 // It reads the linker's dependency dumps (go build -gcflags=all=-l
 // -ldflags=-dumpdep) of every main package, which reachability.sh produces.
-// A function is reached when its symbol appears in some dump. A method is
-// also reached when its type is live in some binary and it implements an
-// interface that non-test code type-asserts to: a marker method such as
-// ValueSemantics is checked for and never called, so the linker keeps only
-// its method table entry.
+// A function is reached when its symbol appears in some dump. A method of a
+// type that is live in some binary is also reached when it implements a
+// method of a module interface that some binary dispatches: the interface
+// is type-asserted (a marker method such as ValueSemantics is checked for
+// and never called, so the linker keeps only its method table entry), or
+// another live implementation of that method is reached. The linker keeps
+// such a method only in a binary that both converts its type to the
+// interface and calls the method through it.
 //
 // Usage:
 //
@@ -71,13 +74,13 @@ func main() {
 	}
 
 	var unreached []funcDecl
-	declared := map[string]bool{}
+	declared, isUnreached := map[string]bool{}, map[string]bool{}
 	for _, d := range decls {
 		declared[d.key] = true
-		if isReached(d, reached, liveTypes, methods, ifaces, asserted) {
-			continue
+		if !isReached(d, reached, liveTypes, methods, ifaces, asserted) {
+			unreached = append(unreached, d)
+			isUnreached[d.key] = true
 		}
-		unreached = append(unreached, d)
 	}
 	sort.Slice(unreached, func(i, j int) bool { return unreached[i].key < unreached[j].key })
 
@@ -95,10 +98,6 @@ func main() {
 		if *list && ok {
 			fmt.Printf("allowed   %s\t%s\t%d lines\t%s\n", d.key, d.pos, d.lines, reason)
 		}
-	}
-	isUnreached := map[string]bool{}
-	for _, d := range unreached {
-		isUnreached[d.key] = true
 	}
 	for key := range allow {
 		switch {
@@ -175,8 +174,7 @@ func stripBrackets(s string) string {
 // parseModule parses every non-test Go file the default build context
 // selects. It returns the function declarations under internal/, each
 // type's method names (declared and promoted), each interface's method
-// names, and the
-// interfaces that some type assertion or type switch names.
+// names, and the interfaces that some type assertion or type switch names.
 func parseModule(root string) (decls []funcDecl, methods, ifaces map[string][]string, asserted map[string]bool) {
 	methods, ifaces, asserted = map[string][]string{}, map[string][]string{}, map[string]bool{}
 	embeds := map[string][]string{}
@@ -202,11 +200,7 @@ func parseModule(root string) (decls []funcDecl, methods, ifaces map[string][]st
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		if strings.HasPrefix(dir, "bench") {
-			dir = strings.TrimPrefix(dir, "bench") // its own module, rlgraph/bench
-			dir = "bench" + dir
-		}
+		dir := filepath.ToSlash(filepath.Dir(path)) // bench/ is module rlgraph/bench
 		pkg := module
 		if dir != "." {
 			pkg = module + "/" + dir

@@ -24,8 +24,9 @@ const recurrentPolicyJSON = `[
 ]`
 
 func main() {
-	// State space with batch AND time ranks: sequences of 8 observations of
-	// 6 features (paper: add_batch_rank / add_time_rank).
+	// State space of sequences: 8 observations of 6 features per element,
+	// plus the batch rank (paper: add_batch_rank; the time length is part of
+	// the element shape).
 	stateSpace := spaces.NewFloatBox(8, 6).WithBatchRank()
 	actionSpace := spaces.NewIntBox(4)
 

@@ -11,7 +11,7 @@ import (
 
 // ContainerSplitter splits a flattened container record into its primitive
 // leaves — the paper Fig. 3 splitter ("Use space-hints to auto-split/merge
-// ... inputs and outputs"). A record of a Dict/Tuple space travels between
+// ... inputs and outputs"). A record of a Dict space travels between
 // components as one [batch, totalWidth] tensor (leaves flattened and
 // concatenated in Flatten order); the splitter recovers per-leaf tensors
 // with their element shapes.

@@ -20,8 +20,8 @@ import (
 //	                                                  // through all T steps)
 //	step(x [b, F], h, c [b, U])  -> out, hNew, cNew   // explicit state
 //
-// The time length T must be statically known (declared via the input
-// space), matching how RLgraph spaces carry explicit time ranks.
+// The time length T must be statically known: it is part of the input
+// space's element shape.
 type LSTM struct {
 	*component.Component
 

@@ -80,7 +80,7 @@ type Config struct {
 	BytesPerSecond float64
 	// CallTimeout is the default per-call deadline applied by Future.Get
 	// (0 = block forever, the pre-fault-tolerance behavior). Explicit
-	// GetTimeout/GetContext calls override it.
+	// GetTimeout calls override it.
 	CallTimeout time.Duration
 	// MailboxSize bounds each actor's queue (default 1024); senders block
 	// when the actor falls far behind (backpressure).

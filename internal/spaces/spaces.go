@@ -21,7 +21,7 @@ import (
 
 // Space describes the type and shape of values exchanged between components.
 type Space interface {
-	// Shape returns the element shape excluding batch/time ranks.
+	// Shape returns the element shape excluding the batch rank.
 	Shape() []int
 	// HasBatchRank reports whether values carry a leading batch dimension.
 	HasBatchRank() bool
@@ -318,9 +318,9 @@ func (d *Dict) Sample(*rand.Rand, int) *tensor.Tensor {
 	panic("spaces: Sample on Dict; use SampleContainer")
 }
 
-// Zeros panics: use ZerosContainer.
+// Zeros panics: containers hold Value trees, not single tensors.
 func (d *Dict) Zeros(int) *tensor.Tensor {
-	panic("spaces: Zeros on Dict; use ZerosContainer")
+	panic("spaces: Zeros on Dict")
 }
 
 // Contains panics: containers hold Value trees, not single tensors.
