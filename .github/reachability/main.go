@@ -1,5 +1,7 @@
 // Command reachability lists the non-test functions under internal/ that no
-// binary of the module reaches, and checks them against an allowlist.
+// binary of the module reaches, and checks them against an allowlist. With
+// -fields it also runs the field pass (fields.go): the config fields and
+// switch arms no binary sets, checked against their own allowlist.
 //
 // It reads the linker's dependency dumps (go build -gcflags=all=-l
 // -ldflags=-dumpdep) of every main package, which reachability.sh produces.
@@ -14,10 +16,11 @@
 //
 // Usage:
 //
-//	go run ./.github/reachability [-list] -allow allowlist.txt dump...
+//	go run ./.github/reachability [-list] -allow allowlist.txt [-fields fields.txt] dump...
 //
-// It exits 1 when an unreached function is not on the allowlist, or when an
-// allowlist entry names a function that is reached or no longer exists.
+// It exits 1 when an unreached function (or unset field, or unnamed arm) is
+// not on its allowlist, or when an allowlist entry names one that is
+// reached (set, named) or no longer exists.
 package main
 
 import (
@@ -58,6 +61,7 @@ type funcDecl struct {
 
 func main() {
 	allowFile := flag.String("allow", "", "allowlist file")
+	fieldsFile := flag.String("fields", "", "config field and switch arm allowlist file; runs the field pass")
 	list := flag.Bool("list", false, "print every unreached function, allowlisted or not")
 	flag.Parse()
 
@@ -111,13 +115,57 @@ func main() {
 	}
 	fmt.Printf("%d functions, %d unreached (%d lines), %d of them allowlisted\n",
 		len(decls), len(unreached), lines, allowed)
+
+	if *fieldsFile != "" {
+		fieldAllow, err := readFieldAllowlist(*fieldsFile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		reachedFunc := func(pkg, recv, name string) bool {
+			return isReached(funcDecl{pkg: pkg, recvType: recv, name: name}, reached, liveTypes, methods, ifaces, asserted)
+		}
+		r, err := checkFields(".", reachedFunc, linkedPackages(reached), fieldAllow)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		for _, group := range [][]string{r.unset, r.unnamed, r.stale} {
+			for _, line := range group {
+				fmt.Println(line)
+				bad++
+			}
+		}
+		if *list {
+			for _, line := range r.allowed {
+				fmt.Println(line)
+			}
+		}
+		fmt.Printf("%d config fields, %d unset, %d switch arms, %d unnamed, %d of them allowlisted\n",
+			r.fields, r.unsetCount, r.arms, r.unnamedCount, len(r.allowed))
+	}
 	if bad > 0 {
 		os.Exit(1)
 	}
 }
 
+// linkedPackages returns a test for whether some binary links a package:
+// some reached symbol belongs to it.
+func linkedPackages(reached map[string]bool) func(string) bool {
+	pkgs := map[string]bool{}
+	for s := range reached {
+		slash := strings.LastIndex(s, "/")
+		if dot := strings.Index(s[slash+1:], "."); dot >= 0 {
+			pkgs[s[:slash+1+dot]] = true
+		}
+	}
+	return func(pkg string) bool { return pkgs[pkg] }
+}
+
 // readDumps collects the reached rlgraph symbols (generic instantiation
-// brackets removed) and the live rlgraph type names from linker dumps.
+// brackets removed) and the live rlgraph type names from linker dumps. A dump
+// that starts with "# main importpath" has its main package's symbols
+// renamed from main. to that import path.
 func readDumps(files []string) (reached, liveTypes map[string]bool) {
 	reached, liveTypes = map[string]bool{}, map[string]bool{}
 	for _, f := range files {
@@ -126,14 +174,26 @@ func readDumps(files []string) (reached, liveTypes map[string]bool) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		mainPkg := "main"
 		sc := bufio.NewScanner(fh)
 		sc.Buffer(make([]byte, 1<<20), 1<<24)
 		for sc.Scan() {
+			if p, ok := strings.CutPrefix(sc.Text(), "# main "); ok {
+				mainPkg = p
+				continue
+			}
 			_, to, ok := strings.Cut(sc.Text(), " -> ")
 			if !ok {
 				continue
 			}
 			to, _, _ = strings.Cut(to, " ")
+			if rest, ok := strings.CutPrefix(to, "main."); ok {
+				to = mainPkg + "." + rest
+			} else if rest, ok := strings.CutPrefix(to, "type:*main."); ok {
+				to = "type:*" + mainPkg + "." + rest
+			} else if rest, ok := strings.CutPrefix(to, "type:main."); ok {
+				to = "type:" + mainPkg + "." + rest
+			}
 			if t, ok := strings.CutPrefix(to, "type:"); ok {
 				t = strings.TrimPrefix(t, "*")
 				if strings.HasPrefix(t, module+"/") {
@@ -265,23 +325,11 @@ func collect(fset *token.FileSet, f *ast.File, pkg string, decls *[]funcDecl,
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
-			recv := ""
 			sym := d.Name.Name
-			if d.Recv != nil && len(d.Recv.List) == 1 {
-				t := d.Recv.List[0].Type
-				star := false
-				if s, ok := t.(*ast.StarExpr); ok {
-					t, star = s.X, true
-				}
-				switch g := t.(type) {
-				case *ast.IndexExpr:
-					t = g.X
-				case *ast.IndexListExpr:
-					t = g.X
-				}
-				recv = t.(*ast.Ident).Name
+			recv := recvName(d)
+			if recv != "" {
 				methods[pkg+"."+recv] = append(methods[pkg+"."+recv], d.Name.Name)
-				if star {
+				if _, star := d.Recv.List[0].Type.(*ast.StarExpr); star {
 					sym = "(*" + recv + ")." + sym
 				} else {
 					sym = recv + "." + sym

@@ -28,13 +28,17 @@ func main() {
 	flag.Parse()
 
 	env := envs.NewPongSim(envs.PongConfig{Obs: envs.PongFeatures, Seed: 1, OpponentSkill: envs.DefaultPongOpponent})
+	// Each agent type takes only its own keys.
+	extra := `"memory": {"capacity": 1000}`
+	if *agentType == "impala" {
+		extra = `"rollout_len": 20`
+	}
 	cfg := fmt.Sprintf(`{
 		"type": %q,
 		"backend": "static",
 		"network": [{"type": "dense", "units": 64, "activation": "relu"}],
-		"memory": {"capacity": 1000},
-		"rollout_len": 20
-	}`, *agentType)
+		%s
+	}`, *agentType, extra)
 	agent, err := agents.FromConfig([]byte(cfg), env.StateSpace(), env.ActionSpace())
 	if err != nil {
 		log.Fatal(err)

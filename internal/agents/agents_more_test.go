@@ -56,7 +56,7 @@ func TestBackendsLearnIdentically(t *testing.T) {
 			Network:     []nn.LayerSpec{{Type: "dense", Units: 8, Activation: "tanh"}},
 			Gamma:       0.9,
 			Memory:      MemoryConfig{Type: "replay", Capacity: 128},
-			Optimizer:   optimizers.Config{Type: "sgd", LearningRate: 0.05},
+			Optimizer:   optimizers.Config{Type: "adam", LearningRate: 0.05},
 			Exploration: ExplorationConfig{Initial: 0, Final: 0, DecaySteps: 1},
 			BatchSize:   16,
 			Seed:        3,
@@ -239,7 +239,7 @@ func TestMultiGPUTowerExpansion(t *testing.T) {
 	mk := func(gpus int) *DQN {
 		cfg := smallDQNConfig("static")
 		cfg.NumGPUs = gpus
-		cfg.Optimizer = optimizers.Config{Type: "sgd", LearningRate: 0.1}
+		cfg.Optimizer = optimizers.Config{Type: "rmsprop", LearningRate: 0.1}
 		cfg.Exploration = ExplorationConfig{Initial: 0, Final: 0, DecaySteps: 1}
 		agent, err := NewDQN(cfg, spaces.NewFloatBox(4), spaces.NewIntBox(2))
 		if err != nil {

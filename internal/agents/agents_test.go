@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rlgraph/internal/components/nn"
@@ -224,7 +225,7 @@ func TestFromConfigJSON(t *testing.T) {
 		"network": [{"type": "dense", "units": 16, "activation": "relu"}],
 		"gamma": 0.9,
 		"memory": {"type": "replay", "capacity": 100},
-		"optimizer": {"type": "sgd", "learning_rate": 0.01},
+		"optimizer": {"type": "rmsprop", "learning_rate": 0.01},
 		"exploration": {"initial": 1, "final": 0.1, "decay_steps": 100},
 		"batch_size": 8
 	}`)
@@ -254,6 +255,22 @@ func TestFromConfigApexPreset(t *testing.T) {
 	dqn := agent.(*DQN)
 	if !dqn.prioritized || !dqn.cfg.DoubleQ || !dqn.cfg.Dueling || dqn.cfg.NStep != 3 {
 		t.Fatalf("apex preset wrong: %+v", dqn.cfg)
+	}
+}
+
+// TestFromConfigRejectsUnknownKeys: a key that names no config field — here
+// a momentum the optimizers no longer have — fails the build instead of
+// being dropped.
+func TestFromConfigRejectsUnknownKeys(t *testing.T) {
+	doc := []byte(`{
+		"type": "dqn",
+		"network": [{"type": "dense", "units": 16, "activation": "relu"}],
+		"memory": {"type": "replay", "capacity": 100},
+		"optimizer": {"type": "adam", "momentum": 0.9},
+		"batch_size": 8
+	}`)
+	if _, err := FromConfig(doc, spaces.NewFloatBox(4), spaces.NewIntBox(2)); err == nil || !strings.Contains(err.Error(), "momentum") {
+		t.Fatalf("unknown optimizer key accepted: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package agents
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -142,38 +143,49 @@ type typedConfig struct {
 
 // FromConfig builds an agent from a JSON document with a "type" field of
 // "dqn", "apex" (DQN preset with prioritized memory + double + dueling) or
-// "impala".
+// "impala". Every other key must name a config field: a misspelled or
+// removed option is an error, not silently ignored.
 func FromConfig(data []byte, stateSpace spaces.Space, actionSpace *spaces.IntBox) (Agent, error) {
 	var t typedConfig
 	if err := json.Unmarshal(data, &t); err != nil {
 		return nil, fmt.Errorf("agents: parsing config: %w", err)
 	}
 	switch t.Type {
-	case "dqn":
-		var cfg DQNConfig
-		if err := json.Unmarshal(data, &cfg); err != nil {
-			return nil, fmt.Errorf("agents: parsing dqn config: %w", err)
+	case "dqn", "apex":
+		var doc struct {
+			typedConfig
+			DQNConfig
 		}
-		return NewDQN(cfg, stateSpace, actionSpace)
-	case "apex":
-		var cfg DQNConfig
-		if err := json.Unmarshal(data, &cfg); err != nil {
-			return nil, fmt.Errorf("agents: parsing apex config: %w", err)
+		if err := decodeStrict(data, &doc); err != nil {
+			return nil, fmt.Errorf("agents: parsing %s config: %w", t.Type, err)
 		}
-		cfg.Memory.Type = "prioritized"
-		cfg.DoubleQ = true
-		cfg.Dueling = true
-		if cfg.NStep == 0 {
-			cfg.NStep = 3
+		cfg := doc.DQNConfig
+		if t.Type == "apex" {
+			cfg.Memory.Type = "prioritized"
+			cfg.DoubleQ = true
+			cfg.Dueling = true
+			if cfg.NStep == 0 {
+				cfg.NStep = 3
+			}
 		}
 		return NewDQN(cfg, stateSpace, actionSpace)
 	case "impala":
-		var cfg IMPALAConfig
-		if err := json.Unmarshal(data, &cfg); err != nil {
+		var doc struct {
+			typedConfig
+			IMPALAConfig
+		}
+		if err := decodeStrict(data, &doc); err != nil {
 			return nil, fmt.Errorf("agents: parsing impala config: %w", err)
 		}
-		return NewIMPALA(cfg, stateSpace, actionSpace)
+		return NewIMPALA(doc.IMPALAConfig, stateSpace, actionSpace)
 	default:
 		return nil, fmt.Errorf("agents: unknown agent type %q", t.Type)
 	}
+}
+
+// decodeStrict is json.Unmarshal that rejects keys naming no field.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }

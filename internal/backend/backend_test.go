@@ -106,18 +106,20 @@ func TestApplyUpdateModes(t *testing.T) {
 	// Build mode must touch neither the variable nor the optimizer state;
 	// run mode applies the rule and passes the norm through; the static node
 	// does the same when a session runs it.
-	rule := &tensor.UpdateRule{Kind: tensor.UpdateMomentum, LR: 0.5, Beta1: 0.9}
+	// RMSProp with ρ = 0.75 and no epsilon keeps every value exact.
+	rule := &tensor.UpdateRule{Kind: tensor.UpdateRMSProp, LR: 0.5, Beta2: 0.75}
 	v := vars.New("w", tensor.Scalar(1))
 	st := rule.NewState()
 	bops := NewEagerOps(nil, ModeBuild)
 	bops.ApplyUpdate(v, rule, st, bops.ConstScalar(2), bops.ConstScalar(2))
-	if v.Val.Item() != 1 || st.Steps != 0 || st.M.Item() != 0 {
+	if v.Val.Item() != 1 || st.Steps != 0 || st.V.Item() != 0 {
 		t.Fatal("build mode mutated variable or optimizer state")
 	}
 	rops := NewEagerOps(nil, ModeRun)
 	norm := rops.ApplyUpdate(v, rule, st, rops.ConstScalar(2), rops.ConstScalar(3))
-	if v.Val.Item() != 0 || st.M.Item() != 2 || st.Steps != 1 {
-		t.Fatalf("run mode: w=%g m=%g steps=%d", v.Val.Item(), st.M.Item(), st.Steps)
+	// v = 0.25*2² = 1; w = 1 - 0.5*2/sqrt(1).
+	if v.Val.Item() != 0 || st.V.Item() != 1 || st.Steps != 1 {
+		t.Fatalf("run mode: w=%g v=%g steps=%d", v.Val.Item(), st.V.Item(), st.Steps)
 	}
 	if rops.Eval(norm).Item() != 3 {
 		t.Fatalf("norm passed through as %g", rops.Eval(norm).Item())
@@ -125,14 +127,14 @@ func TestApplyUpdateModes(t *testing.T) {
 
 	g := graph.New()
 	sops := NewStaticOps(g)
-	out := sops.ApplyUpdate(v, rule, st, sops.ConstScalar(2), sops.ConstScalar(3))
+	out := sops.ApplyUpdate(v, rule, st, sops.ConstScalar(1), sops.ConstScalar(3))
 	res, err := graph.NewSession(g).Run([]*graph.Node{out.(*graph.Node)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// m = 0.9*2 + 2 = 3.8; w = 0 - 0.5*3.8.
-	if res[0].Item() != 3 || st.M.Item() != 3.8 || v.Val.Item() != -1.9 || st.Steps != 2 {
-		t.Fatalf("static: norm=%g m=%g w=%g steps=%d", res[0].Item(), st.M.Item(), v.Val.Item(), st.Steps)
+	// v = 0.75*1 + 0.25*1² = 1; w = 0 - 0.5*1/sqrt(1).
+	if res[0].Item() != 3 || st.V.Item() != 1 || v.Val.Item() != -0.5 || st.Steps != 2 {
+		t.Fatalf("static: norm=%g v=%g w=%g steps=%d", res[0].Item(), st.V.Item(), v.Val.Item(), st.Steps)
 	}
 }
 

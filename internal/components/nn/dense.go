@@ -19,14 +19,12 @@ import (
 // applyActivation appends the named activation to a ref.
 func applyActivation(ops backend.Ops, x backend.Ref, act string) backend.Ref {
 	switch act {
-	case "", "linear":
+	case "":
 		return x
 	case "relu":
 		return ops.Relu(x)
 	case "tanh":
 		return ops.Tanh(x)
-	case "sigmoid":
-		return ops.Sigmoid(x)
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %q", act))
 	}
@@ -88,21 +86,4 @@ func NewFlatten(name string) *Flatten {
 		}, in...)
 	})
 	return f
-}
-
-// Activation applies a named nonlinearity as a standalone component.
-type Activation struct {
-	*component.Component
-	kind string
-}
-
-// NewActivation returns an activation component of the given kind.
-func NewActivation(name, kind string) *Activation {
-	a := &Activation{Component: component.New(name), kind: kind}
-	a.DefineAPI("call", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
-		return a.GraphFn(ctx, "activate", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-			return []backend.Ref{applyActivation(ops, refs[0], a.kind)}
-		}, in...)
-	})
-	return a
 }

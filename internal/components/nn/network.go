@@ -11,12 +11,11 @@ import (
 // LayerSpec declares one layer of a network in a declarative configuration
 // (the JSON documents of the paper's agent API, §3.4).
 type LayerSpec struct {
-	// Type is "dense", "conv2d", "flatten", "activation", "dueling" or
-	// "lstm".
+	// Type is "dense", "conv2d", "flatten", "dueling" or "lstm".
 	Type string `json:"type"`
 	// Units is the output width for dense layers.
 	Units int `json:"units,omitempty"`
-	// Activation names the nonlinearity ("relu", "tanh", "sigmoid", "").
+	// Activation names the nonlinearity ("relu", "tanh", or "" for none).
 	Activation string `json:"activation,omitempty"`
 	// Filters/Kernel/Stride/Padding configure conv2d layers.
 	Filters int    `json:"filters,omitempty"`
@@ -58,8 +57,6 @@ func NewNetwork(name string, specs []LayerSpec, seed int64) (*NeuralNetwork, err
 			c = NewConv2D(lname, sp.Filters, sp.Kernel, stride, sp.Padding, sp.Activation, lseed).Component
 		case "flatten":
 			c = NewFlatten(lname).Component
-		case "activation":
-			c = NewActivation(lname, sp.Activation).Component
 		case "dueling":
 			c = NewDuelingHead(lname, sp.Units, sp.Actions, lseed).Component
 		case "lstm":

@@ -185,21 +185,3 @@ func TestConvDuelingAtariArchitecture(t *testing.T) {
 		t.Fatalf("components = %d", n.Component.NumComponents())
 	}
 }
-
-func TestActivationComponent(t *testing.T) {
-	a := NewActivation("act", "tanh")
-	ct, err := exec.NewComponentTest("define-by-run", a.Component, exec.InputSpaces{
-		"call": {spaces.NewFloatBox(3).WithBatchRank()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ct.Test1("call", tensor.FromSlice([]float64{-100, 0, 100}, 1, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tensor.FromSlice([]float64{-1, 0, 1}, 1, 3)
-	if !out.AllClose(want, 1e-9) {
-		t.Fatalf("got %v", out)
-	}
-}

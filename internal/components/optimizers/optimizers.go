@@ -23,22 +23,22 @@ type VarsProvider func() []*vars.Variable
 
 // Config selects and parameterizes an optimizer.
 type Config struct {
-	// Type is "sgd", "momentum", "rmsprop" or "adam".
+	// Type is "rmsprop" or "adam".
 	Type string `json:"type"`
 	// LearningRate is the step size.
 	LearningRate float64 `json:"learning_rate"`
-	// Momentum applies to "momentum" (and as RMSProp's decay if set).
-	Momentum float64 `json:"momentum,omitempty"`
-	// Beta1/Beta2 are Adam's moment decays.
-	Beta1 float64 `json:"beta1,omitempty"`
-	Beta2 float64 `json:"beta2,omitempty"`
-	// Decay is RMSProp's moving-average decay.
-	Decay float64 `json:"decay,omitempty"`
-	// Epsilon stabilizes divisions.
-	Epsilon float64 `json:"epsilon,omitempty"`
 	// MaxGradNorm enables global-norm gradient clipping when > 0.
 	MaxGradNorm float64 `json:"max_grad_norm,omitempty"`
 }
+
+// The fixed hyperparameters: RMSProp's moving-average decay, Adam's two
+// moment decays, and the epsilon both add to stabilize their divisions.
+const (
+	rmspropDecay = 0.99
+	adamBeta1    = 0.9
+	adamBeta2    = 0.999
+	epsilon      = 1e-8
+)
 
 // Optimizer is the shared component: the rule and its per-variable state
 // live in tensor.UpdateRule / tensor.UpdateState.
@@ -72,28 +72,17 @@ func New(name string, cfg Config, provider VarsProvider) (*Optimizer, error) {
 	return o, nil
 }
 
-// rule validates cfg and translates it, with defaults, into the kernel's
-// hyperparameters.
+// rule validates cfg and translates it into the kernel's hyperparameters.
 func (cfg Config) rule() (tensor.UpdateRule, error) {
 	if cfg.LearningRate <= 0 {
 		return tensor.UpdateRule{}, fmt.Errorf("optimizers: learning rate must be positive, got %g", cfg.LearningRate)
 	}
-	or := func(v, def float64) float64 {
-		if v == 0 {
-			return def
-		}
-		return v
-	}
-	r := tensor.UpdateRule{LR: cfg.LearningRate, Epsilon: or(cfg.Epsilon, 1e-8), MaxGradNorm: cfg.MaxGradNorm}
+	r := tensor.UpdateRule{LR: cfg.LearningRate, Epsilon: epsilon, MaxGradNorm: cfg.MaxGradNorm}
 	switch cfg.Type {
-	case "sgd":
-		r.Kind = tensor.UpdateSGD
-	case "momentum":
-		r.Kind, r.Beta1 = tensor.UpdateMomentum, or(cfg.Momentum, 0.9)
 	case "rmsprop":
-		r.Kind, r.Beta2 = tensor.UpdateRMSProp, or(cfg.Decay, 0.99)
+		r.Kind, r.Beta2 = tensor.UpdateRMSProp, rmspropDecay
 	case "adam":
-		r.Kind, r.Beta1, r.Beta2 = tensor.UpdateAdam, or(cfg.Beta1, 0.9), or(cfg.Beta2, 0.999)
+		r.Kind, r.Beta1, r.Beta2 = tensor.UpdateAdam, adamBeta1, adamBeta2
 	default:
 		return tensor.UpdateRule{}, fmt.Errorf("optimizers: unknown type %q", cfg.Type)
 	}

@@ -40,6 +40,16 @@ type SampleWorker interface {
 	MeanReward(n int) (float64, bool)
 }
 
+// Fixed Ape-X settings: the prioritized-replay exponents of every replay
+// shard, how often one shard may be restarted (a restarted shard loses its
+// contents), and how many learner batches a shard must hold before the
+// learner samples it.
+const (
+	replayAlpha, replayBeta = 0.6, 0.4
+	maxShardRestarts        = 1
+	minReplayBatches        = 2
+)
+
 // ApexConfig parameterizes the Ape-X run.
 type ApexConfig struct {
 	// NumWorkers is the number of sample-collection actors.
@@ -50,23 +60,13 @@ type ApexConfig struct {
 	NumReplayShards int
 	// ReplayCapacity is the per-shard record capacity.
 	ReplayCapacity int
-	// Alpha/Beta are prioritized-replay exponents.
-	Alpha, Beta float64
 	// BatchSize is the learner batch size.
 	BatchSize int
 	// SyncWeightsEvery broadcasts learner weights every N updates.
 	SyncWeightsEvery int
-	// MinReplaySize gates learning until shards hold enough records.
-	MinReplaySize int
 	// MaxWorkerRestarts caps supervised restarts per worker (default 3,
 	// negative = never restart).
 	MaxWorkerRestarts int
-	// MaxShardRestarts caps restarts per replay shard; a restarted shard
-	// loses its contents (default 1, negative = never restart).
-	MaxShardRestarts int
-	// MinHealthyWorkers fails the run when fewer workers survive
-	// (default 1).
-	MinHealthyWorkers int
 	// RestartBackoff is the initial supervised-restart window; it doubles
 	// per retry up to a 2s cap (default 50ms). The actual sleep is drawn
 	// with full jitter — uniform in [0, window) — so simultaneous failures
@@ -102,20 +102,11 @@ func (c *ApexConfig) withDefaults() ApexConfig {
 	if out.ReplayCapacity == 0 {
 		out.ReplayCapacity = 50000
 	}
-	if out.Alpha == 0 {
-		out.Alpha = 0.6
-	}
-	if out.Beta == 0 {
-		out.Beta = 0.4
-	}
 	if out.BatchSize == 0 {
 		out.BatchSize = 64
 	}
 	if out.SyncWeightsEvery == 0 {
 		out.SyncWeightsEvery = 25
-	}
-	if out.MinReplaySize == 0 {
-		out.MinReplaySize = out.BatchSize * 2
 	}
 	if out.PublishEvery == 0 {
 		out.PublishEvery = out.SyncWeightsEvery
@@ -125,15 +116,6 @@ func (c *ApexConfig) withDefaults() ApexConfig {
 		out.MaxWorkerRestarts = 3
 	case out.MaxWorkerRestarts < 0:
 		out.MaxWorkerRestarts = 0
-	}
-	switch {
-	case out.MaxShardRestarts == 0:
-		out.MaxShardRestarts = 1
-	case out.MaxShardRestarts < 0:
-		out.MaxShardRestarts = 0
-	}
-	if out.MinHealthyWorkers == 0 {
-		out.MinHealthyWorkers = 1
 	}
 	if out.RestartBackoff == 0 {
 		out.RestartBackoff = 50 * time.Millisecond
@@ -308,7 +290,7 @@ func NewApex(cfg ApexConfig, learner *agents.DQN, stateSpace spaces.Space,
 		e.shardRestarts = append(e.shardRestarts, 0)
 		factory := func() (raysim.Behavior, error) {
 			shard, err := newReplayShard(shardName(i), cfg.ReplayCapacity,
-				cfg.Alpha, cfg.Beta, stateSpace, int64(1000+i))
+				replayAlpha, replayBeta, stateSpace, int64(1000+i))
 			if err != nil {
 				return nil, err
 			}
@@ -392,7 +374,7 @@ func (e *ApexExecutor) restartShard(i int, old *raysim.ActorRef) bool {
 	if cur != old {
 		return true // a concurrent restart already replaced it
 	}
-	if used >= e.cfg.MaxShardRestarts {
+	if used >= maxShardRestarts {
 		e.shardMu.Lock()
 		e.shardDead[i] = true
 		e.shardMu.Unlock()
@@ -450,14 +432,14 @@ func (e *ApexExecutor) superviseWorker(wi int, restarts *int, backoff *time.Dura
 	return nil
 }
 
-// workerLost records a permanent worker loss and fails the run when the
-// healthy pool shrinks below the configured minimum.
+// workerLost records a permanent worker loss and fails the run when no
+// worker is left.
 func (e *ApexExecutor) workerLost(wi, restarts int, cause error, recordErr func(error)) {
 	h := atomic.AddInt64(&e.healthy, -1)
 	e.firstDeath.CompareAndSwap(0, time.Now().UnixNano())
-	if int(h) < e.cfg.MinHealthyWorkers {
-		recordErr(fmt.Errorf("distexec: worker %d lost after %d restarts, %d healthy < min %d: %w",
-			wi, restarts, h, e.cfg.MinHealthyWorkers, cause))
+	if h < 1 {
+		recordErr(fmt.Errorf("distexec: worker %d lost after %d restarts, no worker left: %w",
+			wi, restarts, cause))
 	}
 }
 
@@ -491,15 +473,12 @@ type RunOptions struct {
 	TargetReward float64
 	// SampleTimelineEvery controls learning-curve sampling (0 = off).
 	SampleTimelineEvery time.Duration
-	// DisableUpdates turns the learner off (sampling-throughput-only runs,
-	// the configuration the paper notes RLlib's published numbers used).
-	DisableUpdates bool
 }
 
 // Run drives the Ape-X loop until the stopping condition and reports
 // aggregate metrics. Worker crashes, hangs and injected faults are handled
-// by the supervisor; the run fails only when fewer than MinHealthyWorkers
-// survive, the learner itself errors, or every replay shard dies.
+// by the supervisor; the run fails only when no worker survives, the
+// learner itself errors, or every replay shard dies.
 func (e *ApexExecutor) Run(opt RunOptions) (*ApexResult, error) {
 	start := time.Now()
 	deadline := start.Add(opt.Duration)
@@ -628,16 +607,12 @@ func (e *ApexExecutor) Run(opt RunOptions) (*ApexResult, error) {
 			break
 		}
 		pending = e.harvest(pending)
-		if opt.DisableUpdates {
-			time.Sleep(time.Millisecond)
-			continue
-		}
 		ref, sh, idx, ok := e.liveShard(shard)
 		if !ok {
 			recordErr(errors.New("distexec: all replay shards dead"))
 			break
 		}
-		if int(atomic.LoadInt64(&sh.size)) < e.cfg.MinReplaySize {
+		if int(atomic.LoadInt64(&sh.size)) < minReplayBatches*e.cfg.BatchSize {
 			shard++
 			time.Sleep(time.Millisecond)
 			continue

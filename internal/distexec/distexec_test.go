@@ -49,7 +49,6 @@ func TestApexEndToEndRLgraphWorkers(t *testing.T) {
 		NumReplayShards: 2,
 		ReplayCapacity:  2000,
 		BatchSize:       16,
-		MinReplaySize:   32,
 	}
 	ex, err := NewApex(cfg, learner, env.StateSpace(), func(i int) (SampleWorker, error) {
 		agent := newDQN(t, env, int64(i))
@@ -83,7 +82,7 @@ func TestApexWithRLlibLikeWorkers(t *testing.T) {
 	env := gridEnvFactory(2)
 	learner := newDQN(t, env, 77)
 	cfg := ApexConfig{NumWorkers: 1, TaskSize: 10, NumReplayShards: 1,
-		ReplayCapacity: 1000, BatchSize: 8, MinReplaySize: 16}
+		ReplayCapacity: 1000, BatchSize: 8}
 	var blWorker *rlliblike.Worker
 	ex, err := NewApex(cfg, learner, env.StateSpace(), func(i int) (SampleWorker, error) {
 		agent := newDQN(t, env, int64(i+30))
@@ -105,31 +104,6 @@ func TestApexWithRLlibLikeWorkers(t *testing.T) {
 	// than steps — the inefficiency the paper quantifies.
 	if blWorker.ExecutorCalls <= int(res.Frames)/2 {
 		t.Fatalf("rlliblike made %d executor calls for %d frames", blWorker.ExecutorCalls, res.Frames)
-	}
-}
-
-func TestApexSamplingOnlyMode(t *testing.T) {
-	env := gridEnvFactory(3)
-	learner := newDQN(t, env, 55)
-	ex, err := NewApex(ApexConfig{NumWorkers: 1, TaskSize: 10, NumReplayShards: 1,
-		ReplayCapacity: 500, BatchSize: 8}, learner, env.StateSpace(),
-		func(i int) (SampleWorker, error) {
-			agent := newDQN(t, env, int64(i+60))
-			vec := envs.NewVectorEnv(gridEnvFactory(int64(70 + i)))
-			return execution.NewWorker(agent, vec, execution.WorkerConfig{NStep: 1, Gamma: 0.99}), nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ex.Run(RunOptions{Duration: 300 * time.Millisecond, DisableUpdates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Updates != 0 {
-		t.Fatalf("updates = %d in sampling-only mode", res.Updates)
-	}
-	if res.Frames == 0 {
-		t.Fatal("no frames")
 	}
 }
 

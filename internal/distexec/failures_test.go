@@ -120,7 +120,7 @@ func TestApexSurvivesInjectedWorkerCrash(t *testing.T) {
 	learner := newDQN(t, env, 47)
 	ex, err := NewApex(ApexConfig{
 		NumWorkers: 4, TaskSize: 10, NumReplayShards: 2,
-		ReplayCapacity: 2000, BatchSize: 8, MinReplaySize: 16,
+		ReplayCapacity: 2000, BatchSize: 8,
 		MaxWorkerRestarts: 2, RestartBackoff: 10 * time.Millisecond,
 		CallTimeout: 5 * time.Second,
 		Cluster: raysim.Config{Faults: &raysim.FaultPlan{
@@ -186,7 +186,7 @@ func TestApexHungWorkerTimesOutAndRestarts(t *testing.T) {
 	incarnations := 0
 	ex, err := NewApex(ApexConfig{
 		NumWorkers: 1, TaskSize: 5, NumReplayShards: 1,
-		ReplayCapacity: 500, BatchSize: 8, MinReplaySize: 16,
+		ReplayCapacity: 500, BatchSize: 8,
 		MaxWorkerRestarts: 2, RestartBackoff: 10 * time.Millisecond,
 		CallTimeout: 200 * time.Millisecond,
 		Cluster:     raysim.Config{ShutdownGrace: 500 * time.Millisecond},
@@ -229,7 +229,7 @@ func TestApexHungReplayShardDoesNotDeadlock(t *testing.T) {
 	learner := newDQN(t, env, 49)
 	ex, err := NewApex(ApexConfig{
 		NumWorkers: 2, TaskSize: 10, NumReplayShards: 2,
-		ReplayCapacity: 2000, BatchSize: 8, MinReplaySize: 16,
+		ReplayCapacity: 2000, BatchSize: 8,
 		RestartBackoff: 10 * time.Millisecond,
 		CallTimeout:    150 * time.Millisecond,
 		Cluster: raysim.Config{
@@ -289,7 +289,7 @@ func TestIMPALAActorCrashMidQueueRestarts(t *testing.T) {
 	armed.Store(true)
 	ex, err := NewIMPALAExec(IMPALAConfig{
 		NumActors: 2, QueueCapacity: 4,
-		MaxActorRestarts: 2, RestartBackoff: 10 * time.Millisecond,
+		RestartBackoff: 10 * time.Millisecond,
 	}, learner, env.StateSpace(), func(i int) (*agents.IMPALA, envs.Env, error) {
 		e := envs.Env(gridEnvFactory(int64(160 + i)))
 		if i == 0 {
@@ -324,9 +324,9 @@ func TestApexDegradedRunCompletes(t *testing.T) {
 	boom := errors.New("flaky rack")
 	ex, err := NewApex(ApexConfig{
 		NumWorkers: 2, TaskSize: 10, NumReplayShards: 1,
-		ReplayCapacity: 2000, BatchSize: 8, MinReplaySize: 16,
-		MaxWorkerRestarts: 1, MinHealthyWorkers: 1,
-		RestartBackoff: 10 * time.Millisecond,
+		ReplayCapacity: 2000, BatchSize: 8,
+		MaxWorkerRestarts: 1,
+		RestartBackoff:    10 * time.Millisecond,
 	}, learner, env.StateSpace(),
 		func(i int) (SampleWorker, error) {
 			agent := newDQN(t, env, int64(i+170))

@@ -15,24 +15,19 @@ import (
 	"rlgraph/internal/tensor"
 )
 
+// maxActorRestarts caps supervised restarts per rollout actor. A restarted
+// actor is rebuilt from the actor factory and re-synced with learner
+// weights.
+const maxActorRestarts = 2
+
 // IMPALAConfig parameterizes the actor-learner run.
 type IMPALAConfig struct {
 	// NumActors is the number of rollout-producing actors.
 	NumActors int
 	// QueueCapacity bounds the shared rollout queue.
 	QueueCapacity int
-	// BatchRollouts is how many rollouts the learner consumes per update.
-	BatchRollouts int
-	// SyncWeightsEvery pulls fresh weights into actors every N rollouts.
-	SyncWeightsEvery int
 	// FramesPerStep is the env frame multiplier for accounting.
 	FramesPerStep int
-	// MaxActorRestarts caps supervised restarts per rollout actor
-	// (default 2, negative = never restart). A restarted actor is rebuilt
-	// from the actor factory and re-synced with learner weights.
-	MaxActorRestarts int
-	// MinHealthyActors fails the run when fewer actors survive (default 1).
-	MinHealthyActors int
 	// RestartBackoff is the initial supervised-restart window; it doubles
 	// per retry up to a 2s cap (default 50ms). The actual sleep is drawn
 	// with full jitter — uniform in [0, window) — so simultaneous failures
@@ -42,13 +37,6 @@ type IMPALAConfig struct {
 	// (redundant actor variable assignments, unstage preprocessing copies)
 	// the paper identified (Fig. 9's DeepMind-reference baseline).
 	BaselineOverheads bool
-	// PublishTo, when non-nil, pushes a learner weight snapshot to this
-	// parameter server every PublishEvery updates — the live
-	// training→serving weight-sync loop.
-	PublishTo *ParameterServer
-	// PublishEvery is the update interval between publishes (default 10;
-	// only meaningful with PublishTo).
-	PublishEvery int
 }
 
 func (c *IMPALAConfig) withDefaults() IMPALAConfig {
@@ -59,29 +47,11 @@ func (c *IMPALAConfig) withDefaults() IMPALAConfig {
 	if out.QueueCapacity == 0 {
 		out.QueueCapacity = 16
 	}
-	if out.BatchRollouts == 0 {
-		out.BatchRollouts = 1
-	}
-	if out.SyncWeightsEvery == 0 {
-		out.SyncWeightsEvery = 1
-	}
 	if out.FramesPerStep == 0 {
 		out.FramesPerStep = 1
 	}
-	switch {
-	case out.MaxActorRestarts == 0:
-		out.MaxActorRestarts = 2
-	case out.MaxActorRestarts < 0:
-		out.MaxActorRestarts = 0
-	}
-	if out.MinHealthyActors == 0 {
-		out.MinHealthyActors = 1
-	}
 	if out.RestartBackoff == 0 {
 		out.RestartBackoff = 50 * time.Millisecond
-	}
-	if out.PublishEvery == 0 {
-		out.PublishEvery = 10
 	}
 	return out
 }
@@ -109,8 +79,6 @@ type IMPALAResult struct {
 	// Degraded is how long the run continued after permanently losing an
 	// actor (zero when every actor survived or recovered).
 	Degraded time.Duration
-	// Published counts weight snapshots pushed to PublishTo.
-	Published int
 }
 
 // IMPALAExecutor runs the queue-fed actor-learner architecture: actors step
@@ -120,7 +88,7 @@ type IMPALAResult struct {
 // the structure of the paper's Fig. 9 workload. Rollout actors are
 // supervised: a crash (error or panic) rebuilds the actor from its factory
 // with capped exponential backoff, and the run degrades gracefully until
-// fewer than MinHealthyActors remain.
+// no actor remains.
 type IMPALAExecutor struct {
 	cfg     IMPALAConfig
 	learner *agents.IMPALA
@@ -239,7 +207,6 @@ type impalaActorState struct {
 	a     *agents.IMPALA
 	env   envs.Env
 	state *tensor.Tensor
-	n     int
 }
 
 // actorIter performs one sync+collect+enqueue iteration, recovering panics
@@ -251,23 +218,21 @@ func (e *IMPALAExecutor) actorIter(st *impalaActorState) (err error) {
 			err = fmt.Errorf("distexec: impala actor panicked: %v", r)
 		}
 	}()
-	// Refresh policy weights from the learner.
-	if st.n%e.cfg.SyncWeightsEvery == 0 {
-		e.learnerMu.Lock()
-		w := e.learner.GetWeights()
-		e.learnerMu.Unlock()
-		if err := st.a.SetWeights(w); err != nil {
-			return err
-		}
-		if e.cfg.BaselineOverheads {
-			// DM reference: redundant variable assignments in the actor
-			// (paper §5.1) — weight tensors are re-assigned although nothing
-			// changed. The reference executed these inside each actor step;
-			// we charge the equivalent total per rollout.
-			for k := 0; k < 2; k++ {
-				if err := st.a.SetWeights(st.a.GetWeights()); err != nil {
-					return err
-				}
+	// Refresh policy weights from the learner before every rollout.
+	e.learnerMu.Lock()
+	w := e.learner.GetWeights()
+	e.learnerMu.Unlock()
+	if err := st.a.SetWeights(w); err != nil {
+		return err
+	}
+	if e.cfg.BaselineOverheads {
+		// DM reference: redundant variable assignments in the actor
+		// (paper §5.1) — weight tensors are re-assigned although nothing
+		// changed. The reference executed these inside each actor step;
+		// we charge the equivalent total per rollout.
+		for k := 0; k < 2; k++ {
+			if err := st.a.SetWeights(st.a.GetWeights()); err != nil {
+				return err
 			}
 		}
 	}
@@ -283,7 +248,6 @@ func (e *IMPALAExecutor) actorIter(st *impalaActorState) (err error) {
 	}
 	atomic.AddInt64(&e.frames, int64(ro.Frames))
 	atomic.AddInt64(&e.rollouts, 1)
-	st.n++
 	return nil
 }
 
@@ -293,7 +257,7 @@ func (e *IMPALAExecutor) actorIter(st *impalaActorState) (err error) {
 // restart budget is exhausted or the run is stopping.
 func (e *IMPALAExecutor) superviseActor(i int, st *impalaActorState, restarts *int,
 	backoff *time.Duration, stop chan struct{}) bool {
-	for *restarts < e.cfg.MaxActorRestarts {
+	for *restarts < maxActorRestarts {
 		*restarts++
 		select {
 		case <-stop:
@@ -316,7 +280,6 @@ func (e *IMPALAExecutor) superviseActor(i int, st *impalaActorState, restarts *i
 		atomic.AddInt64(&e.restarts, 1)
 		st.a, st.env = na, nenv
 		st.state = st.env.Reset().Clone()
-		st.n = 1 // weights just synced; skip the immediate re-sync
 		return true
 	}
 	return false
@@ -324,7 +287,7 @@ func (e *IMPALAExecutor) superviseActor(i int, st *impalaActorState, restarts *i
 
 // Run drives actors and learner until the wall-clock duration elapses.
 // Actor crashes are absorbed by the supervisor; the run fails only when the
-// learner errors or fewer than MinHealthyActors survive.
+// learner errors or no actor survives.
 func (e *IMPALAExecutor) Run(duration time.Duration) (*IMPALAResult, error) {
 	start := time.Now()
 	stop := make(chan struct{})
@@ -373,9 +336,9 @@ func (e *IMPALAExecutor) Run(duration time.Duration) (*IMPALAResult, error) {
 					}
 					h := atomic.AddInt64(&e.healthy, -1)
 					e.firstDeath.CompareAndSwap(0, time.Now().UnixNano())
-					if int(h) < e.cfg.MinHealthyActors {
-						recordErr(fmt.Errorf("distexec: impala actor %d lost after %d restarts, %d healthy < min %d: %w",
-							i, restarts, h, e.cfg.MinHealthyActors, err))
+					if h < 1 {
+						recordErr(fmt.Errorf("distexec: impala actor %d lost after %d restarts, no actor left: %w",
+							i, restarts, err))
 					}
 					return
 				}
@@ -386,7 +349,6 @@ func (e *IMPALAExecutor) Run(duration time.Duration) (*IMPALAResult, error) {
 	// Learner: dequeue → stage → update. The staging area gives the
 	// one-batch pipeline delay that hides transfer latency on real GPUs.
 	deadline := start.Add(duration)
-	published := 0
 	for time.Now().Before(deadline) && !stopped(stop) {
 		outs, err := e.queueCT.Test("dequeue")
 		if err != nil {
@@ -424,16 +386,6 @@ func (e *IMPALAExecutor) Run(duration time.Duration) (*IMPALAResult, error) {
 			break
 		}
 		e.updates++
-		if ps := e.cfg.PublishTo; ps != nil && e.updates%e.cfg.PublishEvery == 0 {
-			e.learnerMu.Lock()
-			weights := e.learner.GetWeights()
-			e.learnerMu.Unlock()
-			if _, err := ps.Push(weights); err != nil {
-				recordErr(fmt.Errorf("distexec: publish at update %d: %w", e.updates, err))
-			} else {
-				published++
-			}
-		}
 	}
 	halt()
 	e.queue.Close()
@@ -448,13 +400,12 @@ func (e *IMPALAExecutor) Run(duration time.Duration) (*IMPALAResult, error) {
 	err := firstErr
 	errMu.Unlock()
 	return &IMPALAResult{
-		Frames:    atomic.LoadInt64(&e.frames),
-		Elapsed:   elapsed,
-		FPS:       float64(atomic.LoadInt64(&e.frames)) / elapsed.Seconds(),
-		Updates:   e.updates,
-		Rollouts:  atomic.LoadInt64(&e.rollouts),
-		Restarts:  int(atomic.LoadInt64(&e.restarts)),
-		Degraded:  degraded,
-		Published: published,
+		Frames:   atomic.LoadInt64(&e.frames),
+		Elapsed:  elapsed,
+		FPS:      float64(atomic.LoadInt64(&e.frames)) / elapsed.Seconds(),
+		Updates:  e.updates,
+		Rollouts: atomic.LoadInt64(&e.rollouts),
+		Restarts: int(atomic.LoadInt64(&e.restarts)),
+		Degraded: degraded,
 	}, err
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"rlgraph/internal/agents"
 	"rlgraph/internal/envs"
 	"rlgraph/internal/execution"
 )
@@ -27,7 +26,6 @@ func TestApexPublishesToParameterServer(t *testing.T) {
 		NumReplayShards: 1,
 		ReplayCapacity:  2000,
 		BatchSize:       16,
-		MinReplaySize:   32,
 		PublishTo:       ps,
 		PublishEvery:    5,
 	}
@@ -75,39 +73,5 @@ func TestApexPublishesToParameterServer(t *testing.T) {
 		if len(sv.Data()) != len(w.Data()) {
 			t.Fatalf("variable %q: snapshot size %d, learner size %d", name, len(sv.Data()), len(w.Data()))
 		}
-	}
-}
-
-// TestIMPALAPublishesToParameterServer checks the same hook on the IMPALA
-// learner loop.
-func TestIMPALAPublishesToParameterServer(t *testing.T) {
-	env := gridEnvFactory(6)
-	learner := newIMPALA(t, env, 66)
-	ps := NewParameterServer(learner.GetWeights())
-	ex, err := NewIMPALAExec(IMPALAConfig{
-		NumActors:     1,
-		QueueCapacity: 4,
-		PublishTo:     ps,
-		PublishEvery:  3,
-	}, learner, env.StateSpace(), func(i int) (*agents.IMPALA, envs.Env, error) {
-		return newIMPALA(t, env, int64(80+i)), gridEnvFactory(int64(90 + i)), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ex.Run(700 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Updates == 0 {
-		t.Fatal("no learner updates")
-	}
-	want := res.Updates / 3
-	if res.Published != want {
-		t.Fatalf("published %d snapshots over %d updates, want %d (every 3)",
-			res.Published, res.Updates, want)
-	}
-	if got := ps.Version(); got != int64(res.Published) {
-		t.Fatalf("parameter server at version %d after %d pushes", got, res.Published)
 	}
 }

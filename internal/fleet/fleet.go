@@ -7,10 +7,8 @@
 //     replica with the fewest in-flight requests wins, and ties are broken
 //     by a hash ring over the observation so equal-load routing stays
 //     deterministic and cache-friendly.
-//   - Failures are retried on a different healthy replica (bounded retries),
-//     and an optional hedged second request is issued when the deadline
-//     budget allows — first success wins, the loser is accounted as
-//     retried-away.
+//   - Failures are retried on a different healthy replica (bounded
+//     retries). Attempts run one after another on the caller's goroutine.
 //   - Replicas run under raysim-style supervision: periodic health probes, a
 //     circuit breaker that ejects a replica after consecutive failures and
 //     re-admits it after a successful probe, and capped-backoff restarts
@@ -62,7 +60,7 @@ var (
 // supervised restart.
 type BuildFunc func(i int) (run serve.Runner, setWeights func(map[string]*tensor.Tensor) error, err error)
 
-// Config tunes the router, supervision, and hedging policy.
+// Config tunes the router and its supervision.
 type Config struct {
 	// Replicas is the fleet size N (default 2).
 	Replicas int
@@ -75,14 +73,6 @@ type Config struct {
 	// MaxRetries bounds how many times a failed request is re-routed to a
 	// different replica (default 2, negative = never retry).
 	MaxRetries int
-	// Hedge enables one hedged request per call: when the first attempt has
-	// not resolved within HedgeAfter and the deadline budget allows, a
-	// second attempt is issued on a different replica and the first success
-	// wins.
-	Hedge bool
-	// HedgeAfter is the hedging delay; 0 derives it from the fleet's
-	// rolling p99 (2x p99, floored at 200µs).
-	HedgeAfter time.Duration
 	// EjectAfter is the circuit-breaker threshold: this many consecutive
 	// failures eject a replica from rotation until a probe succeeds
 	// (default 3).
@@ -91,9 +81,6 @@ type Config struct {
 	ProbeEvery time.Duration
 	// ProbeTimeout bounds each probe (default 4*ProbeEvery).
 	ProbeTimeout time.Duration
-	// ProbeObs is the canary observation probes send; defaults to a zero
-	// tensor of the serve element shape.
-	ProbeObs *tensor.Tensor
 	// RestartBackoff is the initial supervised-restart window; it doubles
 	// per consecutive failed rebuild up to a 1s cap, and the actual sleep
 	// is drawn with full jitter (default 10ms).
@@ -133,12 +120,6 @@ func (c Config) withDefaults() Config {
 	case c.MaxRestarts < 0:
 		c.MaxRestarts = 0
 	}
-	if c.ProbeObs == nil && c.Serve.ElemShape == nil && c.Serve.Elem != nil {
-		c.Serve.ElemShape = c.Serve.Elem.Shape()
-	}
-	if c.ProbeObs == nil && c.Serve.ElemShape != nil {
-		c.ProbeObs = tensor.New(c.Serve.ElemShape...)
-	}
 	return c
 }
 
@@ -148,6 +129,9 @@ type Router struct {
 	replicas []*Replica
 	ring     *hashRing
 	m        counters
+	// probeObs is the canary observation probes send: a zero tensor of the
+	// serve element shape (nil without Serve.Elem: no probes).
+	probeObs *tensor.Tensor
 
 	// snapMu guards the fleet's current weight snapshot — what a rebuilt
 	// replica is initialized with so it rejoins bit-identical to its peers.
@@ -178,6 +162,9 @@ func New(cfg Config) (*Router, error) {
 		cfg:  cfg,
 		ring: newHashRing(cfg.Replicas, 16),
 		stop: make(chan struct{}),
+	}
+	if cfg.Serve.Elem != nil {
+		rt.probeObs = tensor.New(cfg.Serve.Elem.Shape()...)
 	}
 	for i := 0; i < cfg.Replicas; i++ {
 		r := newReplica(i)
@@ -221,8 +208,8 @@ func (rt *Router) Act(obs *tensor.Tensor, deadline time.Time) (*tensor.Tensor, e
 }
 
 // ActVersion is Act plus the weight-version stamp of the snapshot that
-// served the request. Unless a hedge can race the first attempt, attempts
-// are strictly sequential and run on the caller's goroutine.
+// served the request. Attempts are strictly sequential and run on the
+// caller's goroutine.
 func (rt *Router) ActVersion(obs *tensor.Tensor, deadline time.Time) (*tensor.Tensor, int64, error) {
 	if rt.closed.Load() {
 		return nil, 0, ErrClosed
@@ -233,9 +220,6 @@ func (rt *Router) ActVersion(obs *tensor.Tensor, deadline time.Time) (*tensor.Te
 		rt.m.unroutable.Add(1)
 		return nil, 0, ErrNoReplicas
 	}
-	if rt.cfg.Hedge && rt.hedgeBudget(deadline) {
-		return rt.actHedged(r, obs, deadline)
-	}
 	var tried replicaSet
 	for retries := 0; ; retries++ {
 		tried |= 1 << r.idx
@@ -244,7 +228,7 @@ func (rt *Router) ActVersion(obs *tensor.Tensor, deadline time.Time) (*tensor.Te
 		if res.err == nil || errors.Is(res.err, serve.ErrDeadline) {
 			return rt.resolve(res)
 		}
-		rt.recordVersion(res.version, true, res.lat)
+		rt.recordVersion(res.version, true)
 		r = nil
 		if retryable(res.err) && retries < rt.cfg.MaxRetries && !pastDeadline(deadline) {
 			r = rt.pick(obs, tried)
@@ -278,7 +262,7 @@ func (rt *Router) attempt(r *Replica, obs *tensor.Tensor, deadline time.Time) at
 // success, or a deadline miss (the request is out of time; retrying cannot
 // help).
 func (rt *Router) resolve(res attemptResult) (*tensor.Tensor, int64, error) {
-	rt.recordVersion(res.version, res.err != nil, res.lat)
+	rt.recordVersion(res.version, res.err != nil)
 	if res.err != nil {
 		rt.m.misses.Add(1)
 		return nil, 0, serve.ErrDeadline
@@ -286,89 +270,6 @@ func (rt *Router) resolve(res attemptResult) (*tensor.Tensor, int64, error) {
 	rt.m.completed.Add(1)
 	rt.m.lat.record(res.lat)
 	return res.out, res.version, nil
-}
-
-// actHedged is the racing form of the attempt loop: first already picked,
-// each attempt on its own goroutine, and one hedged second attempt on a
-// different replica when the first has not resolved within hedgeAfter.
-func (rt *Router) actHedged(first *Replica, obs *tensor.Tensor, deadline time.Time) (*tensor.Tensor, int64, error) {
-	results := make(chan attemptResult, rt.cfg.MaxRetries+2)
-	var tried replicaSet
-	launch := func(r *Replica) {
-		tried |= 1 << r.idx
-		rt.begin(r)
-		go func() { results <- rt.attempt(r, obs, deadline) }()
-	}
-	launch(first)
-	inFlight := 1
-
-	t := time.NewTimer(rt.hedgeAfter())
-	defer t.Stop()
-	hedgeTimer := t.C
-
-	retries := 0
-	heldFailures := 0 // failed attempts whose classification waits on the outcome
-	var lastErr error
-	for inFlight > 0 {
-		select {
-		case res := <-results:
-			inFlight--
-			if res.err == nil || errors.Is(res.err, serve.ErrDeadline) {
-				rt.m.retriedAway.Add(int64(heldFailures))
-				rt.drainAbandoned(results, inFlight)
-				return rt.resolve(res)
-			}
-			rt.recordVersion(res.version, true, res.lat)
-			lastErr = res.err
-			if retryable(res.err) && retries < rt.cfg.MaxRetries && !pastDeadline(deadline) {
-				if next := rt.pick(obs, tried); next != nil {
-					retries++
-					rt.m.retriedAway.Add(1)
-					rt.m.retries.Add(1)
-					launch(next)
-					inFlight++
-					continue
-				}
-			}
-			// No retry for this failure. If a hedge is still in flight it
-			// may yet succeed; hold the classification until then.
-			if inFlight > 0 {
-				heldFailures++
-				continue
-			}
-			rt.m.failed.Add(1)
-			rt.m.retriedAway.Add(int64(heldFailures))
-			return nil, 0, lastErr
-
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			if next := rt.pick(obs, tried); next != nil {
-				rt.m.hedges.Add(1)
-				launch(next)
-				inFlight++
-			}
-		}
-	}
-	// Unreachable: the loop always returns once inFlight drains.
-	rt.m.failed.Add(1)
-	return nil, 0, lastErr
-}
-
-// drainAbandoned accounts attempts still in flight after their request
-// resolved (hedge losers, attempts racing a deadline): each lands in
-// RetriedAway once it returns, so Routed == Completed + RetriedAway +
-// Misses + Failed holds at quiescence.
-func (rt *Router) drainAbandoned(results chan attemptResult, inFlight int) {
-	if inFlight == 0 {
-		return
-	}
-	go func() {
-		for i := 0; i < inFlight; i++ {
-			res := <-results
-			rt.m.retriedAway.Add(1)
-			rt.recordVersion(res.version, res.err != nil, res.lat)
-		}
-	}()
 }
 
 // retryable reports whether a different replica could plausibly serve the
@@ -380,29 +281,6 @@ func retryable(err error) bool {
 
 func pastDeadline(deadline time.Time) bool {
 	return !deadline.IsZero() && time.Now().After(deadline)
-}
-
-// hedgeBudget reports whether the deadline leaves room for a hedged second
-// attempt (at least twice the hedge delay remaining).
-func (rt *Router) hedgeBudget(deadline time.Time) bool {
-	if deadline.IsZero() {
-		return true
-	}
-	return time.Until(deadline) > 2*rt.hedgeAfter()
-}
-
-// hedgeAfter resolves the hedging delay: configured, or 2x the fleet's
-// rolling p99 with a 200µs floor (hedging below scheduler noise just
-// doubles load).
-func (rt *Router) hedgeAfter() time.Duration {
-	if rt.cfg.HedgeAfter > 0 {
-		return rt.cfg.HedgeAfter
-	}
-	d := 2 * rt.m.lat.quantile(0.99)
-	if d < 200*time.Microsecond {
-		d = 200 * time.Microsecond
-	}
-	return d
 }
 
 // pick selects the least-loaded healthy replica not yet tried, breaking
@@ -661,11 +539,11 @@ func (rt *Router) supervise(r *Replica) {
 // probe sends the canary observation through the replica's real serving
 // path under the probe timeout.
 func (rt *Router) probe(r *Replica) error {
-	if rt.cfg.ProbeObs == nil {
+	if rt.probeObs == nil {
 		return nil // nothing to probe with; trust the breaker alone
 	}
 	rt.m.probes.Add(1)
-	_, _, err := r.call(rt.cfg.ProbeObs, time.Now().Add(rt.cfg.ProbeTimeout))
+	_, _, err := r.call(rt.probeObs, time.Now().Add(rt.cfg.ProbeTimeout))
 	if err != nil {
 		rt.m.probeFails.Add(1)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rlgraph/internal/serve"
+	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 )
 
@@ -96,7 +97,7 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 }
 
 // checkIdentities asserts the exactly-once accounting invariants at
-// quiescence (polling, because abandoned-attempt drains lag resolution).
+// quiescence (polling: callers on other goroutines may still be returning).
 func checkIdentities(t *testing.T, rt *Router) Metrics {
 	t.Helper()
 	var m Metrics
@@ -113,8 +114,8 @@ func newTestRouter(t *testing.T, f *fakeFleet, cfg Config) *Router {
 	if cfg.Build == nil {
 		cfg.Build = f.build
 	}
-	if cfg.Serve.ElemShape == nil {
-		cfg.Serve.ElemShape = []int{2}
+	if cfg.Serve.Elem == nil {
+		cfg.Serve.Elem = spaces.NewFloatBox(2)
 	}
 	if cfg.Serve.MaxBatch == 0 {
 		cfg.Serve.MaxBatch = 8
@@ -217,31 +218,23 @@ func TestRetryFailsOverAndBreakerEjects(t *testing.T) {
 
 // TestMaxRetriesBoundsAttempts: with every runner failing, a request is
 // re-routed MaxRetries times and no more, however many untried replicas are
-// left — on the inline and on the hedged path.
+// left.
 func TestMaxRetriesBoundsAttempts(t *testing.T) {
-	for _, hedge := range []bool{false, true} {
-		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
-			f := newFakeFleet()
-			for i := 0; i < 4; i++ {
-				f.fail[i].Store(true)
-			}
-			rt := newTestRouter(t, f, Config{
-				Replicas: 4, MaxRetries: 1, EjectAfter: 100, ProbeEvery: time.Hour,
-				Hedge: hedge, HedgeAfter: time.Hour, // the hedge itself never fires
-			})
-			if _, err := rt.Act(obsOf(1, 1), time.Time{}); err == nil {
-				t.Fatal("request succeeded on a fleet of failing runners")
-			}
-			m := checkIdentities(t, rt)
-			if m.Routed != 2 || m.Retries != 1 || m.RetriedAway != 1 || m.Failed != 1 {
-				t.Fatalf("Routed=%d Retries=%d RetriedAway=%d Failed=%d, want 2/1/1/1", m.Routed, m.Retries, m.RetriedAway, m.Failed)
-			}
-		})
+	f := newFakeFleet()
+	for i := 0; i < 4; i++ {
+		f.fail[i].Store(true)
+	}
+	rt := newTestRouter(t, f, Config{Replicas: 4, MaxRetries: 1, EjectAfter: 100, ProbeEvery: time.Hour})
+	if _, err := rt.Act(obsOf(1, 1), time.Time{}); err == nil {
+		t.Fatal("request succeeded on a fleet of failing runners")
+	}
+	m := checkIdentities(t, rt)
+	if m.Routed != 2 || m.Retries != 1 || m.RetriedAway != 1 || m.Failed != 1 {
+		t.Fatalf("Routed=%d Retries=%d RetriedAway=%d Failed=%d, want 2/1/1/1", m.Routed, m.Retries, m.RetriedAway, m.Failed)
 	}
 }
 
-// TestRoutingAllocatesNothing: without a hedge to race, a request runs on
-// its caller's goroutine and the router adds no allocation to what the
+// TestRoutingAllocatesNothing: a request runs on its caller's goroutine and the router adds no allocation to what the
 // replica's service makes — no goroutine closure, results channel, tried map
 // or tie-break set (both replicas idle, so every pick is a load tie).
 func TestRoutingAllocatesNothing(t *testing.T) {
@@ -303,31 +296,6 @@ func TestKillRebuildsWithSnapshot(t *testing.T) {
 		return rt.Metrics().Replicas[0].Serve.Completed > 0
 	})
 	checkIdentities(t, rt)
-}
-
-// TestHedgedRequestRaces puts both replicas well above the hedge delay and
-// asserts a hedge fires, the request completes once, and the losing attempt
-// is accounted retried-away.
-func TestHedgedRequestRaces(t *testing.T) {
-	f := newFakeFleet()
-	f.slow[0].Store(int64(5 * time.Millisecond))
-	f.slow[1].Store(int64(5 * time.Millisecond))
-	rt := newTestRouter(t, f, Config{
-		Replicas:   2,
-		Hedge:      true,
-		HedgeAfter: time.Millisecond,
-	})
-	out, err := rt.Act(obsOf(4, 0), time.Time{})
-	if err != nil || out.Data()[0] != 4 {
-		t.Fatalf("hedged request: out=%v err=%v", out, err)
-	}
-	m := checkIdentities(t, rt)
-	if m.Hedges < 1 {
-		t.Fatalf("expected a hedge to fire, got %+v", m)
-	}
-	if m.Requests != 1 || m.Completed != 1 {
-		t.Fatalf("hedging must deliver exactly once: %+v", m)
-	}
 }
 
 // TestSwapVersionStampConsistency swaps weights continuously under load and
@@ -395,21 +363,10 @@ func TestSwapVersionStampConsistency(t *testing.T) {
 // TestExactlyOnceUnderChaos is the synthetic chaos gate: concurrent load
 // with mixed deadlines while a replica is repeatedly killed, another's
 // runner flaps, and weight swaps roll through — afterwards every routed
-// attempt and every request is accounted exactly once, on the hedged
-// (goroutine per attempt) and on the inline request path alike.
+// attempt and every request is accounted exactly once.
 func TestExactlyOnceUnderChaos(t *testing.T) {
-	for _, hedge := range []bool{true, false} {
-		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) { exactlyOnceUnderChaos(t, hedge) })
-	}
-}
-
-func exactlyOnceUnderChaos(t *testing.T, hedge bool) {
 	f := newFakeFleet()
-	rt := newTestRouter(t, f, Config{
-		Replicas: 3,
-		Hedge:    hedge,
-		Seed:     42,
-	})
+	rt := newTestRouter(t, f, Config{Replicas: 3, Seed: 42})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -463,8 +420,8 @@ func exactlyOnceUnderChaos(t *testing.T, hedge bool) {
 	if m.Completed == 0 {
 		t.Fatalf("chaos run completed nothing: %+v", m)
 	}
-	t.Logf("chaos: %d requests → %d completed, %d misses, %d failed, %d unroutable; %d attempts (%d retried away, %d hedges); %d restarts",
-		m.Requests, m.Completed, m.Misses, m.Failed, m.Unroutable, m.Routed, m.RetriedAway, m.Hedges, m.Restarts)
+	t.Logf("chaos: %d requests → %d completed, %d misses, %d failed, %d unroutable; %d attempts (%d retried away); %d restarts",
+		m.Requests, m.Completed, m.Misses, m.Failed, m.Unroutable, m.Routed, m.RetriedAway, m.Restarts)
 }
 
 // TestShutdownRejectsAndDrains asserts Shutdown stops routing, pending

@@ -27,7 +27,6 @@ type counters struct {
 	unroutable  atomic.Int64
 
 	retries atomic.Int64
-	hedges  atomic.Int64
 
 	ejections    atomic.Int64
 	readmissions atomic.Int64
@@ -84,7 +83,6 @@ func (l *latRing) quantile(q float64) time.Duration {
 type versionStat struct {
 	attempts atomic.Int64
 	errors   atomic.Int64
-	lat      latRing
 }
 
 // maxTrackedVersions bounds the per-version map; oldest versions evict
@@ -95,7 +93,7 @@ const maxTrackedVersions = 16
 // recordVersion attributes one attempt outcome to the weight version that
 // served it. Version 0 means "no stamp" (replica down, service closed
 // before dispatch) and is not attributable to any snapshot.
-func (rt *Router) recordVersion(v int64, failed bool, lat time.Duration) {
+func (rt *Router) recordVersion(v int64, failed bool) {
 	if v == 0 {
 		return
 	}
@@ -121,8 +119,6 @@ func (rt *Router) recordVersion(v int64, failed bool, lat time.Duration) {
 	st.attempts.Add(1)
 	if failed {
 		st.errors.Add(1)
-	} else {
-		st.lat.record(lat)
 	}
 }
 
@@ -131,7 +127,6 @@ type VersionStats struct {
 	Version  int64
 	Attempts int64
 	Errors   int64
-	P99      time.Duration
 }
 
 // ErrRate is Errors/Attempts (0 when idle).
@@ -151,7 +146,6 @@ func (rt *Router) VersionStatsFor(v int64) VersionStats {
 	if st != nil {
 		out.Attempts = st.attempts.Load()
 		out.Errors = st.errors.Load()
-		out.P99 = st.lat.quantile(0.99)
 	}
 	return out
 }
@@ -177,7 +171,9 @@ type Metrics struct {
 	Unroutable  int64
 
 	Retries int64
-	Hedges  int64
+	// Hedges is always 0: the fleet sends no hedged requests. The
+	// regression benchmark still reports it (fleet.hedges).
+	Hedges int64
 
 	Ejections    int64
 	Readmissions int64
@@ -212,7 +208,6 @@ func (rt *Router) Metrics() Metrics {
 		Unroutable:  rt.m.unroutable.Load(),
 
 		Retries: rt.m.retries.Load(),
-		Hedges:  rt.m.hedges.Load(),
 
 		Ejections:    rt.m.ejections.Load(),
 		Readmissions: rt.m.readmissions.Load(),

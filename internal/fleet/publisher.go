@@ -18,18 +18,11 @@ type PublisherConfig struct {
 	// served before the guard may roll it back; below it the verdict is
 	// "not enough evidence" and the version stands (default 20).
 	GuardMinSamples int
-	// MaxErrRate: a new version whose error rate exceeds both this absolute
-	// bound and twice the previous version's rate regresses (default 0.05).
-	MaxErrRate float64
-	// P99Factor: a new version whose p99 exceeds P99Factor times the
-	// previous version's (when both have latency samples) regresses
-	// (default 0 = latency guard off).
-	P99Factor float64
-	// Poll is a fallback re-check period in case a subscription
-	// notification is lost; 0 disables polling (the coalescing
-	// subscription alone is normally sufficient).
-	Poll time.Duration
 }
+
+// maxErrRate: a new version whose error rate exceeds both this absolute
+// bound and twice the previous version's rate regresses.
+const maxErrRate = 0.05
 
 func (c PublisherConfig) withDefaults() PublisherConfig {
 	if c.GuardWindow <= 0 {
@@ -38,9 +31,6 @@ func (c PublisherConfig) withDefaults() PublisherConfig {
 	if c.GuardMinSamples <= 0 {
 		c.GuardMinSamples = 20
 	}
-	if c.MaxErrRate <= 0 {
-		c.MaxErrRate = 0.05
-	}
 	return c
 }
 
@@ -48,8 +38,8 @@ func (c PublisherConfig) withDefaults() PublisherConfig {
 // distexec.ParameterServer, pulls version-stamped snapshots (Pull already
 // deep-copies, so trainer and fleet never share tensors), rolls them across
 // the fleet with SwapAll, then watches the new version's serving record for
-// GuardWindow. A version that regresses — error rate or p99 materially
-// worse than its predecessor's — is rolled back to the last good snapshot
+// GuardWindow. A version that regresses — an error rate materially worse
+// than its predecessor's — is rolled back to the last good snapshot
 // and blacklisted so a re-notification cannot re-apply it.
 type Publisher struct {
 	ps  *distexec.ParameterServer
@@ -108,12 +98,6 @@ func StartPublisher(ps *distexec.ParameterServer, rt *Router, cfg PublisherConfi
 func (p *Publisher) loop() {
 	defer p.wg.Done()
 	defer p.cancel()
-	var poll <-chan time.Time
-	if p.cfg.Poll > 0 {
-		t := time.NewTicker(p.cfg.Poll)
-		defer t.Stop()
-		poll = t.C
-	}
 	for {
 		select {
 		case <-p.stop:
@@ -123,8 +107,6 @@ func (p *Publisher) loop() {
 				return
 			}
 			p.publish(v)
-		case <-poll:
-			p.publish(p.ps.Version())
 		}
 	}
 }
@@ -161,7 +143,8 @@ func (p *Publisher) publish(notified int64) {
 	case <-time.After(p.cfg.GuardWindow):
 	}
 	st := p.rt.VersionStatsFor(v)
-	if st.Attempts >= int64(p.cfg.GuardMinSamples) && p.regressed(st, baseline) {
+	if st.Attempts >= int64(p.cfg.GuardMinSamples) &&
+		st.ErrRate() > maxErrRate && st.ErrRate() > 2*baseline.ErrRate() {
 		p.bad[v] = true
 		p.rollbacks.Add(1)
 		if p.lastGoodW != nil {
@@ -171,18 +154,6 @@ func (p *Publisher) publish(notified int64) {
 	}
 	p.lastGoodW = w
 	p.lastGoodV.Store(v)
-}
-
-// regressed compares a new version's serving record to its predecessor's.
-func (p *Publisher) regressed(new, base VersionStats) bool {
-	if new.ErrRate() > p.cfg.MaxErrRate && new.ErrRate() > 2*base.ErrRate() {
-		return true
-	}
-	if p.cfg.P99Factor > 0 && base.P99 > 0 && new.P99 > 0 &&
-		float64(new.P99) > p.cfg.P99Factor*float64(base.P99) {
-		return true
-	}
-	return false
 }
 
 // Applied returns the newest version ever swapped into the fleet.

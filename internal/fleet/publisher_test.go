@@ -64,7 +64,6 @@ func TestPublisherRollsBackRegression(t *testing.T) {
 	p, err := StartPublisher(ps, rt, PublisherConfig{
 		GuardWindow:     30 * time.Millisecond,
 		GuardMinSamples: 5,
-		MaxErrRate:      0.05,
 	})
 	if err != nil {
 		t.Fatalf("StartPublisher: %v", err)

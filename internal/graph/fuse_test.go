@@ -227,7 +227,7 @@ func TestBufferReuseRecyclesAndStaysBitExact(t *testing.T) {
 		w := VarRead(g, v)
 		h := Tanh(g, Add(g, Mul(g, x, w), Scale(g, x, 0.1)))
 		loss := Sum(g, Square(g, h))
-		rule := &tensor.UpdateRule{Kind: tensor.UpdateSGD, LR: 0.01}
+		rule := &tensor.UpdateRule{Kind: tensor.UpdateRMSProp, LR: 0.01, Beta2: 0.99, Epsilon: 1e-8}
 		upd := ApplyUpdate(g, v, rule, rule.NewState(2, 3), h, loss)
 		feeds := Feeds{x: tensor.FromSlice([]float64{0.3, -0.2, 0.7, -1.1, 0.05, 2.2}, 2, 3)}
 		return g, v, feeds, []*Node{upd}

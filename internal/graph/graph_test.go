@@ -57,10 +57,11 @@ func TestMemoizationEvaluatesSharedNodesOnce(t *testing.T) {
 	}
 }
 
-// sgdStep adds an ApplyUpdate node that moves v by -grad (plain SGD, unit
-// step size), yielding norm.
-func sgdStep(g *Graph, v *vars.Variable, grad, norm *Node) *Node {
-	rule := &tensor.UpdateRule{Kind: tensor.UpdateSGD, LR: 1}
+// signStep adds an ApplyUpdate node that moves v by -sign(grad), yielding
+// norm: RMSProp with no decay and no epsilon divides each gradient element
+// by its own magnitude, exactly.
+func signStep(g *Graph, v *vars.Variable, grad, norm *Node) *Node {
+	rule := &tensor.UpdateRule{Kind: tensor.UpdateRMSProp, LR: 1}
 	return ApplyUpdate(g, v, rule, rule.NewState(v.Val.Shape()...), grad, norm)
 }
 
@@ -68,12 +69,12 @@ func TestVariablesAndAssign(t *testing.T) {
 	g := New()
 	v := vars.New("w", tensor.FromSlice([]float64{1, 2}, 2))
 	r := VarRead(g, v)
-	upd := sgdStep(g, v, Neg(g, r), ConstScalar(g, 0))
+	upd := signStep(g, v, Neg(g, r), ConstScalar(g, 0))
 	sess := NewSession(g)
 	if _, err := sess.Run1(upd, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !v.Val.Equal(tensor.FromSlice([]float64{2, 4}, 2)) {
+	if !v.Val.Equal(tensor.FromSlice([]float64{2, 3}, 2)) {
 		t.Fatalf("after the update, v = %v", v.Val)
 	}
 }
@@ -81,7 +82,7 @@ func TestVariablesAndAssign(t *testing.T) {
 func TestControlDependencies(t *testing.T) {
 	g := New()
 	v := vars.New("c", tensor.Scalar(0))
-	bump := sgdStep(g, v, ConstScalar(g, -1), ConstScalar(g, 0))
+	bump := signStep(g, v, ConstScalar(g, -1), ConstScalar(g, 0))
 	read := Identity(g, VarRead(g, v))
 	read.AddDep(bump)
 	sess := NewSession(g)

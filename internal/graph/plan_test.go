@@ -380,7 +380,7 @@ func TestParallelStatefulOrderingMatchesSerial(t *testing.T) {
 		var fetches []*Node
 		last := AddScalar(g, VarRead(g, v), 0)
 		for i := 0; i < 20; i++ {
-			a := sgdStep(g, v, ConstScalar(g, -1), ConstScalar(g, 0))
+			a := signStep(g, v, ConstScalar(g, -1), ConstScalar(g, 0))
 			a.AddDep(last)
 			r := VarRead(g, v)
 			r.AddDep(a)

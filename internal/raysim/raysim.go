@@ -78,10 +78,6 @@ type Config struct {
 	// BytesPerSecond models serialization/transfer cost of tensor payloads
 	// (0 disables the charge).
 	BytesPerSecond float64
-	// CallTimeout is the default per-call deadline applied by Future.Get
-	// (0 = block forever, the pre-fault-tolerance behavior). Explicit
-	// GetTimeout calls override it.
-	CallTimeout time.Duration
 	// MailboxSize bounds each actor's queue (default 1024); senders block
 	// when the actor falls far behind (backpressure).
 	MailboxSize int
@@ -158,11 +154,10 @@ type Future struct {
 	once sync.Once
 	val  interface{}
 	err  error
-	def  time.Duration // default deadline applied by Get (0 = none)
 }
 
-func newFuture(def time.Duration) *Future {
-	return &Future{done: make(chan struct{}), def: def}
+func newFuture() *Future {
+	return &Future{done: make(chan struct{})}
 }
 
 // deliver resolves the future exactly once; later deliveries are dropped
@@ -174,12 +169,9 @@ func (f *Future) deliver(v interface{}, err error) {
 	})
 }
 
-// Get blocks until the call completes, or until the cluster's configured
-// CallTimeout (when set) elapses.
+// Get blocks until the call completes. Callers that need a deadline use
+// GetTimeout.
 func (f *Future) Get() (interface{}, error) {
-	if f.def > 0 {
-		return f.GetTimeout(f.def)
-	}
 	<-f.done
 	return f.val, f.err
 }
@@ -429,7 +421,7 @@ func (a *ActorRef) killReason() error {
 // stopped or crashed actor fail immediately; a send racing termination fails
 // with ErrMailboxClosed instead of blocking forever on a full mailbox.
 func (a *ActorRef) Call(method string, args ...interface{}) *Future {
-	f := newFuture(a.cluster.cfg.CallTimeout)
+	f := newFuture()
 	if a.stopped.Load() {
 		f.deliver(nil, a.unavailableErr())
 		return f

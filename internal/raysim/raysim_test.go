@@ -238,24 +238,6 @@ func TestGetTimeoutAbandonsSlowCall(t *testing.T) {
 	}
 }
 
-func TestConfigCallTimeoutAppliesToGet(t *testing.T) {
-	c := NewCluster(Config{CallTimeout: 15 * time.Millisecond})
-	a := mustActor(t, c, "deadline", Behavior{
-		"hang": func([]interface{}) (interface{}, error) {
-			time.Sleep(200 * time.Millisecond)
-			return nil, nil
-		},
-	})
-	defer c.StopAll()
-	start := time.Now()
-	if _, err := a.Call("hang").Get(); !IsTimeout(err) {
-		t.Fatalf("default deadline not applied: %v", err)
-	}
-	if time.Since(start) > 150*time.Millisecond {
-		t.Fatal("Get did not respect the configured deadline")
-	}
-}
-
 func TestRestartRespawnsFromFactory(t *testing.T) {
 	c := NewCluster(Config{})
 	incarnation := 0

@@ -17,7 +17,7 @@ import (
 // by the pre-assembly sweep instead of being executed.
 func TestDeadlineExpiresWhileQueued(t *testing.T) {
 	g := newGatedRunner()
-	s := New(g.run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, ElemShape: []int{2}})
+	s := New(g.run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, elemShape: []int{2}})
 	defer s.Close()
 
 	first := make(chan error, 1)
@@ -58,7 +58,7 @@ func TestDeadlineExpiresInFlight(t *testing.T) {
 		<-release
 		return b.Clone(), nil
 	}
-	s := New(run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, ElemShape: []int{2}})
+	s := New(run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, elemShape: []int{2}})
 	defer s.Close()
 
 	startAt := time.Now()
@@ -81,7 +81,7 @@ func TestDeadlineExpiresInFlight(t *testing.T) {
 // requests are evicted with ErrDeadline, live ones are served.
 func TestDeadlineDuringDrain(t *testing.T) {
 	g := newGatedRunner()
-	s := New(g.run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, ElemShape: []int{2}})
+	s := New(g.run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, elemShape: []int{2}})
 
 	first := make(chan error, 1)
 	go func() { _, err := s.Act(obsOf(1, 2), time.Time{}); first <- err }()
@@ -125,7 +125,7 @@ func TestDeadlineDuringDrain(t *testing.T) {
 // abandonment, and the in-flight batch still completes.
 func TestShutdownNonEmptyQueueFailsFast(t *testing.T) {
 	g := newGatedRunner()
-	s := New(g.run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, QueueDepth: 8, ElemShape: []int{2}})
+	s := New(g.run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, QueueDepth: 8, elemShape: []int{2}})
 
 	first := make(chan error, 1)
 	go func() { _, err := s.Act(obsOf(1, 2), time.Time{}); first <- err }()
@@ -180,7 +180,7 @@ func TestShutdownNonEmptyQueueFailsFast(t *testing.T) {
 // queued before returning.
 func TestGracefulShutdownDrainsQueue(t *testing.T) {
 	g := newGatedRunner()
-	s := New(g.run, Config{MaxBatch: 2, FlushLatency: time.Microsecond, ElemShape: []int{2}})
+	s := New(g.run, Config{MaxBatch: 2, FlushLatency: time.Microsecond, elemShape: []int{2}})
 
 	const n = 5
 	done := make(chan error, n)
@@ -213,7 +213,7 @@ func TestGracefulShutdownDrainsQueue(t *testing.T) {
 // admission is released with ErrClosed when the service shuts down.
 func TestBlockedAdmitterReleasedOnClose(t *testing.T) {
 	g := newGatedRunner()
-	s := New(g.run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, QueueDepth: 1, Block: true, ElemShape: []int{2}})
+	s := New(g.run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, QueueDepth: 1, Block: true, elemShape: []int{2}})
 
 	first := make(chan error, 1)
 	go func() { _, err := s.Act(obsOf(1, 2), time.Time{}); first <- err }()
@@ -253,7 +253,7 @@ func TestRecycledDeadlineTimersCarryNoStaleExpiry(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 		return b.Clone(), nil
 	}
-	s := New(run, Config{MaxBatch: 8, FlushLatency: 50 * time.Microsecond, QueueDepth: 256, ElemShape: []int{2}})
+	s := New(run, Config{MaxBatch: 8, FlushLatency: 50 * time.Microsecond, QueueDepth: 256, elemShape: []int{2}})
 	defer s.Close()
 	var wg sync.WaitGroup
 	for c := 0; c < 16; c++ {

@@ -79,9 +79,9 @@ type Config struct {
 	// requests failing spaces.ContainsElement are rejected with
 	// ErrBadObservation before admission. Nil skips the check.
 	Elem spaces.Space
-	// ElemShape is the element shape used to stack observations. Derived
-	// from Elem when nil.
-	ElemShape []int
+	// elemShape is the element shape used to stack observations, derived
+	// from Elem (package tests set it directly).
+	elemShape []int
 	// Version, when set, is sampled once per dispatched batch (in the
 	// batcher goroutine, before the Runner call) and stamped into every
 	// response of that batch — the weight-version tag the fleet layer uses
@@ -100,8 +100,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxBatch
 	}
-	if c.ElemShape == nil && c.Elem != nil {
-		c.ElemShape = c.Elem.Shape()
+	if c.elemShape == nil && c.Elem != nil {
+		c.elemShape = c.Elem.Shape()
 	}
 	return c
 }
@@ -192,9 +192,9 @@ func (s *Service) ActVersion(obs *tensor.Tensor, deadline time.Time) (*tensor.Te
 		s.m.invalid.Add(1)
 		return nil, 0, fmt.Errorf("%w: shape %v, element space %s", ErrBadObservation, obs.Shape(), s.cfg.Elem)
 	}
-	if s.cfg.ElemShape != nil && !tensor.SameShape(obs.Shape(), s.cfg.ElemShape) {
+	if s.cfg.elemShape != nil && !tensor.SameShape(obs.Shape(), s.cfg.elemShape) {
 		s.m.invalid.Add(1)
-		return nil, 0, fmt.Errorf("%w: shape %v, want %v", ErrBadObservation, obs.Shape(), s.cfg.ElemShape)
+		return nil, 0, fmt.Errorf("%w: shape %v, want %v", ErrBadObservation, obs.Shape(), s.cfg.elemShape)
 	}
 	r := &request{obs: obs, deadline: deadline, enq: time.Now(), done: make(chan response, 1)}
 	if err := s.admit(r); err != nil {
@@ -476,7 +476,7 @@ func (s *Service) dispatch(batch []*request) {
 		obs = append(obs, r.obs)
 	}
 	s.obs = obs
-	elem := s.cfg.ElemShape
+	elem := s.cfg.elemShape
 	if elem == nil {
 		// No declared element shape: stack on the first row's shape (later
 		// mismatched rows fail the whole batch with an error, not a panic).

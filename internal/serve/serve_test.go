@@ -118,7 +118,7 @@ func TestCoalescesConcurrentRequests(t *testing.T) {
 	g := newGatedRunner()
 	g.inner = d.run
 	const n = 8
-	s := New(g.run, Config{MaxBatch: n, FlushLatency: time.Hour, ElemShape: []int{3}})
+	s := New(g.run, Config{MaxBatch: n, FlushLatency: time.Hour, elemShape: []int{3}})
 	defer s.Close()
 
 	obs := make([]*tensor.Tensor, n)
@@ -161,7 +161,7 @@ func TestPartialBatchFlushesOnIdle(t *testing.T) {
 	g := newGatedRunner()
 	g.inner = d.run
 	const n = 5
-	s := New(g.run, Config{MaxBatch: 64, FlushLatency: time.Hour, ElemShape: []int{2}})
+	s := New(g.run, Config{MaxBatch: 64, FlushLatency: time.Hour, elemShape: []int{2}})
 	defer s.Close()
 
 	obs := make([]*tensor.Tensor, n)
@@ -185,7 +185,7 @@ func TestPartialBatchFlushesOnIdle(t *testing.T) {
 // whatever FlushLatency says.
 func TestLoneRequestIsNotHeld(t *testing.T) {
 	d := &doubler{}
-	s := New(d.run, Config{MaxBatch: 64, FlushLatency: time.Second, ElemShape: []int{2}})
+	s := New(d.run, Config{MaxBatch: 64, FlushLatency: time.Second, elemShape: []int{2}})
 	defer s.Close()
 
 	start := time.Now()
@@ -374,7 +374,7 @@ func TestDifferentialBatchedVsSingle(t *testing.T) {
 
 func TestBackpressureShed(t *testing.T) {
 	g := newGatedRunner()
-	s := New(g.run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, QueueDepth: 1, ElemShape: []int{2}})
+	s := New(g.run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, QueueDepth: 1, elemShape: []int{2}})
 	defer func() { close(g.gate); s.Close() }()
 
 	results := make(chan error, 2)
@@ -405,7 +405,7 @@ func TestBackpressureShed(t *testing.T) {
 
 func TestBackpressureBlock(t *testing.T) {
 	g := newGatedRunner()
-	s := New(g.run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, QueueDepth: 1, Block: true, ElemShape: []int{2}})
+	s := New(g.run, Config{MaxBatch: 1, FlushLatency: time.Microsecond, QueueDepth: 1, Block: true, elemShape: []int{2}})
 	defer s.Close() // gate is closed in the body once the queue is primed
 
 	results := make(chan error, 3)
@@ -465,7 +465,7 @@ func TestBadObservationsRejected(t *testing.T) {
 
 func TestRunnerErrorPropagates(t *testing.T) {
 	boom := fmt.Errorf("backend exploded")
-	s := New(func(*tensor.Tensor) (*tensor.Tensor, error) { return nil, boom }, Config{ElemShape: []int{1}})
+	s := New(func(*tensor.Tensor) (*tensor.Tensor, error) { return nil, boom }, Config{elemShape: []int{1}})
 	defer s.Close()
 
 	if _, err := s.Act(obsOf(1), time.Time{}); !errors.Is(err, boom) {
@@ -480,7 +480,7 @@ func TestRunnerErrorPropagates(t *testing.T) {
 func TestRunnerRowMismatchFails(t *testing.T) {
 	s := New(func(b *tensor.Tensor) (*tensor.Tensor, error) {
 		return tensor.New(b.Dim(0)+1, 1), nil // wrong leading dim
-	}, Config{ElemShape: []int{1}})
+	}, Config{elemShape: []int{1}})
 	defer s.Close()
 
 	_, err := s.Act(obsOf(1), time.Time{})
@@ -501,7 +501,7 @@ func TestMetricsInvariantUnderLoad(t *testing.T) {
 		MaxBatch:     4,
 		FlushLatency: 200 * time.Microsecond,
 		QueueDepth:   8, // small: force shedding under burst
-		ElemShape:    []int{2},
+		elemShape:    []int{2},
 	})
 
 	const clients, perClient = 8, 50

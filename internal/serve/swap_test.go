@@ -65,7 +65,7 @@ func TestBarrierSwapsBetweenBatches(t *testing.T) {
 	s := New(r.run, Config{
 		MaxBatch:     8,
 		FlushLatency: 100 * time.Microsecond,
-		ElemShape:    []int{1},
+		elemShape:    []int{1},
 		Version:      r.ver.Load,
 	})
 	defer s.Close()
@@ -126,7 +126,7 @@ func TestBarrierUnderLoadLandsWithinOneBatch(t *testing.T) {
 	s := New(func(b *tensorT) (*tensorT, error) {
 		entries.Add(1)
 		return g.run(b)
-	}, Config{MaxBatch: 1, ElemShape: []int{1}})
+	}, Config{MaxBatch: 1, elemShape: []int{1}})
 	defer s.Close()
 
 	stop := make(chan struct{})
@@ -171,7 +171,7 @@ func TestBarrierUnderLoadLandsWithinOneBatch(t *testing.T) {
 // TestBarrierAfterCloseReturnsErrClosed: a barrier submitted to a drained
 // service must not hang.
 func TestBarrierAfterCloseReturnsErrClosed(t *testing.T) {
-	s := New(func(b *tensorT) (*tensorT, error) { return b.Clone(), nil }, Config{ElemShape: []int{1}})
+	s := New(func(b *tensorT) (*tensorT, error) { return b.Clone(), nil }, Config{elemShape: []int{1}})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestBarrierAfterCloseReturnsErrClosed(t *testing.T) {
 // TestBarrierPanicIsContained: a panicking swap must fail the Barrier call,
 // not kill the batcher.
 func TestBarrierPanicIsContained(t *testing.T) {
-	s := New(func(b *tensorT) (*tensorT, error) { return b.Clone(), nil }, Config{ElemShape: []int{1}})
+	s := New(func(b *tensorT) (*tensorT, error) { return b.Clone(), nil }, Config{elemShape: []int{1}})
 	defer s.Close()
 	if err := s.Barrier(func() error { panic("bad snapshot") }); err == nil {
 		t.Fatal("expected an error from a panicking barrier")
@@ -202,7 +202,7 @@ func TestRunnerPanicFailsBatchOnly(t *testing.T) {
 			panic("model exploded")
 		}
 		return b.Clone(), nil
-	}, Config{ElemShape: []int{1}})
+	}, Config{elemShape: []int{1}})
 	defer s.Close()
 
 	boom.Store(true)
@@ -229,7 +229,7 @@ func TestActShutdownRaceNeverHangs(t *testing.T) {
 		s := New(func(b *tensorT) (*tensorT, error) {
 			time.Sleep(time.Duration(rand.Intn(200)) * time.Microsecond)
 			return b.Clone(), nil
-		}, Config{MaxBatch: 4, FlushLatency: 100 * time.Microsecond, QueueDepth: 16, ElemShape: []int{1}})
+		}, Config{MaxBatch: 4, FlushLatency: 100 * time.Microsecond, QueueDepth: 16, elemShape: []int{1}})
 
 		const clients = 8
 		var wg sync.WaitGroup

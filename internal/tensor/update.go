@@ -37,16 +37,12 @@ func flushSlot(x float64) float64 {
 	return x
 }
 
-// UpdateKind selects a gradient-descent rule.
+// UpdateKind selects a gradient-descent rule. The zero value selects none.
 type UpdateKind uint8
 
 const (
-	// UpdateSGD is w -= lr·g.
-	UpdateSGD UpdateKind = iota
-	// UpdateMomentum is m = β1·m + g; w -= lr·m.
-	UpdateMomentum
 	// UpdateRMSProp is v = β2·v + (1-β2)·g²; w -= lr·g/sqrt(v+ε).
-	UpdateRMSProp
+	UpdateRMSProp UpdateKind = iota + 1
 	// UpdateAdam is m = β1·m + (1-β1)·g; v = β2·v + (1-β2)·g²;
 	// w -= lr·m·c/(sqrt(v)+ε) with c = sqrt(1-β2^t)/(1-β1^t).
 	UpdateAdam
@@ -58,8 +54,8 @@ type UpdateRule struct {
 	Kind UpdateKind
 	// LR is the step size.
 	LR float64
-	// Beta1 decays the first-moment slot (momentum's μ, Adam's β1); Beta2
-	// decays the second-moment slot (RMSProp's ρ, Adam's β2).
+	// Beta1 decays the first-moment slot (Adam's β1); Beta2 decays the
+	// second-moment slot (RMSProp's ρ, Adam's β2).
 	Beta1, Beta2 float64
 	// Epsilon stabilizes the divisions of RMSProp and Adam.
 	Epsilon float64
@@ -72,8 +68,8 @@ type UpdateRule struct {
 // needs (nil otherwise) and the number of updates applied so far. Apply
 // mutates the slots in place; nothing else may alias them.
 type UpdateState struct {
-	// M is the first-moment slot (momentum, Adam); V the second-moment slot
-	// (RMSProp, Adam).
+	// M is the first-moment slot (Adam); V the second-moment slot (RMSProp,
+	// Adam).
 	M, V *Tensor
 	// Steps counts applied updates; Adam's bias correction reads it.
 	Steps int
@@ -81,12 +77,9 @@ type UpdateState struct {
 
 // NewState returns zeroed state for a variable of the given shape.
 func (r *UpdateRule) NewState(shape ...int) *UpdateState {
-	st := &UpdateState{}
-	if r.Kind == UpdateMomentum || r.Kind == UpdateAdam {
+	st := &UpdateState{V: New(shape...)}
+	if r.Kind == UpdateAdam {
 		st.M = New(shape...)
-	}
-	if r.Kind == UpdateRMSProp || r.Kind == UpdateAdam {
-		st.V = New(shape...)
 	}
 	return st
 }
@@ -132,21 +125,6 @@ func (r *UpdateRule) clipScale(norm float64) float64 {
 func (r *UpdateRule) apply(w *Tensor, st *UpdateState, g *Tensor, scale float64, i0, i1 int) {
 	wd, gd, nlr := w.data[i0:i1], g.data[i0:i1], -r.LR
 	switch r.Kind {
-	case UpdateSGD:
-		// AddTo(w, Mul(g, scale), -lr)
-		for i := range wd {
-			gs := float64(gd[i] * scale)
-			wd[i] += float64(nlr * gs)
-		}
-	case UpdateMomentum:
-		// m' = Add(Scale(m, β1), gs); AddTo(w, m', -lr)
-		md, b1 := st.M.data[i0:i1], r.Beta1
-		for i := range wd {
-			gs := float64(gd[i] * scale)
-			m := flushSlot(float64(md[i]*b1) + gs)
-			md[i] = m
-			wd[i] += float64(nlr * m)
-		}
 	case UpdateRMSProp:
 		// v' = Add(Scale(v, β2), Scale(Square(gs), 1-β2));
 		// AddTo(w, Div(gs, Sqrt(AddScalar(v', ε))), -lr)

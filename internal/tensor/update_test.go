@@ -15,11 +15,6 @@ func composedUpdate(r UpdateRule, w, m, v, g *Tensor, norm float64, step int) {
 		g = Scale(g, math.Min(1, r.MaxGradNorm/(norm+1e-12)))
 	}
 	switch r.Kind {
-	case UpdateSGD:
-		AxpyInPlace(w, -r.LR, g)
-	case UpdateMomentum:
-		m.CopyFrom(Add(Scale(m, r.Beta1), g))
-		AxpyInPlace(w, -r.LR, m)
 	case UpdateRMSProp:
 		v.CopyFrom(Add(Scale(v, r.Beta2), Scale(Square(g), 1-r.Beta2)))
 		AxpyInPlace(w, -r.LR, Div(g, Sqrt(AddScalar(v, r.Epsilon))))
@@ -34,8 +29,6 @@ func composedUpdate(r UpdateRule, w, m, v, g *Tensor, norm float64, step int) {
 
 func testRules(maxNorm float64) []UpdateRule {
 	return []UpdateRule{
-		{Kind: UpdateSGD, LR: 0.05, MaxGradNorm: maxNorm},
-		{Kind: UpdateMomentum, LR: 0.02, Beta1: 0.9, MaxGradNorm: maxNorm},
 		{Kind: UpdateRMSProp, LR: 0.01, Beta2: 0.99, Epsilon: 1e-8, MaxGradNorm: maxNorm},
 		{Kind: UpdateAdam, LR: 0.001, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8, MaxGradNorm: maxNorm},
 	}
