@@ -218,20 +218,23 @@ func TestRetryFailsOverAndBreakerEjects(t *testing.T) {
 
 // TestMaxRetriesBoundsAttempts: with every runner failing, a request is
 // re-routed MaxRetries times and no more, however many untried replicas are
-// left.
+// left. The subtest is named for the request path it runs: inline, with no
+// hedged duplicate attempt.
 func TestMaxRetriesBoundsAttempts(t *testing.T) {
-	f := newFakeFleet()
-	for i := 0; i < 4; i++ {
-		f.fail[i].Store(true)
-	}
-	rt := newTestRouter(t, f, Config{Replicas: 4, MaxRetries: 1, EjectAfter: 100, ProbeEvery: time.Hour})
-	if _, err := rt.Act(obsOf(1, 1), time.Time{}); err == nil {
-		t.Fatal("request succeeded on a fleet of failing runners")
-	}
-	m := checkIdentities(t, rt)
-	if m.Routed != 2 || m.Retries != 1 || m.RetriedAway != 1 || m.Failed != 1 {
-		t.Fatalf("Routed=%d Retries=%d RetriedAway=%d Failed=%d, want 2/1/1/1", m.Routed, m.Retries, m.RetriedAway, m.Failed)
-	}
+	t.Run("hedge=false", func(t *testing.T) {
+		f := newFakeFleet()
+		for i := 0; i < 4; i++ {
+			f.fail[i].Store(true)
+		}
+		rt := newTestRouter(t, f, Config{Replicas: 4, MaxRetries: 1, EjectAfter: 100, ProbeEvery: time.Hour})
+		if _, err := rt.Act(obsOf(1, 1), time.Time{}); err == nil {
+			t.Fatal("request succeeded on a fleet of failing runners")
+		}
+		m := checkIdentities(t, rt)
+		if m.Routed != 2 || m.Retries != 1 || m.RetriedAway != 1 || m.Failed != 1 {
+			t.Fatalf("Routed=%d Retries=%d RetriedAway=%d Failed=%d, want 2/1/1/1", m.Routed, m.Retries, m.RetriedAway, m.Failed)
+		}
+	})
 }
 
 // TestRoutingAllocatesNothing: a request runs on its caller's goroutine and the router adds no allocation to what the
@@ -363,8 +366,13 @@ func TestSwapVersionStampConsistency(t *testing.T) {
 // TestExactlyOnceUnderChaos is the synthetic chaos gate: concurrent load
 // with mixed deadlines while a replica is repeatedly killed, another's
 // runner flaps, and weight swaps roll through — afterwards every routed
-// attempt and every request is accounted exactly once.
+// attempt and every request is accounted exactly once. The subtest is named
+// for the request path it runs: inline, with no hedged duplicate attempt.
 func TestExactlyOnceUnderChaos(t *testing.T) {
+	t.Run("hedge=false", exactlyOnceUnderChaos)
+}
+
+func exactlyOnceUnderChaos(t *testing.T) {
 	f := newFakeFleet()
 	rt := newTestRouter(t, f, Config{Replicas: 3, Seed: 42})
 
