@@ -220,8 +220,9 @@ func BenchmarkDQNUpdateParallelism(b *testing.B) {
 // BenchmarkKernelMatMul measures the single-core rate of the matmul kernel
 // on the [m,k]x[k,n] products the regression benchmark's workloads actually
 // issue: the three conv layers' forward panels, the pixel network's first
-// dense layer, one backward-input and one backward-filter panel, and the
-// dense workloads' hidden layers.
+// dense layer, one backward-input and one backward-filter panel, the dense
+// workloads' hidden layers, and the action heads: the dense head on a batch
+// and on 8 envs, and the dueling advantage and value heads.
 func BenchmarkKernelMatMul(b *testing.B) {
 	defer tensor.SetKernelParallelism(tensor.KernelParallelism())
 	tensor.SetKernelParallelism(1)
@@ -229,6 +230,7 @@ func BenchmarkKernelMatMul(b *testing.B) {
 	for _, s := range [][3]int{
 		{64, 64, 16}, {64, 256, 32}, {64, 288, 32}, {32, 1568, 256},
 		{64, 32, 288}, {288, 64, 32}, {32, 64, 64}, {64, 64, 64},
+		{32, 64, 2}, {8, 64, 2}, {32, 256, 3}, {32, 256, 1},
 	} {
 		m, k, n := s[0], s[1], s[2]
 		x, w := tensor.RandNormal(rng, 0, 1, m, k), tensor.RandNormal(rng, 0, 1, k, n)
@@ -245,7 +247,9 @@ func BenchmarkKernelMatMul(b *testing.B) {
 // BenchmarkKernelElementwise measures the single-core cost per element of the
 // small-tensor kernels at the dense workloads' shapes: a 32x64 hidden
 // activation, its ReLU backward, its bias gradient [32,64]→[64], an add of
-// two of them, and one Adam step over a 64x64 layer and its bias.
+// two of them, one Adam step over a 64x64 layer and its bias, and the
+// backward-input product of that layer, a x Wᵀ, per output element (it
+// transposes W and multiplies).
 func BenchmarkKernelElementwise(b *testing.B) {
 	defer tensor.SetKernelParallelism(tensor.KernelParallelism())
 	tensor.SetKernelParallelism(1)
@@ -254,6 +258,7 @@ func BenchmarkKernelElementwise(b *testing.B) {
 	out, bias := tensor.New(32, 64), tensor.New(64)
 	rule := tensor.UpdateRule{Kind: tensor.UpdateAdam, LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 	w, g := tensor.RandNormal(rng, 0, 1, 4160), tensor.RandNormal(rng, 0, 1, 4160)
+	layer := tensor.RandNormal(rng, 0, 1, 64, 64)
 	st := rule.NewState(4160)
 	for _, k := range []struct {
 		name string
@@ -265,6 +270,7 @@ func BenchmarkKernelElementwise(b *testing.B) {
 		{"AddFlat/2048", 2048, func() { tensor.AddFlat(out.Data(), x.Data(), y.Data()) }},
 		{"UnbroadcastInto/32x64-64", 2048, func() { tensor.UnbroadcastInto(bias, x) }},
 		{"AdamApply/4160", 4160, func() { rule.Apply(w, st, g, 0) }},
+		{"MatMulTransB/32x64x64", 2048, func() { tensor.MatMulTransBInto(out, x, layer) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

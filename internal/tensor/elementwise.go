@@ -61,9 +61,24 @@ func ColumnShape(big, small []int) bool {
 // order, of the generic broadcast path; dst has the longer operand's length.
 
 // TileFlat is the row path of a suffix broadcast (SuffixShape): the shorter
-// of a and b repeats across the longer, one fn call per repetition.
+// of a and b repeats across the longer, one fn call per repetition; a row
+// shorter than a vector is repeated across scratch for one call over dst.
 func TileFlat(fn func(dst, a, b []float64), dst, a, b []float64) {
 	n := min(len(a), len(b))
+	if 0 < n && n < 4 && n < len(dst) {
+		s := getScratch(len(dst))
+		short := &a
+		if len(b) == n {
+			short = &b
+		}
+		for w := copy(s.data, *short); w < len(s.data); w *= 2 {
+			copy(s.data[w:], s.data[:w])
+		}
+		*short = s.data
+		fn(dst, a, b)
+		putScratch(s)
+		return
+	}
 	for r := 0; n > 0 && r < len(dst); r += n {
 		fn(dst[r:r+n], tile(a, r, n), tile(b, r, n))
 	}

@@ -131,6 +131,62 @@ func TestElementwiseFlatDifferential(t *testing.T) {
 	}
 }
 
+// TestTileFlatShortRowsMatchRowLoop: a suffix broadcast whose row is shorter
+// than a vector runs as one flat call against the row repeated across
+// scratch. It must match the per-row calls bit for bit for every row length
+// from 1 to one past the cut, with the short operand on either side of a
+// non-commutative kernel, and with dst aliasing the long operand as
+// AddBroadcastInPlace has it; the short operand must come back unchanged.
+func TestTileFlatShortRowsMatchRowLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	kernels := []struct {
+		name string
+		fn   func(dst, a, b []float64)
+	}{{"AddFlat", AddFlat}, {"SubFlat", SubFlat}}
+	for _, k := range kernels {
+		for n := 1; n <= 5; n++ {
+			for _, rows := range []int{1, 2, 3, 32, 33} {
+				for _, shortFirst := range []bool{true, false} {
+					for _, alias := range []bool{false, true} {
+						name := fmt.Sprintf("%s [%d,%d] shortFirst=%v alias=%v", k.name, rows, n, shortFirst, alias)
+						long, longOK := guarded(rows * n)
+						short, shortOK := guarded(n)
+						fillOperand(rng, long, 0.2)
+						fillOperand(rng, short, 0.2)
+						keep := append([]float64(nil), short...)
+						want := make([]float64, rows*n)
+						for r := 0; r < rows*n; r += n {
+							if shortFirst {
+								k.fn(want[r:r+n], short, long[r:r+n])
+							} else {
+								k.fn(want[r:r+n], long[r:r+n], short)
+							}
+						}
+						dst, dstOK := long, longOK
+						if !alias {
+							dst, dstOK = guarded(rows * n)
+						}
+						if shortFirst {
+							TileFlat(k.fn, dst, short, long)
+						} else {
+							TileFlat(k.fn, dst, long, short)
+						}
+						if i := sameBits(dst, want); i >= 0 {
+							t.Fatalf("%s: element %d = %x, per-row loop %x", name, i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
+						}
+						if sameBits(short, keep) >= 0 {
+							t.Fatalf("%s: the short operand changed", name)
+						}
+						if !longOK() || !shortOK() || !dstOK() {
+							t.Fatalf("%s: wrote outside its operands", name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFusedKernelsDifferential: fused compound kernels must be bit-identical
 // to their unfused compositions.
 func TestFusedKernelsDifferential(t *testing.T) {

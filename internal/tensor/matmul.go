@@ -146,26 +146,29 @@ func matMulTransBInto(out, a, b *Tensor) *Tensor {
 	return out
 }
 
-// transposeInto writes the [rows,cols] matrix src into dst as [cols,rows],
-// 32x32-tiled so both sides stream through cache lines.
+// transposeInto writes the [rows,cols] matrix src into dst as [cols,rows].
+// With AVX2 the assembly moves the 4x4 blocks of the first rows&^3 rows and
+// cols&^3 columns, a bounded strip of rows per call, and transposeGo the
+// rest; without, transposeGo moves all of it.
 func transposeInto(dst, src []float64, rows, cols int) {
-	const tile = 32
-	for i0 := 0; i0 < rows; i0 += tile {
-		i1 := i0 + tile
-		if i1 > rows {
-			i1 = rows
+	r4, c4 := 0, 0
+	if useAVX2 && rows >= 4 && cols >= 4 {
+		r4, c4 = rows&^3, cols&^3
+		step := max(4, asmCallElems/c4&^3)
+		for i := 0; i < r4; i += step {
+			transposeAVX2(&dst[i], &src[i*cols], min(step, r4-i), c4, rows, cols)
 		}
-		for j0 := 0; j0 < cols; j0 += tile {
-			j1 := j0 + tile
-			if j1 > cols {
-				j1 = cols
-			}
-			for i := i0; i < i1; i++ {
-				row := src[i*cols : i*cols+cols]
-				for j := j0; j < j1; j++ {
-					dst[j*rows+i] = row[j]
-				}
-			}
+	}
+	transposeGo(dst, src, rows, cols, 0, rows, c4, cols)
+	transposeGo(dst, src, rows, cols, r4, rows, 0, c4)
+}
+
+// transposeGo moves rows [i0,i1) x columns [j0,j1) of transposeInto's src.
+func transposeGo(dst, src []float64, rows, cols, i0, i1, j0, j1 int) {
+	for j := j0; j < j1; j++ {
+		col := dst[j*rows+i0 : j*rows+i1]
+		for x := range col {
+			col[x] = src[(i0+x)*cols+j]
 		}
 	}
 }
@@ -188,26 +191,20 @@ func matMulCore(ad, bd, od []float64, m, k, n, rs, ks int) {
 }
 
 // matMulRows computes output rows [i0,i1) of A x bd, A strided as in
-// matMulCore, one k-panel at a time: the assembly micro-kernel (amd64 with
-// AVX2, see matmul_amd64.go) takes the columns up to the last multiple of 4
-// and the Go tile takes the rest, which is every column where there is no
-// assembly.
+// matMulCore, one k-panel at a time: on amd64 with AVX2 the assembly
+// micro-kernel (see matmul_amd64.go) takes every column, and elsewhere the Go
+// tile does.
 func matMulRows(ad, bd, od []float64, i0, i1, k, n, rs, ks int) {
-	vec := 0
-	if useAVX2 {
-		vec = n &^ 3
-	}
 	kc := kPanel(n)
 	for kb := 0; kb < k; kb += kc {
 		ke := min(kb+kc, k)
-		if vec > 0 {
-			step := max(4, asmCallMadds/((ke-kb)*vec)&^3)
-			for i := i0; i < i1; i += step {
-				matMulAVX2(&ad[i*rs+kb*ks], &bd[kb*n], &od[i*n], min(step, i1-i), ke-kb, vec, rs, n, ks)
-			}
+		if !useAVX2 || n == 0 {
+			matMulTile(ad, bd, od, i0, i1, kb, ke, 0, n, rs, n, ks)
+			continue
 		}
-		if vec < n {
-			matMulTile(ad, bd, od, i0, i1, kb, ke, vec, n, rs, n, ks)
+		step := max(4, asmCallMadds/((ke-kb)*n)&^3)
+		for i := i0; i < i1; i += step {
+			matMulAVX2(&ad[i*rs+kb*ks], &bd[kb*n], &od[i*n], min(step, i1-i), ke-kb, n, rs, n, ks)
 		}
 	}
 }

@@ -10,13 +10,20 @@ func hasAVX2() bool
 // matMulAVX2 accumulates a([rows,kc]) x b([kc,cols]) into o([rows,cols]) in
 // matmul_amd64.s. a's element (i, kk) is at a[i·rs + kk·ks], so A may be read
 // row-major (rs = k, ks = 1) or through a transpose (rs = 1, ks = m); b's and
-// o's rows are n elements apart. cols must be a multiple of 4, and rows and
-// kc at least 1. Each output element is loaded once, takes its kc products in
-// ascending order with one rounded multiply and one rounded add each, and is
-// stored once, so the result is bit-for-bit what matMulTile produces.
+// o's rows are n elements apart. rows, kc and cols are at least 1, and the
+// last cols mod 4 columns go through a lane mask. Each output element is
+// loaded once, takes its kc products in ascending order with one rounded
+// multiply and one rounded add each, and is stored once, so the result is
+// bit-for-bit what matMulTile produces.
 //
 //go:noescape
 func matMulAVX2(a, b, o *float64, rows, kc, cols, rs, n, ks int)
+
+// transposeAVX2 writes src's [rows,cols] block (rows ss apart) into dst as
+// [cols,rows] (rows ds apart) in 4x4 blocks; rows and cols are multiples of 4.
+//
+//go:noescape
+func transposeAVX2(dst, src *float64, rows, cols, ds, ss int)
 
 // The elementwise kernels in elementwise_amd64.s each run the Go loop of the
 // function that calls them on n elements, n a multiple of 4, bit for bit:

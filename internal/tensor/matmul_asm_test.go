@@ -75,11 +75,11 @@ func sameBits(a, b []float64) int {
 }
 
 // TestMatMulAsmMatchesGoTile compares matMulRows as it runs on this machine
-// (assembly for the columns up to the last multiple of 4, Go tile for the
-// rest) with the Go tile alone, and the assembly alone with the Go tile on
-// the columns it is given, bit for bit, across every column count that mixes
-// 8-wide blocks, a 4-wide block and a tail, k around the tile and panel
-// sizes, and row counts around the 4-row tile. Each product runs twice: with
+// (the assembly for every column) with the Go tile alone, and the assembly
+// alone with the Go tile on the first cols ∈ {n-3, …, n} columns of rows n
+// apart, bit for bit, across every column count that mixes 8-wide blocks and
+// a masked last block of 1 to 4 columns, k around the tile and panel sizes,
+// and row counts around the 4-row tile. Each product runs twice: with
 // A row-major, and with A read in place through its transpose (row stride 1,
 // k-step stride m) as MatMulTransA and the backward-filter conv read it.
 func TestMatMulAsmMatchesGoTile(t *testing.T) {
@@ -130,29 +130,97 @@ func TestMatMulAsmMatchesGoTile(t *testing.T) {
 							t.Fatalf("%s: matMulRows wrote outside its operands", name)
 						}
 
-						cols := n &^ 3
-						if cols == 0 {
-							continue
-						}
-						// The assembly alone: columns [cols,n) must keep their
-						// initial values, columns [0,cols) must match the tile.
-						copy(got, init)
-						matMulAVX2(&l.ad[0], &b[0], &got[0], m, k, cols, l.rs, n, l.ks)
-						for i := 0; i < m; i++ {
-							if j := sameBits(got[i*n:i*n+cols], want[i*n:i*n+cols]); j >= 0 {
-								t.Fatalf("%s: assembly row %d column %d differs from the Go tile", name, i, j)
+						// The assembly alone, on every width of its masked last
+						// block: columns [0,cols) must match the tile, columns
+						// [cols,n) must keep their initial values.
+						for cols := max(1, n-3); cols <= n; cols++ {
+							copy(got, init)
+							matMulAVX2(&l.ad[0], &b[0], &got[0], m, k, cols, l.rs, n, l.ks)
+							for i := 0; i < m; i++ {
+								if j := sameBits(got[i*n:i*n+cols], want[i*n:i*n+cols]); j >= 0 {
+									t.Fatalf("%s cols=%d: assembly row %d column %d differs from the Go tile", name, cols, i, j)
+								}
+								if j := sameBits(got[i*n+cols:(i+1)*n], init[i*n+cols:(i+1)*n]); j >= 0 {
+									t.Fatalf("%s: assembly wrote column %d of row %d, past cols=%d", name, cols+j, i, cols)
+								}
 							}
-							if j := sameBits(got[i*n+cols:(i+1)*n], init[i*n+cols:(i+1)*n]); j >= 0 {
-								t.Fatalf("%s: assembly wrote column %d of row %d, past cols=%d", name, cols+j, i, cols)
+							if !intact() || !gotOK() {
+								t.Fatalf("%s cols=%d: assembly wrote outside its operands", name, cols)
 							}
-						}
-						if !intact() || !gotOK() {
-							t.Fatalf("%s: assembly wrote outside its operands", name)
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestTransposeAsmMatchesGo: transposeInto as it runs on this machine (the
+// assembly for the 4x4 blocks, transposeGo for the edges) puts every
+// element of a [rows,cols] matrix, rows and cols = 1…67 and one matrix above
+// the per-call bound, where transposeGo alone puts it, between sentinels.
+// The assembly alone, on the block of the first rows&^3 rows and cols&^3
+// columns, must leave every other element of dst untouched.
+func TestTransposeAsmMatchesGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: transposeInto is the Go loop")
+	}
+	rng := rand.New(rand.NewSource(26))
+	shapes := [][2]int{{asmCallElems/64 + 9, 67}}
+	for rows := 1; rows <= 67; rows++ {
+		for cols := 1; cols <= 67; cols++ {
+			shapes = append(shapes, [2]int{rows, cols})
+		}
+	}
+	for _, sh := range shapes {
+		rows, cols := sh[0], sh[1]
+		src, srcOK := guarded(rows * cols)
+		fillOperand(rng, src, 0.1)
+		want := make([]float64, rows*cols)
+		transposeGo(want, src, rows, cols, 0, rows, 0, cols)
+		got, gotOK := guarded(rows * cols)
+		transposeInto(got, src, rows, cols)
+		if i := sameBits(got, want); i >= 0 {
+			t.Fatalf("[%d,%d]: transposeInto element %d = %x, Go loop %x", rows, cols, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+		if !srcOK() || !gotOK() {
+			t.Fatalf("[%d,%d]: transposeInto wrote outside its operands", rows, cols)
+		}
+
+		r4, c4 := rows&^3, cols&^3
+		if r4 == 0 || c4 == 0 || rows*cols > asmCallElems {
+			continue
+		}
+		got, gotOK = guarded(rows * cols)
+		transposeAVX2(&got[0], &src[0], r4, c4, rows, cols)
+		for j := 0; j < cols; j++ {
+			for i := 0; i < rows; i++ {
+				v := math.Float64bits(got[j*rows+i])
+				if i < r4 && j < c4 && v != math.Float64bits(want[j*rows+i]) {
+					t.Fatalf("[%d,%d]: assembly element (%d,%d) = %x, Go loop %x", rows, cols, i, j, v, math.Float64bits(want[j*rows+i]))
+				}
+				if (i >= r4 || j >= c4) && v != sentinel {
+					t.Fatalf("[%d,%d]: assembly wrote element (%d,%d), outside its %dx%d block", rows, cols, i, j, r4, c4)
+				}
+			}
+		}
+		if !srcOK() || !gotOK() {
+			t.Fatalf("[%d,%d]: assembly wrote outside its operands", rows, cols)
+		}
+	}
+}
+
+// BenchmarkTransposeInto is the cost per element of the transposes under
+// MatMulTransB at the dense workloads' shapes.
+func BenchmarkTransposeInto(b *testing.B) {
+	for _, s := range [][2]int{{64, 64}, {32, 64}, {64, 2}} {
+		src, dst := make([]float64, s[0]*s[1]), make([]float64, s[0]*s[1])
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				transposeInto(dst, src, s[0], s[1])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(src)), "ns/elem")
+		})
 	}
 }
 
@@ -179,11 +247,13 @@ func TestMatMulGoTileMatchesNaive(t *testing.T) {
 
 // benchShapes are the [m,k]x[k,n] products of the regression benchmark's
 // workloads: the three conv layers' forward panels, the pixel network's
-// first dense layer, a backward-input and a backward-filter panel, and the
-// dense workloads' hidden layers.
+// first dense layer, a backward-input and a backward-filter panel, the dense
+// workloads' hidden layers, and the action heads: the dense head on a batch
+// and on 8 envs, and the dueling advantage and value heads.
 var benchShapes = [][3]int{
 	{64, 64, 16}, {64, 256, 32}, {64, 288, 32}, {32, 1568, 256},
 	{64, 32, 288}, {288, 64, 32}, {32, 64, 64}, {64, 64, 64},
+	{32, 64, 2}, {8, 64, 2}, {32, 256, 3}, {32, 256, 1},
 }
 
 func TestMatMulBenchShapesMatchNaive(t *testing.T) {
