@@ -7,6 +7,7 @@ package rlgraph
 // scale sweeps with printed tables, run cmd/rlgraph-bench.
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -166,8 +167,10 @@ func BenchmarkFig9ImpalaThroughput(b *testing.B) {
 // BenchmarkDQNUpdateParallelism is the A/B behind keeping the parallel plan
 // executor (EXPERIMENTS.md, PR 21 decision record): one Update per iteration
 // on the two shipped training configs, with the session serial (par=1) and
-// with two plan workers (par=2). It has no gate; it exists so the comparison
-// reruns without patching the regression benchmark's driver.
+// with two plan workers (par=2), and the same update on the define-by-run
+// backend, which builds and differentiates the update's graph on every call.
+// It has no gate; it exists so the comparison reruns without patching the
+// regression benchmark's driver.
 func BenchmarkDQNUpdateParallelism(b *testing.B) {
 	for _, w := range []struct {
 		name, config string
@@ -177,9 +180,21 @@ func BenchmarkDQNUpdateParallelism(b *testing.B) {
 		{"pixels", "configs/dueling_dqn_pixels.json", envs.NewPongSim(envs.PongConfig{
 			Obs: envs.PongPixels, FrameSkip: 4, OpponentSkill: envs.DefaultPongOpponent, Seed: 1})},
 	} {
-		for _, par := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/par=%d", w.name, par), func(b *testing.B) {
-				data, err := os.ReadFile(w.config)
+		for _, c := range []struct {
+			name, backend string
+			par           int
+		}{{"par=1", "static", 1}, {"par=2", "static", 2}, {"define-by-run", "define-by-run", 1}} {
+			b.Run(w.name+"/"+c.name, func(b *testing.B) {
+				raw, err := os.ReadFile(w.config)
+				if err != nil {
+					b.Fatal(err)
+				}
+				doc := map[string]interface{}{}
+				if err := json.Unmarshal(raw, &doc); err != nil {
+					b.Fatal(err)
+				}
+				doc["backend"] = c.backend
+				data, err := json.Marshal(doc)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -191,7 +206,9 @@ func BenchmarkDQNUpdateParallelism(b *testing.B) {
 				if _, err := agent.Build(); err != nil {
 					b.Fatal(err)
 				}
-				agent.Executor().(*exec.StaticExecutor).Session().SetParallelism(par)
+				if se, ok := agent.Executor().(*exec.StaticExecutor); ok {
+					se.Session().SetParallelism(c.par)
+				}
 
 				// Two batches' worth of replay, drawn from the spaces: an update
 				// costs the same whatever the transitions hold.

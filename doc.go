@@ -7,9 +7,10 @@
 //
 //   - logical component composition (internal/component: components, API
 //     methods, graph functions),
-//   - backend graph definition (internal/graph for static dataflow graphs,
-//     internal/eager for define-by-run, built by internal/exec through the
-//     three-phase build), and
+//   - backend graph definition (internal/graph: dataflow graphs that a
+//     session runs later under the static backend, or that evaluate each
+//     node as it is added under define-by-run; built by internal/exec
+//     through the three-phase build), and
 //   - local and distributed execution (internal/exec graph executors,
 //     internal/distexec Ape-X and IMPALA executors on the internal/raysim
 //     actor engine).

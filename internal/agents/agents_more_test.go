@@ -12,8 +12,8 @@ import (
 )
 
 // TestDQNUpdatePathOnDefineByRun exercises the full observe/update cycle on
-// the define-by-run backend, which routes gradients through the tape rather
-// than a gradient sub-graph.
+// the define-by-run backend, which differentiates the nodes each update pass
+// recorded rather than a gradient sub-graph built once.
 func TestDQNUpdatePathOnDefineByRun(t *testing.T) {
 	cfg := smallDQNConfig("define-by-run")
 	agent, err := NewDQN(cfg, spaces.NewFloatBox(4), spaces.NewIntBox(2))
@@ -98,7 +98,7 @@ func TestBackendsLearnIdentically(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing weight %q on define-by-run", name)
 		}
-		if !v1.AllClose(v2, 1e-9) {
+		if !v1.Equal(v2) {
 			t.Fatalf("weight %q diverged between backends", name)
 		}
 	}
@@ -189,7 +189,7 @@ func TestExplorationAdvancesDuringActing(t *testing.T) {
 }
 
 // TestIMPALAUpdateOnDefineByRun exercises the V-trace update path under the
-// define-by-run backend (tape autodiff + host-side scan).
+// define-by-run backend (eager autodiff + host-side scan).
 func TestIMPALAUpdateOnDefineByRun(t *testing.T) {
 	cfg := IMPALAConfig{
 		Backend:    "define-by-run",

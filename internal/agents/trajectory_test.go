@@ -32,10 +32,11 @@ const trajectoriesFile = "testdata/trajectories.json"
 // path on the shipped training configs: each case trains from fixed seeds for
 // a few updates and hashes the Float64bits of every variable and optimizer
 // slot, the losses, and the replay indices the learner sampled where they
-// leave the graph (the Ape-X shard). Every cell — serial plan, or parallel
-// plan with four kernel workers; any GOMAXPROCS — must give the committed
-// hash. `go test -run TestGoldenTrajectories -update` rewrites the running
-// GOARCH's hashes after an intended numerical change.
+// leave the graph (the Ape-X shard). Every cell — static serial plan,
+// static parallel plan with four kernel workers, or define-by-run; any
+// GOMAXPROCS — must give the committed hash. `go test -run
+// TestGoldenTrajectories -update` rewrites the running GOARCH's hashes after
+// an intended numerical change.
 //
 // The file keeps one hash per GOARCH. Go's math.Exp is assembly on amd64 and
 // differs in the last bit from the portable Go that 386 runs (math.Pow and
@@ -45,7 +46,7 @@ func TestGoldenTrajectories(t *testing.T) {
 	cases := []struct {
 		name     string
 		portable bool
-		run      func(t *testing.T, h *trajectoryHash, par int)
+		run      func(t *testing.T, h *trajectoryHash, c cell)
 	}{
 		{"dqn_cartpole", true, runDQNCartPole},
 		{"dueling_dqn_pixels", false, runDuelingPixels}, // prioritized replay: math.Pow
@@ -65,14 +66,14 @@ func TestGoldenTrajectories(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var got string
-			for _, par := range []int{1, 2} {
-				tensor.SetKernelParallelism(2 * par)
+			for _, cl := range []cell{{"static", 1}, {"static", 2}, {"define-by-run", 1}} {
+				tensor.SetKernelParallelism(2 * cl.par)
 				h := newTrajectoryHash()
-				c.run(t, h, par)
+				c.run(t, h, cl)
 				if sum := h.sum(); got == "" {
 					got = sum
 				} else if sum != got {
-					t.Fatalf("plan parallelism %d: hash %s, serial plan %s", par, sum, got)
+					t.Fatalf("%+v: hash %s, static serial plan %s", cl, sum, got)
 				}
 			}
 			if *updateGolden {
@@ -107,6 +108,13 @@ func TestGoldenTrajectories(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// cell is one way of running a case: the backend, and the static plan's
+// parallelism.
+type cell struct {
+	backend string
+	par     int
 }
 
 // trajectoryHash accumulates the bit patterns of a training run.
@@ -159,10 +167,10 @@ func optimizerSlots(o *optimizers.Optimizer) map[*vars.Variable]*tensor.UpdateSt
 	return *(*map[*vars.Variable]*tensor.UpdateState)(unsafe.Pointer(f.UnsafeAddr()))
 }
 
-// shippedAgent builds configs/<name>.json through FromConfig with the seed
-// and the fields in set overridden, as the regression benchmark does, and
-// sets its plan parallelism.
-func shippedAgent(t *testing.T, name string, seed int64, set map[string]interface{}, env envs.Env, par int) Agent {
+// shippedAgent builds configs/<name>.json through FromConfig on c's backend
+// with the seed and the fields in set overridden, as the regression benchmark
+// does, and sets a static agent's plan parallelism.
+func shippedAgent(t *testing.T, name string, seed int64, set map[string]interface{}, env envs.Env, c cell) Agent {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "configs", name+".json"))
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +180,7 @@ func shippedAgent(t *testing.T, name string, seed int64, set map[string]interfac
 		t.Fatal(err)
 	}
 	doc["seed"] = seed
+	doc["backend"] = c.backend
 	for k, v := range set {
 		doc[k] = v
 	}
@@ -185,7 +194,9 @@ func shippedAgent(t *testing.T, name string, seed int64, set map[string]interfac
 	if _, err := a.Build(); err != nil {
 		t.Fatal(err)
 	}
-	a.(interface{ Executor() exec.Executor }).Executor().(*exec.StaticExecutor).Session().SetParallelism(par)
+	if se, ok := a.(interface{ Executor() exec.Executor }).Executor().(*exec.StaticExecutor); ok {
+		se.Session().SetParallelism(c.par)
+	}
 	return a
 }
 
@@ -226,16 +237,16 @@ func trainInGraph(t *testing.T, h *trajectoryHash, a *DQN, vec *envs.VectorEnv, 
 	h.variables(a.Root().AllVariables(), a.opt)
 }
 
-func runDQNCartPole(t *testing.T, h *trajectoryHash, par int) {
+func runDQNCartPole(t *testing.T, h *trajectoryHash, c cell) {
 	list := make([]envs.Env, 4)
 	for i := range list {
 		list[i] = envs.NewCartPole(int64(100 + i))
 	}
-	a := shippedAgent(t, "dqn_cartpole", 7, map[string]interface{}{"target_sync_every": 10}, list[0], par).(*DQN)
+	a := shippedAgent(t, "dqn_cartpole", 7, map[string]interface{}{"target_sync_every": 10}, list[0], c).(*DQN)
 	trainInGraph(t, h, a, envs.NewVectorEnv(list...), 16, 200, 4)
 }
 
-func runDuelingPixels(t *testing.T, h *trajectoryHash, par int) {
+func runDuelingPixels(t *testing.T, h *trajectoryHash, c cell) {
 	list := make([]envs.Env, 2)
 	for i := range list {
 		list[i] = envs.NewPongSim(envs.PongConfig{
@@ -244,7 +255,7 @@ func runDuelingPixels(t *testing.T, h *trajectoryHash, par int) {
 		})
 	}
 	a := shippedAgent(t, "dueling_dqn_pixels", 7,
-		map[string]interface{}{"batch_size": 4, "target_sync_every": 2}, list[0], par).(*DQN)
+		map[string]interface{}{"batch_size": 4, "target_sync_every": 2}, list[0], c).(*DQN)
 	trainInGraph(t, h, a, envs.NewVectorEnv(list...), 4, 8, 1)
 }
 
@@ -252,7 +263,7 @@ func runDuelingPixels(t *testing.T, h *trajectoryHash, par int) {
 // inserts transitions with its computed priorities into a define-by-run
 // prioritized shard, and the learner samples the shard, applies
 // update_external and writes the TD errors back as priorities.
-func runApexLearner(t *testing.T, h *trajectoryHash, par int) {
+func runApexLearner(t *testing.T, h *trajectoryHash, c cell) {
 	list := make([]envs.Env, 4)
 	for i := range list {
 		list[i] = envs.NewPongSim(envs.PongConfig{
@@ -261,8 +272,8 @@ func runApexLearner(t *testing.T, h *trajectoryHash, par int) {
 		})
 	}
 	stateSpace := list[0].StateSpace()
-	learner := shippedAgent(t, "apex_pong", 7, nil, list[0], par).(*DQN)
-	worker := shippedAgent(t, "apex_pong", 8, nil, list[0], par).(*DQN)
+	learner := shippedAgent(t, "apex_pong", 7, nil, list[0], c).(*DQN)
+	worker := shippedAgent(t, "apex_pong", 8, nil, list[0], c).(*DQN)
 
 	mem := memories.NewPrioritizedReplay("replay-0", 1024, 5, 0.6, 0.4, 9)
 	sB := stateSpace.WithBatchRank()
@@ -324,9 +335,9 @@ func runApexLearner(t *testing.T, h *trajectoryHash, par int) {
 
 // runIMPALALearner applies update to rollouts an IMPALA agent collects with
 // its own act_sample, assembled the way the IMPALA executor's actors do.
-func runIMPALALearner(t *testing.T, h *trajectoryHash, par int) {
+func runIMPALALearner(t *testing.T, h *trajectoryHash, c cell) {
 	env := envs.NewLabyrinthSim(50, 400)
-	a := shippedAgent(t, "impala_lab", 7, nil, env, par).(*IMPALA)
+	a := shippedAgent(t, "impala_lab", 7, nil, env, c).(*IMPALA)
 	T := a.RolloutLen()
 	cur := env.Reset().Clone()
 	for u := 0; u < 30; u++ {

@@ -1,10 +1,12 @@
 // Package backend defines the unified operation interface that RLgraph
 // graph functions are written against. A graph function receives an Ops
-// value and opaque Refs; with the static implementation Refs are dataflow
-// graph nodes and the function *constructs* a graph, while with the
-// define-by-run implementation Refs are concrete tensors and the function
-// *computes* immediately. This realizes the paper's single-stream graph
-// functions (§4.2): one component implementation serves both backends.
+// value and opaque Refs, which are dataflow graph nodes on both backends:
+// with the static implementation the function *constructs* a graph that a
+// Session runs later, while with the define-by-run implementation the nodes
+// go into an eager graph that *computes* each one immediately. This realizes
+// the paper's single-stream graph functions (§4.2): one component
+// implementation serves both backends, and one definition of every op and
+// its gradient serves both.
 package backend
 
 import (
@@ -12,8 +14,8 @@ import (
 	"rlgraph/internal/vars"
 )
 
-// Ref is an opaque handle to a value: a *graph.Node under the static backend
-// or an *eager.Value under define-by-run.
+// Ref is an opaque handle to a value: a *graph.Node on both backends — of a
+// static graph, or of an eager graph that has already computed its value.
 type Ref interface{}
 
 // StatefulFn is a host-side computation with native Go state (memories,
@@ -22,21 +24,6 @@ type StatefulFn func(inputs []*tensor.Tensor) (*tensor.Tensor, error)
 
 // StatefulMultiFn is a multi-output host-side computation.
 type StatefulMultiFn func(inputs []*tensor.Tensor) ([]*tensor.Tensor, error)
-
-// StatefulError carries a stateful-op failure out of a define-by-run
-// traversal (raised as a panic because graph-fn signatures have no error
-// path; executors recover it into an ordinary error).
-type StatefulError struct {
-	// OpName is the stateful op that failed.
-	OpName string
-	// Err is the underlying failure.
-	Err error
-}
-
-func (e *StatefulError) Error() string { return "backend: stateful " + e.OpName + ": " + e.Err.Error() }
-
-// Unwrap exposes the underlying error.
-func (e *StatefulError) Unwrap() error { return e.Err }
 
 // Mode distinguishes the build pass (shape/variable inference with
 // artificial inputs) from actual execution.

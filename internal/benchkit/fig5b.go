@@ -117,7 +117,7 @@ func fig5bPoint(variant string, numEnvs, steps int) (float64, error) {
 }
 
 // handTunedActor is the bare-bones eager actor: the same conv+dueling math
-// with raw tensors and no component dispatch, tape, or executor — the "PT
+// with raw tensors and no component dispatch, graph, or executor — the "PT
 // hand-tuned" bar of Fig. 5b.
 type handTunedActor struct {
 	c1w, c1b *tensor.Tensor

@@ -28,8 +28,8 @@ import (
 type Rec struct {
 	// Space describes the record once known (nil during assembly).
 	Space spaces.Space
-	// Ref is the backend payload (*graph.Node or *eager.Value); nil during
-	// assembly.
+	// Ref is the backend payload (a *graph.Node of a static or an eager
+	// graph); nil during assembly.
 	Ref backend.Ref
 }
 
@@ -104,7 +104,8 @@ type API struct {
 	// Fn is the method body.
 	Fn APIFunc
 	// NoGrad marks inference-only methods: define-by-run executors run them
-	// without a tape (the torch.no_grad analogue).
+	// on an eager graph that records nothing for autodiff (the torch.no_grad
+	// analogue).
 	NoGrad bool
 }
 

@@ -122,7 +122,7 @@ func TestVariableCreationBarrierFiresOnce(t *testing.T) {
 			return refs
 		}, in...)
 	})
-	ops := backend.NewEagerOps(nil, backend.ModeBuild)
+	ops := backend.NewEagerOps(false, backend.ModeBuild)
 	ctx := &Ctx{Mode: ModeCompile, Ops: ops, Stats: NewStats()}
 	in := NewRec(opsConst(ops, tensor.New(1, 3)), spaces.NewFloatBox(3).WithBatchRank())
 	v.Call(ctx, "f", in)
@@ -152,7 +152,7 @@ func TestVarCreatorFnRestriction(t *testing.T) {
 			return refs
 		}, in...)
 	})
-	ops := backend.NewEagerOps(nil, backend.ModeBuild)
+	ops := backend.NewEagerOps(false, backend.ModeBuild)
 	ctx := &Ctx{Mode: ModeCompile, Ops: ops, Stats: NewStats()}
 	defer func() {
 		if recover() == nil {

@@ -90,7 +90,7 @@ func TestConvNetworkBothBackends(t *testing.T) {
 		}
 		outs = append(outs, out)
 	}
-	if !outs[0].AllClose(outs[1], 1e-12) {
+	if !outs[0].Equal(outs[1]) {
 		t.Fatal("backends disagree on conv network forward")
 	}
 }

@@ -61,7 +61,7 @@ func TestLSTMBackendsAgree(t *testing.T) {
 		}
 		results = append(results, out)
 	}
-	if !results[0].AllClose(results[1], 1e-12) {
+	if !results[0].Equal(results[1]) {
 		t.Fatal("LSTM backends disagree")
 	}
 }

@@ -37,7 +37,7 @@ func TestDenseForwardBothBackends(t *testing.T) {
 		outs = append(outs, out)
 	}
 	// Same seed ⇒ identical weights ⇒ identical outputs across backends.
-	if !outs[0].AllClose(outs[1], 1e-12) {
+	if !outs[0].Equal(outs[1]) {
 		t.Fatal("backends disagree on dense forward")
 	}
 }

@@ -103,7 +103,7 @@ func TestBackendsProduceIdenticalTrajectories(t *testing.T) {
 		weights = append(weights, append([]float64(nil), m.w.Val.Data()...))
 	}
 	for i := range weights[0] {
-		if math.Abs(weights[0][i]-weights[1][i]) > 1e-9 {
+		if weights[0][i] != weights[1][i] {
 			t.Fatalf("trajectory diverges at w[%d]: %g vs %g", i, weights[0][i], weights[1][i])
 		}
 	}

@@ -6,7 +6,7 @@ import (
 
 	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
-	"rlgraph/internal/eager"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 )
@@ -53,14 +53,14 @@ func (e *DefineByRunExecutor) Build(in InputSpaces) (*BuildReport, error) {
 	}
 	e.builtAPIs = make(map[string]bool, len(order))
 	start := time.Now()
-	ops := backend.NewEagerOps(nil, backend.ModeBuild)
+	ops := backend.NewEagerOps(false, backend.ModeBuild)
 	ctx := &component.Ctx{Mode: component.ModeCompile, Ops: ops, Stats: stats}
 	for _, api := range order {
 		e.builtAPIs[api] = true
 		sps := in[api]
 		recs := make([]*component.Rec, len(sps))
 		for i, sp := range sps {
-			recs[i] = component.NewRec(eager.Const(buildInput(sp)), sp)
+			recs[i] = component.NewRec(ops.Const(buildInput(sp)), sp)
 		}
 		e.root.Call(ctx, api, recs...)
 	}
@@ -85,17 +85,18 @@ func (e *DefineByRunExecutor) Build(in InputSpaces) (*BuildReport, error) {
 func buildInput(sp spaces.Space) *tensor.Tensor { return sp.Zeros(1) }
 
 // Execute directly evaluates the call-chain of graph functions for the API.
-// APIs marked NoGrad run without a tape (no autodiff recording); others get
-// a fresh tape so graph fns may request Gradients. Stateful-op failures
-// (e.g. a closed queue) surface as ordinary errors.
+// APIs marked NoGrad run on an eager graph that records nothing; others get
+// a recording one so graph fns may request Gradients. An op that fails to
+// evaluate (e.g. a stateful op on a closed queue) surfaces as the same error
+// Session.Run returns for it on the static backend.
 func (e *DefineByRunExecutor) Execute(api string, inputs ...*tensor.Tensor) (_ []*tensor.Tensor, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if se, ok := r.(*backend.StatefulError); ok {
-				err = se
-				return
+			ee, ok := r.(*graph.EvalError)
+			if !ok {
+				panic(r)
 			}
-			panic(r)
+			err = ee.Err
 		}
 	}()
 	return e.execute(api, inputs...)
@@ -127,15 +128,11 @@ func (e *DefineByRunExecutor) execute(api string, inputs ...*tensor.Tensor) ([]*
 			return nil, err
 		}
 	}
-	var tape *eager.Tape
-	if !a.NoGrad {
-		tape = eager.NewTape()
-	}
-	ops := backend.NewEagerOps(tape, backend.ModeRun)
+	ops := backend.NewEagerOps(!a.NoGrad, backend.ModeRun)
 	ctx := &component.Ctx{Mode: component.ModeRun, Ops: ops, FastPath: e.FastPath}
 	recs := make([]*component.Rec, len(inputs))
 	for i, in := range inputs {
-		recs[i] = component.NewRec(eager.Const(in), nil)
+		recs[i] = component.NewRec(ops.Const(in), nil)
 	}
 	outs := e.root.Call(ctx, api, recs...)
 	res := make([]*tensor.Tensor, len(outs))

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -147,8 +148,52 @@ func TestBothBackendsAgreeOnPipeline(t *testing.T) {
 		}
 		results = append(results, out)
 	}
-	if !results[0].AllClose(results[1], 1e-12) {
+	if !results[0].Equal(results[1]) {
 		t.Fatal("backends disagree")
+	}
+}
+
+// TestStatefulFailuresAreErrorsOnBothBackends runs a host function that
+// fails, or that returns fewer or more outputs than StatefulMulti declared:
+// on both backends Execute returns the evaluation error, wrapping the cause.
+func TestStatefulFailuresAreErrorsOnBothBackends(t *testing.T) {
+	kaput := errors.New("kaput")
+	cases := []struct {
+		name  string
+		outs  int
+		err   error
+		cause string
+	}{
+		{"fewer", 1, nil, "returned 1 outputs, want 2"},
+		{"more", 3, nil, "returned 3 outputs, want 2"},
+		{"fn error", 2, kaput, "kaput"},
+	}
+	for _, c := range cases {
+		for _, b := range Backends() {
+			root := component.New("root")
+			root.DefineAPI("sample", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
+				return root.GraphFn(ctx, "sample", 2, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
+					return ops.StatefulMulti("Host", [][]int{{-1}, {-1}}, func(ts []*tensor.Tensor) ([]*tensor.Tensor, error) {
+						out := make([]*tensor.Tensor, c.outs)
+						for i := range out {
+							out[i] = ts[0].Clone()
+						}
+						return out, c.err
+					}, refs...)
+				}, in...)
+			})
+			ct, err := NewComponentTest(b, root, InputSpaces{"sample": {spaces.NewFloatBox().WithBatchRank()}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ct.Test("sample", tensor.Ones(4))
+			if err == nil || !strings.HasPrefix(err.Error(), "graph: evaluating ") || !strings.HasSuffix(err.Error(), c.cause) {
+				t.Fatalf("%s, %s: err = %v", c.name, b, err)
+			}
+			if c.err != nil && !errors.Is(err, c.err) {
+				t.Fatalf("%s, %s: %v does not wrap %v", c.name, b, err, c.err)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,13 @@
-// Package graph implements the static dataflow-graph backend — the
-// TensorFlow substitute in this reproduction. Programs are built once as a
-// DAG of operation nodes (placeholders, variable reads, math ops, stateful
-// ops), differentiated graph-to-graph with reverse-mode autodiff, and then
-// executed repeatedly through a Session that takes feeds and fetches, exactly
-// mirroring how RLgraph's TensorFlow graph executor batches an agent API call
-// into a single session invocation.
+// Package graph implements the dataflow graph behind both backends. Under
+// the static backend — the TensorFlow substitute in this reproduction —
+// programs are built once as a DAG of operation nodes (placeholders, variable
+// reads, math ops, stateful ops), differentiated graph-to-graph with
+// reverse-mode autodiff, and then executed repeatedly through a Session that
+// takes feeds and fetches, exactly mirroring how RLgraph's TensorFlow graph
+// executor batches an agent API call into a single session invocation. Under
+// define-by-run — the PyTorch substitute — an eager graph (NewEager)
+// evaluates each node as it is added, and Gradients differentiates the nodes
+// one pass recorded: the same ops, kernels and gradient rules either way.
 package graph
 
 import (
@@ -23,6 +26,7 @@ type Node struct {
 	shape  []int   // static shape; -1 marks unknown dims (e.g. batch)
 	name   string
 	device string
+	val    *tensor.Tensor // the node's value in an eager graph; nil otherwise
 }
 
 // ID returns the node's unique id within its graph.
@@ -34,8 +38,13 @@ func (n *Node) Op() Op { return n.op }
 // Inputs returns the node's data inputs.
 func (n *Node) Inputs() []*Node { return n.inputs }
 
-// Shape returns the statically inferred shape (-1 for unknown dims).
+// Shape returns the statically inferred shape (-1 for unknown dims); in an
+// eager graph, the concrete shape of the node's value.
 func (n *Node) Shape() []int { return n.shape }
+
+// Value returns the value an eager graph computed for the node (nil in a
+// static graph).
+func (n *Node) Value() *tensor.Tensor { return n.val }
 
 // Name returns the node's name (may be empty).
 func (n *Node) Name() string { return n.name }
@@ -72,6 +81,10 @@ type Graph struct {
 	nodes  []*Node
 	device string // current default device for new nodes
 
+	// eager graphs evaluate each node when Add creates it; record keeps the
+	// nodes and their input edges for Gradients (see NewEager).
+	eager, record bool
+
 	// placementEpoch counts device re-assignments (Node.SetDevice with a new
 	// value). Plan cache keys include it, so re-placing nodes invalidates
 	// previously cached plans instead of serving stale placements. Like graph
@@ -82,6 +95,21 @@ type Graph struct {
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
+
+// NewEager returns an empty define-by-run graph: Add evaluates each node's op
+// on its inputs' values as it creates the node, and stores the value and its
+// concrete shape on the node. A graph that does not record keeps neither its
+// nodes nor their input edges, so each intermediate is freed as soon as no
+// caller holds its node; Gradients needs a recording graph.
+func NewEager(record bool) *Graph { return &Graph{eager: true, record: record} }
+
+// EvalError is the panic value of a node that fails to evaluate in an eager
+// graph (graph functions have no error path). Err reads exactly as the error
+// Session.Run returns for the same failure; define-by-run executors recover
+// it into that error.
+type EvalError struct{ Err error }
+
+func (e *EvalError) Error() string { return e.Err.Error() }
 
 // NumNodes returns the number of nodes in the graph.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
@@ -102,7 +130,8 @@ func (g *Graph) PlacementEpoch() uint64 { return g.placementEpoch }
 // Add creates a node for op with the given inputs, running static shape
 // inference. It panics on shape errors: graph construction happens at build
 // time where misuse is a programming error, matching TF's behaviour of
-// raising during graph definition.
+// raising during graph definition. In an eager graph Add then evaluates the
+// node, and a failed evaluation panics with an *EvalError.
 func (g *Graph) Add(op Op, inputs ...*Node) *Node {
 	shapes := make([][]int, len(inputs))
 	for i, in := range inputs {
@@ -122,6 +151,21 @@ func (g *Graph) Add(op Op, inputs ...*Node) *Node {
 		inputs: inputs,
 		shape:  shape,
 		device: g.device,
+	}
+	if g.eager {
+		ins := make([]*tensor.Tensor, len(inputs))
+		for i, in := range inputs {
+			ins[i] = in.val
+		}
+		v, err := op.Eval(nil, ins)
+		if err != nil {
+			panic(&EvalError{fmt.Errorf("graph: evaluating %v: %w", n, err)})
+		}
+		n.val, n.shape = v, v.Shape()
+		if !g.record {
+			n.inputs = nil
+			return n
+		}
 	}
 	g.nodes = append(g.nodes, n)
 	return n

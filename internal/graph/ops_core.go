@@ -138,6 +138,7 @@ type StatefulMultiFunc func(inputs []*tensor.Tensor) ([]*tensor.Tensor, error)
 type statefulMultiBase struct {
 	name string
 	fn   StatefulMultiFunc
+	outs int // number of pick nodes; fn must return exactly this many
 	last []*tensor.Tensor
 }
 
@@ -147,6 +148,9 @@ func (o *statefulMultiBase) Eval(_ *RunCtx, in []*tensor.Tensor) (*tensor.Tensor
 	outs, err := o.fn(in)
 	if err != nil {
 		return nil, err
+	}
+	if len(outs) != o.outs {
+		return nil, fmt.Errorf("stateful %q returned %d outputs, want %d", o.name, len(outs), o.outs)
 	}
 	o.last = outs
 	return tensor.Scalar(float64(len(outs))), nil
@@ -163,10 +167,6 @@ type statefulPickOp struct {
 func (o *statefulPickOp) Name() string                      { return o.base.name + "Pick" }
 func (o *statefulPickOp) InferShape([][]int) ([]int, error) { return o.shape, nil }
 func (o *statefulPickOp) Eval(_ *RunCtx, _ []*tensor.Tensor) (*tensor.Tensor, error) {
-	if o.index >= len(o.base.last) {
-		return nil, fmt.Errorf("stateful %q produced %d outputs, want index %d",
-			o.base.name, len(o.base.last), o.index)
-	}
 	return o.base.last[o.index], nil
 }
 func (o *statefulPickOp) StatefulEval() {}
@@ -174,7 +174,7 @@ func (o *statefulPickOp) StatefulEval() {}
 // StatefulMulti adds a host computation with len(outShapes) outputs,
 // returning one node per output.
 func StatefulMulti(g *Graph, name string, outShapes [][]int, fn StatefulMultiFunc, ins ...*Node) []*Node {
-	base := &statefulMultiBase{name: name, fn: fn}
+	base := &statefulMultiBase{name: name, fn: fn, outs: len(outShapes)}
 	baseNode := g.Add(base, ins...)
 	out := make([]*Node, len(outShapes))
 	for i, s := range outShapes {
@@ -253,14 +253,13 @@ func (unbroadcastLikeOp) Name() string                         { return "Unbroad
 func (unbroadcastLikeOp) InferShape(in [][]int) ([]int, error) { return in[1], nil }
 func (unbroadcastLikeOp) Eval(ctx *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error) {
 	if tensor.SameShape(in[0].Shape(), in[1].Shape()) {
-		// Nothing was broadcast: copy through arena-backed storage instead of
-		// UnbroadcastTo's Clone, which always heap-allocates.
+		// Nothing was broadcast: copy through arena-backed storage.
 		out := ctx.NewTensor(in[0].Shape()...)
 		out.CopyFrom(in[0])
 		return out, nil
 	}
-	// Arena-backed accumulation: NewTensor zero-fills, so the Into form is
-	// identical to UnbroadcastTo minus its heap allocation.
+	// Arena-backed accumulation: NewTensor zero-fills, as UnbroadcastInto
+	// requires.
 	return tensor.UnbroadcastInto(ctx.NewTensor(in[1].Shape()...), in[0]), nil
 }
 

@@ -17,8 +17,8 @@ func (o *sumOp) Name() string {
 }
 func (o *sumOp) InferShape([][]int) ([]int, error) { return []int{}, nil }
 func (o *sumOp) Eval(ctx *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	// Same accumulation order and rounding as tensor.Sum/Mean, but into an
-	// arena-backed scalar instead of a fresh heap Scalar per reduction.
+	// A sequential sum in storage order, into an arena-backed scalar instead
+	// of a fresh heap Scalar per reduction.
 	s := 0.0
 	for _, v := range in[0].Data() {
 		s += v

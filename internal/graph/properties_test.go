@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -167,3 +168,52 @@ func TestStatefulErrorPropagatesFromSession(t *testing.T) {
 type errBoom struct{}
 
 func (errBoom) Error() string { return "boom" }
+
+// TestEagerGraphEvaluatesOnAdd builds one program into a static graph run by
+// a Session and into eager graphs: each node holds its value as soon as Add
+// returns, with the same bits; only a recording graph keeps its nodes; and a
+// failing node panics with the error Session.Run returns for it.
+func TestEagerGraphEvaluatesOnAdd(t *testing.T) {
+	x := tensor.FromSlice([]float64{-1, 0.5, 2}, 3)
+	fail := false
+	prog := func(g *Graph) *Node {
+		y := Tanh(g, Mul(g, Const(g, x), ConstScalar(g, 3)))
+		return Stateful(g, "host", []int{-1}, func(in []*tensor.Tensor) (*tensor.Tensor, error) {
+			if fail {
+				return nil, errBoom{}
+			}
+			return in[0], nil
+		}, y)
+	}
+	static := New()
+	want, err := NewSession(static).Run1(prog(static), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, record := range []bool{false, true} {
+		g := NewEager(record)
+		out := prog(g)
+		if !out.Value().Equal(want) || !tensor.SameShape(out.Shape(), []int{3}) {
+			t.Fatalf("record=%v: eager %v (shape %v), static %v", record, out.Value(), out.Shape(), want)
+		}
+		if kept := g.NumNodes(); kept != map[bool]int{false: 0, true: 5}[record] {
+			t.Fatalf("record=%v: kept %d nodes", record, kept)
+		}
+	}
+
+	fail = true
+	static = New()
+	_, wantErr := NewSession(static).Run1(prog(static), nil)
+	if wantErr == nil {
+		t.Fatal("stateful error swallowed")
+	}
+	func() {
+		defer func() {
+			ee, ok := recover().(*EvalError)
+			if !ok || ee.Err.Error() != wantErr.Error() || !errors.Is(ee.Err, errBoom{}) {
+				t.Fatalf("eager failure %v, want %v", ee, wantErr)
+			}
+		}()
+		prog(NewEager(true))
+	}()
+}

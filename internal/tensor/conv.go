@@ -312,11 +312,6 @@ func Conv2DNaive(input, filter *Tensor, p ConvParams) *Tensor {
 	return out.Reshape(n, oh, ow, oc)
 }
 
-// Conv2DBackwardInput returns dL/dInput for a Conv2D.
-func Conv2DBackwardInput(gradOut, filter *Tensor, inputShape []int, p ConvParams) *Tensor {
-	return Conv2DBackwardInputInto(New(inputShape...), gradOut, filter, p)
-}
-
 // Conv2DBackwardInputInto computes dL/dInput into out, a zero-filled tensor
 // of the forward input's shape [N,H,W,C], and returns out. Col2Im accumulates
 // overlapping contributions, but only within an image: above the threshold
@@ -367,15 +362,10 @@ func Conv2DBackwardInputInto(out, gradOut, filter *Tensor, p ConvParams) *Tensor
 func Conv2DBackwardInputNaive(gradOut, filter *Tensor, inputShape []int, p ConvParams) *Tensor {
 	kh, kw, c, oc := filter.shape[0], filter.shape[1], filter.shape[2], filter.shape[3]
 	n, h, w := inputShape[0], inputShape[1], inputShape[2]
-	gm := gradOut.Reshape(-1, oc)       // [N*OH*OW, OC]
-	fmat := filter.Reshape(kh*kw*c, oc) // [KH*KW*C, OC]
-	colsGrad := MatMulTransB(gm, fmat)  // [N*OH*OW, KH*KW*C]
+	gm := gradOut.Reshape(-1, oc)           // [N*OH*OW, OC]
+	fmat := filter.Reshape(kh*kw*c, oc)     // [KH*KW*C, OC]
+	colsGrad := MatMulTransBNaive(gm, fmat) // [N*OH*OW, KH*KW*C]
 	return Col2Im(colsGrad, n, h, w, c, kh, kw, p)
-}
-
-// Conv2DBackwardFilter returns dL/dFilter for a Conv2D.
-func Conv2DBackwardFilter(input, gradOut *Tensor, filterShape []int, p ConvParams) *Tensor {
-	return Conv2DBackwardFilterInto(New(filterShape...), input, gradOut, p)
 }
 
 // Conv2DBackwardFilterInto computes dL/dFilter into out, a zero-filled
@@ -424,8 +414,8 @@ func Conv2DBackwardFilterInto(out, input, gradOut *Tensor, p ConvParams) *Tensor
 // oracle: TestConvTiledMatchesNaiveBitForBit checks the filter gradient against it.
 func Conv2DBackwardFilterNaive(input, gradOut *Tensor, filterShape []int, p ConvParams) *Tensor {
 	kh, kw, c, oc := filterShape[0], filterShape[1], filterShape[2], filterShape[3]
-	cols := Im2Col(input, kh, kw, p) // [N*OH*OW, KH*KW*C]
-	gm := gradOut.Reshape(-1, oc)    // [N*OH*OW, OC]
-	fgrad := MatMulTransA(cols, gm)  // [KH*KW*C, OC]
+	cols := Im2Col(input, kh, kw, p)     // [N*OH*OW, KH*KW*C]
+	gm := gradOut.Reshape(-1, oc)        // [N*OH*OW, OC]
+	fgrad := MatMulTransANaive(cols, gm) // [KH*KW*C, OC]
 	return fgrad.Reshape(kh, kw, c, oc)
 }

@@ -86,7 +86,7 @@ func TestConvGradientsAdjoint(t *testing.T) {
 	out := Conv2D(in, f, p)
 	gy := RandNormal(rng, 0, 1, out.Shape()...)
 
-	gin := Conv2DBackwardInput(gy, f, in.Shape(), p)
+	gin := conv2DBackwardInput(gy, f, in.Shape(), p)
 	lhs := Dot(out.Flatten(), gy.Flatten())
 	rhs := Dot(in.Flatten(), gin.Flatten())
 	// The forward map is linear in the input, so these inner products agree
@@ -96,7 +96,7 @@ func TestConvGradientsAdjoint(t *testing.T) {
 		t.Fatalf("input adjoint mismatch: %g vs %g", lhs, rhs)
 	}
 
-	gf := Conv2DBackwardFilter(in, gy, f.Shape(), p)
+	gf := conv2DBackwardFilter(in, gy, f.Shape(), p)
 	rhs2 := Dot(f.Flatten(), gf.Flatten())
 	if math.Abs(lhs-rhs2) > 1e-9 {
 		t.Fatalf("filter adjoint mismatch: %g vs %g", lhs, rhs2)
@@ -112,11 +112,11 @@ func TestConvGradientFiniteDifference(t *testing.T) {
 	p := ConvParams{StrideH: 1, StrideW: 1, PadH: 0, PadW: 0}
 	loss := func(filter *Tensor) float64 {
 		out := Conv2D(in, filter, p)
-		return Sum(Square(out)).Item()
+		return sumAll(Square(out))
 	}
 	out := Conv2D(in, f, p)
 	gy := Scale(out, 2) // d(sum(out^2))/dout
-	gf := Conv2DBackwardFilter(in, gy, f.Shape(), p)
+	gf := conv2DBackwardFilter(in, gy, f.Shape(), p)
 
 	const eps = 1e-6
 	for _, k := range []int{0, 7, 13} {
@@ -268,12 +268,12 @@ func TestConvKernelLargerThanInput(t *testing.T) {
 		t.Fatal("forward mismatch with oversized kernel")
 	}
 	gy := RandNormal(rng, 0, 1, got.Shape()...)
-	gin := Conv2DBackwardInput(gy, f, in.Shape(), p)
+	gin := conv2DBackwardInput(gy, f, in.Shape(), p)
 	lhs := Dot(got.Flatten(), gy.Flatten())
 	if rhs := Dot(in.Flatten(), gin.Flatten()); math.Abs(lhs-rhs) > 1e-9 {
 		t.Fatalf("input adjoint mismatch: %g vs %g", lhs, rhs)
 	}
-	gf := Conv2DBackwardFilter(in, gy, f.Shape(), p)
+	gf := conv2DBackwardFilter(in, gy, f.Shape(), p)
 	if rhs := Dot(f.Flatten(), gf.Flatten()); math.Abs(lhs-rhs) > 1e-9 {
 		t.Fatalf("filter adjoint mismatch: %g vs %g", lhs, rhs)
 	}
@@ -315,10 +315,10 @@ func TestConvTiledMatchesNaiveBitForBit(t *testing.T) {
 				if got := Conv2D(in, f, p); !tensorsBitEqual(got, wantF) {
 					t.Fatalf("forward differs from naive for %+v panel=%d par=%d", tc, panel, par)
 				}
-				if got := Conv2DBackwardInput(gy, f, in.Shape(), p); !tensorsBitEqual(got, wantGI) {
+				if got := conv2DBackwardInput(gy, f, in.Shape(), p); !tensorsBitEqual(got, wantGI) {
 					t.Fatalf("input grad differs from naive for %+v panel=%d par=%d", tc, panel, par)
 				}
-				if got := Conv2DBackwardFilter(in, gy, f.Shape(), p); !tensorsBitEqual(got, wantGF) {
+				if got := conv2DBackwardFilter(in, gy, f.Shape(), p); !tensorsBitEqual(got, wantGF) {
 					t.Fatalf("filter grad differs from naive for %+v panel=%d par=%d", tc, panel, par)
 				}
 			}
@@ -351,7 +351,7 @@ func TestConvScratchPeakCapped(t *testing.T) {
 		}
 		gy := RandNormal(rng, 0, 1, 8, 32, 32, 16)
 		ResetConvScratchStats()
-		Conv2DBackwardFilter(in, gy, f.Shape(), p)
+		conv2DBackwardFilter(in, gy, f.Shape(), p)
 		if peak, panel := ConvScratchPeak(), int64(convPanelFor(rows, 1)*3*3*16); peak > panel {
 			t.Fatalf("par=%d: backward-filter scratch peak %d exceeds one panel of %d", par, peak, panel)
 		}

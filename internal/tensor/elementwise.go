@@ -678,14 +678,6 @@ func AddScalar(a *Tensor, s float64) *Tensor {
 	return out
 }
 
-// AddInPlace accumulates src (same shape) into dst.
-func AddInPlace(dst, src *Tensor) {
-	if !SameShape(dst.shape, src.shape) {
-		panic(fmt.Sprintf("tensor: AddInPlace shape mismatch %v vs %v", dst.shape, src.shape))
-	}
-	AddFlat(dst.data, dst.data, src.data)
-}
-
 // AddBroadcastInPlace accumulates src into dst, broadcasting src up to dst's
 // shape. Each dst element receives dst[i] += src[bcast(i)], so with dst
 // zero-filled the result matches Add(zeros(dstShape), src) exactly (including
@@ -733,21 +725,11 @@ func ScaleInPlace(dst *Tensor, s float64) {
 	}
 }
 
-// UnbroadcastTo reduces grad (shaped like the broadcast output) back to
-// target shape by summing over the broadcast dimensions. This is the standard
-// gradient rule for broadcasting ops.
-func UnbroadcastTo(grad *Tensor, target []int) *Tensor {
-	if SameShape(grad.shape, target) {
-		return grad.Clone()
-	}
-	return UnbroadcastInto(New(target...), grad)
-}
-
 // UnbroadcastInto accumulates grad into out, summing the dimensions along
-// which out's shape was broadcast to produce grad's. out must be zero-filled
-// (or hold a partial sum to accumulate onto) and broadcast-compatible with
-// grad. It is the allocation-free core of UnbroadcastTo, for callers that
-// provide arena-backed output storage.
+// which out's shape was broadcast to produce grad's — the gradient rule for
+// broadcasting ops. out must be zero-filled (or hold a partial sum to
+// accumulate onto) and broadcast-compatible with grad; callers provide
+// arena-backed output storage.
 //
 // When out's shape tiles grad's (SuffixShape: the bias gradient [B,N]→[N] or
 // [1,N]), grad's rows are added into out in ascending order with AddFlat —

@@ -135,3 +135,30 @@ func ConvScratchPeak() int64 { return convScratchPeak.Load() }
 func (t *Tensor) Set(v float64, idx ...int) {
 	t.data[t.offset(idx)] = v
 }
+
+// The allocating forms of the Into kernels, for tests that compare results.
+
+func matMulTransA(a, b *Tensor) *Tensor {
+	return MatMulTransAInto(New(a.shape[1], b.shape[1]), a, b)
+}
+
+func matMulTransB(a, b *Tensor) *Tensor {
+	return MatMulTransBInto(New(a.shape[0], b.shape[0]), a, b)
+}
+
+func conv2DBackwardInput(gradOut, filter *Tensor, inputShape []int, p ConvParams) *Tensor {
+	return Conv2DBackwardInputInto(New(inputShape...), gradOut, filter, p)
+}
+
+func conv2DBackwardFilter(input, gradOut *Tensor, filterShape []int, p ConvParams) *Tensor {
+	return Conv2DBackwardFilterInto(New(filterShape...), input, gradOut, p)
+}
+
+// sumAll sums every element in storage order.
+func sumAll(t *Tensor) float64 {
+	s := 0.0
+	for _, v := range t.data {
+		s += v
+	}
+	return s
+}

@@ -4,13 +4,13 @@ import "fmt"
 
 // Matrix multiplication kernels.
 //
-// All three products (MatMul, MatMulTransA, MatMulTransB) lower onto one
+// All three products (MatMul, MatMulTransAInto, MatMulTransBInto) lower onto one
 // cache-blocked row-panel kernel over a row-major B and an A it reads in
 // place through two strides: A's element (i, kk) is at a[i·rs + kk·ks]. A
-// plain product passes (rs, ks) = (k, 1); MatMulTransA reads its [k,m]
+// plain product passes (rs, ks) = (k, 1); MatMulTransAInto reads its [k,m]
 // operand as the transpose (1, m), and so does the backward-filter conv with
 // each im2col panel, so neither copies an operand. B's rows are loaded as
-// vectors and cannot be strided: MatMulTransB transposes the smaller side,
+// vectors and cannot be strided: MatMulTransBInto transposes the smaller side,
 // either b or, through outᵀ = b·aᵀ, a and the result. The kernel is blocked
 // over k (so a panel of B stays in cache), parallelized by forking chunks of
 // output rows onto a goroutine pool (see kernels.go), and inside a panel
@@ -77,15 +77,8 @@ func MatMulInto(out, a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulTransA computes aᵀ x b for a:[k,m], b:[k,n] -> [m,n] without
-// materializing the transpose in the caller.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	matMulDims("MatMulTransA", a, b, a.shape[0], b.shape[0])
-	out := New(a.shape[1], b.shape[1])
-	return matMulTransAInto(out, a, b)
-}
-
-// MatMulTransAInto computes aᵀ x b into zero-filled out.
+// MatMulTransAInto computes aᵀ x b for a:[k,m], b:[k,n] into zero-filled
+// out [m,n] without materializing the transpose.
 func MatMulTransAInto(out, a, b *Tensor) *Tensor {
 	matMulDims("MatMulTransA", a, b, a.shape[0], b.shape[0])
 	m, n := a.shape[1], b.shape[1]
@@ -103,15 +96,8 @@ func matMulTransAInto(out, a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulTransB computes a x bᵀ for a:[m,k], b:[n,k] -> [m,n] without
-// materializing the transpose in the caller.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	matMulDims("MatMulTransB", a, b, a.shape[1], b.shape[1])
-	out := New(a.shape[0], b.shape[0])
-	return matMulTransBInto(out, a, b)
-}
-
-// MatMulTransBInto computes a x bᵀ into zero-filled out.
+// MatMulTransBInto computes a x bᵀ for a:[m,k], b:[n,k] into zero-filled
+// out [m,n] without materializing the transpose in the caller.
 func MatMulTransBInto(out, a, b *Tensor) *Tensor {
 	matMulDims("MatMulTransB", a, b, a.shape[1], b.shape[1])
 	m, n := a.shape[0], b.shape[0]
@@ -308,7 +294,7 @@ func MatMulNaive(a, b *Tensor) *Tensor {
 }
 
 // MatMulTransANaive is the k-outer saxpy reference for aᵀ x b.
-// oracle: TestMatMulDifferential checks MatMulTransA against it.
+// oracle: TestMatMulDifferential checks MatMulTransAInto against it.
 func MatMulTransANaive(a, b *Tensor) *Tensor {
 	matMulDims("MatMulTransA", a, b, a.shape[0], b.shape[0])
 	k, m := a.shape[0], a.shape[1]
@@ -330,7 +316,7 @@ func MatMulTransANaive(a, b *Tensor) *Tensor {
 }
 
 // MatMulTransBNaive is the dot-product reference for a x bᵀ.
-// oracle: TestMatMulDifferential checks MatMulTransB against it.
+// oracle: TestMatMulDifferential checks MatMulTransBInto against it.
 func MatMulTransBNaive(a, b *Tensor) *Tensor {
 	matMulDims("MatMulTransB", a, b, a.shape[1], b.shape[1])
 	m, k := a.shape[0], a.shape[1]

@@ -81,7 +81,7 @@ func sameBits(a, b []float64) int {
 // a masked last block of 1 to 4 columns, k around the tile and panel sizes,
 // and row counts around the 4-row tile. Each product runs twice: with
 // A row-major, and with A read in place through its transpose (row stride 1,
-// k-step stride m) as MatMulTransA and the backward-filter conv read it.
+// k-step stride m) as MatMulTransAInto and the backward-filter conv read it.
 func TestMatMulAsmMatchesGoTile(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2: matMulRows is the Go tile")
@@ -211,7 +211,7 @@ func TestTransposeAsmMatchesGo(t *testing.T) {
 }
 
 // BenchmarkTransposeInto is the cost per element of the transposes under
-// MatMulTransB at the dense workloads' shapes.
+// MatMulTransBInto at the dense workloads' shapes.
 func BenchmarkTransposeInto(b *testing.B) {
 	for _, s := range [][2]int{{64, 64}, {32, 64}, {64, 2}} {
 		src, dst := make([]float64, s[0]*s[1]), make([]float64, s[0]*s[1])
@@ -340,11 +340,11 @@ func TestMatMulRowRangesAreDisjoint(t *testing.T) {
 					errs <- "forked MatMul diverged from naive"
 					return
 				}
-				if !bitsEq(MatMulTransA(at, b), wantTA) {
+				if !bitsEq(matMulTransA(at, b), wantTA) {
 					errs <- "forked MatMulTransA diverged from naive"
 					return
 				}
-				if !bitsEq(MatMulTransB(a, c), wantTB) || !bitsEq(MatMulTransB(c, a), wantBT) {
+				if !bitsEq(matMulTransB(a, c), wantTB) || !bitsEq(matMulTransB(c, a), wantBT) {
 					errs <- "forked MatMulTransB diverged from naive"
 					return
 				}
@@ -352,11 +352,11 @@ func TestMatMulRowRangesAreDisjoint(t *testing.T) {
 					errs <- "forked Conv2D diverged from naive"
 					return
 				}
-				if !bitsEq(Conv2DBackwardInput(gy, f, in.Shape(), p), wantGI) {
+				if !bitsEq(conv2DBackwardInput(gy, f, in.Shape(), p), wantGI) {
 					errs <- "forked Conv2DBackwardInput diverged from naive"
 					return
 				}
-				if !bitsEq(Conv2DBackwardFilter(in, gy, f.Shape(), p), wantGF) {
+				if !bitsEq(conv2DBackwardFilter(in, gy, f.Shape(), p), wantGF) {
 					errs <- "forked Conv2DBackwardFilter diverged from naive"
 					return
 				}

@@ -68,23 +68,6 @@ func MaxAxis(t *Tensor, axis int, keepDims bool) *Tensor {
 	return reduceAxis(t, axis, keepDims, math.Inf(-1), math.Max)
 }
 
-// Sum returns the sum of all elements as a scalar tensor.
-func Sum(t *Tensor) *Tensor {
-	s := 0.0
-	for _, v := range t.data {
-		s += v
-	}
-	return Scalar(s)
-}
-
-// Mean returns the mean of all elements as a scalar tensor.
-func Mean(t *Tensor) *Tensor {
-	if t.Size() == 0 {
-		return Scalar(0)
-	}
-	return Scalar(Sum(t).Item() / float64(t.Size()))
-}
-
 // ArgMaxAxis returns, along axis, the index of the maximum element. Ties go
 // to the lowest index. The result drops the reduced axis.
 func ArgMaxAxis(t *Tensor, axis int) *Tensor {

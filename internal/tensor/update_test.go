@@ -130,13 +130,13 @@ func TestUpdateFlushesDecayedSlots(t *testing.T) {
 }
 
 // TestSumSquaresMatchesSumSquare pins the one-pass reduction to the composed
-// Sum(Square(x)), including the empty tensor.
+// sumAll(Square(x)), including the empty tensor.
 func TestSumSquaresMatchesSumSquare(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 3, 4, 5, 4097} {
 		x := RandNormal(rng, 0, 3, n)
-		if got, want := SumSquares(x), Sum(Square(x)).Item(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d: SumSquares = %v, Sum(Square) = %v", n, got, want)
+		if got, want := SumSquares(x), sumAll(Square(x)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: SumSquares = %v, sum of Square = %v", n, got, want)
 		}
 	}
 }
