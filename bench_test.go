@@ -164,10 +164,11 @@ func BenchmarkFig9ImpalaThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkDQNUpdateParallelism is the A/B behind keeping the parallel plan
-// executor (EXPERIMENTS.md, PR 21 decision record): one Update per iteration
-// on the two shipped training configs, with the session serial (par=1) and
-// with two plan workers (par=2), and the same update on the define-by-run
+// BenchmarkDQNUpdateParallelism is the A/B behind the plans' own choice of
+// executor (EXPERIMENTS.md, PR 21 and PR 51 records): one Update per
+// iteration on the two shipped training configs, with the session left to
+// choose (auto, no SetParallelism call), forced serial (par=1) and forced to
+// two scheduler loops (par=2), and the same update on the define-by-run
 // backend, which builds and differentiates the update's graph on every call.
 // It has no gate; it exists so the comparison reruns without patching the
 // regression benchmark's driver.
@@ -183,7 +184,7 @@ func BenchmarkDQNUpdateParallelism(b *testing.B) {
 		for _, c := range []struct {
 			name, backend string
 			par           int
-		}{{"par=1", "static", 1}, {"par=2", "static", 2}, {"define-by-run", "define-by-run", 1}} {
+		}{{"auto", "static", 0}, {"par=1", "static", 1}, {"par=2", "static", 2}, {"define-by-run", "define-by-run", 1}} {
 			b.Run(w.name+"/"+c.name, func(b *testing.B) {
 				raw, err := os.ReadFile(w.config)
 				if err != nil {
@@ -206,7 +207,7 @@ func BenchmarkDQNUpdateParallelism(b *testing.B) {
 				if _, err := agent.Build(); err != nil {
 					b.Fatal(err)
 				}
-				if se, ok := agent.Executor().(*exec.StaticExecutor); ok {
+				if se, ok := agent.Executor().(*exec.StaticExecutor); ok && c.par > 0 {
 					se.Session().SetParallelism(c.par)
 				}
 

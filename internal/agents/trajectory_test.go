@@ -34,7 +34,10 @@ const trajectoriesFile = "testdata/trajectories.json"
 // slot, the losses, and the replay indices the learner sampled where they
 // leave the graph (the Ape-X shard). Every cell — static serial plan,
 // static parallel plan with four kernel workers, or define-by-run; any
-// GOMAXPROCS — must give the committed hash. `go test -run
+// GOMAXPROCS — must give the committed hash. The pixel network also trains at
+// batch 16, where its first conv forks, on the serial plan and on plans left
+// to choose their executor with two and four kernel workers, which choose
+// the parallel one. `go test -run
 // TestGoldenTrajectories -update` rewrites the running GOARCH's hashes after
 // an intended numerical change.
 //
@@ -43,15 +46,19 @@ const trajectoriesFile = "testdata/trajectories.json"
 // math.Tanh call it), so only the portable cases, which never reach Exp,
 // must hash the same on every architecture.
 func TestGoldenTrajectories(t *testing.T) {
+	standard := []cell{{"static", 1, 2}, {"static", 2, 4}, {"define-by-run", 1, 2}}
+	chosen := []cell{{"static", 1, 2}, {"static", 0, 2}, {"static", 0, 4}}
 	cases := []struct {
 		name     string
 		portable bool
 		run      func(t *testing.T, h *trajectoryHash, c cell)
+		cells    []cell
 	}{
-		{"dqn_cartpole", true, runDQNCartPole},
-		{"dueling_dqn_pixels", false, runDuelingPixels}, // prioritized replay: math.Pow
-		{"apex_learner", false, runApexLearner},         // prioritized replay: math.Pow
-		{"impala_learner", false, runIMPALALearner},     // softmax: math.Exp
+		{"dqn_cartpole", true, runDQNCartPole, standard},
+		{"dueling_dqn_pixels", false, runDuelingPixels, standard}, // prioritized replay: math.Pow
+		{"apex_learner", false, runApexLearner, standard},         // prioritized replay: math.Pow
+		{"impala_learner", false, runIMPALALearner, standard},     // softmax: math.Exp
+		{"dueling_dqn_pixels_b16", false, runDuelingPixelsForking, chosen},
 	}
 	golden := map[string]map[string]string{}
 	if data, err := os.ReadFile(trajectoriesFile); err == nil {
@@ -66,8 +73,8 @@ func TestGoldenTrajectories(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var got string
-			for _, cl := range []cell{{"static", 1}, {"static", 2}, {"define-by-run", 1}} {
-				tensor.SetKernelParallelism(2 * cl.par)
+			for _, cl := range c.cells {
+				tensor.SetKernelParallelism(cl.kernels)
 				h := newTrajectoryHash()
 				c.run(t, h, cl)
 				if sum := h.sum(); got == "" {
@@ -110,11 +117,11 @@ func TestGoldenTrajectories(t *testing.T) {
 	}
 }
 
-// cell is one way of running a case: the backend, and the static plan's
-// parallelism.
+// cell is one way of running a case: the backend, the static session's
+// SetParallelism (0: no call, the plans choose) and the kernel parallelism.
 type cell struct {
-	backend string
-	par     int
+	backend       string
+	plan, kernels int
 }
 
 // trajectoryHash accumulates the bit patterns of a training run.
@@ -169,7 +176,7 @@ func optimizerSlots(o *optimizers.Optimizer) map[*vars.Variable]*tensor.UpdateSt
 
 // shippedAgent builds configs/<name>.json through FromConfig on c's backend
 // with the seed and the fields in set overridden, as the regression benchmark
-// does, and sets a static agent's plan parallelism.
+// does, and sets a static agent's plan parallelism when the cell names one.
 func shippedAgent(t *testing.T, name string, seed int64, set map[string]interface{}, env envs.Env, c cell) Agent {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "configs", name+".json"))
 	if err != nil {
@@ -194,8 +201,8 @@ func shippedAgent(t *testing.T, name string, seed int64, set map[string]interfac
 	if _, err := a.Build(); err != nil {
 		t.Fatal(err)
 	}
-	if se, ok := a.(interface{ Executor() exec.Executor }).Executor().(*exec.StaticExecutor); ok {
-		se.Session().SetParallelism(c.par)
+	if se, ok := a.(interface{ Executor() exec.Executor }).Executor().(*exec.StaticExecutor); ok && c.plan > 0 {
+		se.Session().SetParallelism(c.plan)
 	}
 	return a
 }
@@ -246,7 +253,19 @@ func runDQNCartPole(t *testing.T, h *trajectoryHash, c cell) {
 	trainInGraph(t, h, a, envs.NewVectorEnv(list...), 16, 200, 4)
 }
 
-func runDuelingPixels(t *testing.T, h *trajectoryHash, c cell) {
+func runDuelingPixels(t *testing.T, h *trajectoryHash, c cell) { duelingPixels(t, h, c, 4, 4, 8) }
+
+// runDuelingPixelsForking trains at batch 16, where the first conv's forward
+// pass (409,600 multiply-adds per image) crosses the kernels' fork threshold,
+// and checks that a cell left to choose took the parallel plan.
+func runDuelingPixelsForking(t *testing.T, h *trajectoryHash, c cell) {
+	a := duelingPixels(t, h, c, 16, 8, 2)
+	if c.plan == 0 && a.Executor().(*exec.StaticExecutor).Session().ParallelRuns() == 0 {
+		t.Fatalf("%+v: no update ran on the parallel plan", c)
+	}
+}
+
+func duelingPixels(t *testing.T, h *trajectoryHash, c cell, batch, warm, updates int) *DQN {
 	list := make([]envs.Env, 2)
 	for i := range list {
 		list[i] = envs.NewPongSim(envs.PongConfig{
@@ -255,8 +274,9 @@ func runDuelingPixels(t *testing.T, h *trajectoryHash, c cell) {
 		})
 	}
 	a := shippedAgent(t, "dueling_dqn_pixels", 7,
-		map[string]interface{}{"batch_size": 4, "target_sync_every": 2}, list[0], c).(*DQN)
-	trainInGraph(t, h, a, envs.NewVectorEnv(list...), 4, 8, 1)
+		map[string]interface{}{"batch_size": batch, "target_sync_every": 2}, list[0], c).(*DQN)
+	trainInGraph(t, h, a, envs.NewVectorEnv(list...), warm, updates, 1)
+	return a
 }
 
 // runApexLearner is the Ape-X learner step outside raysim: a worker agent

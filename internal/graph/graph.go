@@ -213,15 +213,15 @@ type RunCtx struct {
 	// DeviceNodeCount tallies evaluations per device name.
 	DeviceNodeCount map[string]int
 
-	// arena recycles intermediate buffers when the serial plan executor runs
-	// with buffer reuse enabled; nil otherwise.
+	// arena recycles intermediate buffers when a plan executor runs with
+	// buffer reuse enabled; nil otherwise.
 	arena *tensor.Arena
 }
 
 // NewTensor returns a zero-filled tensor of the given shape, drawing from the
 // run's buffer arena when one is attached. Ops should allocate outputs
 // through it so plan-level buffer reuse can recycle intermediates; with no
-// arena (recursive evaluator, parallel executor) it is exactly tensor.New.
+// arena (recursive evaluator, buffer reuse off) it is exactly tensor.New.
 func (c *RunCtx) NewTensor(shape ...int) *tensor.Tensor {
 	if c == nil || c.arena == nil {
 		return tensor.New(shape...)

@@ -68,6 +68,27 @@ func (o *matmulOp) Grad(g *Graph, n *Node, gy *Node) []*Node {
 	return []*Node{da, db}
 }
 
+// madds is the multiply-adds of one evaluation of a plan's heavy ops, the
+// matmuls and the three conv passes (a conv pass costs KH·KW·C per element
+// of its output side); 0 for every other op.
+func madds(op Op, in []*tensor.Tensor, out *tensor.Tensor) int {
+	taps := func(f *tensor.Tensor) int { return f.Dim(0) * f.Dim(1) * f.Dim(2) }
+	switch o := op.(type) {
+	case *matmulOp:
+		if o.transA {
+			return out.Size() * in[0].Dim(0)
+		}
+		return out.Size() * in[0].Dim(1)
+	case *conv2dOp:
+		return out.Size() * taps(in[1])
+	case *conv2dBackInputOp:
+		return in[0].Size() * taps(in[1])
+	case *conv2dBackFilterOp:
+		return in[1].Size() * taps(out)
+	}
+	return 0
+}
+
 // MatMul multiplies [m,k] x [k,n] -> [m,n].
 func MatMul(g *Graph, a, b *Node) *Node { return g.Add(&matmulOp{}, a, b) }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -40,6 +41,19 @@ type step struct {
 // evals returns how many op evaluations this step represents (itself plus any
 // absorbed producers), keeping profiling counters fusion-independent.
 func (st *step) evals() int64 { return int64(1 + len(st.fused)) }
+
+// run evaluates the step: its fused evaluator, or its node's op.
+func (st *step) run(ctx *RunCtx, ins []*tensor.Tensor) (*tensor.Tensor, error) {
+	if st.eval != nil {
+		return st.eval(ctx, ins)
+	}
+	return st.node.op.Eval(ctx, ins)
+}
+
+// planParallelThreshold is the least slack, in multiply-adds, at which a plan
+// runs in parallel on its own: above every plan of the crossover table that
+// the second core did not speed up (EXPERIMENTS.md, PR 51).
+const planParallelThreshold = 1 << 22
 
 // feedBind records a slot that must be populated from the feed dict.
 type feedBind struct {
@@ -94,6 +108,10 @@ type Plan struct {
 	readers0    []int32
 	stepRelease [][]int32
 
+	// cost comes from the operand shapes of the plan's first serial run
+	// (static shapes leave the batch open); nil until then.
+	cost atomic.Pointer[planCost]
+
 	scratch sync.Pool
 }
 
@@ -103,6 +121,7 @@ type planScratch struct {
 	ins     []*tensor.Tensor
 	indeg   []int32
 	readers []int32
+	par     parRun
 }
 
 // planKey builds the cache key for a fetch-set under a feed-key-set: fetch
@@ -342,14 +361,17 @@ func compilePlan(g *Graph, fetches []*Node, fed map[*Node]bool, fuse bool) (*Pla
 
 	p.computeRelease()
 
-	nslots, insTotal, nsteps := p.nslots, len(p.insSlots), len(p.steps)
+	nslots, insTotal, nsteps, ndev := p.nslots, len(p.insSlots), len(p.steps), len(p.schedDevices)
 	p.scratch.New = func() any {
-		return &planScratch{
+		sc := &planScratch{
 			values:  make([]*tensor.Tensor, nslots),
 			ins:     make([]*tensor.Tensor, insTotal),
 			indeg:   make([]int32, nsteps),
 			readers: make([]int32, nslots),
 		}
+		sc.par = parRun{p: p, sc: sc, busy: make([]int32, ndev), streams: make([]int32, ndev)}
+		sc.par.loop = sc.par.runLoop
+		return sc
 	}
 	return p, nil
 }
@@ -492,10 +514,16 @@ func (s *Session) runPlan(p *Plan, feeds Feeds) ([]*tensor.Tensor, error) {
 	if s.bufferReuse.Load() {
 		arena = s.arena
 	}
+	// Unless SetParallelism overrides it, a plan with the slack runs parallel.
 	var evaluated int64
 	var runErr error
-	if workers := int(s.parallelism.Load()); workers > 1 && len(p.steps) > 1 {
-		evaluated, runErr = p.execParallel(sc, devCounts, workers, s.deviceLimitsRef(), arena)
+	loops := int(s.parallelism.Load())
+	if pc := p.cost.Load(); loops == 0 && pc != nil && pc.slack >= planParallelThreshold {
+		loops = tensor.KernelParallelism()
+	}
+	if loops > 1 && len(p.steps) > 1 {
+		s.parallelRuns.Add(1)
+		evaluated, runErr = p.execParallel(sc, devCounts, loops, s.deviceLimitsRef(), arena)
 	} else {
 		evaluated, runErr = p.execSerial(sc, devCounts, arena)
 	}
@@ -521,10 +549,15 @@ func (s *Session) runPlan(p *Plan, feeds Feeds) ([]*tensor.Tensor, error) {
 
 // execSerial runs the step list in compiled (recursive-equivalent) order.
 // With a non-nil arena, intermediates scheduled by the liveness analysis are
-// recycled as soon as their last consumer has run.
+// recycled as soon as their last consumer has run. The plan's first complete
+// run also costs its steps and records the plan's slack.
 func (p *Plan) execSerial(sc *planScratch, devCounts []int64, arena *tensor.Arena) (int64, error) {
 	ctx := &RunCtx{arena: arena}
 	values := sc.values
+	var cost []int64
+	if p.cost.Load() == nil {
+		cost = make([]int64, len(p.steps))
+	}
 	var evaluated int64
 	for i := range p.steps {
 		st := &p.steps[i]
@@ -532,15 +565,12 @@ func (p *Plan) execSerial(sc *planScratch, devCounts []int64, arena *tensor.Aren
 		for k, slot := range p.insSlots[st.insOff : st.insOff+st.insLen] {
 			ins[k] = values[slot]
 		}
-		var v *tensor.Tensor
-		var err error
-		if st.eval != nil {
-			v, err = st.eval(ctx, ins)
-		} else {
-			v, err = st.node.op.Eval(ctx, ins)
-		}
+		v, err := st.run(ctx, ins)
 		if err != nil {
 			return evaluated, fmt.Errorf("graph: evaluating %v: %w", st.node, err)
+		}
+		if cost != nil && st.eval == nil {
+			cost[i] = int64(madds(st.node.op, ins, v))
 		}
 		evaluated += st.evals()
 		devCounts[st.statDev] += st.evals()
@@ -554,139 +584,187 @@ func (p *Plan) execSerial(sc *planScratch, devCounts []int64, arena *tensor.Aren
 			}
 		}
 	}
+	if cost != nil {
+		p.cost.Store(p.costOf(cost))
+	}
 	return evaluated, nil
 }
 
-// execParallel runs ready steps across a bounded worker pool using per-step
-// indegree counters. Steps on the same named device serialize through that
-// device's stream semaphore (default one stream); stateful steps are chained
-// by compile-time edges, so results match serial execution bit-for-bit.
-//
-// With a non-nil arena, dead intermediates are recycled in completion order:
-// after its Eval, each step atomically decrements the remaining-reader count
-// of every recyclable slot it read (plus its own output slot when nobody
-// reads it), and the worker whose decrement reaches zero returns the tensor
-// to the arena. The atomic decrement orders each reader's Eval (which
-// happens-before its decrement in program order) before the release, so no
-// tensor is recycled while a consumer can still touch it; error or
-// early-exit paths simply skip remaining releases, which is safe because the
-// per-run counters live in plan scratch and are re-copied from readers0 on
-// the next run.
-func (p *Plan) execParallel(sc *planScratch, devCounts []int64, workers int, limits map[string]int, arena *tensor.Arena) (int64, error) {
-	if workers > len(p.steps) {
-		workers = len(p.steps)
-	}
-	indeg := sc.indeg
-	copy(indeg, p.indeg0)
-	values := sc.values
-	var readers []int32
-	if arena != nil {
-		readers = sc.readers
-		copy(readers, p.readers0)
-	}
+// planCost is what a plan's first serial run measured, in multiply-adds.
+type planCost struct {
+	slack int64   // total minus the costliest chain: work a second loop can take
+	rank  []int64 // per step: its costliest chain to the end, claimed first
+}
 
-	sems := make([]chan struct{}, len(p.schedDevices))
-	for i, name := range p.schedDevices {
-		streams := 1
-		if limits[name] > 0 {
-			streams = limits[name]
+// costOf turns step costs into ranks; successor edges point forward in step
+// order, so one backward pass finds every chain.
+func (p *Plan) costOf(cost []int64) *planCost {
+	var total, critical int64
+	for i := len(cost) - 1; i >= 0; i-- {
+		total += cost[i]
+		var next int64
+		for _, s := range p.succ[i] {
+			next = max(next, cost[s])
 		}
-		sems[i] = make(chan struct{}, streams)
+		cost[i] += next
+		critical = max(critical, cost[i])
 	}
+	return &planCost{slack: total - critical, rank: cost}
+}
 
-	// ready is buffered to the full step count so completion-driven sends
-	// never block; done closes on first error or when all steps finished.
-	ready := make(chan int32, len(p.steps))
-	done := make(chan struct{})
-	var closeOnce sync.Once
-	finish := func() { closeOnce.Do(func() { close(done) }) }
+// parRun is the state the scheduler loops of one parallel run share. It lives
+// in plan scratch, so a run allocates none of it.
+type parRun struct {
+	p    *Plan
+	sc   *planScratch
+	loop func(int) // runLoop, bound once
+	ctx  RunCtx
+	rank []int64 // nil until the plan is costed
 
-	remaining := int64(len(p.steps))
-	var evaluated int64
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		finish()
-	}
+	mu            sync.Mutex
+	ready         []int32 // steps whose predecessors have all finished
+	busy, streams []int32 // per named device: steps in flight, limit
+	left          int     // steps not yet finished
+	evaluated     int64
+	devCounts     []int64
+	err           error
+	wake          chan struct{} // a token per event a waiting loop may act on
+}
 
-	for i := range p.steps {
-		if p.indeg0[i] == 0 {
-			ready <- int32(i)
+// execParallel runs the plan on loops scheduler loops, the chunks of one fork
+// on the kernel pool, so a run starts no goroutine. Indegree counters ready
+// the successors, a named device runs at most its stream limit of steps at
+// once, and stateful steps are chained by compile-time edges, so results
+// match serial execution bit for bit. Intermediates are recycled in
+// completion order (DESIGN.md §5.8): the step whose decrement of a slot's
+// remaining readers reaches zero returns its tensor to the arena.
+func (p *Plan) execParallel(sc *planScratch, devCounts []int64, loops int, limits map[string]int, arena *tensor.Arena) (int64, error) {
+	loops = min(loops, len(p.steps))
+	r := &sc.par
+	copy(sc.indeg, p.indeg0)
+	copy(sc.readers, p.readers0)
+	r.ready = r.ready[:0]
+	for i, d := range p.indeg0 {
+		if d == 0 {
+			r.ready = append(r.ready, int32(i))
 		}
 	}
+	for d, name := range p.schedDevices {
+		r.busy[d], r.streams[d] = 0, int32(max(1, limits[name]))
+	}
+	if pc := p.cost.Load(); pc != nil {
+		r.rank = pc.rank
+	}
+	r.ctx.arena, r.devCounts = arena, devCounts
+	r.left, r.evaluated, r.err = len(p.steps), 0, nil
+	if cap(r.wake) < loops { // a token per loop: a full channel wakes every waiter
+		r.wake = make(chan struct{}, loops)
+	}
+	tensor.ParallelFor(loops, r.loop)
+	r.ctx.arena, r.devCounts = nil, nil
+	return r.evaluated, r.err
+}
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := &RunCtx{arena: arena}
-			for {
-				var i int32
-				select {
-				case <-done:
-					return
-				case i = <-ready:
-				}
-				st := &p.steps[i]
-				ins := sc.ins[st.insOff : st.insOff+st.insLen]
-				for k, slot := range p.insSlots[st.insOff : st.insOff+st.insLen] {
-					ins[k] = values[slot]
-				}
-				if st.schedDev >= 0 {
-					select {
-					case sems[st.schedDev] <- struct{}{}:
-					case <-done:
-						return
-					}
-				}
-				var v *tensor.Tensor
-				var err error
-				if st.eval != nil {
-					v, err = st.eval(ctx, ins)
-				} else {
-					v, err = st.node.op.Eval(ctx, ins)
-				}
-				if st.schedDev >= 0 {
-					<-sems[st.schedDev]
-				}
-				if err != nil {
-					fail(fmt.Errorf("graph: evaluating %v: %w", st.node, err))
-					return
-				}
-				values[st.out] = v
-				atomic.AddInt64(&evaluated, st.evals())
-				atomic.AddInt64(&devCounts[st.statDev], st.evals())
-				if arena != nil {
-					for _, s := range p.stepRelease[i] {
-						if atomic.AddInt32(&readers[s], -1) == 0 {
-							if t := values[s]; t != nil {
-								values[s] = nil
-								arena.Put(t)
-							}
-						}
-					}
-				}
-				for _, succ := range p.succ[i] {
-					if atomic.AddInt32(&indeg[succ], -1) == 0 {
-						ready <- succ
-					}
-				}
-				if atomic.AddInt64(&remaining, -1) == 0 {
-					finish()
-					return
-				}
+var errStepPanicked = errors.New("graph: a plan step panicked")
+
+// runLoop is one scheduler loop. Should a step panic, the deferred stop ends
+// the run for the other loops, and the pool re-raises the panic on the caller.
+func (r *parRun) runLoop(int) {
+	defer r.stop(errStepPanicked)
+	for i := r.claim(); i >= 0; i = r.claim() {
+		r.step(i)
+	}
+}
+
+// claim takes the ready step of highest rank whose device has a free stream,
+// waiting while there is none; -1 means the run is over.
+func (r *parRun) claim() int32 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.left > 0 && r.err == nil {
+		best := -1
+		for k, i := range r.ready {
+			if d := r.p.steps[i].schedDev; d >= 0 && r.busy[d] >= r.streams[d] {
+				continue
 			}
-		}()
+			if best < 0 || r.rank != nil && r.rank[i] >= r.rank[r.ready[best]] {
+				best = k
+			}
+		}
+		if best >= 0 {
+			i := r.ready[best]
+			if d := r.p.steps[i].schedDev; d >= 0 {
+				r.busy[d]++
+			}
+			r.ready = append(r.ready[:best], r.ready[best+1:]...)
+			return i
+		}
+		r.mu.Unlock()
+		tensor.WaitOrHelp(r.wake)
+		r.mu.Lock()
 	}
-	wg.Wait()
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
-	return atomic.LoadInt64(&evaluated), err
+	return -1
+}
+
+// step runs step i, publishes its value, recycles and readies what it frees.
+func (r *parRun) step(i int32) {
+	p, sc := r.p, r.sc
+	st := &p.steps[i]
+	ins := sc.ins[st.insOff : st.insOff+st.insLen]
+	for k, slot := range p.insSlots[st.insOff : st.insOff+st.insLen] {
+		ins[k] = sc.values[slot]
+	}
+	v, err := st.run(&r.ctx, ins)
+	if err != nil {
+		r.stop(fmt.Errorf("graph: evaluating %v: %w", st.node, err))
+		return
+	}
+	wakes := -1 // this loop claims one of the steps it frees
+	r.mu.Lock()
+	if d := st.schedDev; d >= 0 {
+		r.busy[d]--
+		wakes++
+	}
+	sc.values[st.out] = v
+	r.evaluated += st.evals()
+	r.devCounts[st.statDev] += st.evals()
+	for _, s := range p.stepRelease[i] {
+		if sc.readers[s]--; sc.readers[s] == 0 && r.ctx.arena != nil && sc.values[s] != nil {
+			r.ctx.arena.Put(sc.values[s])
+			sc.values[s] = nil
+		}
+	}
+	for _, s := range p.succ[i] {
+		if sc.indeg[s]--; sc.indeg[s] == 0 {
+			r.ready = append(r.ready, s)
+			wakes++
+		}
+	}
+	if r.left--; r.left == 0 {
+		wakes = cap(r.wake)
+	}
+	r.mu.Unlock()
+	r.signal(wakes)
+}
+
+// stop ends an unfinished run with err (the first error wins) and wakes
+// every loop.
+func (r *parRun) stop(err error) {
+	r.mu.Lock()
+	if r.err == nil && r.left > 0 {
+		r.err = err
+	}
+	r.mu.Unlock()
+	r.signal(cap(r.wake))
+}
+
+// signal sends up to n wake tokens; a full channel already wakes every waiter.
+func (r *parRun) signal(n int) {
+	for ; n > 0; n-- {
+		select {
+		case r.wake <- struct{}{}:
+		default:
+			return
+		}
+	}
 }

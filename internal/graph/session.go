@@ -28,7 +28,8 @@ type Feeds map[*Node]*tensor.Tensor
 type Session struct {
 	g *Graph
 
-	// parallelism is the worker count for plan execution (<=1 = serial).
+	// parallelism overrides the plans' own choice of executor: 0 lets each
+	// plan choose, 1 forces serial, n >= 2 forces n scheduler loops.
 	parallelism atomic.Int32
 
 	// fusion enables the plan compiler's elementwise fusion pass; bufferReuse
@@ -44,6 +45,7 @@ type Session struct {
 	arena       *tensor.Arena
 
 	runCount       atomic.Int64
+	parallelRuns   atomic.Int64
 	nodesEvaluated atomic.Int64
 
 	mu              sync.Mutex
@@ -69,13 +71,14 @@ func NewSession(g *Graph) *Session {
 	return s
 }
 
-// SetParallelism sets the number of workers used to execute plan steps
-// (n <= 1 selects the serial executor). Steps on the same named device still
-// serialize through the device's stream limit (see SetDeviceLimits), and
-// stateful steps always run in serial-evaluation order, so results are
-// independent of the parallelism level. Safe to call concurrently with Run;
-// it affects subsequent runs.
-func (s *Session) SetParallelism(n int) { s.parallelism.Store(int32(n)) }
+// SetParallelism overrides each plan's own choice of executor: n = 1 forces
+// the serial one, n >= 2 forces n scheduler loops, and n <= 0 lets the plan
+// run on tensor.KernelParallelism() loops when that is at least 2 and the
+// multiply-adds off its critical path (costed on its first run) reach
+// planParallelThreshold. Device stream limits (SetDeviceLimits) and the
+// serial order of stateful steps hold either way, so results never depend
+// on it. Safe to call concurrently with Run; it affects subsequent runs.
+func (s *Session) SetParallelism(n int) { s.parallelism.Store(int32(max(n, 0))) }
 
 // ArenaStats reports the session arena's (allocations served, pool hits)
 // counters — the benchmark hook for verifying plan-level buffer reuse.
@@ -149,6 +152,9 @@ func (s *Session) deviceLimitsRef() map[string]int {
 
 // RunCount returns the total number of Run invocations.
 func (s *Session) RunCount() int { return int(s.runCount.Load()) }
+
+// ParallelRuns returns how many plan runs took the parallel executor.
+func (s *Session) ParallelRuns() int { return int(s.parallelRuns.Load()) }
 
 // NodesEvaluated returns the total number of op evaluations across runs,
 // including evaluations performed by runs that ended in an error.
