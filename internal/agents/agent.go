@@ -8,10 +8,8 @@ package agents
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
-	"rlgraph/internal/component"
 	"rlgraph/internal/exec"
 	"rlgraph/internal/tensor"
 	"rlgraph/internal/vars"
@@ -37,18 +35,6 @@ type Agent interface {
 	SetWeights(map[string]*tensor.Tensor) error
 	// ExportModel serializes the weights.
 	ExportModel(w io.Writer) error
-}
-
-// newExecutor constructs the chosen backend's executor for a root component.
-func newExecutor(backendName string, root *component.Component) (exec.Executor, error) {
-	switch backendName {
-	case "", "static":
-		return exec.NewStatic(root), nil
-	case "define-by-run":
-		return exec.NewDefineByRun(root), nil
-	default:
-		return nil, fmt.Errorf("agents: unknown backend %q", backendName)
-	}
 }
 
 // serializedWeights is the model format ExportModel writes.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
 	"rlgraph/internal/components/losses"
 	"rlgraph/internal/components/memories"
@@ -13,6 +12,7 @@ import (
 	"rlgraph/internal/components/optimizers"
 	"rlgraph/internal/components/policy"
 	"rlgraph/internal/exec"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 	"rlgraph/internal/vars"
@@ -196,8 +196,8 @@ func (a *DQN) defineAPIs() {
 			towerLosses := make([]*component.Rec, 0, k)
 			towerTDs := make([]*component.Rec, 0, k)
 			for i := 0; i < k; i++ {
-				if ctx.Ops != nil {
-					ctx.Ops.SetDefaultDevice(fmt.Sprintf("gpu%d", i))
+				if ctx.G != nil {
+					ctx.G.SetDefaultDevice(fmt.Sprintf("gpu%d", i))
 				}
 				shard := make([]*component.Rec, len(in))
 				for j, r := range in {
@@ -207,8 +207,8 @@ func (a *DQN) defineAPIs() {
 				towerLosses = append(towerLosses, lossRecs[0])
 				towerTDs = append(towerTDs, lossRecs[1])
 			}
-			if ctx.Ops != nil {
-				ctx.Ops.SetDefaultDevice("")
+			if ctx.G != nil {
+				ctx.G.SetDefaultDevice("")
 			}
 			combined := root.GraphFn(ctx, "combine_towers", 2, combineTowersFn(k),
 				append(towerLosses, towerTDs...)...)
@@ -240,29 +240,29 @@ func (a *DQN) lossFrom(ctx *component.Ctx, s, act, r, ns, t, w *component.Rec) [
 
 // shardFn slices tower i's batch shard.
 func shardFn(i, k int) component.GraphFn {
-	return func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-		return []backend.Ref{ops.ShardRows(refs[0], i, k)}
+	return func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
+		return []*graph.Node{graph.ShardRows(g, refs[0], i, k)}
 	}
 }
 
 // combineTowersFn averages k tower losses and concatenates their TD errors.
 func combineTowersFn(k int) component.GraphFn {
-	return func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
+	return func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
 		loss := refs[0]
 		for i := 1; i < k; i++ {
-			loss = ops.Add(loss, refs[i])
+			loss = graph.Add(g, loss, refs[i])
 		}
-		loss = ops.Scale(loss, 1/float64(k))
-		td := ops.Concat(0, refs[k:2*k]...)
-		return []backend.Ref{loss, td}
+		loss = graph.Scale(g, loss, 1/float64(k))
+		td := graph.Concat(g, 0, refs[k:2*k]...)
+		return []*graph.Node{loss, td}
 	}
 }
 
 // onesLike produces a ones vector shaped like ref (uniform importance
 // weights).
 func (a *DQN) onesLike(ctx *component.Ctx, ref *component.Rec) *component.Rec {
-	out := a.root.GraphFn(ctx, "ones_like", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-		return []backend.Ref{ops.AddScalar(ops.Scale(refs[0], 0), 1)}
+	out := a.root.GraphFn(ctx, "ones_like", 1, func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
+		return []*graph.Node{graph.AddScalar(g, graph.Scale(g, refs[0], 0), 1)}
 	}, ref)
 	return out[0]
 }
@@ -313,7 +313,7 @@ func (a *DQN) UpdateMultiGPU(s, act, r, ns, t, w *tensor.Tensor) (float64, *tens
 
 // Build assembles and compiles the agent's component graph.
 func (a *DQN) Build() (*exec.BuildReport, error) {
-	ex, err := newExecutor(a.cfg.Backend, a.root)
+	ex, err := exec.New(a.cfg.Backend, a.root)
 	if err != nil {
 		return nil, err
 	}

@@ -6,12 +6,12 @@ import (
 	"math"
 	"math/rand"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
 	"rlgraph/internal/components/losses"
 	"rlgraph/internal/components/nn"
 	"rlgraph/internal/components/optimizers"
 	"rlgraph/internal/exec"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 	"rlgraph/internal/vars"
@@ -110,8 +110,8 @@ func (a *IMPALA) valuesOf(ctx *component.Ctx, states *component.Rec) *component.
 	feat := a.trunk.Call(ctx, "call", states)
 	v := a.valueHead.Call(ctx, "call", feat...)[0]
 	// Squeeze [b,1] → [b].
-	out := a.root.GraphFn(ctx, "squeeze_value", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-		return []backend.Ref{ops.Reshape(refs[0], -1)}
+	out := a.root.GraphFn(ctx, "squeeze_value", 1, func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
+		return []*graph.Node{graph.Reshape(g, refs[0], -1)}
 	}, v)
 	return out[0]
 }
@@ -142,8 +142,8 @@ func (a *IMPALA) defineAPIs() {
 		values := a.valuesOf(ctx, states)
 		bootstrap := a.valuesOf(ctx, bootstrapStates)
 		bootstrapStopped := root.GraphFn(ctx, "stop_bootstrap", 1,
-			func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-				return []backend.Ref{ops.StopGradient(refs[0])}
+			func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
+				return []*graph.Node{graph.StopGradient(g, refs[0])}
 			}, bootstrap)
 		lossRecs := a.loss.Call(ctx, "loss",
 			logits, values, actions, rewards, discounts, behaviorLogp, bootstrapStopped[0])
@@ -154,8 +154,8 @@ func (a *IMPALA) defineAPIs() {
 
 // sampleFn draws categorical actions from logits (host-side randomness) and
 // returns selected-action log-probs.
-func (a *IMPALA) sampleFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
-	return ops.StatefulMulti("SampleActions", [][]int{{-1}, {-1}},
+func (a *IMPALA) sampleFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
+	return graph.StatefulMulti(g, "SampleActions", [][]int{{-1}, {-1}},
 		func(ts []*tensor.Tensor) ([]*tensor.Tensor, error) {
 			logits := ts[0]
 			b := logits.Dim(0)
@@ -196,7 +196,7 @@ func (a *IMPALA) InputSpaces() exec.InputSpaces {
 
 // Build assembles and compiles the component graph.
 func (a *IMPALA) Build() (*exec.BuildReport, error) {
-	ex, err := newExecutor(a.cfg.Backend, a.root)
+	ex, err := exec.New(a.cfg.Backend, a.root)
 	if err != nil {
 		return nil, err
 	}

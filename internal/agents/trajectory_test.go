@@ -280,9 +280,10 @@ func duelingPixels(t *testing.T, h *trajectoryHash, c cell, batch, warm, updates
 }
 
 // runApexLearner is the Ape-X learner step outside raysim: a worker agent
-// inserts transitions with its computed priorities into a define-by-run
-// prioritized shard, and the learner samples the shard, applies
-// update_external and writes the TD errors back as priorities.
+// inserts transitions with its computed priorities into a prioritized shard
+// built on the cell's backend, as distexec builds its shards on the
+// learner's, and the learner samples the shard, applies update_external and
+// writes the TD errors back as priorities.
 func runApexLearner(t *testing.T, h *trajectoryHash, c cell) {
 	list := make([]envs.Env, 4)
 	for i := range list {
@@ -298,7 +299,7 @@ func runApexLearner(t *testing.T, h *trajectoryHash, c cell) {
 	mem := memories.NewPrioritizedReplay("replay-0", 1024, 5, 0.6, 0.4, 9)
 	sB := stateSpace.WithBatchRank()
 	fB := spaces.NewFloatBox().WithBatchRank()
-	shard, err := exec.NewComponentTest("define-by-run", mem.Component, exec.InputSpaces{
+	shard, err := exec.NewComponentTest(c.backend, mem.Component, exec.InputSpaces{
 		"insert":                 {sB, fB, fB, sB, fB},
 		"insert_with_priorities": {sB, fB, fB, sB, fB, fB},
 		"sample":                 {spaces.NewFloatBox()},

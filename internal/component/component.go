@@ -2,7 +2,9 @@
 // Component. Components encapsulate computations in graph functions, expose
 // them through registered API methods, nest arbitrarily as sub-components,
 // and are assembled into a backend-independent component graph that a
-// builder later compiles for a static-graph or define-by-run backend.
+// builder later compiles for a static-graph or define-by-run backend. A
+// graph function is written once against package graph: the builder hands
+// it a static graph to build into, or an eager one that computes as it goes.
 //
 // Components may only exchange data along edges of the component graph — an
 // edge is a call to a declared API method — which is what gives RLgraph its
@@ -13,28 +15,27 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"rlgraph/internal/backend"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/vars"
 )
 
 // Rec is a data op record flowing between API methods. During assembly it
-// carries only structure; during a static build it wraps a graph node;
-// during define-by-run builds/runs it wraps a concrete value. Space is
-// populated once the producing graph function has executed.
+// carries only structure; during a build or a define-by-run call it wraps a
+// graph node — of a static graph, or of an eager graph that has already
+// computed its value. Space is populated once the producing graph function
+// has executed.
 type Rec struct {
 	// Space describes the record once known (nil during assembly).
 	Space spaces.Space
-	// Ref is the backend payload (a *graph.Node of a static or an eager
-	// graph); nil during assembly.
-	Ref backend.Ref
+	// Ref is the record's node; nil during assembly.
+	Ref *graph.Node
 }
 
-// NewRec wraps a backend ref with a space.
-func NewRec(ref backend.Ref, sp spaces.Space) *Rec { return &Rec{Ref: ref, Space: sp} }
+// NewRec wraps a node with a space.
+func NewRec(ref *graph.Node, sp spaces.Space) *Rec { return &Rec{Ref: ref, Space: sp} }
 
 // Mode is the phase an API traversal executes in.
 type Mode int
@@ -43,8 +44,8 @@ const (
 	// ModeAssemble traverses the component graph without types or shapes
 	// (paper phase 2): graph fns are not executed, only recorded.
 	ModeAssemble Mode = iota
-	// ModeCompile executes graph fns through the backend Ops to create
-	// variables and operations (paper phase 3).
+	// ModeCompile executes graph fns on the build graph to create variables
+	// and operations (paper phase 3).
 	ModeCompile
 	// ModeRun re-executes the traversal with real data (define-by-run only).
 	ModeRun
@@ -54,13 +55,11 @@ const (
 type Ctx struct {
 	// Mode is the current phase.
 	Mode Mode
-	// Ops is the backend used in ModeCompile/ModeRun (nil while assembling).
-	Ops backend.Ops
+	// G is the graph graph fns build into in ModeCompile/ModeRun (nil while
+	// assembling).
+	G *graph.Graph
 	// Stats collects build statistics (may be nil).
 	Stats *Stats
-	// FastPath, when set in ModeRun, skips per-call dispatch bookkeeping —
-	// the paper's edge-contraction optimization for define-by-run calls.
-	FastPath bool
 }
 
 // Stats aggregates component-graph metrics during assembly and build.
@@ -84,9 +83,9 @@ func NewStats() *Stats { return &Stats{ComponentsSeen: make(map[string]bool)} }
 // composition calling sub-component APIs and graph functions.
 type APIFunc func(ctx *Ctx, in []*Rec) []*Rec
 
-// GraphFn is a backend-dependent numerical computation, written once against
-// the unified Ops interface.
-type GraphFn func(ops backend.Ops, in []backend.Ref) []backend.Ref
+// GraphFn is a numerical computation, written once against package graph's
+// op constructors: it adds its operations to g, on either backend.
+type GraphFn func(g *graph.Graph, in []*graph.Node) []*graph.Node
 
 // VarCreator is implemented by components that own variables. The builder
 // calls CreateVariables exactly once, when the component first becomes
@@ -94,7 +93,7 @@ type GraphFn func(ops backend.Ops, in []backend.Ref) []backend.Ref
 // build-time barrier guaranteeing variables exist before any computation
 // reads them.
 type VarCreator interface {
-	CreateVariables(ops backend.Ops, inSpaces []spaces.Space) error
+	CreateVariables(inSpaces []spaces.Space) error
 }
 
 // API is a registered API method.
@@ -126,10 +125,6 @@ type Component struct {
 	varsCreated bool
 	impl        VarCreator
 	varCreators map[string]bool // graph fns whose input spaces define variables
-
-	// DispatchCount counts API-method dispatches at run time (the
-	// define-by-run component-call overhead measured in Fig. 5b).
-	DispatchCount int64
 }
 
 // New returns a component with the given name.
@@ -236,19 +231,15 @@ func (c *Component) APINames() []string { return c.apiOrder }
 func (c *Component) LookupAPI(name string) *API { return c.apis[name] }
 
 // Call invokes a declared API method on this component — the only legal
-// data edge between components. In ModeAssemble it records the edge; in
-// ModeRun it counts a dispatch unless the fast path is active.
+// data edge between components. While building it records the edge in the
+// build statistics.
 func (c *Component) Call(ctx *Ctx, api string, in ...*Rec) []*Rec {
 	a := c.apis[api]
 	if a == nil {
 		known := strings.Join(c.apiOrder, ", ")
 		panic(fmt.Sprintf("component: %q has no API %q (has: %s)", c.scope, api, known))
 	}
-	if ctx.Mode == ModeRun {
-		if !ctx.FastPath {
-			atomic.AddInt64(&c.DispatchCount, 1)
-		}
-	} else if ctx.Stats != nil {
+	if ctx.Stats != nil {
 		ctx.Stats.APICalls++
 		ctx.Stats.ComponentsSeen[c.scope] = true
 	}
@@ -282,7 +273,7 @@ func (c *Component) GraphFn(ctx *Ctx, name string, nOut int, fn GraphFn, in ...*
 			ctx.Stats.ComponentsSeen[c.scope] = true
 		}
 		inSpaces := make([]spaces.Space, len(in))
-		refs := make([]backend.Ref, len(in))
+		refs := make([]*graph.Node, len(in))
 		for i, r := range in {
 			if r.Ref == nil {
 				panic(fmt.Sprintf("component: %s/%s input %d has no value — "+
@@ -292,15 +283,15 @@ func (c *Component) GraphFn(ctx *Ctx, name string, nOut int, fn GraphFn, in ...*
 			refs[i] = r.Ref
 			inSpaces[i] = r.Space
 			if inSpaces[i] == nil {
-				inSpaces[i] = SpaceFromShape(ctx.Ops.ShapeOf(r.Ref))
+				inSpaces[i] = SpaceFromShape(r.Ref.Shape())
 			}
 		}
 		// Per-component explicit device assignment replaces TF's implicit
 		// nested device contexts.
 		if d := c.Device(); d != "" {
-			prev := ctx.Ops.DefaultDevice()
-			ctx.Ops.SetDefaultDevice(d)
-			defer ctx.Ops.SetDefaultDevice(prev)
+			prev := ctx.G.DefaultDevice()
+			ctx.G.SetDefaultDevice(d)
+			defer ctx.G.SetDefaultDevice(prev)
 		}
 		start := time.Now()
 		if !c.varsCreated {
@@ -310,28 +301,28 @@ func (c *Component) GraphFn(ctx *Ctx, name string, nOut int, fn GraphFn, in ...*
 					c.scope, name, ScopesSorted(c.varCreators)))
 			}
 			if c.impl != nil {
-				if err := c.impl.CreateVariables(ctx.Ops, inSpaces); err != nil {
+				if err := c.impl.CreateVariables(inSpaces); err != nil {
 					panic(fmt.Sprintf("component: %s: CreateVariables: %v", c.scope, err))
 				}
 			}
 			c.varsCreated = true
 		}
-		outs := fn(ctx.Ops, refs)
+		outs := fn(ctx.G, refs)
 		if ctx.Stats != nil {
 			ctx.Stats.GraphFnNanos += time.Since(start).Nanoseconds()
 		}
 		recs := make([]*Rec, len(outs))
 		for i, o := range outs {
-			recs[i] = &Rec{Ref: o, Space: SpaceFromShape(ctx.Ops.ShapeOf(o))}
+			recs[i] = &Rec{Ref: o, Space: SpaceFromShape(o.Shape())}
 		}
 		return recs
 
 	default: // ModeRun: define-by-run execution with real data.
-		refs := make([]backend.Ref, len(in))
+		refs := make([]*graph.Node, len(in))
 		for i, r := range in {
 			refs[i] = r.Ref
 		}
-		outs := fn(ctx.Ops, refs)
+		outs := fn(ctx.G, refs)
 		recs := make([]*Rec, len(outs))
 		for i, o := range outs {
 			recs[i] = &Rec{Ref: o}
@@ -365,7 +356,7 @@ func (c *Component) TrainableVariables() []*vars.Variable {
 	return c.AllVariables().Trainable()
 }
 
-// SpaceFromShape derives a FloatBox space from a ref shape; a leading -1 dim
+// SpaceFromShape derives a FloatBox space from a node shape; a leading -1 dim
 // becomes a batch rank. It is the inverse direction of space→placeholder
 // used when spaces flow through already-built sub-graphs.
 func SpaceFromShape(shape []int) spaces.Space {

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"rlgraph/internal/backend"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 	"rlgraph/internal/vars"
@@ -82,7 +82,7 @@ func TestAssembleModeRecordsEdgesWithoutExecution(t *testing.T) {
 	executed := false
 	c := New("c")
 	c.DefineAPI("f", func(ctx *Ctx, in []*Rec) []*Rec {
-		return c.GraphFn(ctx, "fn", 2, func(backend.Ops, []backend.Ref) []backend.Ref {
+		return c.GraphFn(ctx, "fn", 2, func(*graph.Graph, []*graph.Node) []*graph.Node {
 			executed = true
 			return nil
 		}, in...)
@@ -108,7 +108,7 @@ type varOwner struct {
 	created int
 }
 
-func (v *varOwner) CreateVariables(_ backend.Ops, in []spaces.Space) error {
+func (v *varOwner) CreateVariables(in []spaces.Space) error {
 	v.created++
 	v.AddVariable(vars.New("w", tensor.New(in[0].Shape()...)))
 	return nil
@@ -118,13 +118,13 @@ func TestVariableCreationBarrierFiresOnce(t *testing.T) {
 	v := &varOwner{Component: New("owner")}
 	v.SetImpl(v)
 	v.DefineAPI("f", func(ctx *Ctx, in []*Rec) []*Rec {
-		return v.GraphFn(ctx, "fn", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
+		return v.GraphFn(ctx, "fn", 1, func(_ *graph.Graph, refs []*graph.Node) []*graph.Node {
 			return refs
 		}, in...)
 	})
-	ops := backend.NewEagerOps(false, backend.ModeBuild)
-	ctx := &Ctx{Mode: ModeCompile, Ops: ops, Stats: NewStats()}
-	in := NewRec(opsConst(ops, tensor.New(1, 3)), spaces.NewFloatBox(3).WithBatchRank())
+	g := graph.NewBuildPass()
+	ctx := &Ctx{Mode: ModeCompile, G: g, Stats: NewStats()}
+	in := NewRec(graph.Const(g, tensor.New(1, 3)), spaces.NewFloatBox(3).WithBatchRank())
 	v.Call(ctx, "f", in)
 	v.Call(ctx, "f", in)
 	if v.created != 1 {
@@ -141,41 +141,23 @@ func TestVariableCreationBarrierFiresOnce(t *testing.T) {
 	}
 }
 
-func opsConst(ops backend.Ops, t *tensor.Tensor) backend.Ref { return ops.Const(t) }
-
 func TestVarCreatorFnRestriction(t *testing.T) {
 	v := &varOwner{Component: New("owner")}
 	v.SetImpl(v)
 	v.SetVarCreatorFns("writer")
 	v.DefineAPI("read", func(ctx *Ctx, in []*Rec) []*Rec {
-		return v.GraphFn(ctx, "reader", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
+		return v.GraphFn(ctx, "reader", 1, func(_ *graph.Graph, refs []*graph.Node) []*graph.Node {
 			return refs
 		}, in...)
 	})
-	ops := backend.NewEagerOps(false, backend.ModeBuild)
-	ctx := &Ctx{Mode: ModeCompile, Ops: ops, Stats: NewStats()}
+	g := graph.NewBuildPass()
+	ctx := &Ctx{Mode: ModeCompile, G: g, Stats: NewStats()}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected input-incompleteness panic")
 		}
 	}()
-	v.Call(ctx, "read", NewRec(ops.Const(tensor.New(1, 2)), nil))
-}
-
-func TestRunModeCountsDispatches(t *testing.T) {
-	c := New("c")
-	c.DefineAPI("f", func(ctx *Ctx, in []*Rec) []*Rec { return in })
-	ctx := &Ctx{Mode: ModeRun}
-	c.Call(ctx, "f")
-	c.Call(ctx, "f")
-	if c.DispatchCount != 2 {
-		t.Fatalf("dispatches = %d", c.DispatchCount)
-	}
-	fast := &Ctx{Mode: ModeRun, FastPath: true}
-	c.Call(fast, "f")
-	if c.DispatchCount != 2 {
-		t.Fatal("fast path counted a dispatch")
-	}
+	v.Call(ctx, "read", NewRec(graph.Const(g, tensor.New(1, 2)), nil))
 }
 
 func TestSpaceFromShape(t *testing.T) {

@@ -4,8 +4,8 @@
 package losses
 
 import (
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
+	"rlgraph/internal/graph"
 )
 
 // DQNLossConfig parameterizes the Q-learning loss.
@@ -48,40 +48,40 @@ func NewDQNLoss(name string, cfg DQNLossConfig) *DQNLoss {
 	return l
 }
 
-func (l *DQNLoss) lossFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
+func (l *DQNLoss) lossFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
 	q, actions, rewards, terminals := in[0], in[1], in[2], in[3]
 	qNextTarget, qNextOnline, weights := in[4], in[5], in[6]
 
 	// Q(s,a) for the taken actions.
-	qSelected := ops.TakeAlongLastAxis(q, actions)
+	qSelected := graph.TakeAlongLastAxis(g, q, actions)
 
 	// Bootstrap value from the target network.
-	var nextVal backend.Ref
+	var nextVal *graph.Node
 	if l.cfg.DoubleQ {
-		bestNext := ops.ArgMaxAxis(qNextOnline, -1)
-		nextVal = ops.TakeAlongLastAxis(qNextTarget, bestNext)
+		bestNext := graph.ArgMaxAxis(g, qNextOnline, -1)
+		nextVal = graph.TakeAlongLastAxis(g, qNextTarget, bestNext)
 	} else {
-		nextVal = ops.MaxAxis(qNextTarget, -1, false)
+		nextVal = graph.MaxAxis(g, qNextTarget, -1, false)
 	}
 	// Mask terminals and stop gradients into the target.
-	notDone := ops.OneMinus(terminals)
+	notDone := graph.OneMinus(g, terminals)
 	gammaN := pow(l.cfg.Gamma, l.cfg.NStep)
-	target := ops.Add(rewards, ops.Scale(ops.Mul(notDone, ops.StopGradient(nextVal)), gammaN))
+	target := graph.Add(g, rewards, graph.Scale(g, graph.Mul(g, notDone, graph.StopGradient(g, nextVal)), gammaN))
 
-	td := ops.Sub(qSelected, target)
+	td := graph.Sub(g, qSelected, target)
 
-	var perItem backend.Ref
+	var perItem *graph.Node
 	if l.cfg.Huber {
-		absTD := ops.Abs(td)
-		small := ops.LessEqual(absTD, ops.ConstScalar(1))
-		quad := ops.Scale(ops.Square(td), 0.5)
-		lin := ops.AddScalar(absTD, -0.5)
-		perItem = ops.Where(small, quad, lin)
+		absTD := graph.Abs(g, td)
+		small := graph.LessEqual(g, absTD, graph.ConstScalar(g, 1))
+		quad := graph.Scale(g, graph.Square(g, td), 0.5)
+		lin := graph.AddScalar(g, absTD, -0.5)
+		perItem = graph.Where(g, small, quad, lin)
 	} else {
-		perItem = ops.Scale(ops.Square(td), 0.5)
+		perItem = graph.Scale(g, graph.Square(g, td), 0.5)
 	}
-	loss := ops.Mean(ops.Mul(perItem, weights))
-	return []backend.Ref{loss, ops.Abs(td)}
+	loss := graph.Mean(g, graph.Mul(g, perItem, weights))
+	return []*graph.Node{loss, graph.Abs(g, td)}
 }
 
 func pow(x float64, n int) float64 {

@@ -3,8 +3,8 @@ package losses
 import (
 	"math"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/tensor"
 )
 
@@ -58,34 +58,34 @@ func NewVTraceLoss(name string, cfg VTraceConfig) *VTraceLoss {
 	return l
 }
 
-func (l *VTraceLoss) lossFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
+func (l *VTraceLoss) lossFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
 	logits, values, actions := in[0], in[1], in[2]
 	rewards, discounts, behaviorLogp, bootstrap := in[3], in[4], in[5], in[6]
 
-	logp := ops.LogSoftmax(logits)
-	actionLogp := ops.TakeAlongLastAxis(logp, actions)
+	logp := graph.LogSoftmax(g, logits)
+	actionLogp := graph.TakeAlongLastAxis(g, logp, actions)
 
 	// V-trace targets: host-side backward scan over detached inputs.
-	vsAndAdv := ops.StatefulMulti("VTrace", [][]int{{-1}, {-1}},
+	vsAndAdv := graph.StatefulMulti(g, "VTrace", [][]int{{-1}, {-1}},
 		func(ts []*tensor.Tensor) ([]*tensor.Tensor, error) {
 			return l.vtraceScan(ts[0], ts[1], ts[2], ts[3], ts[4], ts[5])
 		},
-		ops.StopGradient(actionLogp), behaviorLogp, ops.StopGradient(values),
+		graph.StopGradient(g, actionLogp), behaviorLogp, graph.StopGradient(g, values),
 		rewards, discounts, bootstrap)
 	vs, pgAdv := vsAndAdv[0], vsAndAdv[1]
 
 	// Policy gradient: -Σ ρ·logπ(a|s)·adv (adv constant).
-	pgLoss := ops.Neg(ops.Sum(ops.Mul(actionLogp, pgAdv)))
+	pgLoss := graph.Neg(g, graph.Sum(g, graph.Mul(g, actionLogp, pgAdv)))
 	// Baseline: ½Σ (vs - V)².
-	valueLoss := ops.Scale(ops.Sum(ops.Square(ops.Sub(vs, values))), 0.5)
+	valueLoss := graph.Scale(g, graph.Sum(g, graph.Square(g, graph.Sub(g, vs, values))), 0.5)
 	// Entropy bonus: -Σ Σ_a π logπ.
-	probs := ops.Softmax(logits)
-	entropy := ops.Neg(ops.Sum(ops.Mul(probs, logp)))
+	probs := graph.Softmax(g, logits)
+	entropy := graph.Neg(g, graph.Sum(g, graph.Mul(g, probs, logp)))
 
-	loss := ops.Add(pgLoss,
-		ops.Sub(ops.Scale(valueLoss, l.cfg.ValueCoeff),
-			ops.Scale(entropy, l.cfg.EntropyCoeff)))
-	return []backend.Ref{loss, pgLoss, valueLoss, entropy}
+	loss := graph.Add(g, pgLoss,
+		graph.Sub(g, graph.Scale(g, valueLoss, l.cfg.ValueCoeff),
+			graph.Scale(g, entropy, l.cfg.EntropyCoeff)))
+	return []*graph.Node{loss, pgLoss, valueLoss, entropy}
 }
 
 // vtraceScan computes vs and clipped-ρ policy-gradient advantages by the

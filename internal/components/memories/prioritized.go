@@ -5,8 +5,8 @@ import (
 	"math"
 	"math/rand"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 )
@@ -80,7 +80,7 @@ func NewPrioritizedReplay(name string, capacity, numFields int, alpha, beta floa
 // CreateVariables allocates buffers and trees from the insert record spaces.
 // Priority inputs (the trailing space of insert_with_priorities) are not
 // part of the stored record.
-func (m *PrioritizedReplay) CreateVariables(_ backend.Ops, inSpaces []spaces.Space) error {
+func (m *PrioritizedReplay) CreateVariables(inSpaces []spaces.Space) error {
 	if len(inSpaces) != m.numFields && len(inSpaces) != m.numFields+1 {
 		return fmt.Errorf("memories: %q configured for %d fields, insert saw %d spaces",
 			m.Name(), m.numFields, len(inSpaces))
@@ -92,8 +92,8 @@ func (m *PrioritizedReplay) CreateVariables(_ backend.Ops, inSpaces []spaces.Spa
 }
 
 func (m *PrioritizedReplay) insertFn(withPrios bool) component.GraphFn {
-	return func(ops backend.Ops, in []backend.Ref) []backend.Ref {
-		out := ops.Stateful("PrioInsert", []int{}, func(ts []*tensor.Tensor) (*tensor.Tensor, error) {
+	return func(g *graph.Graph, in []*graph.Node) []*graph.Node {
+		out := graph.Stateful(g, "PrioInsert", []int{}, func(ts []*tensor.Tensor) (*tensor.Tensor, error) {
 			if m.storage == nil {
 				return nil, fmt.Errorf("memories: %q used before buffers exist", m.Name())
 			}
@@ -118,13 +118,13 @@ func (m *PrioritizedReplay) insertFn(withPrios bool) component.GraphFn {
 			}
 			return tensor.Scalar(float64(m.storage.size)), nil
 		}, in...)
-		return []backend.Ref{out}
+		return []*graph.Node{out}
 	}
 }
 
-func (m *PrioritizedReplay) sampleFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
+func (m *PrioritizedReplay) sampleFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
 	shapes := m.sampleShapes()
-	return ops.StatefulMulti("PrioSample", shapes, func(ts []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return graph.StatefulMulti(g, "PrioSample", shapes, func(ts []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		if m.storage == nil || m.storage.size == 0 {
 			return nil, fmt.Errorf("memories: %q is empty", m.Name())
 		}
@@ -172,8 +172,8 @@ func (m *PrioritizedReplay) sampleShapes() [][]int {
 	return out
 }
 
-func (m *PrioritizedReplay) updateFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
-	out := ops.Stateful("PrioUpdate", []int{}, func(ts []*tensor.Tensor) (*tensor.Tensor, error) {
+func (m *PrioritizedReplay) updateFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
+	out := graph.Stateful(g, "PrioUpdate", []int{}, func(ts []*tensor.Tensor) (*tensor.Tensor, error) {
 		idxs, prios := ts[0], ts[1]
 		for i := 0; i < idxs.Size(); i++ {
 			slot := int(idxs.Data()[i])
@@ -187,7 +187,7 @@ func (m *PrioritizedReplay) updateFn(ops backend.Ops, in []backend.Ref) []backen
 		}
 		return tensor.Scalar(1), nil
 	}, in...)
-	return []backend.Ref{out}
+	return []*graph.Node{out}
 }
 
 // Size returns the number of stored records.

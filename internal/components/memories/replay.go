@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 )
@@ -50,7 +50,7 @@ func NewRingReplay(name string, capacity, numFields int, seed int64) *RingReplay
 }
 
 // CreateVariables allocates the ring buffers from the insert record spaces.
-func (m *RingReplay) CreateVariables(_ backend.Ops, inSpaces []spaces.Space) error {
+func (m *RingReplay) CreateVariables(inSpaces []spaces.Space) error {
 	if len(inSpaces) != m.numFields {
 		return fmt.Errorf("memories: %q configured for %d fields, insert saw %d",
 			m.Name(), m.numFields, len(inSpaces))
@@ -59,19 +59,19 @@ func (m *RingReplay) CreateVariables(_ backend.Ops, inSpaces []spaces.Space) err
 	return nil
 }
 
-func (m *RingReplay) insertFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
-	out := ops.Stateful("MemInsert", []int{}, func(ts []*tensor.Tensor) (*tensor.Tensor, error) {
+func (m *RingReplay) insertFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
+	out := graph.Stateful(g, "MemInsert", []int{}, func(ts []*tensor.Tensor) (*tensor.Tensor, error) {
 		if m.storage == nil {
 			return nil, fmt.Errorf("memories: %q sampled/inserted before buffers exist", m.Name())
 		}
 		m.storage.insertBatch(ts)
 		return tensor.Scalar(float64(m.storage.size)), nil
 	}, in...)
-	return []backend.Ref{out}
+	return []*graph.Node{out}
 }
 
-func (m *RingReplay) sampleFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
-	return ops.StatefulMulti("MemSample", m.sampleShapes(), func(ts []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func (m *RingReplay) sampleFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
+	return graph.StatefulMulti(g, "MemSample", m.sampleShapes(), func(ts []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		if m.storage == nil || m.storage.size == 0 {
 			return nil, fmt.Errorf("memories: %q is empty", m.Name())
 		}

@@ -3,8 +3,8 @@ package misc
 import (
 	"fmt"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 )
@@ -48,18 +48,18 @@ func (s *ContainerSplitter) LeafPaths() []string {
 	return out
 }
 
-func (s *ContainerSplitter) splitFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
-	shape := ops.ShapeOf(in[0])
+func (s *ContainerSplitter) splitFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
+	shape := in[0].Shape()
 	if got := shape[len(shape)-1]; got != s.total && got != -1 {
 		panic(fmt.Sprintf("misc: splitter %q wants width %d, got %d", s.Name(), s.total, got))
 	}
-	out := make([]backend.Ref, len(s.leaves))
+	out := make([]*graph.Node, len(s.leaves))
 	off := 0
 	for i, w := range s.widths {
-		piece := ops.SliceCols(in[0], off, off+w)
+		piece := graph.SliceCols(g, in[0], off, off+w)
 		// Restore the leaf's element shape when it is not a flat vector.
 		if es := s.leaves[i].Space.Shape(); len(es) > 1 {
-			piece = ops.Reshape(piece, append([]int{-1}, es...)...)
+			piece = graph.Reshape(g, piece, append([]int{-1}, es...)...)
 		}
 		out[i] = piece
 		off += w
@@ -86,15 +86,15 @@ func NewContainerMerger(name string, space spaces.Space) *ContainerMerger {
 	return m
 }
 
-func (m *ContainerMerger) mergeFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
+func (m *ContainerMerger) mergeFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
 	if len(in) != len(m.leaves) {
 		panic(fmt.Sprintf("misc: merger %q wants %d leaves, got %d", m.Name(), len(m.leaves), len(in)))
 	}
-	flat := make([]backend.Ref, len(in))
+	flat := make([]*graph.Node, len(in))
 	for i, r := range in {
-		flat[i] = ops.FlattenBatch(r)
+		flat[i] = graph.FlattenBatch(g, r)
 	}
-	return []backend.Ref{ops.Concat(-1, flat...)}
+	return []*graph.Node{graph.Concat(g, -1, flat...)}
 }
 
 // FlattenContainerValue converts a spaces.Value (batched leaves) into the

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"sync"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 	"rlgraph/internal/vars"
@@ -34,8 +34,8 @@ func NewSynchronizer(name string, src, dst func() *vars.Store) *Synchronizer {
 	return s
 }
 
-func (s *Synchronizer) syncFn(ops backend.Ops, _ []backend.Ref) []backend.Ref {
-	out := ops.Stateful("Sync", []int{}, func([]*tensor.Tensor) (*tensor.Tensor, error) {
+func (s *Synchronizer) syncFn(g *graph.Graph, _ []*graph.Node) []*graph.Node {
+	out := graph.Stateful(g, "Sync", []int{}, func([]*tensor.Tensor) (*tensor.Tensor, error) {
 		n, err := SyncStores(s.src(), s.dst())
 		if err != nil {
 			return nil, err
@@ -43,7 +43,7 @@ func (s *Synchronizer) syncFn(ops backend.Ops, _ []backend.Ref) []backend.Ref {
 		s.Syncs++
 		return tensor.Scalar(float64(n)), nil
 	})
-	return []backend.Ref{out}
+	return []*graph.Node{out}
 }
 
 // SyncStores copies values between stores by positional order (source and
@@ -101,7 +101,7 @@ func NewFIFOQueue(name string, capacity, numFields int) *FIFOQueue {
 }
 
 // CreateVariables records the record layout from the enqueue spaces.
-func (q *FIFOQueue) CreateVariables(_ backend.Ops, inSpaces []spaces.Space) error {
+func (q *FIFOQueue) CreateVariables(inSpaces []spaces.Space) error {
 	if len(inSpaces) != q.numFields {
 		return fmt.Errorf("misc: queue %q configured for %d fields, enqueue saw %d",
 			q.Name(), q.numFields, len(inSpaces))
@@ -113,8 +113,8 @@ func (q *FIFOQueue) CreateVariables(_ backend.Ops, inSpaces []spaces.Space) erro
 	return nil
 }
 
-func (q *FIFOQueue) enqueueFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
-	out := ops.Stateful("QEnqueue", []int{}, func(ts []*tensor.Tensor) (*tensor.Tensor, error) {
+func (q *FIFOQueue) enqueueFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
+	out := graph.Stateful(g, "QEnqueue", []int{}, func(ts []*tensor.Tensor) (*tensor.Tensor, error) {
 		rec := make([]*tensor.Tensor, len(ts))
 		copy(rec, ts)
 		q.mu.Lock()
@@ -129,10 +129,10 @@ func (q *FIFOQueue) enqueueFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
 		q.notEmpty.Signal()
 		return tensor.Scalar(float64(len(q.items))), nil
 	}, in...)
-	return []backend.Ref{out}
+	return []*graph.Node{out}
 }
 
-func (q *FIFOQueue) dequeueFn(ops backend.Ops, _ []backend.Ref) []backend.Ref {
+func (q *FIFOQueue) dequeueFn(g *graph.Graph, _ []*graph.Node) []*graph.Node {
 	shapes := make([][]int, q.numFields)
 	for i := range shapes {
 		if q.rowShapes != nil {
@@ -141,7 +141,7 @@ func (q *FIFOQueue) dequeueFn(ops backend.Ops, _ []backend.Ref) []backend.Ref {
 			shapes[i] = []int{-1}
 		}
 	}
-	return ops.StatefulMulti("QDequeue", shapes, func([]*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return graph.StatefulMulti(g, "QDequeue", shapes, func([]*tensor.Tensor) ([]*tensor.Tensor, error) {
 		q.mu.Lock()
 		defer q.mu.Unlock()
 		for len(q.items) == 0 && !q.closed {
@@ -199,7 +199,7 @@ func NewStagingArea(name string, numFields int) *StagingArea {
 }
 
 // CreateVariables records the record layout from the put spaces.
-func (s *StagingArea) CreateVariables(_ backend.Ops, inSpaces []spaces.Space) error {
+func (s *StagingArea) CreateVariables(inSpaces []spaces.Space) error {
 	s.rowShapes = make([][]int, len(inSpaces))
 	for i, sp := range inSpaces {
 		s.rowShapes[i] = append([]int(nil), sp.Shape()...)
@@ -207,17 +207,17 @@ func (s *StagingArea) CreateVariables(_ backend.Ops, inSpaces []spaces.Space) er
 	return nil
 }
 
-func (s *StagingArea) putFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
-	out := ops.Stateful("StagePut", []int{}, func(ts []*tensor.Tensor) (*tensor.Tensor, error) {
+func (s *StagingArea) putFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
+	out := graph.Stateful(g, "StagePut", []int{}, func(ts []*tensor.Tensor) (*tensor.Tensor, error) {
 		rec := make([]*tensor.Tensor, len(ts))
 		copy(rec, ts)
 		s.slot = append(s.slot, rec)
 		return tensor.Scalar(float64(len(s.slot))), nil
 	}, in...)
-	return []backend.Ref{out}
+	return []*graph.Node{out}
 }
 
-func (s *StagingArea) getFn(ops backend.Ops, _ []backend.Ref) []backend.Ref {
+func (s *StagingArea) getFn(g *graph.Graph, _ []*graph.Node) []*graph.Node {
 	shapes := make([][]int, s.numFields)
 	for i := range shapes {
 		if s.rowShapes != nil {
@@ -226,7 +226,7 @@ func (s *StagingArea) getFn(ops backend.Ops, _ []backend.Ref) []backend.Ref {
 			shapes[i] = []int{-1}
 		}
 	}
-	return ops.StatefulMulti("StageGet", shapes, func([]*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return graph.StatefulMulti(g, "StageGet", shapes, func([]*tensor.Tensor) ([]*tensor.Tensor, error) {
 		if len(s.slot) == 0 {
 			return nil, fmt.Errorf("misc: staging area %q empty", s.Name())
 		}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 	"rlgraph/internal/vars"
@@ -46,14 +46,14 @@ func NewConv2D(name string, filters, kernel, stride int, padding, activation str
 	return c
 }
 
-func (c *Conv2DLayer) forward(ops backend.Ops, in []backend.Ref) []backend.Ref {
-	y := ops.Add(ops.Conv2D(in[0], ops.VarRead(c.W), c.params), ops.VarRead(c.B))
-	return []backend.Ref{applyActivation(ops, y, c.activation)}
+func (c *Conv2DLayer) forward(g *graph.Graph, in []*graph.Node) []*graph.Node {
+	y := graph.Add(g, graph.Conv2D(g, in[0], graph.VarRead(g, c.W), c.params), graph.VarRead(g, c.B))
+	return []*graph.Node{applyActivation(g, y, c.activation)}
 }
 
 // CreateVariables builds the filter [kh,kw,C,OC] and bias [OC] from the
 // input space's channel count.
-func (c *Conv2DLayer) CreateVariables(_ backend.Ops, inSpaces []spaces.Space) error {
+func (c *Conv2DLayer) CreateVariables(inSpaces []spaces.Space) error {
 	shape := inSpaces[0].Shape()
 	if len(shape) != 3 {
 		return fmt.Errorf("nn: Conv2D %q wants HWC input, got element shape %v", c.Name(), shape)

@@ -9,22 +9,22 @@ import (
 	"fmt"
 	"math/rand"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 	"rlgraph/internal/vars"
 )
 
 // applyActivation appends the named activation to a ref.
-func applyActivation(ops backend.Ops, x backend.Ref, act string) backend.Ref {
+func applyActivation(g *graph.Graph, x *graph.Node, act string) *graph.Node {
 	switch act {
 	case "":
 		return x
 	case "relu":
-		return ops.Relu(x)
+		return graph.Relu(g, x)
 	case "tanh":
-		return ops.Tanh(x)
+		return graph.Tanh(g, x)
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %q", act))
 	}
@@ -53,13 +53,13 @@ func NewDense(name string, units int, activation string, seed int64) *Dense {
 	return d
 }
 
-func (d *Dense) forward(ops backend.Ops, in []backend.Ref) []backend.Ref {
-	y := ops.Add(ops.MatMul(in[0], ops.VarRead(d.W)), ops.VarRead(d.B))
-	return []backend.Ref{applyActivation(ops, y, d.activation)}
+func (d *Dense) forward(g *graph.Graph, in []*graph.Node) []*graph.Node {
+	y := graph.Add(g, graph.MatMul(g, in[0], graph.VarRead(g, d.W)), graph.VarRead(g, d.B))
+	return []*graph.Node{applyActivation(g, y, d.activation)}
 }
 
 // CreateVariables builds W [fanIn, units] and B [units] from the input space.
-func (d *Dense) CreateVariables(_ backend.Ops, inSpaces []spaces.Space) error {
+func (d *Dense) CreateVariables(inSpaces []spaces.Space) error {
 	shape := inSpaces[0].Shape()
 	if len(shape) != 1 {
 		return fmt.Errorf("nn: Dense %q wants rank-1 feature input, got element shape %v", d.Name(), shape)
@@ -81,8 +81,8 @@ type Flatten struct {
 func NewFlatten(name string) *Flatten {
 	f := &Flatten{Component: component.New(name)}
 	f.DefineAPI("call", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
-		return f.GraphFn(ctx, "flatten", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-			return []backend.Ref{ops.FlattenBatch(refs[0])}
+		return f.GraphFn(ctx, "flatten", 1, func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
+			return []*graph.Node{graph.FlattenBatch(g, refs[0])}
 		}, in...)
 	})
 	return f

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 	"rlgraph/internal/vars"
@@ -48,7 +48,7 @@ func NewLSTM(name string, units int, seed int64) *LSTM {
 
 // CreateVariables sizes the fused gate weights from the feature width of
 // whichever API builds first ([b,T,F] for call, [b,F] for step).
-func (l *LSTM) CreateVariables(_ backend.Ops, inSpaces []spaces.Space) error {
+func (l *LSTM) CreateVariables(inSpaces []spaces.Space) error {
 	shape := inSpaces[0].Shape()
 	var f int
 	switch len(shape) {
@@ -68,28 +68,28 @@ func (l *LSTM) CreateVariables(_ backend.Ops, inSpaces []spaces.Space) error {
 }
 
 // cell applies one LSTM step to (x [b,F], h, c [b,U]).
-func (l *LSTM) cell(ops backend.Ops, x, h, c backend.Ref) (hNew, cNew backend.Ref) {
+func (l *LSTM) cell(g *graph.Graph, x, h, c *graph.Node) (hNew, cNew *graph.Node) {
 	u := l.units
-	z := ops.Add(ops.Add(ops.MatMul(x, ops.VarRead(l.Wx)), ops.MatMul(h, ops.VarRead(l.Wh))),
-		ops.VarRead(l.B))
-	i := ops.Sigmoid(ops.SliceCols(z, 0, u))
-	g := ops.Tanh(ops.SliceCols(z, u, 2*u))
-	f := ops.Sigmoid(ops.AddScalar(ops.SliceCols(z, 2*u, 3*u), l.forgetBias))
-	o := ops.Sigmoid(ops.SliceCols(z, 3*u, 4*u))
-	cNew = ops.Add(ops.Mul(f, c), ops.Mul(i, g))
-	hNew = ops.Mul(o, ops.Tanh(cNew))
+	z := graph.Add(g, graph.Add(g, graph.MatMul(g, x, graph.VarRead(g, l.Wx)), graph.MatMul(g, h, graph.VarRead(g, l.Wh))),
+		graph.VarRead(g, l.B))
+	i := graph.Sigmoid(g, graph.SliceCols(g, z, 0, u))
+	cand := graph.Tanh(g, graph.SliceCols(g, z, u, 2*u))
+	f := graph.Sigmoid(g, graph.AddScalar(g, graph.SliceCols(g, z, 2*u, 3*u), l.forgetBias))
+	o := graph.Sigmoid(g, graph.SliceCols(g, z, 3*u, 4*u))
+	cNew = graph.Add(g, graph.Mul(g, f, c), graph.Mul(g, i, cand))
+	hNew = graph.Mul(g, o, graph.Tanh(g, cNew))
 	return hNew, cNew
 }
 
-func (l *LSTM) stepFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
-	h, c := l.cell(ops, in[0], in[1], in[2])
-	return []backend.Ref{h, h, c}
+func (l *LSTM) stepFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
+	h, c := l.cell(g, in[0], in[1], in[2])
+	return []*graph.Node{h, h, c}
 }
 
 // unrollFn runs BPTT over the statically known time dimension with zero
 // initial state, returning the last hidden output.
-func (l *LSTM) unrollFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
-	shape := ops.ShapeOf(in[0])
+func (l *LSTM) unrollFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
+	shape := in[0].Shape()
 	if len(shape) != 3 {
 		panic(fmt.Sprintf("nn: LSTM %q call wants [b,T,F], got %v", l.Name(), shape))
 	}
@@ -97,18 +97,18 @@ func (l *LSTM) unrollFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
 	if T < 0 || F < 0 {
 		panic(fmt.Sprintf("nn: LSTM %q needs static time/feature dims, got %v", l.Name(), shape))
 	}
-	flat := ops.Reshape(in[0], -1, T*F)
+	flat := graph.Reshape(g, in[0], -1, T*F)
 
 	// Zero initial state with the runtime batch size: multiply the first
 	// step by a zero matrix (cheap at these widths, backend-independent).
-	x0 := ops.SliceCols(flat, 0, F)
-	zeroProj := ops.Const(tensor.New(F, l.units))
-	h := ops.MatMul(x0, zeroProj)
-	c := ops.MatMul(x0, zeroProj)
+	x0 := graph.SliceCols(g, flat, 0, F)
+	zeroProj := graph.Const(g, tensor.New(F, l.units))
+	h := graph.MatMul(g, x0, zeroProj)
+	c := graph.MatMul(g, x0, zeroProj)
 
 	for t := 0; t < T; t++ {
-		xt := ops.SliceCols(flat, t*F, (t+1)*F)
-		h, c = l.cell(ops, xt, h, c)
+		xt := graph.SliceCols(g, flat, t*F, (t+1)*F)
+		h, c = l.cell(g, xt, h, c)
 	}
-	return []backend.Ref{h}
+	return []*graph.Node{h}
 }

@@ -4,10 +4,10 @@ import (
 	"math"
 	"testing"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
 	"rlgraph/internal/components/optimizers"
 	"rlgraph/internal/exec"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 	"rlgraph/internal/vars"
@@ -137,9 +137,9 @@ func newLSTMRegressor() *lstmRegressor {
 	r.DefineAPI("train", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
 		hidden := r.lstm.Call(ctx, "call", in[0])
 		pred := r.head.Call(ctx, "call", hidden...)
-		loss := r.GraphFn(ctx, "mse", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-			diff := ops.Sub(ops.Reshape(refs[0], -1), refs[1])
-			return []backend.Ref{ops.Mean(ops.Square(diff))}
+		loss := r.GraphFn(ctx, "mse", 1, func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
+			diff := graph.Sub(g, graph.Reshape(g, refs[0], -1), refs[1])
+			return []*graph.Node{graph.Mean(g, graph.Square(g, diff))}
 		}, pred[0], in[1])
 		norm := r.opt.Call(ctx, "step", loss[0])
 		// The optimizer's output must be part of the API result so the

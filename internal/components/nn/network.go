@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
+	"rlgraph/internal/graph"
 )
 
 // LayerSpec declares one layer of a network in a declarative configuration
@@ -124,10 +124,10 @@ func NewDuelingHead(name string, hidden, actions int, seed int64) *DuelingHead {
 	d.DefineAPI("call", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
 		v := d.valueOut.Call(ctx, "call", d.valueHidden.Call(ctx, "call", in...)...)
 		a := d.advOut.Call(ctx, "call", d.advHidden.Call(ctx, "call", in...)...)
-		return d.GraphFn(ctx, "combine", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
+		return d.GraphFn(ctx, "combine", 1, func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
 			val, adv := refs[0], refs[1]
-			centered := ops.Sub(adv, ops.MeanAxis(adv, -1, true))
-			return []backend.Ref{ops.Add(val, centered)}
+			centered := graph.Sub(g, adv, graph.MeanAxis(g, adv, -1, true))
+			return []*graph.Node{graph.Add(g, val, centered)}
 		}, v[0], a[0])
 	})
 	return d

@@ -10,8 +10,8 @@ package optimizers
 import (
 	"fmt"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/tensor"
 	"rlgraph/internal/vars"
 )
@@ -90,40 +90,44 @@ func (cfg Config) rule() (tensor.UpdateRule, error) {
 }
 
 // stepFn computes gradients of the loss wrt the wired variables and emits
-// one update per variable. The returned ref is the global gradient norm
+// one update per variable. The returned node is the global gradient norm
 // (before clipping), threaded through every update so that evaluating it
 // forces them all.
-func (o *Optimizer) stepFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
+func (o *Optimizer) stepFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
 	loss := in[0]
 	vsl := o.provider()
 	if len(vsl) == 0 {
 		panic(fmt.Sprintf("optimizers: %q has no variables to optimize", o.Name()))
 	}
-	grads := ops.Gradients(loss, vsl)
+	reads := make([]*graph.Node, len(vsl))
+	for i, v := range vsl {
+		reads[i] = graph.VarRead(g, v)
+	}
+	grads := graph.Gradients(g, loss, reads)
 
-	// Global norm: sqrt(Σ_v Σ g²).
-	var sq backend.Ref
-	for _, g := range grads {
-		s := ops.Sum(ops.Square(g))
+	// Global norm: sqrt(Σ_v Σ grad²).
+	var sq *graph.Node
+	for _, grad := range grads {
+		s := graph.Sum(g, graph.Square(g, grad))
 		if sq == nil {
 			sq = s
 		} else {
-			sq = ops.Add(sq, s)
+			sq = graph.Add(g, sq, s)
 		}
 	}
-	norm := ops.Sqrt(sq)
+	norm := graph.Sqrt(g, sq)
 	for i, v := range vsl {
-		norm = o.applyUpdate(ops, v, grads[i], norm)
+		norm = o.applyUpdate(g, v, grads[i], norm)
 	}
-	return []backend.Ref{norm}
+	return []*graph.Node{norm}
 }
 
-// applyUpdate emits the update of v from gradient g, yielding norm.
-func (o *Optimizer) applyUpdate(ops backend.Ops, v *vars.Variable, g, norm backend.Ref) backend.Ref {
+// applyUpdate emits the update of v from gradient grad, yielding norm.
+func (o *Optimizer) applyUpdate(g *graph.Graph, v *vars.Variable, grad, norm *graph.Node) *graph.Node {
 	st := o.state[v]
 	if st == nil {
 		st = o.rule.NewState(v.Val.Shape()...)
 		o.state[v] = st
 	}
-	return ops.ApplyUpdate(v, &o.rule, st, g, norm)
+	return graph.ApplyUpdate(g, v, &o.rule, st, grad, norm)
 }

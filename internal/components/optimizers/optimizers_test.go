@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
 	"rlgraph/internal/exec"
 	"rlgraph/internal/graph"
@@ -30,10 +29,10 @@ func newQuadModel(cfg Config, target []float64) *quadModel {
 	m.opt = mustNew("opt", cfg, func() []*vars.Variable { return []*vars.Variable{m.w} })
 	m.AddSub(m.opt.Component)
 	m.DefineAPI("update", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
-		loss := m.GraphFn(ctx, "loss", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-			w := ops.VarRead(m.w)
-			tgt := ops.Const(tensor.FromSlice(append([]float64(nil), m.target...), len(m.target)))
-			return []backend.Ref{ops.Sum(ops.Square(ops.Sub(w, tgt)))}
+		loss := m.GraphFn(ctx, "loss", 1, func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
+			w := graph.VarRead(g, m.w)
+			tgt := graph.Const(g, tensor.FromSlice(append([]float64(nil), m.target...), len(m.target)))
+			return []*graph.Node{graph.Sum(g, graph.Square(g, graph.Sub(g, w, tgt)))}
 		})
 		norm := m.opt.Call(ctx, "step", loss...)
 		return append(loss, norm...)
@@ -41,7 +40,7 @@ func newQuadModel(cfg Config, target []float64) *quadModel {
 	return m
 }
 
-func (m *quadModel) CreateVariables(_ backend.Ops, _ []spaces.Space) error {
+func (m *quadModel) CreateVariables(_ []spaces.Space) error {
 	m.w = m.AddVariable(vars.New("w", tensor.New(len(m.target))))
 	return nil
 }
@@ -173,16 +172,16 @@ func newMLPModel(cfg Config) *mlpModel {
 	m.opt = mustNew("opt", cfg, func() []*vars.Variable { return []*vars.Variable{m.w1, m.b1, m.w2} })
 	m.AddSub(m.opt.Component)
 	m.DefineAPI("update", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
-		loss := m.GraphFn(ctx, "loss", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-			h := ops.Tanh(ops.Add(ops.MatMul(refs[0], ops.VarRead(m.w1)), ops.VarRead(m.b1)))
-			return []backend.Ref{ops.Sum(ops.Square(ops.Sub(ops.MatMul(h, ops.VarRead(m.w2)), refs[1])))}
+		loss := m.GraphFn(ctx, "loss", 1, func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
+			h := graph.Tanh(g, graph.Add(g, graph.MatMul(g, refs[0], graph.VarRead(g, m.w1)), graph.VarRead(g, m.b1)))
+			return []*graph.Node{graph.Sum(g, graph.Square(g, graph.Sub(g, graph.MatMul(g, h, graph.VarRead(g, m.w2)), refs[1])))}
 		}, in...)
 		return append(loss, m.opt.Call(ctx, "step", loss...)...)
 	})
 	return m
 }
 
-func (m *mlpModel) CreateVariables(_ backend.Ops, _ []spaces.Space) error {
+func (m *mlpModel) CreateVariables(_ []spaces.Space) error {
 	rng := rand.New(rand.NewSource(9))
 	m.w1 = m.AddVariable(vars.New("w1", tensor.RandNormal(rng, 0, 0.5, 3, 5)))
 	m.b1 = m.AddVariable(vars.New("b1", tensor.New(5)))

@@ -5,8 +5,8 @@ package policy
 import (
 	"math/rand"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 	"rlgraph/internal/vars"
@@ -49,15 +49,15 @@ func New(name string, network *component.Component, actionSpace *spaces.IntBox, 
 	})
 	p.DefineAPI("act_greedy", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
 		q := p.Call(ctx, "q_values", in...)
-		return p.GraphFn(ctx, "argmax", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-			return []backend.Ref{ops.ArgMaxAxis(refs[0], -1)}
+		return p.GraphFn(ctx, "argmax", 1, func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
+			return []*graph.Node{graph.ArgMaxAxis(g, refs[0], -1)}
 		}, q...)
 	}).NoGrad = true
 	p.DefineAPI("act", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
 		q := p.Call(ctx, "q_values", in...)
 		if p.exploration == nil {
-			return p.GraphFn(ctx, "argmax_noexp", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-				return []backend.Ref{ops.ArgMaxAxis(refs[0], -1)}
+			return p.GraphFn(ctx, "argmax_noexp", 1, func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
+				return []*graph.Node{graph.ArgMaxAxis(g, refs[0], -1)}
 			}, q...)
 		}
 		return p.exploration.Call(ctx, "select", q...)
@@ -111,8 +111,8 @@ func (e *EpsilonGreedy) Epsilon() float64 {
 // workers with worker-specific epsilons).
 func (e *EpsilonGreedy) SetTimestep(t int) { e.timestep = t }
 
-func (e *EpsilonGreedy) selectFn(ops backend.Ops, in []backend.Ref) []backend.Ref {
-	out := ops.Stateful("EpsGreedy", []int{-1}, func(ts []*tensor.Tensor) (*tensor.Tensor, error) {
+func (e *EpsilonGreedy) selectFn(g *graph.Graph, in []*graph.Node) []*graph.Node {
+	out := graph.Stateful(g, "EpsGreedy", []int{-1}, func(ts []*tensor.Tensor) (*tensor.Tensor, error) {
 		q := ts[0]
 		batch := q.Dim(0)
 		n := q.Dim(q.Rank() - 1)
@@ -129,5 +129,5 @@ func (e *EpsilonGreedy) selectFn(ops backend.Ops, in []backend.Ref) []backend.Re
 		}
 		return actions, nil
 	}, in...)
-	return []backend.Ref{out}
+	return []*graph.Node{out}
 }

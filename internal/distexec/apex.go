@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"rlgraph/internal/agents"
+	"rlgraph/internal/component"
 	"rlgraph/internal/components/memories"
 	"rlgraph/internal/exec"
 	"rlgraph/internal/execution"
@@ -169,18 +170,31 @@ type ApexResult struct {
 }
 
 // replayShard is the remote prioritized memory, built as a standalone
-// component graph (define-by-run backend: native storage, no session).
+// component graph on the learner's backend.
 type replayShard struct {
-	ct   *exec.ComponentTest
+	ex   exec.Executor
 	mem  *memories.PrioritizedReplay
 	size int64
 }
 
-func newReplayShard(name string, capacity int, alpha, beta float64, stateSpace spaces.Space, seed int64) (*replayShard, error) {
+// buildStandalone builds a component that runs on its own, outside any
+// agent — a replay shard, a queue, a staging area — on the named backend.
+func buildStandalone(backendName string, c *component.Component, in exec.InputSpaces) (exec.Executor, error) {
+	ex, err := exec.New(backendName, c)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := ex.Build(in); err != nil {
+		return nil, err
+	}
+	return ex, nil
+}
+
+func newReplayShard(backendName, name string, capacity int, alpha, beta float64, stateSpace spaces.Space, seed int64) (*replayShard, error) {
 	mem := memories.NewPrioritizedReplay(name, capacity, 5, alpha, beta, seed)
 	sB := stateSpace.WithBatchRank()
 	fB := spaces.NewFloatBox().WithBatchRank()
-	ct, err := exec.NewComponentTest("define-by-run", mem.Component, exec.InputSpaces{
+	ex, err := buildStandalone(backendName, mem.Component, exec.InputSpaces{
 		"insert":                 {sB, fB, fB, sB, fB},
 		"insert_with_priorities": {sB, fB, fB, sB, fB, fB},
 		"sample":                 {spaces.NewFloatBox()},
@@ -189,7 +203,7 @@ func newReplayShard(name string, capacity int, alpha, beta float64, stateSpace s
 	if err != nil {
 		return nil, err
 	}
-	return &replayShard{ct: ct, mem: mem}, nil
+	return &replayShard{ex: ex, mem: mem}, nil
 }
 
 func (sh *replayShard) behavior() raysim.Behavior {
@@ -201,9 +215,9 @@ func (sh *replayShard) behavior() raysim.Behavior {
 			}
 			var err error
 			if b.Prio != nil {
-				_, err = sh.ct.Test("insert_with_priorities", b.S, b.A, b.R, b.NS, b.T, b.Prio)
+				_, err = sh.ex.Execute("insert_with_priorities", b.S, b.A, b.R, b.NS, b.T, b.Prio)
 			} else {
-				_, err = sh.ct.Test("insert", b.S, b.A, b.R, b.NS, b.T)
+				_, err = sh.ex.Execute("insert", b.S, b.A, b.R, b.NS, b.T)
 			}
 			if err != nil {
 				return nil, err
@@ -213,14 +227,14 @@ func (sh *replayShard) behavior() raysim.Behavior {
 		},
 		"sample": func(args []interface{}) (interface{}, error) {
 			n := args[0].(int)
-			outs, err := sh.ct.Test("sample", tensor.Scalar(float64(n)))
+			outs, err := sh.ex.Execute("sample", tensor.Scalar(float64(n)))
 			if err != nil {
 				return nil, err
 			}
 			return outs, nil
 		},
 		"update_priorities": func(args []interface{}) (interface{}, error) {
-			_, err := sh.ct.Test("update", args[0].(*tensor.Tensor), args[1].(*tensor.Tensor))
+			_, err := sh.ex.Execute("update", args[0].(*tensor.Tensor), args[1].(*tensor.Tensor))
 			return nil, err
 		},
 	}
@@ -276,8 +290,8 @@ type ApexExecutor struct {
 
 // NewApex wires the executor: workerFactory builds each worker's local
 // agent+envs (called once per worker, and once per supervised restart),
-// learner is the central learner agent (already built), stateSpace shapes
-// the replay shards.
+// learner is the central learner agent (already built; the replay shards
+// are built on its backend), stateSpace shapes the replay shards.
 func NewApex(cfg ApexConfig, learner *agents.DQN, stateSpace spaces.Space,
 	workerFactory func(i int) (SampleWorker, error)) (*ApexExecutor, error) {
 	cfg = cfg.withDefaults()
@@ -289,7 +303,7 @@ func NewApex(cfg ApexConfig, learner *agents.DQN, stateSpace spaces.Space,
 		e.shardDead = append(e.shardDead, false)
 		e.shardRestarts = append(e.shardRestarts, 0)
 		factory := func() (raysim.Behavior, error) {
-			shard, err := newReplayShard(shardName(i), cfg.ReplayCapacity,
+			shard, err := newReplayShard(learner.Executor().BackendName(), shardName(i), cfg.ReplayCapacity,
 				replayAlpha, replayBeta, stateSpace, int64(1000+i))
 			if err != nil {
 				return nil, err

@@ -97,9 +97,9 @@ type IMPALAExecutor struct {
 	factory func(i int) (*agents.IMPALA, envs.Env, error)
 
 	queue   *misc.FIFOQueue
-	queueCT *exec.ComponentTest
+	queueEx exec.Executor
 	staging *misc.StagingArea
-	stageCT *exec.ComponentTest
+	stageEx exec.Executor
 
 	frames   int64
 	rollouts int64
@@ -131,12 +131,14 @@ func NewIMPALAExec(cfg IMPALAConfig, learner *agents.IMPALA, stateSpace spaces.S
 		e.envsL = append(e.envsL, env)
 	}
 
-	// Shared blocking queue and staging area, built as component graphs.
+	// Shared blocking queue and staging area, built as component graphs on
+	// the learner's backend.
+	backendName := learner.Executor().BackendName()
 	sB := stateSpace.WithBatchRank()
 	fB := spaces.NewFloatBox().WithBatchRank()
 	e.queue = misc.NewFIFOQueue("rollout-queue", cfg.QueueCapacity, 6)
 	var err error
-	e.queueCT, err = exec.NewComponentTest("define-by-run", e.queue.Component, exec.InputSpaces{
+	e.queueEx, err = buildStandalone(backendName, e.queue.Component, exec.InputSpaces{
 		"enqueue": {sB, fB, fB, fB, fB, sB},
 		"dequeue": {},
 	})
@@ -144,7 +146,7 @@ func NewIMPALAExec(cfg IMPALAConfig, learner *agents.IMPALA, stateSpace spaces.S
 		return nil, err
 	}
 	e.staging = misc.NewStagingArea("staging", 6)
-	e.stageCT, err = exec.NewComponentTest("define-by-run", e.staging.Component, exec.InputSpaces{
+	e.stageEx, err = buildStandalone(backendName, e.staging.Component, exec.InputSpaces{
 		"put": {sB, fB, fB, fB, fB, sB},
 		"get": {},
 	})
@@ -241,7 +243,7 @@ func (e *IMPALAExecutor) actorIter(st *impalaActorState) (err error) {
 		return err
 	}
 	st.state = next
-	if _, err := e.queueCT.Test("enqueue",
+	if _, err := e.queueEx.Execute("enqueue",
 		ro.States, ro.Actions, ro.Rewards, ro.Discounts,
 		ro.BehaviorLogp, ro.Bootstrap); err != nil {
 		return err
@@ -350,7 +352,7 @@ func (e *IMPALAExecutor) Run(duration time.Duration) (*IMPALAResult, error) {
 	// one-batch pipeline delay that hides transfer latency on real GPUs.
 	deadline := start.Add(duration)
 	for time.Now().Before(deadline) && !stopped(stop) {
-		outs, err := e.queueCT.Test("dequeue")
+		outs, err := e.queueEx.Execute("dequeue")
 		if err != nil {
 			if !stopped(stop) {
 				recordErr(err)
@@ -365,14 +367,14 @@ func (e *IMPALAExecutor) Run(duration time.Duration) (*IMPALAResult, error) {
 				outs[i] = tensor.Scale(outs[i], 1)
 			}
 		}
-		if _, err := e.stageCT.Test("put", outs...); err != nil {
+		if _, err := e.stageEx.Execute("put", outs...); err != nil {
 			recordErr(err)
 			break
 		}
 		if e.staging.Depth() < 2 {
 			continue // fill the pipeline before the first update
 		}
-		staged, err := e.stageCT.Test("get")
+		staged, err := e.stageEx.Execute("get")
 		if err != nil {
 			recordErr(err)
 			break

@@ -19,17 +19,12 @@ type ComponentTest struct {
 	in     InputSpaces
 }
 
-// NewComponentTest builds comp for the given backend ("static" or
-// "define-by-run") with the declared per-API input spaces.
+// NewComponentTest builds comp for the named backend (see New) with the
+// declared per-API input spaces.
 func NewComponentTest(backendName string, comp *component.Component, in InputSpaces) (*ComponentTest, error) {
-	var ex Executor
-	switch backendName {
-	case "static":
-		ex = NewStatic(comp)
-	case "define-by-run":
-		ex = NewDefineByRun(comp)
-	default:
-		return nil, fmt.Errorf("exec: unknown backend %q", backendName)
+	ex, err := New(backendName, comp)
+	if err != nil {
+		return nil, err
 	}
 	rep, err := ex.Build(in)
 	if err != nil {

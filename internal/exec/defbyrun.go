@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
 	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
@@ -22,11 +21,6 @@ type DefineByRunExecutor struct {
 	report    *BuildReport
 	built     bool
 	builtAPIs map[string]bool
-
-	// FastPath enables contracted calls: per-component dispatch bookkeeping
-	// is skipped when traversing the graph at run time (paper §5.1's
-	// edge-contraction optimization).
-	FastPath bool
 }
 
 // NewDefineByRun returns an unbuilt define-by-run executor for root.
@@ -53,14 +47,14 @@ func (e *DefineByRunExecutor) Build(in InputSpaces) (*BuildReport, error) {
 	}
 	e.builtAPIs = make(map[string]bool, len(order))
 	start := time.Now()
-	ops := backend.NewEagerOps(false, backend.ModeBuild)
-	ctx := &component.Ctx{Mode: component.ModeCompile, Ops: ops, Stats: stats}
+	g := graph.NewBuildPass()
+	ctx := &component.Ctx{Mode: component.ModeCompile, G: g, Stats: stats}
 	for _, api := range order {
 		e.builtAPIs[api] = true
 		sps := in[api]
 		recs := make([]*component.Rec, len(sps))
 		for i, sp := range sps {
-			recs[i] = component.NewRec(ops.Const(buildInput(sp)), sp)
+			recs[i] = component.NewRec(graph.Const(g, buildInput(sp)), sp)
 		}
 		e.root.Call(ctx, api, recs...)
 	}
@@ -128,16 +122,16 @@ func (e *DefineByRunExecutor) execute(api string, inputs ...*tensor.Tensor) ([]*
 			return nil, err
 		}
 	}
-	ops := backend.NewEagerOps(!a.NoGrad, backend.ModeRun)
-	ctx := &component.Ctx{Mode: component.ModeRun, Ops: ops, FastPath: e.FastPath}
+	g := graph.NewEager(!a.NoGrad)
+	ctx := &component.Ctx{Mode: component.ModeRun, G: g}
 	recs := make([]*component.Rec, len(inputs))
 	for i, in := range inputs {
-		recs[i] = component.NewRec(ops.Const(in), nil)
+		recs[i] = component.NewRec(graph.Const(g, in), nil)
 	}
 	outs := e.root.Call(ctx, api, recs...)
 	res := make([]*tensor.Tensor, len(outs))
 	for i, o := range outs {
-		res[i] = ops.Eval(o.Ref)
+		res[i] = o.Ref.Value()
 	}
 	return res, nil
 }

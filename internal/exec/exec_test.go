@@ -7,9 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
 	"rlgraph/internal/devices"
+	"rlgraph/internal/graph"
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 	"rlgraph/internal/vars"
@@ -28,8 +28,8 @@ func newScaler(name string, init float64) *scaler {
 	s.SetImpl(s)
 	s.initVal = init
 	s.DefineAPI("apply", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
-		return s.GraphFn(ctx, "scale", 1, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-			return []backend.Ref{ops.Mul(refs[0], ops.VarRead(s.w))}
+		return s.GraphFn(ctx, "scale", 1, func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
+			return []*graph.Node{graph.Mul(g, refs[0], graph.VarRead(g, s.w))}
 		}, in...)
 	})
 	s.DefineAPI("apply_twice", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
@@ -39,7 +39,7 @@ func newScaler(name string, init float64) *scaler {
 	return s
 }
 
-func (s *scaler) CreateVariables(ops backend.Ops, inSpaces []spaces.Space) error {
+func (s *scaler) CreateVariables(inSpaces []spaces.Space) error {
 	s.w = s.AddVariable(vars.New("w", tensor.Scalar(s.initVal)))
 	return nil
 }
@@ -91,7 +91,7 @@ func TestStaticExecutorEndToEnd(t *testing.T) {
 }
 
 func TestDefineByRunExecutorEndToEnd(t *testing.T) {
-	root, a, _ := pipelineRoot()
+	root, _, _ := pipelineRoot()
 	ex := NewDefineByRun(root)
 	if _, err := ex.Build(inSpec()); err != nil {
 		t.Fatal(err)
@@ -104,31 +104,6 @@ func TestDefineByRunExecutorEndToEnd(t *testing.T) {
 	want := tensor.FromSlice([]float64{10, 20, 30}, 1, 3)
 	if !out[0].Equal(want) {
 		t.Fatalf("got %v", out[0])
-	}
-	// Define-by-run dispatches through components on every call.
-	if a.DispatchCount == 0 {
-		t.Fatal("no dispatches counted")
-	}
-}
-
-func TestFastPathSkipsDispatchAccounting(t *testing.T) {
-	root, a, _ := pipelineRoot()
-	ex := NewDefineByRun(root)
-	ex.FastPath = true
-	if _, err := ex.Build(inSpec()); err != nil {
-		t.Fatal(err)
-	}
-	in := tensor.FromSlice([]float64{1}, 1, 1)
-	_ = in
-	out, err := ex.Execute("forward", tensor.FromSlice([]float64{1, 2, 3}, 1, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Data()[0] != 10 {
-		t.Fatal("wrong result on fast path")
-	}
-	if a.DispatchCount != 0 {
-		t.Fatalf("fast path counted %d dispatches", a.DispatchCount)
 	}
 }
 
@@ -172,8 +147,8 @@ func TestStatefulFailuresAreErrorsOnBothBackends(t *testing.T) {
 		for _, b := range Backends() {
 			root := component.New("root")
 			root.DefineAPI("sample", func(ctx *component.Ctx, in []*component.Rec) []*component.Rec {
-				return root.GraphFn(ctx, "sample", 2, func(ops backend.Ops, refs []backend.Ref) []backend.Ref {
-					return ops.StatefulMulti("Host", [][]int{{-1}, {-1}}, func(ts []*tensor.Tensor) ([]*tensor.Tensor, error) {
+				return root.GraphFn(ctx, "sample", 2, func(g *graph.Graph, refs []*graph.Node) []*graph.Node {
+					return graph.StatefulMulti(g, "Host", [][]int{{-1}, {-1}}, func(ts []*tensor.Tensor) ([]*tensor.Tensor, error) {
 						out := make([]*tensor.Tensor, c.outs)
 						for i := range out {
 							out[i] = ts[0].Clone()
@@ -194,6 +169,22 @@ func TestStatefulFailuresAreErrorsOnBothBackends(t *testing.T) {
 				t.Fatalf("%s, %s: %v does not wrap %v", c.name, b, err, c.err)
 			}
 		}
+	}
+}
+
+// TestNewPicksBackendByName: the empty backend name is the static default,
+// and an unknown name is an error naming it.
+func TestNewPicksBackendByName(t *testing.T) {
+	for name, want := range map[string]string{"": "static", "static": "static", "define-by-run": "define-by-run"} {
+		root, _, _ := pipelineRoot()
+		ex, err := New(name, root)
+		if err != nil || ex.BackendName() != want {
+			t.Fatalf("New(%q): %v, %v", name, ex, err)
+		}
+	}
+	root, _, _ := pipelineRoot()
+	if _, err := New("eager", root); err == nil || !strings.Contains(err.Error(), `"eager"`) {
+		t.Fatalf("unknown backend: err = %v", err)
 	}
 }
 

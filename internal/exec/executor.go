@@ -1,9 +1,11 @@
 // Package exec implements graph executors (paper §4.1): the execution bridge
-// between a component graph and a backend. Executors run the build phases
-// (assembly, then compilation), maintain the op/API registry, and serve
-// execute() requests against the built program — one batched session call
-// per request on the static backend, a component-graph traversal on the
-// define-by-run backend.
+// between a component graph and a backend. New picks the executor by backend
+// name. Executors run the build phases (assembly, then compilation) — the
+// static one into a graph a session runs, the define-by-run one through a
+// graph.NewBuildPass graph — maintain the op/API registry, and serve
+// execute() requests against the built program: one batched session call
+// per request on the static backend, a component-graph traversal on a fresh
+// eager graph on the define-by-run backend.
 package exec
 
 import (
@@ -57,6 +59,19 @@ type Executor interface {
 	Build(in InputSpaces) (*BuildReport, error)
 	// Execute invokes a root API method with concrete inputs.
 	Execute(api string, inputs ...*tensor.Tensor) ([]*tensor.Tensor, error)
+}
+
+// New returns an unbuilt executor of root for the named backend: "static"
+// (also "", the default) or "define-by-run".
+func New(backendName string, root *component.Component) (Executor, error) {
+	switch backendName {
+	case "", "static":
+		return NewStatic(root), nil
+	case "define-by-run":
+		return NewDefineByRun(root), nil
+	default:
+		return nil, fmt.Errorf("exec: unknown backend %q", backendName)
+	}
 }
 
 // placeholderShape converts a primitive space into a static shape with a

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"rlgraph/internal/backend"
 	"rlgraph/internal/component"
 	"rlgraph/internal/devices"
 	"rlgraph/internal/graph"
@@ -28,7 +27,6 @@ type StaticExecutor struct {
 	root     *component.Component
 	g        *graph.Graph
 	sess     *graph.Session
-	ops      *backend.StaticOps
 	registry map[string]*staticEntry
 	report   *BuildReport
 
@@ -75,8 +73,7 @@ func (e *StaticExecutor) Build(in InputSpaces) (*BuildReport, error) {
 	}
 
 	e.g = graph.New()
-	e.ops = backend.NewStaticOps(e.g)
-	ctx := &component.Ctx{Mode: component.ModeCompile, Ops: e.ops, Stats: stats}
+	ctx := &component.Ctx{Mode: component.ModeCompile, G: e.g, Stats: stats}
 
 	order, err := buildOrder(e.root, in)
 	if err != nil {
@@ -95,11 +92,7 @@ func (e *StaticExecutor) Build(in InputSpaces) (*BuildReport, error) {
 		}
 		outs := e.root.Call(ctx, api, recs...)
 		for _, o := range outs {
-			node, ok := o.Ref.(*graph.Node)
-			if !ok {
-				return nil, fmt.Errorf("exec: API %q returned a non-node record", api)
-			}
-			ent.fetches = append(ent.fetches, node)
+			ent.fetches = append(ent.fetches, o.Ref)
 		}
 		e.registry[api] = ent
 	}

@@ -6,8 +6,19 @@ import "fmt"
 // node in wrt, using reverse-mode accumulation over the existing graph
 // (graph-to-graph differentiation, as TensorFlow does). loss must be a
 // scalar-valued node. Nodes in wrt that loss does not depend on receive a
-// ZerosLike gradient.
+// ZerosLike gradient. An eager graph needs to record its nodes; on a build
+// pass (NewBuildPass) every gradient is a ZerosLike, without autodiff.
 func Gradients(g *Graph, loss *Node, wrt []*Node) []*Node {
+	out := make([]*Node, len(wrt))
+	if g.build {
+		for i, w := range wrt {
+			out[i] = ZerosLike(g, w)
+		}
+		return out
+	}
+	if g.eager && !g.record {
+		panic("graph: Gradients on an eager graph that does not record")
+	}
 	// Topologically order the sub-graph reachable from loss.
 	order := topoSort(loss)
 	reachable := make(map[*Node]bool, len(order))
@@ -50,7 +61,6 @@ func Gradients(g *Graph, loss *Node, wrt []*Node) []*Node {
 		}
 	}
 
-	out := make([]*Node, len(wrt))
 	for i, w := range wrt {
 		if gr, ok := grads[w]; ok && reachable[w] {
 			out[i] = gr

@@ -1,19 +1,25 @@
-// Package graph implements the dataflow graph behind both backends. Under
-// the static backend — the TensorFlow substitute in this reproduction —
-// programs are built once as a DAG of operation nodes (placeholders, variable
-// reads, math ops, stateful ops), differentiated graph-to-graph with
-// reverse-mode autodiff, and then executed repeatedly through a Session that
-// takes feeds and fetches, exactly mirroring how RLgraph's TensorFlow graph
-// executor batches an agent API call into a single session invocation. Under
-// define-by-run — the PyTorch substitute — an eager graph (NewEager)
-// evaluates each node as it is added, and Gradients differentiates the nodes
-// one pass recorded: the same ops, kernels and gradient rules either way.
+// Package graph implements the dataflow graph behind both backends, and the
+// operation set RLgraph graph functions are written against: a graph
+// function takes a *Graph and its input *Nodes and calls this package's op
+// constructors (MatMul(g, x, w), Relu(g, x), ...). Under the static backend —
+// the TensorFlow substitute in this reproduction — programs are built once as
+// a DAG of operation nodes (placeholders, variable reads, math ops, stateful
+// ops), differentiated graph-to-graph with reverse-mode autodiff, and then
+// executed repeatedly through a Session that takes feeds and fetches, exactly
+// mirroring how RLgraph's TensorFlow graph executor batches an agent API call
+// into a single session invocation. Under define-by-run — the PyTorch
+// substitute — an eager graph (NewEager) evaluates each node as it is added,
+// and Gradients differentiates the nodes one pass recorded; the build pass
+// that infers shapes and creates variables runs on a NewBuildPass graph. The
+// same ops, kernels and gradient rules serve both backends (the paper's
+// single-stream graph functions, §4.2).
 package graph
 
 import (
 	"fmt"
 
 	"rlgraph/internal/tensor"
+	"rlgraph/internal/vars"
 )
 
 // Node is one operation in the dataflow graph.
@@ -82,8 +88,12 @@ type Graph struct {
 	device string // current default device for new nodes
 
 	// eager graphs evaluate each node when Add creates it; record keeps the
-	// nodes and their input edges for Gradients (see NewEager).
-	eager, record bool
+	// nodes and their input edges for Gradients (see NewEager); build marks
+	// a define-by-run build pass (see NewBuildPass).
+	eager, record, build bool
+
+	// varReads holds the one VarRead node of each variable read so far.
+	varReads map[*vars.Variable]*Node
 
 	// placementEpoch counts device re-assignments (Node.SetDevice with a new
 	// value). Plan cache keys include it, so re-placing nodes invalidates
@@ -102,6 +112,28 @@ func New() *Graph { return &Graph{} }
 // nodes nor their input edges, so each intermediate is freed as soon as no
 // caller holds its node; Gradients needs a recording graph.
 func NewEager(record bool) *Graph { return &Graph{eager: true, record: record} }
+
+// NewBuildPass returns a non-recording eager graph for a define-by-run build
+// pass, which pushes artificial zero inputs through the graph functions to
+// infer shapes and create variables (the paper's PyTorch build strategy).
+// Artificial inputs must not touch component state, so on this graph
+// Stateful and StatefulMulti yield zeros of their declared shapes (unknown
+// dims as 1) without calling their function, Gradients yields zeros shaped
+// like its wrt nodes, and ApplyUpdate yields its norm without updating.
+func NewBuildPass() *Graph { return &Graph{eager: true, build: true} }
+
+// buildZeros is the value a build pass substitutes for an output it does not
+// compute: zeros of shape, unknown dims as 1.
+func buildZeros(g *Graph, shape []int) *Node {
+	s := make([]int, len(shape))
+	for i, d := range shape {
+		if d < 0 {
+			d = 1
+		}
+		s[i] = d
+	}
+	return Const(g, tensor.New(s...))
+}
 
 // EvalError is the panic value of a node that fails to evaluate in an eager
 // graph (graph functions have no error path). Err reads exactly as the error

@@ -60,10 +60,20 @@ func (o *varReadOp) Eval(*RunCtx, []*tensor.Tensor) (*tensor.Tensor, error) {
 }
 func (o *varReadOp) StatefulEval() {}
 
-// VarRead adds a node that reads v at run time. Gradients flow into reads of
-// trainable variables via the Gradients wrt-node mechanism.
+// VarRead returns the node that reads v at run time, adding it on the
+// graph's first read of v: every read of a variable within one graph — one
+// static build, or one define-by-run pass — is the same node, so Gradients
+// towards that node collects the gradient of every use.
 func VarRead(g *Graph, v *vars.Variable) *Node {
-	return g.Add(&varReadOp{v: v}).WithName(v.Name)
+	if n, ok := g.varReads[v]; ok {
+		return n
+	}
+	if g.varReads == nil {
+		g.varReads = make(map[*vars.Variable]*Node)
+	}
+	n := g.Add(&varReadOp{v: v}).WithName(v.Name)
+	g.varReads[v] = n
+	return n
 }
 
 // applyUpdateOp runs one fused optimizer update of a variable and its slots
@@ -98,8 +108,11 @@ func (o *applyUpdateOp) ValueSemantics() {}
 // (the backward pass needs them) precedes this in-place write in every
 // executor, whatever order the plan was compiled in. Chaining a step's
 // updates through their norm results leaves one node whose evaluation forces
-// them all.
+// them all. A build pass (NewBuildPass) returns norm and updates nothing.
 func ApplyUpdate(g *Graph, v *vars.Variable, rule *tensor.UpdateRule, st *tensor.UpdateState, grad, norm *Node) *Node {
+	if g.build {
+		return norm
+	}
 	return g.Add(&applyUpdateOp{v: v, rule: rule, st: st}, grad, norm)
 }
 
@@ -123,8 +136,12 @@ func (o *statefulOp) Eval(_ *RunCtx, in []*tensor.Tensor) (*tensor.Tensor, error
 func (o *statefulOp) StatefulEval() {}
 
 // Stateful adds a host-computation node with a declared output shape (-1 for
-// unknown dims). Stateful nodes are opaque to autodiff.
+// unknown dims). Stateful nodes are opaque to autodiff. A build pass
+// (NewBuildPass) does not call fn and returns zeros of outShape instead.
 func Stateful(g *Graph, name string, outShape []int, fn StatefulFunc, ins ...*Node) *Node {
+	if g.build {
+		return buildZeros(g, outShape)
+	}
 	return g.Add(&statefulOp{name: name, shape: append([]int(nil), outShape...), fn: fn}, ins...)
 }
 
@@ -172,11 +189,17 @@ func (o *statefulPickOp) Eval(_ *RunCtx, _ []*tensor.Tensor) (*tensor.Tensor, er
 func (o *statefulPickOp) StatefulEval() {}
 
 // StatefulMulti adds a host computation with len(outShapes) outputs,
-// returning one node per output.
+// returning one node per output; a build pass returns zeros of each shape.
 func StatefulMulti(g *Graph, name string, outShapes [][]int, fn StatefulMultiFunc, ins ...*Node) []*Node {
+	out := make([]*Node, len(outShapes))
+	if g.build {
+		for i, s := range outShapes {
+			out[i] = buildZeros(g, s)
+		}
+		return out
+	}
 	base := &statefulMultiBase{name: name, fn: fn, outs: len(outShapes)}
 	baseNode := g.Add(base, ins...)
-	out := make([]*Node, len(outShapes))
 	for i, s := range outShapes {
 		out[i] = g.Add(&statefulPickOp{base: base, index: i, shape: append([]int(nil), s...)}, baseNode)
 	}

@@ -369,6 +369,10 @@ func TestParallelRespectsDeviceStreams(t *testing.T) {
 	}
 }
 
+// freshRead adds a read of v beside the graph's shared VarRead node, for a
+// read ordered after an in-place update of v by a control dependency.
+func freshRead(g *Graph, v *vars.Variable) *Node { return g.Add(&varReadOp{v: v}) }
+
 // TestParallelStatefulOrderingMatchesSerial: an ApplyUpdate/VarRead
 // interleaving chained by control deps gives identical results at any
 // parallelism level (the scheduler totally orders stateful steps in serial
@@ -382,7 +386,7 @@ func TestParallelStatefulOrderingMatchesSerial(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			a := signStep(g, v, ConstScalar(g, -1), ConstScalar(g, 0))
 			a.AddDep(last)
-			r := VarRead(g, v)
+			r := freshRead(g, v)
 			r.AddDep(a)
 			last = AddScalar(g, r, 0)
 			fetches = append(fetches, last)
@@ -526,13 +530,13 @@ func buildRandomProgram(seed int64) (*Graph, []*Node, Feeds) {
 				a.AddDep(n)
 			}
 			lastState = a
-			r := VarRead(g, v)
+			r := freshRead(g, v)
 			r.AddDep(a)
 			mats = []*Node{x, r}
 			scalars = []*Node{a}
 		case 12:
 			// Stateful read, ordered against the previous state op.
-			r := VarRead(g, v)
+			r := freshRead(g, v)
 			r.AddDep(lastState)
 			lastState = r
 			mats = append(mats, r)
