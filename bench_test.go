@@ -237,17 +237,19 @@ func BenchmarkDQNUpdateParallelism(b *testing.B) {
 
 // BenchmarkKernelMatMul measures the single-core rate of the matmul kernel
 // on the [m,k]x[k,n] products the regression benchmark's workloads actually
-// issue: the three conv layers' forward panels, the pixel network's first
-// dense layer, one backward-input and one backward-filter panel, the dense
-// workloads' hidden layers, and the action heads: the dense head on a batch
-// and on 8 envs, and the dueling advantage and value heads.
+// issue: the three conv layers' products per output line and kernel row
+// (OW x KW·C x OC; the forward pass reads its A operand strided in place,
+// here it is contiguous), the pixel network's first dense layer, one
+// backward-input panel, the dense workloads' hidden layers, and the action
+// heads: the dense head on a batch and on 8 envs, and the dueling advantage
+// and value heads.
 func BenchmarkKernelMatMul(b *testing.B) {
 	defer tensor.SetKernelParallelism(tensor.KernelParallelism())
 	tensor.SetKernelParallelism(1)
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range [][3]int{
-		{64, 64, 16}, {64, 256, 32}, {64, 288, 32}, {32, 1568, 256},
-		{64, 32, 288}, {288, 64, 32}, {32, 64, 64}, {64, 64, 64},
+		{20, 8, 16}, {9, 64, 32}, {7, 96, 32}, {32, 1568, 256},
+		{64, 32, 288}, {32, 64, 64}, {64, 64, 64},
 		{32, 64, 2}, {8, 64, 2}, {32, 256, 3}, {32, 256, 1},
 	} {
 		m, k, n := s[0], s[1], s[2]
@@ -259,6 +261,52 @@ func BenchmarkKernelMatMul(b *testing.B) {
 			}
 			b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
+	}
+}
+
+// BenchmarkKernelConv measures the single-core rate of the three conv
+// passes (forward, input gradient, filter gradient) on the pixel network's
+// three layers (configs/dueling_dqn_pixels.json: 84x84x1 8x8/4 -> 16,
+// 20x20x16 4x4/2 -> 32, 9x9x32 3x3/1 -> 32, no padding) at an acting-sized
+// batch of 8 and the update's batch of 32.
+func BenchmarkKernelConv(b *testing.B) {
+	defer tensor.SetKernelParallelism(tensor.KernelParallelism())
+	tensor.SetKernelParallelism(1)
+	rng := rand.New(rand.NewSource(1))
+	for _, l := range []struct {
+		name           string
+		h, c, k, s, oc int
+	}{
+		{"conv1", 84, 1, 8, 4, 16},
+		{"conv2", 20, 16, 4, 2, 32},
+		{"conv3", 9, 32, 3, 1, 32},
+	} {
+		p := tensor.ConvParams{StrideH: l.s, StrideW: l.s}
+		o, _ := p.ConvOutDims(l.h, l.h, l.k, l.k)
+		for _, n := range []int{8, 32} {
+			x := tensor.RandNormal(rng, 0, 1, n, l.h, l.h, l.c)
+			f := tensor.RandNormal(rng, 0, 1, l.k, l.k, l.c, l.oc)
+			gy := tensor.RandNormal(rng, 0, 1, n, o, o, l.oc)
+			y, dx, df := tensor.New(gy.Shape()...), tensor.New(x.Shape()...), tensor.New(f.Shape()...)
+			flops := 2 * float64(n*o*o*l.k*l.k*l.c*l.oc)
+			// Each pass accumulates into its output; the sums stay far from
+			// overflow.
+			for _, pass := range []struct {
+				name string
+				run  func()
+			}{
+				{"forward", func() { tensor.Conv2DInto(y, x, f, p) }},
+				{"input", func() { tensor.Conv2DBackwardInputInto(dx, gy, f, p) }},
+				{"filter", func() { tensor.Conv2DBackwardFilterInto(df, x, gy, p) }},
+			} {
+				b.Run(fmt.Sprintf("%s/b%d/%s", l.name, n, pass.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						pass.run()
+					}
+					b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // Conv2DLayer is an NHWC convolution layer with bias and activation. Its
 // forward op lowers to tensor.Conv2D on both backends, so agent networks
-// built from this layer exercise the arena-backed tiled conv pipeline (see
+// built from this layer exercise the arena-backed conv pipeline (see
 // internal/tensor/conv.go) rather than a layer-local fallback.
 type Conv2DLayer struct {
 	*component.Component

@@ -62,7 +62,7 @@ func TestConv2DCreatesVariablesFromInputSpace(t *testing.T) {
 }
 
 // A small conv net (conv → conv → flatten → dense) run end-to-end on both
-// backends exercises the tiled conv fast path through the full component
+// backends exercises the conv fast path through the full component
 // stack and must agree across backends.
 func TestConvNetworkBothBackends(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))

@@ -7,24 +7,36 @@ import (
 
 // Convolution kernels.
 //
-// Conv2D and its backward passes lower onto the blocked matmul core through
-// im2col, but never materialize the full [N*OH*OW, KH*KW*C] patch matrix:
-// the output is tiled over row-panels, each panel's patches are unfolded into
-// a pooled scratch buffer of ConvPanelRows rows, multiplied against the
-// reshaped filter, and written (forward) or folded back (backward) before the
-// next panel reuses the same scratch. Peak conv scratch is therefore
-// O(workers * panel * KH*KW*C) instead of O(N*OH*OW * KH*KW*C); the panel
-// size self-caps so in-flight scratch never exceeds a quarter of the full
-// materialization (see convPanelFor).
+// The forward and filter-gradient passes read the NHWC input in place. Take
+// output line (b, oy) and kernel row ky: the patch of output column ox
+// starts at input row oy·SH + ky of image b, column ox·SW, and its KW·C
+// elements are contiguous. Over the line's OW columns that is a strided
+// [OW, KW·C] operand, rows SW·C apart, which matMulRows reads directly: the
+// forward pass multiplies it by filter row ky into the line's outputs, the
+// filter-gradient pass multiplies its transpose by the line's output
+// gradient into dW's rows of ky. Padded convs copy the rows a line reads
+// into a zero-bordered line buffer first, so padding is explicit zeros and
+// 0·Inf stays NaN; a chunk holds one buffer of KH padded input rows. Nothing
+// is unfolded: the only im2col is the Im2Col oracle's.
+//
+// The backward-input pass keeps the tiled im2col pipeline: the patch
+// gradients of a row-panel of the output come out of the blocked matmul core
+// into a pooled scratch buffer of ConvPanelRows rows and are folded back
+// (Col2Im) before the next panel reuses the buffer. Its output rows overlap,
+// so folding in ascending row order is what keeps the adds in order. Peak
+// conv scratch is O(workers·panel·KH·KW·C), and the panel self-caps so
+// in-flight scratch never exceeds a quarter of the full materialization (see
+// convPanelFor).
 //
 // Above matmulParallelThreshold multiply-adds each pass forks chunks that
-// write disjoint outputs (see kernels.go): the forward pass one output panel
-// per chunk, the backward-input pass one image per chunk (Col2Im folds an
-// image's rows only into that image), and the backward-filter pass one group
-// of kernel positions per chunk (each position owns its own rows of dW).
-// Inside a chunk, panels run in ascending row order, so every output
-// element keeps the accumulation sequence of the full materialization and
-// every path stays bit-for-bit identical to the naive references.
+// write disjoint outputs (see kernels.go): the forward pass ranges of output
+// lines, the backward-input pass one image per chunk (Col2Im folds an
+// image's rows only into that image), and the filter-gradient pass row
+// slices of dW, each over every line. K is split only at kernel-row
+// boundaries and lines and panels run in ascending order, so every output
+// element keeps the ascending-k accumulation sequence of the full
+// materialization and every path stays bit-for-bit identical to the naive
+// references.
 
 // ConvParams describes a 2-D convolution in NHWC layout with filter layout
 // [KH, KW, InC, OutC].
@@ -46,7 +58,8 @@ func SamePadding(kh, kw int) (padH, padW int) {
 	return (kh - 1) / 2, (kw - 1) / 2
 }
 
-// defaultConvPanelRows is the default output-row count per im2col panel: 64
+// defaultConvPanelRows is the default output-row count per backward-input
+// panel: 64
 // rows keep the panel well inside L2 for typical KH*KW*C while giving the
 // 4-row register tiles of the matmul core full panels to chew on.
 const defaultConvPanelRows = 64
@@ -62,7 +75,7 @@ func ConvPanelRows() int {
 }
 
 // Conv scratch accounting: current and high-water-mark float64 elements
-// checked out by conv panels, the measurement behind
+// checked out by conv panels and line buffers, the measurement behind
 // TestConvScratchPeakCapped.
 var (
 	convScratchCur  atomic.Int64
@@ -100,15 +113,13 @@ func convPanelFor(rows, parts int) int {
 	return panel
 }
 
-// convForwardChunks picks the forward conv's chunk count and panel size: one
-// chunk of full panels below the threshold, one panel per chunk above it,
-// with panels sized for every worker holding one at once.
-func convForwardChunks(rows, ckk, oc int) (chunks, panel int) {
-	if !forks(rows * ckk * oc) {
-		return 1, convPanelFor(rows, 1)
+// convLineChunks picks the forward conv's chunk count: ranges of output
+// lines, up to 4 per worker, above the threshold.
+func convLineChunks(lines, madds int) int {
+	if !forks(madds) {
+		return 1
 	}
-	panel = convPanelFor(rows, KernelParallelism())
-	return (rows + panel - 1) / panel, panel
+	return min(lines, 4*KernelParallelism())
 }
 
 // convBackwardInputChunks picks the backward-input chunk count: one image
@@ -120,68 +131,108 @@ func convBackwardInputChunks(n, rows, ckk, oc int) int {
 	return n
 }
 
-// convBackwardFilterChunks picks the backward-filter chunk count: groups of
-// whole kernel positions of at least 32 rows of dW (C rows per position)
-// above the threshold.
-func convBackwardFilterChunks(rows, kk, c, oc int) int {
-	if !forks(rows * kk * c * oc) {
+// convFilterChunks picks the filter-gradient chunk count: slices of at least
+// 32 of dW's rows, up to 4 per worker, above the threshold.
+func convFilterChunks(dwRows, madds int) int {
+	if !forks(madds) {
 		return 1
 	}
-	return max(1, kk/((32+c-1)/c))
+	return max(1, min(dwRows/32, 4*KernelParallelism()))
 }
 
-// im2colRows unfolds output rows [r0, r1) of the patch matrix of an NHWC
-// input (src, of the given shape) into dst, keeping only the columns of
-// kernel positions [k0, k1) (position ky*KW+kx, C columns each), so dst must
-// hold (r1-r0)*(k1-k0)*C elements. Padded regions are written as explicit
-// zeros, so dst may be arbitrary reused scratch.
-func im2colRows(dst, src []float64, shape []int, r0, r1, kh, kw, k0, k1 int, p ConvParams) {
-	h, w, c := shape[1], shape[2], shape[3]
-	oh, ow := p.ConvOutDims(h, w, kh, kw)
-	width := (k1 - k0) * c
-	for row := r0; row < r1; row++ {
-		b := row / (oh * ow)
-		rem := row - b*oh*ow
-		oy := rem / ow
-		ox := rem - oy*ow
-		iy0 := oy*p.StrideH - p.PadH
-		ix0 := ox*p.StrideW - p.PadW
-		d := dst[(row-r0)*width : (row-r0+1)*width]
-		imgBase := b * h * w * c
-		di := 0
-		for ky := k0 / kw; ky*kw < k1; ky++ {
-			kx0, kx1 := max(k0-ky*kw, 0), min(k1-ky*kw, kw)
-			run := (kx1 - kx0) * c
-			iy := iy0 + ky
-			if iy < 0 || iy >= h {
-				clear(d[di : di+run])
-				di += run
-				continue
-			}
-			rowBase := imgBase + iy*w*c
-			// Where padding does not cut it, a kernel row's pixels are one
-			// contiguous run of input elements.
-			if ix0+kx0 >= 0 && ix0+kx1 <= w {
-				copy(d[di:di+run], src[rowBase+(ix0+kx0)*c:])
-				di += run
-				continue
-			}
-			for kx := kx0; kx < kx1; kx++ {
-				ix := ix0 + kx
-				if ix < 0 || ix >= w {
-					clear(d[di : di+c])
-					di += c
-					continue
-				}
-				copy(d[di:di+c], src[rowBase+ix*c:rowBase+ix*c+c])
-				di += c
-			}
+// convLines serves a chunk the input rows of its output lines, in the
+// coordinates of the zero-padded input: row ky of line l = (b, oy) is padded
+// row oy·SH + ky of image b, stride elements after row ky-1, and the patch of
+// column ox starts ox·SW·C elements into it. Unpadded, the rows are the
+// input's own; padded, line copies them into a zero-bordered buffer.
+type convLines struct {
+	in          []float64
+	h, w, c, oh int
+	p           ConvParams
+	stride      int
+	buf         *Tensor // KH padded rows, when the conv pads
+}
+
+func newConvLines(input *Tensor, kh, oh int, p ConvParams) convLines {
+	h, w, c := input.shape[1], input.shape[2], input.shape[3]
+	r := convLines{in: input.data, h: h, w: w, c: c, oh: oh, p: p, stride: w * c}
+	if p.PadH > 0 || p.PadW > 0 {
+		r.stride = (w + 2*p.PadW) * c
+		r.buf = convScratchGet(kh * r.stride)
+	}
+	return r
+}
+
+// line returns the input rows of output line l, of which rows [ky0, ky1) are
+// valid.
+func (r *convLines) line(l, ky0, ky1 int) []float64 {
+	b, oy := l/r.oh, l%r.oh
+	iy0 := oy*r.p.StrideH - r.p.PadH
+	if r.buf == nil {
+		return r.in[(b*r.h+iy0)*r.stride:]
+	}
+	wc, pw := r.w*r.c, r.p.PadW*r.c
+	for ky := ky0; ky < ky1; ky++ {
+		d := r.buf.data[ky*r.stride : (ky+1)*r.stride]
+		if iy := iy0 + ky; iy < 0 || iy >= r.h {
+			clear(d)
+		} else {
+			clear(d[:pw])
+			copy(d[pw:pw+wc], r.in[(b*r.h+iy)*wc:])
+			clear(d[pw+wc:])
 		}
 	}
+	return r.buf.data
+}
+
+func (r *convLines) release() {
+	if r.buf != nil {
+		convScratchPut(r.buf)
+	}
+}
+
+// convForwardLines accumulates output lines [l0, l1) of the convolution of
+// input by filter into out: per line, one product per kernel row of the
+// line's strided input view and that row of the filter.
+func convForwardLines(out, input, filter *Tensor, l0, l1 int, p ConvParams) {
+	_, _, _, c, kh, kw, oc, oh, ow := convDims(input, filter, p)
+	od, fd, kwc, rs := out.data, filter.data, kw*c, p.StrideW*c
+	src := newConvLines(input, kh, oh, p)
+	for l := l0; l < l1; l++ {
+		rows := src.line(l, 0, kh)
+		o := od[l*ow*oc : (l+1)*ow*oc]
+		for ky := 0; ky < kh; ky++ {
+			matMulRows(rows[ky*src.stride:], fd[ky*kwc*oc:], o, 0, ow, kwc, oc, rs, 1)
+		}
+	}
+	src.release()
+}
+
+// convFilterRows accumulates rows [r0, r1) of the filter gradient dw, viewed
+// as [KH·KW·C, OC], over every output line in ascending order: per line and
+// kernel row, the transpose of the line's strided input view times the
+// line's output gradient.
+func convFilterRows(dw, input, gradOut *Tensor, r0, r1 int, p ConvParams) {
+	_, _, _, c, kh, kw, oc, oh, ow := convDims(input, dw, p)
+	dd, gd, kwc, ks := dw.data, gradOut.data, kw*c, p.StrideW*c
+	ky0, ky1 := r0/kwc, (r1+kwc-1)/kwc
+	src := newConvLines(input, kh, oh, p)
+	for l := 0; l < input.shape[0]*oh; l++ {
+		rows := src.line(l, ky0, ky1)
+		g := gd[l*ow*oc : (l+1)*ow*oc]
+		for ky := ky0; ky < ky1; ky++ {
+			i0, i1 := max(r0-ky*kwc, 0), min(r1-ky*kwc, kwc)
+			matMulRows(rows[ky*src.stride:], g, dd[ky*kwc*oc:(ky+1)*kwc*oc], i0, i1, ow, oc, 1, ks)
+		}
+	}
+	src.release()
 }
 
 // Im2Col unfolds input [N,H,W,C] into patches [N*OH*OW, KH*KW*C] so that
-// convolution becomes a single matmul against the reshaped filter.
+// convolution becomes a single matmul against the reshaped filter. In NHWC a
+// kernel row's pixels are one contiguous run of input elements, copied at
+// once where padding does not cut it and pixel by pixel where it does;
+// padding stays the zeros New wrote.
 // oracle: the unfold behind Conv2DNaive and Conv2DBackwardFilterNaive.
 func Im2Col(input *Tensor, kh, kw int, p ConvParams) *Tensor {
 	if input.Rank() != 4 {
@@ -190,7 +241,33 @@ func Im2Col(input *Tensor, kh, kw int, p ConvParams) *Tensor {
 	n, h, w, c := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
 	oh, ow := p.ConvOutDims(h, w, kh, kw)
 	cols := New(n*oh*ow, kh*kw*c)
-	im2colRows(cols.data, input.data, input.shape, 0, n*oh*ow, kh, kw, 0, kh*kw, p)
+	src, width, run := input.data, kh*kw*c, kw*c
+	for row := 0; row < n*oh*ow; row++ {
+		b := row / (oh * ow)
+		rem := row - b*oh*ow
+		oy := rem / ow
+		ox := rem - oy*ow
+		iy0 := oy*p.StrideH - p.PadH
+		ix0 := ox*p.StrideW - p.PadW
+		d := cols.data[row*width : (row+1)*width]
+		for ky := 0; ky < kh; ky++ {
+			iy := iy0 + ky
+			if iy < 0 || iy >= h {
+				continue
+			}
+			dk := d[ky*run : (ky+1)*run]
+			rowBase := (b*h + iy) * w * c
+			if ix0 >= 0 && ix0+kw <= w {
+				copy(dk, src[rowBase+ix0*c:])
+				continue
+			}
+			for kx := 0; kx < kw; kx++ {
+				if ix := ix0 + kx; ix >= 0 && ix < w {
+					copy(dk[kx*c:kx*c+c], src[rowBase+ix*c:])
+				}
+			}
+		}
+	}
 	return cols
 }
 
@@ -258,12 +335,17 @@ func convDims(input, filter *Tensor, p ConvParams) (n, h, w, c, kh, kw, oc, oh, 
 		panic(fmt.Sprintf("tensor: Conv2D channel mismatch input %v filter %v", input.shape, filter.shape))
 	}
 	n, h, w = input.shape[0], input.shape[1], input.shape[2]
+	// The in-place passes read every kernel row and column of a patch
+	// inside the (padded) input; a kernel that overhangs it has no output.
+	if kh > h+2*p.PadH || kw > w+2*p.PadW {
+		panic(fmt.Sprintf("tensor: Conv2D kernel %dx%d exceeds input %v padded by %d,%d", kh, kw, input.shape, p.PadH, p.PadW))
+	}
 	oh, ow = p.ConvOutDims(h, w, kh, kw)
 	return
 }
 
 // Conv2D computes an NHWC convolution: input [N,H,W,C] * filter [KH,KW,C,OC]
-// -> [N,OH,OW,OC], via the tiled im2col pipeline.
+// -> [N,OH,OW,OC], reading the input in place.
 func Conv2D(input, filter *Tensor, p ConvParams) *Tensor {
 	n, _, _, _, _, _, oc, oh, ow := convDims(input, filter, p)
 	return Conv2DInto(New(n, oh, ow, oc), input, filter, p)
@@ -271,38 +353,27 @@ func Conv2D(input, filter *Tensor, p ConvParams) *Tensor {
 
 // Conv2DInto computes Conv2D into out, which must be a zero-filled
 // [N,OH,OW,OC] tensor (as produced by New or Arena.Get), and returns out.
-// Row-panels of the output are disjoint, so above the threshold each panel is
-// a chunk of its own, unfolded into pooled scratch.
+// Output lines are disjoint, so above the threshold ranges of them are
+// chunks.
 func Conv2DInto(out, input, filter *Tensor, p ConvParams) *Tensor {
-	n, _, _, _, kh, kw, oc, oh, ow := convDims(input, filter, p)
+	n, _, _, c, kh, kw, oc, oh, ow := convDims(input, filter, p)
 	if !SameShape(out.shape, []int{n, oh, ow, oc}) {
 		panic(fmt.Sprintf("tensor: Conv2DInto out shape %v, want [%d %d %d %d]", out.shape, n, oh, ow, oc))
 	}
-	ckk := kh * kw * input.shape[3]
-	rows := n * oh * ow
-	if rows == 0 || oc == 0 {
+	lines := n * oh
+	if lines == 0 || ow == 0 || oc == 0 {
 		return out
 	}
-	fd := filter.data
-	od := out.data
-	chunks, panel := convForwardChunks(rows, ckk, oc)
+	chunks := convLineChunks(lines, lines*ow*kh*kw*c*oc)
 	parallelFor(chunks, func(ch int) {
-		r0, r1 := rows*ch/chunks, rows*(ch+1)/chunks
-		pr := min(panel, r1-r0)
-		scratch := convScratchGet(pr * ckk)
-		for s := r0; s < r1; s += pr {
-			e := min(s+pr, r1)
-			im2colRows(scratch.data, input.data, input.shape, s, e, kh, kw, 0, kh*kw, p)
-			matMulRows(scratch.data, fd, od[s*oc:e*oc], 0, e-s, ckk, oc, ckk, 1)
-		}
-		convScratchPut(scratch)
+		convForwardLines(out, input, filter, lines*ch/chunks, lines*(ch+1)/chunks, p)
 	})
 	return out
 }
 
 // Conv2DNaive is the seed full-materialization convolution: one monolithic
 // im2col matrix fed through the serial naive matmul. It is the arithmetic
-// reference the tiled pipeline is tested bit-for-bit against.
+// reference Conv2D is tested bit-for-bit against.
 // oracle: TestConvTiledMatchesNaiveBitForBit checks Conv2D against it.
 func Conv2DNaive(input, filter *Tensor, p ConvParams) *Tensor {
 	n, _, _, c, kh, kw, oc, oh, ow := convDims(input, filter, p)
@@ -369,43 +440,21 @@ func Conv2DBackwardInputNaive(gradOut, filter *Tensor, inputShape []int, p ConvP
 }
 
 // Conv2DBackwardFilterInto computes dL/dFilter into out, a zero-filled
-// [KH,KW,C,OC] tensor, and returns out. Each output element of the filter
-// gradient sums products over all N*OH*OW patch rows; panels accumulate into
-// the gradient in ascending row order, reproducing the accumulation sequence
-// of the monolithic aᵀ x gy product. Kernel position (ky, kx) owns C rows of
-// dW, so above the threshold each group of positions is a chunk that unfolds
-// only its own columns of every panel. The matmul core reads those columns as
-// their transpose in place, and the chunks' column slices add up to one
-// panel, the only scratch.
+// [KH,KW,C,OC] tensor, and returns out. Each element of the filter gradient
+// sums products over all N·OH·OW patch rows; lines accumulate into it in
+// ascending order, reproducing the accumulation sequence of the monolithic
+// aᵀ x gy product. Above the threshold each slice of dW's rows is a chunk
+// that runs over every line.
 func Conv2DBackwardFilterInto(out, input, gradOut *Tensor, p ConvParams) *Tensor {
-	if out.Rank() != 4 || input.Rank() != 4 || out.shape[2] != input.shape[3] {
-		panic(fmt.Sprintf("tensor: Conv2DBackwardFilterInto out shape %v for input %v", out.shape, input.shape))
-	}
-	kh, kw, c, oc := out.shape[0], out.shape[1], out.shape[2], out.shape[3]
-	n, h, w := input.shape[0], input.shape[1], input.shape[2]
-	oh, ow := p.ConvOutDims(h, w, kh, kw)
-	rows := n * oh * ow
-	if rows == 0 {
+	n, _, _, c, kh, kw, oc, oh, ow := convDims(input, out, p)
+	lines, dwRows := n*oh, kh*kw*c
+	if lines == 0 || ow == 0 || oc == 0 {
 		return out
 	}
-	kk := kh * kw
-	gm := gradOut.data // [rows, OC] viewed flat
-	panel := convPanelFor(rows, 1)
-	colsPanel := convScratchGet(panel * kk * c)
-	chunks := convBackwardFilterChunks(rows, kk, c, oc)
+	chunks := convFilterChunks(dwRows, lines*ow*dwRows*oc)
 	parallelFor(chunks, func(ch int) {
-		k0, k1 := kk*ch/chunks, kk*(ch+1)/chunks
-		d0, dn := k0*c, (k1-k0)*c // the chunk's first row of dW, and its row count
-		cols := colsPanel.data[panel*d0 : panel*(d0+dn)]
-		for s := 0; s < rows; s += panel {
-			e := min(s+panel, rows)
-			im2colRows(cols, input.data, input.shape, s, e, kh, kw, k0, k1, p)
-			// dW[d0:d0+dn] += colsᵀ[s:e] x gradOut[s:e]; the core accumulates
-			// in ascending row order.
-			matMulCore(cols, gm[s*oc:e*oc], out.data[d0*oc:(d0+dn)*oc], dn, e-s, oc, 1, dn)
-		}
+		convFilterRows(out, input, gradOut, dwRows*ch/chunks, dwRows*(ch+1)/chunks, p)
 	})
-	convScratchPut(colsPanel)
 	return out
 }
 

@@ -7,7 +7,7 @@ import (
 
 // TestConvIntoVariants: the …Into forms accumulate into a caller-supplied
 // zero-filled tensor of exactly the result's shape, return it, and refuse
-// any other shape.
+// any other shape, and a kernel that overhangs the padded input.
 func TestConvIntoVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	in := RandNormal(rng, 0, 1, 2, 7, 6, 3)
@@ -33,11 +33,16 @@ func TestConvIntoVariants(t *testing.T) {
 		"Conv2DInto":               func() { Conv2DInto(New(2, 4, 5, 4), in, f, p) },
 		"Conv2DBackwardInputInto":  func() { Conv2DBackwardInputInto(New(2, 7, 6, 4), gy, f, p) },
 		"Conv2DBackwardFilterInto": func() { Conv2DBackwardFilterInto(New(3, 2, 4, 5), in, gy, p) },
+		// A kernel taller than the padded input overhangs every patch.
+		"Conv2DInto overhang": func() { Conv2D(New(1, 2, 4, 3), New(5, 1, 3, 1), p) },
+		"Conv2DBackwardFilterInto overhang": func() {
+			Conv2DBackwardFilterInto(New(5, 1, 3, 1), New(1, 2, 4, 3), New(1, 1, 4, 1), p)
+		},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s accepted an out tensor of the wrong shape", name)
+					t.Errorf("%s did not panic", name)
 				}
 			}()
 			bad()

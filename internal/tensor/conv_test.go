@@ -283,9 +283,12 @@ func TestConvKernelLargerThanInput(t *testing.T) {
 // pipeline: forward and both backward passes must reproduce the seed
 // full-materialization path bit-for-bit at every panel size and parallelism
 // level, because panels and chunks only re-group — never re-order — the
-// per-element accumulation sequence. The last config forks: one image, which
-// the backward-input pass cannot split, and nine kernel positions shared by
-// four workers in the backward-filter pass.
+// per-element accumulation sequence. The sixth config forks: one image, which
+// the backward-input pass cannot split, and 144 rows of dW shared by four
+// workers in the backward-filter pass. The rest are the pixel network's three
+// layers (configs/dueling_dqn_pixels.json), at a batch of 8, where conv2
+// forks, and of 9, where its 81 output lines split unevenly. A last, padded
+// case holds +Inf and NaN.
 func TestConvTiledMatchesNaiveBitForBit(t *testing.T) {
 	defer SetConvPanelRows(0)
 	defer SetKernelParallelism(0)
@@ -299,6 +302,12 @@ func TestConvTiledMatchesNaiveBitForBit(t *testing.T) {
 		{1, 3, 3, 2, 5, 5, 2, 1, 1, 2, 2}, // kernel larger than input
 		{3, 4, 4, 1, 1, 1, 2, 1, 1, 0, 0},
 		{1, 48, 48, 16, 3, 3, 32, 1, 1, 1, 1}, // 2304·144·32 multiply-adds: forks
+		{8, 84, 84, 1, 8, 8, 16, 4, 4, 0, 0},
+		{8, 20, 20, 16, 4, 4, 32, 2, 2, 0, 0}, // 648·256·32 multiply-adds: forks
+		{8, 9, 9, 32, 3, 3, 32, 1, 1, 0, 0},
+		{9, 84, 84, 1, 8, 8, 16, 4, 4, 0, 0},
+		{9, 20, 20, 16, 4, 4, 32, 2, 2, 0, 0},
+		{9, 9, 9, 32, 3, 3, 32, 1, 1, 0, 0},
 	}
 	for _, tc := range configs {
 		in := RandNormal(rng, 0, 1, tc.n, tc.h, tc.w, tc.c)
@@ -322,6 +331,37 @@ func TestConvTiledMatchesNaiveBitForBit(t *testing.T) {
 					t.Fatalf("filter grad differs from naive for %+v panel=%d par=%d", tc, panel, par)
 				}
 			}
+		}
+	}
+
+	// Padding is explicit zeros. A +Inf filter weight that meets the padding
+	// makes 0·Inf = NaN at the border, and so does a +Inf output gradient in
+	// the filter gradient; skipping the padding's products would leave ±Inf
+	// there. A NaN weight poisons its whole output column.
+	in := RandNormal(rng, 0, 1, 2, 7, 7, 3)
+	f := RandNormal(rng, 0, 1, 3, 3, 3, 4)
+	f.Set(math.Inf(1), 0, 0, 1, 0)
+	f.Set(math.NaN(), 1, 1, 0, 2)
+	p := ConvParams{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	wantF := Conv2DNaive(in, f, p)
+	gy := RandNormal(rng, 0, 1, wantF.Shape()...)
+	wantGI := Conv2DBackwardInputNaive(gy, f, in.Shape(), p)
+	gyInf := gy.Clone()
+	gyInf.Set(math.Inf(1), 0, 0, 0, 1)
+	wantGF := Conv2DBackwardFilterNaive(in, gyInf, f.Shape(), p)
+	if !math.IsNaN(wantF.At(0, 0, 0, 0)) || !math.IsInf(wantF.At(0, 1, 1, 0), 0) || !math.IsNaN(wantGF.At(0, 0, 0, 1)) {
+		t.Fatal("the padded case does not put 0·Inf where padding meets +Inf")
+	}
+	for _, par := range []int{1, 4} {
+		SetKernelParallelism(par)
+		if got := Conv2D(in, f, p); !tensorsBitEqual(got, wantF) {
+			t.Fatalf("padded forward with +Inf and NaN weights differs from naive at par=%d", par)
+		}
+		if got := conv2DBackwardInput(gy, f, in.Shape(), p); !tensorsBitEqual(got, wantGI) {
+			t.Fatalf("padded input grad with +Inf and NaN weights differs from naive at par=%d", par)
+		}
+		if got := conv2DBackwardFilter(in, gyInf, f.Shape(), p); !tensorsBitEqual(got, wantGF) {
+			t.Fatalf("padded filter grad with a +Inf output gradient differs from naive at par=%d", par)
 		}
 	}
 }

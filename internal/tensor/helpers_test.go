@@ -111,7 +111,7 @@ func AxpyInPlace(dst *Tensor, s float64, x *Tensor) {
 	}
 }
 
-// SetConvPanelRows sets the output-row count of the tiled conv pipeline's
+// SetConvPanelRows sets the output-row count of the backward-input conv's
 // im2col panels. n <= 0 restores the default (64). Panel size is a pure
 // memory/latency knob — results are identical at any setting.
 func SetConvPanelRows(n int) {

@@ -246,13 +246,13 @@ func TestMatMulGoTileMatchesNaive(t *testing.T) {
 }
 
 // benchShapes are the [m,k]x[k,n] products of the regression benchmark's
-// workloads: the three conv layers' forward panels, the pixel network's
-// first dense layer, a backward-input and a backward-filter panel, the dense
-// workloads' hidden layers, and the action heads: the dense head on a batch
-// and on 8 envs, and the dueling advantage and value heads.
+// workloads: the three conv layers' per-line, per-kernel-row forward
+// products, the pixel network's first dense layer, a backward-input panel,
+// the dense workloads' hidden layers, and the action heads: the dense head on
+// a batch and on 8 envs, and the dueling advantage and value heads.
 var benchShapes = [][3]int{
-	{64, 64, 16}, {64, 256, 32}, {64, 288, 32}, {32, 1568, 256},
-	{64, 32, 288}, {288, 64, 32}, {32, 64, 64}, {64, 64, 64},
+	{20, 8, 16}, {9, 64, 32}, {7, 96, 32}, {32, 1568, 256},
+	{64, 32, 288}, {32, 64, 64}, {64, 64, 64},
 	{32, 64, 2}, {8, 64, 2}, {32, 256, 3}, {32, 256, 1},
 }
 
@@ -318,10 +318,10 @@ func TestMatMulRowRangesAreDisjoint(t *testing.T) {
 	f := randTensor(rng, 3, 3, 8, 32)
 	p := ConvParams{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	const rows, ckk = 8 * 20 * 20, 3 * 3 * 8
-	if chunks, _ := convForwardChunks(rows, ckk, 32); chunks < 2 {
+	if convLineChunks(8*20, rows*ckk*32) < 2 {
 		t.Fatal("the convolution does not fork")
 	}
-	if convBackwardInputChunks(8, rows, ckk, 32) < 2 || convBackwardFilterChunks(rows, 3*3, 8, 32) < 2 {
+	if convBackwardInputChunks(8, rows, ckk, 32) < 2 || convFilterChunks(ckk, rows*ckk*32) < 2 {
 		t.Fatal("a backward pass of the convolution does not fork")
 	}
 	wantConv := Conv2DNaive(in, f, p)
@@ -371,16 +371,15 @@ func TestMatMulRowRangesAreDisjoint(t *testing.T) {
 }
 
 // TestIm2ColRunAndPixelBranches: on a padded, strided grid the patches of
-// one image take both branches of im2colRows — interior patches copy each
-// kernel row as one run, border patches go pixel by pixel — and both must be
-// the plain gather, over all kernel positions and over position ranges that
-// start and end inside a kernel row.
+// one image take both branches of Im2Col — interior patches copy each kernel
+// row as one run, border patches go pixel by pixel — and both must be the
+// plain gather.
 func TestIm2ColRunAndPixelBranches(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, c := range []int{1, 3} {
 		const n, h, w, kh, kw = 2, 11, 10, 4, 3
 		p := ConvParams{StrideH: 2, StrideW: 2, PadH: 1, PadW: 2}
-		oh, ow := p.ConvOutDims(h, w, kh, kw)
+		_, ow := p.ConvOutDims(h, w, kh, kw)
 		runs, cut := 0, 0
 		for ox := 0; ox < ow; ox++ {
 			if ix0 := ox*p.StrideW - p.PadW; ix0 >= 0 && ix0+kw <= w {
@@ -393,26 +392,62 @@ func TestIm2ColRunAndPixelBranches(t *testing.T) {
 			t.Fatalf("grid has %d whole and %d cut kernel rows; the test needs both", runs, cut)
 		}
 		in := randTensor(rng, n, h, w, c)
-		want := naiveIm2Col(in, kh, kw, p)
-		// Stale scratch: padding must be written as zeros, not assumed.
-		got := New(n*oh*ow, kh*kw*c)
-		for i := range got.data {
-			got.data[i] = math.Float64frombits(sentinel)
+		if got := Im2Col(in, kh, kw, p); !tensorsBitEqual(got, naiveIm2Col(in, kh, kw, p)) {
+			t.Fatalf("c=%d: Im2Col differs from the plain gather", c)
 		}
-		im2colRows(got.data, in.data, in.shape, 0, n*oh*ow, kh, kw, 0, kh*kw, p)
-		if !tensorsBitEqual(got, want) {
-			t.Fatalf("c=%d: im2colRows differs from the plain gather", c)
+	}
+}
+
+// TestConvLineAndRowRangesAreDisjoint: a chunk of the forward pass writes
+// exactly its own output lines of a sentinel-filled output, and a chunk of
+// the filter-gradient pass exactly its own rows of dW, including row slices
+// that start and end inside a kernel row, and both get them right bit for
+// bit, padded (through the line buffer, of which a dW slice fills only the
+// kernel rows it reads) and unpadded (read in place).
+func TestConvLineAndRowRangesAreDisjoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, p := range []ConvParams{
+		{StrideH: 2, StrideW: 2, PadH: 1, PadW: 2},
+		{StrideH: 2, StrideW: 1},
+	} {
+		const n, h, w, c, kh, kw, oc = 2, 11, 11, 3, 4, 3, 5
+		in := randTensor(rng, n, h, w, c)
+		f := randTensor(rng, kh, kw, c, oc)
+		oh, ow := p.ConvOutDims(h, w, kh, kw)
+		want := Conv2DNaive(in, f, p)
+		gy := randTensor(rng, want.Shape()...)
+		wantGF := Conv2DBackwardFilterNaive(in, gy, f.Shape(), p)
+
+		fill := func(x *Tensor, i0, i1 int) *Tensor {
+			for i := range x.data {
+				x.data[i] = math.Float64frombits(sentinel)
+			}
+			clear(x.data[i0:i1])
+			return x
 		}
-		for _, r := range [][2]int{{1, 5}, {4, 12}, {11, 12}} {
-			k0, k1 := r[0], r[1]
-			part := New(n*oh*ow, (k1-k0)*c)
-			for i := range part.data {
-				part.data[i] = math.Float64frombits(sentinel)
+		check := func(what string, got, want []float64, i0, i1 int) {
+			for i, v := range got {
+				inside := i >= i0 && i < i1
+				if inside && math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("%+v: %s [%d,%d): element %d differs from naive", p, what, i0, i1, i)
+				}
+				if !inside && math.Float64bits(v) != sentinel {
+					t.Fatalf("%+v: %s [%d,%d) wrote element %d", p, what, i0, i1, i)
+				}
 			}
-			im2colRows(part.data, in.data, in.shape, 0, n*oh*ow, kh, kw, k0, k1, p)
-			if !tensorsBitEqual(part, SliceCols(want, k0*c, k1*c)) {
-				t.Fatalf("c=%d: im2colRows of positions [%d,%d) differs from the plain gather", c, k0, k1)
-			}
+		}
+
+		lines := n * oh
+		for _, r := range [][2]int{{0, 1}, {1, oh + 2}, {oh - 1, lines}} {
+			out := fill(New(want.Shape()...), r[0]*ow*oc, r[1]*ow*oc)
+			convForwardLines(out, in, f, r[0], r[1], p)
+			check("output lines", out.data, want.data, r[0]*ow*oc, r[1]*ow*oc)
+		}
+		const kwc, dwRows = kw * c, kh * kw * c
+		for _, r := range [][2]int{{0, kwc}, {1, 5}, {4, 2*kwc + 3}, {dwRows - 1, dwRows}} {
+			dw := fill(New(f.Shape()...), r[0]*oc, r[1]*oc)
+			convFilterRows(dw, in, gy, r[0], r[1], p)
+			check("dW rows", dw.data, wantGF.data, r[0]*oc, r[1]*oc)
 		}
 	}
 }
