@@ -7,8 +7,11 @@
 # lister's own tests first (go test ./... skips dot directories), then builds
 # every main package of the module and the regression benchmark's driver
 # with inlining off and the linker's dependency dump on, and hands the dumps
-# to the lister. Extra arguments go to the lister (-list prints the
-# allowlisted functions and fields too).
+# to the lister. The lister also holds every package's non-test lines to
+# its budget in .github/size.txt; a budget raised over the one before the
+# change (the uncommitted edit against HEAD, else the last commit against
+# its parent) needs a reason on its line. Extra arguments go to the lister
+# (-list prints the allowlisted functions and fields too).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 go test ./.github/reachability
@@ -30,5 +33,12 @@ for pkg in $(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); d
   i=$((i + 1))
 done
 build "$out/bench.txt" bench . rlgraph/bench
+rev=HEAD~1
+git diff --quiet HEAD -- .github/size.txt 2>/dev/null || rev=HEAD
+base=()
+if git show "$rev:.github/size.txt" > "$out/size-base.txt" 2>/dev/null; then
+  base=(-size-base "$out/size-base.txt")
+fi
 go run ./.github/reachability -allow .github/reachability/allowlist.txt \
-  -fields .github/reachability/fields.txt "$@" "$out"/dump*.txt "$out"/bench.txt
+  -fields .github/reachability/fields.txt -size .github/size.txt "${base[@]}" \
+  "$@" "$out"/dump*.txt "$out"/bench.txt

@@ -1,7 +1,9 @@
 // Command reachability lists the non-test functions under internal/ that no
 // binary of the module reaches, and checks them against an allowlist. With
 // -fields it also runs the field pass (fields.go): the config fields and
-// switch arms no binary sets, checked against their own allowlist.
+// switch arms no binary sets, checked against their own allowlist. With
+// -size it also runs the size pass (size.go): every package's non-test
+// lines against its budget.
 //
 // It reads the linker's dependency dumps (go build -gcflags=all=-l
 // -ldflags=-dumpdep) of every main package, which reachability.sh produces.
@@ -16,7 +18,7 @@
 //
 // Usage:
 //
-//	go run ./.github/reachability [-list] -allow allowlist.txt [-fields fields.txt] dump...
+//	go run ./.github/reachability [-list] -allow allowlist.txt [-fields fields.txt] [-size size.txt [-size-base old.txt]] dump...
 //
 // It exits 1 when an unreached function (or unset field, or unnamed arm) is
 // not on its allowlist, or when an allowlist entry names one that is
@@ -63,6 +65,8 @@ func main() {
 	allowFile := flag.String("allow", "", "allowlist file")
 	fieldsFile := flag.String("fields", "", "config field and switch arm allowlist file; runs the field pass")
 	list := flag.Bool("list", false, "print every unreached function, allowlisted or not")
+	sizeFile := flag.String("size", "", "package size budget file; runs the size pass")
+	sizeBase := flag.String("size-base", "", "the budget file before the change: a raise over it needs a reason")
 	flag.Parse()
 
 	reached, liveTypes := readDumps(flag.Args())
@@ -143,6 +147,14 @@ func main() {
 		}
 		fmt.Printf("%d config fields, %d unset, %d switch arms, %d unnamed, %d of them allowlisted\n",
 			r.fields, r.unsetCount, r.arms, r.unnamedCount, len(r.allowed))
+	}
+	if *sizeFile != "" {
+		n, err := runSizes(".", *sizeFile, *sizeBase)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		bad += n
 	}
 	if bad > 0 {
 		os.Exit(1)

@@ -4,15 +4,18 @@
 // IMPALA executor (queue-fed actor-learner; Espeholt et al. 2018). They
 // realize the paper's separation of concerns: agents define local graphs,
 // executors own all distributed coordination (§4.1) — including fault
-// tolerance: supervised workers restart with capped exponential backoff,
-// learner-path calls carry deadlines so a hung shard stalls one iteration
-// rather than the run, and runs degrade gracefully down to a configurable
-// minimum of healthy workers.
+// tolerance. Workers, shards and actors restart through one
+// raysim.Supervisor (capped full-jitter backoff within a budget), every
+// run stops on one context whose first cause is the run's error, learner
+// calls carry deadlines so a hung shard stalls one iteration rather than
+// the run, and a run degrades until no worker is left.
 package distexec
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,9 +29,6 @@ import (
 	"rlgraph/internal/spaces"
 	"rlgraph/internal/tensor"
 )
-
-// maxRestartBackoff caps the exponential restart backoff.
-const maxRestartBackoff = 2 * time.Second
 
 // SampleWorker abstracts the two worker implementations (RLgraph-style
 // batched vs RLlib-style incremental) so the executor runs either.
@@ -68,10 +68,8 @@ type ApexConfig struct {
 	// MaxWorkerRestarts caps supervised restarts per worker (default 3,
 	// negative = never restart).
 	MaxWorkerRestarts int
-	// RestartBackoff is the initial supervised-restart window; it doubles
-	// per retry up to a 2s cap (default 50ms). The actual sleep is drawn
-	// with full jitter — uniform in [0, window) — so simultaneous failures
-	// don't restart in lockstep.
+	// RestartBackoff is the initial window of the workers' full-jitter
+	// restart backoff (raysim.Policy), doubling to 2s (default 50ms).
 	RestartBackoff time.Duration
 	// CallTimeout bounds every executor-issued remote call (default 30s,
 	// negative = no deadline). A hung actor costs one timed-out call, not
@@ -271,21 +269,20 @@ type ApexExecutor struct {
 	workerMu sync.RWMutex
 	workers  []*raysim.ActorRef
 
-	shardOpMu     sync.Mutex // serializes shard restart decisions
-	shardMu       sync.RWMutex
-	shards        []*raysim.ActorRef
-	shardSt       []*replayShard
-	shardDead     []bool
-	shardRestarts []int
+	shardOpMu    sync.Mutex // serializes shard restart decisions
+	shardMu      sync.RWMutex
+	shards       []*raysim.ActorRef
+	shardSt      []*replayShard
+	shardDead    []bool
+	shardMembers []*raysim.Member
+
+	workerSup, shardSup *raysim.Supervisor
 
 	frames  int64
 	updates int
 
-	restarts      int64
 	failedCalls   int64
 	timedOutCalls int64
-	healthy       int64
-	firstDeath    atomic.Int64 // unix nanos of first permanent worker loss
 }
 
 // NewApex wires the executor: workerFactory builds each worker's local
@@ -295,13 +292,16 @@ type ApexExecutor struct {
 func NewApex(cfg ApexConfig, learner *agents.DQN, stateSpace spaces.Space,
 	workerFactory func(i int) (SampleWorker, error)) (*ApexExecutor, error) {
 	cfg = cfg.withDefaults()
-	e := &ApexExecutor{cfg: cfg, cluster: raysim.NewCluster(cfg.Cluster), learner: learner}
+	e := &ApexExecutor{cfg: cfg, cluster: raysim.NewCluster(cfg.Cluster), learner: learner,
+		workerSup: raysim.NewSupervisor(raysim.Policy{Budget: cfg.MaxWorkerRestarts,
+			Backoff: cfg.RestartBackoff, Cap: 2 * time.Second}, cfg.NumWorkers),
+		// A shard restart runs on the learner goroutine: no backoff sleep.
+		shardSup: raysim.NewSupervisor(raysim.Policy{Budget: maxShardRestarts}, cfg.NumReplayShards)}
 
 	for i := 0; i < cfg.NumReplayShards; i++ {
-		i := i
 		e.shardSt = append(e.shardSt, nil)
 		e.shardDead = append(e.shardDead, false)
-		e.shardRestarts = append(e.shardRestarts, 0)
+		e.shardMembers = append(e.shardMembers, e.shardSup.Member(rand.New(rand.NewSource(int64(i)))))
 		factory := func() (raysim.Behavior, error) {
 			shard, err := newReplayShard(learner.Executor().BackendName(), shardName(i), cfg.ReplayCapacity,
 				replayAlpha, replayBeta, stateSpace, int64(1000+i))
@@ -321,7 +321,6 @@ func NewApex(cfg ApexConfig, learner *agents.DQN, stateSpace spaces.Space,
 	}
 
 	for i := 0; i < cfg.NumWorkers; i++ {
-		i := i
 		factory := func() (raysim.Behavior, error) {
 			w, err := workerFactory(i)
 			if err != nil {
@@ -373,89 +372,80 @@ func (e *ApexExecutor) liveShard(start int) (ref *raysim.ActorRef, st *replaySha
 	return nil, nil, 0, false
 }
 
-// restartShard replaces a failed shard actor (losing its contents) within
-// the restart budget; past the budget the shard is marked dead and dropped
-// from rotation. Returns false when the shard is dead.
-func (e *ApexExecutor) restartShard(i int, old *raysim.ActorRef) bool {
+// restartShard replaces a failed shard actor (losing its contents) through
+// the shard supervisor; once its budget is spent the shard is marked dead
+// and dropped from rotation.
+func (e *ApexExecutor) restartShard(ctx context.Context, i int, old *raysim.ActorRef) {
 	e.shardOpMu.Lock()
 	defer e.shardOpMu.Unlock()
 	e.shardMu.RLock()
-	cur, dead, used := e.shards[i], e.shardDead[i], e.shardRestarts[i]
+	cur, dead := e.shards[i], e.shardDead[i]
 	e.shardMu.RUnlock()
-	if dead {
-		return false
+	if dead || cur != old {
+		return // dead, or a concurrent restart already replaced it
 	}
-	if cur != old {
-		return true // a concurrent restart already replaced it
-	}
-	if used >= maxShardRestarts {
-		e.shardMu.Lock()
-		e.shardDead[i] = true
-		e.shardMu.Unlock()
-		return false
-	}
-	nw, err := e.cluster.Restart(shardName(i))
-	if err != nil {
-		atomic.AddInt64(&e.failedCalls, 1)
-		e.shardMu.Lock()
-		e.shardDead[i] = true
-		e.shardMu.Unlock()
-		return false
-	}
-	e.shardMu.Lock()
-	e.shards[i] = nw
-	e.shardRestarts[i]++
-	e.shardMu.Unlock()
-	atomic.AddInt64(&e.restarts, 1)
-	return true
-}
-
-// superviseWorker restarts a failed worker actor with capped exponential
-// backoff under full jitter (the actual sleep is uniform in [0, backoff)),
-// re-syncing learner weights into the fresh incarnation. Returns nil when
-// the restart budget is exhausted (or the run is stopping).
-func (e *ApexExecutor) superviseWorker(wi int, restarts *int, backoff *time.Duration, stop chan struct{}) *raysim.ActorRef {
-	for *restarts < e.cfg.MaxWorkerRestarts {
-		*restarts++
-		select {
-		case <-stop:
-			return nil
-		case <-time.After(raysim.Jitter(*backoff)):
-		}
-		if *backoff *= 2; *backoff > maxRestartBackoff {
-			*backoff = maxRestartBackoff
-		}
-		nw, err := e.cluster.Restart(workerName(wi))
+	if !e.shardMembers[i].Restart(ctx, func() error {
+		nw, err := e.cluster.Restart(shardName(i))
 		if err != nil {
 			atomic.AddInt64(&e.failedCalls, 1)
+			return err
+		}
+		e.shardMu.Lock()
+		e.shards[i] = nw
+		e.shardMu.Unlock()
+		return nil
+	}) {
+		e.shardMu.Lock()
+		e.shardDead[i] = true
+		e.shardMu.Unlock()
+	}
+}
+
+// weights reads the learner's weights between updates.
+func (e *ApexExecutor) weights() map[string]*tensor.Tensor {
+	e.learnerMu.Lock()
+	defer e.learnerMu.Unlock()
+	return e.learner.GetWeights()
+}
+
+// runMember is one supervised pool member's loop: it runs step until step
+// fails, restarts the member through m and goes on. Once m's budget is spent
+// it records the loss, stopping the run with the root cause when no member
+// of the pool is left. It returns once ctx is done or the member is lost.
+func runMember(ctx context.Context, stop context.CancelCauseFunc, sup *raysim.Supervisor,
+	m *raysim.Member, name string, step, respawn func() error) {
+	for !stopping(ctx) {
+		err := step()
+		if err == nil || stopping(ctx) || m.Restart(ctx, respawn) {
 			continue
 		}
-		atomic.AddInt64(&e.restarts, 1)
-		e.workerMu.Lock()
-		e.workers[wi] = nw
-		e.workerMu.Unlock()
-		e.learnerMu.Lock()
-		weights := e.learner.GetWeights()
-		e.learnerMu.Unlock()
-		if _, err := e.get(nw.Call("set_weights", weights)); err != nil {
-			e.noteFailure(err)
-			continue
+		if !stopping(ctx) && sup.Lost() == 0 {
+			stop(fmt.Errorf("distexec: %s lost after %d restarts, none left: %w", name, m.Attempts(), err))
 		}
-		return nw
+		return
+	}
+}
+
+// stopping polls ctx without blocking: one atomic load, no lock.
+func stopping(ctx context.Context) bool {
+	select {
+	case <-ctx.Done():
+		return true
+	default:
+		return false
+	}
+}
+
+// runErr is the first cause that stopped a run; nil when the run stopped by
+// itself (deadline or target reward).
+func runErr(ctx context.Context) error {
+	if err := context.Cause(ctx); err != context.Canceled {
+		return err
 	}
 	return nil
 }
 
-// workerLost records a permanent worker loss and fails the run when no
-// worker is left.
-func (e *ApexExecutor) workerLost(wi, restarts int, cause error, recordErr func(error)) {
-	h := atomic.AddInt64(&e.healthy, -1)
-	e.firstDeath.CompareAndSwap(0, time.Now().UnixNano())
-	if h < 1 {
-		recordErr(fmt.Errorf("distexec: worker %d lost after %d restarts, no worker left: %w",
-			wi, restarts, cause))
-	}
-}
+var errShardsDead = errors.New("distexec: all replay shards dead")
 
 // harvest reaps resolved fire-and-forget futures (priority updates, weight
 // broadcasts), counting failures, and returns the still-pending tail.
@@ -496,22 +486,7 @@ type RunOptions struct {
 func (e *ApexExecutor) Run(opt RunOptions) (*ApexResult, error) {
 	start := time.Now()
 	deadline := start.Add(opt.Duration)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-
-	var firstErr error
-	var errMu sync.Mutex
-	recordErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		halt()
-	}
-
-	atomic.StoreInt64(&e.healthy, int64(e.cfg.NumWorkers))
+	ctx, stop := context.WithCancelCause(context.Background())
 
 	// Sample feeders: one supervised pipeline per worker actor, inserting
 	// into live shards round-robin.
@@ -523,52 +498,54 @@ func (e *ApexExecutor) Run(opt RunOptions) (*ApexResult, error) {
 			e.workerMu.RLock()
 			w := e.workers[wi]
 			e.workerMu.RUnlock()
-			restarts := 0
-			backoff := e.cfg.RestartBackoff
 			shard := wi
-			for {
-				if stopped(stop) {
-					return
-				}
+			step := func() error {
 				v, err := e.get(w.Call("sample", e.cfg.TaskSize))
 				if err != nil {
-					if stopped(stop) {
-						return
+					if !stopping(ctx) {
+						e.noteFailure(err)
 					}
-					e.noteFailure(err)
-					nw := e.superviseWorker(wi, &restarts, &backoff, stop)
-					if nw == nil {
-						if !stopped(stop) {
-							e.workerLost(wi, restarts, err, recordErr)
-						}
-						return
-					}
-					w = nw
-					continue
+					return err
 				}
 				b := v.(*execution.Batch)
 				atomic.AddInt64(&e.frames, int64(b.Frames))
 				ref, _, idx, ok := e.liveShard(shard)
 				if !ok {
-					recordErr(errors.New("distexec: all replay shards dead"))
-					return
+					stop(errShardsDead)
+					return nil
 				}
-				if _, err := e.get(ref.Call("insert", b)); err != nil {
-					if stopped(stop) {
-						return
-					}
+				if _, err := e.get(ref.Call("insert", b)); err != nil && !stopping(ctx) {
 					e.noteFailure(err)
-					e.restartShard(idx, ref) // batch is dropped
+					e.restartShard(ctx, idx, ref) // batch is dropped
 				}
 				shard++
+				return nil
 			}
+			// A fresh incarnation gets the learner's weights before it samples.
+			respawn := func() error {
+				nw, err := e.cluster.Restart(workerName(wi))
+				if err != nil {
+					atomic.AddInt64(&e.failedCalls, 1)
+					return err
+				}
+				e.workerMu.Lock()
+				e.workers[wi] = nw
+				e.workerMu.Unlock()
+				w = nw
+				if _, err := e.get(nw.Call("set_weights", e.weights())); err != nil {
+					e.noteFailure(err)
+					return err
+				}
+				return nil
+			}
+			m := e.workerSup.Member(rand.New(rand.NewSource(int64(wi))))
+			runMember(ctx, stop, e.workerSup, m, workerName(wi), step, respawn)
 		}(wi)
 	}
 
-	// Timeline sampler.
+	// Timeline sampler; timeline and solved are read only after wg.Wait.
 	var timeline []RewardPoint
 	var solved *RewardPoint
-	var tlMu sync.Mutex
 	if opt.SampleTimelineEvery > 0 {
 		wg.Add(1)
 		go func() {
@@ -577,7 +554,7 @@ func (e *ApexExecutor) Run(opt RunOptions) (*ApexResult, error) {
 			defer tick.Stop()
 			for {
 				select {
-				case <-stop:
+				case <-ctx.Done():
 					return
 				case <-tick.C:
 					e.workerMu.RLock()
@@ -594,16 +571,11 @@ func (e *ApexExecutor) Run(opt RunOptions) (*ApexResult, error) {
 						continue
 					}
 					pt := RewardPoint{Seconds: time.Since(start).Seconds(), MeanReward: sum / float64(n)}
-					tlMu.Lock()
 					timeline = append(timeline, pt)
 					if solved == nil && opt.TargetReward != 0 && pt.MeanReward >= opt.TargetReward {
-						p := pt
-						solved = &p
-						tlMu.Unlock()
-						halt()
-						continue
+						solved = &pt
+						stop(nil)
 					}
-					tlMu.Unlock()
 				}
 			}
 		}()
@@ -616,14 +588,11 @@ func (e *ApexExecutor) Run(opt RunOptions) (*ApexResult, error) {
 	shard := 0
 	published := 0
 	var pending []*raysim.Future
-	for time.Now().Before(deadline) {
-		if stopped(stop) {
-			break
-		}
+	for time.Now().Before(deadline) && !stopping(ctx) {
 		pending = e.harvest(pending)
 		ref, sh, idx, ok := e.liveShard(shard)
 		if !ok {
-			recordErr(errors.New("distexec: all replay shards dead"))
+			stop(errShardsDead)
 			break
 		}
 		if int(atomic.LoadInt64(&sh.size)) < minReplayBatches*e.cfg.BatchSize {
@@ -634,7 +603,7 @@ func (e *ApexExecutor) Run(opt RunOptions) (*ApexResult, error) {
 		v, err := e.get(ref.Call("sample", e.cfg.BatchSize))
 		if err != nil {
 			e.noteFailure(err)
-			e.restartShard(idx, ref)
+			e.restartShard(ctx, idx, ref)
 			shard++
 			continue
 		}
@@ -644,16 +613,14 @@ func (e *ApexExecutor) Run(opt RunOptions) (*ApexResult, error) {
 		_, td, err := e.learner.UpdateExternal(s, a, r, ns, t, w)
 		e.learnerMu.Unlock()
 		if err != nil {
-			recordErr(err)
+			stop(err)
 			break
 		}
 		pending = append(pending, ref.Call("update_priorities", ridx, td))
 		e.updates++
 		shard++
 		if e.updates%e.cfg.SyncWeightsEvery == 0 {
-			e.learnerMu.Lock()
-			weights := e.learner.GetWeights()
-			e.learnerMu.Unlock()
+			weights := e.weights()
 			e.workerMu.RLock()
 			for _, wk := range e.workers {
 				pending = append(pending, wk.Call("set_weights", weights))
@@ -661,50 +628,30 @@ func (e *ApexExecutor) Run(opt RunOptions) (*ApexResult, error) {
 			e.workerMu.RUnlock()
 		}
 		if ps := e.cfg.PublishTo; ps != nil && e.updates%e.cfg.PublishEvery == 0 {
-			e.learnerMu.Lock()
-			weights := e.learner.GetWeights()
-			e.learnerMu.Unlock()
-			if _, err := ps.Push(weights); err != nil {
-				recordErr(fmt.Errorf("distexec: publish at update %d: %w", e.updates, err))
+			if _, err := ps.Push(e.weights()); err != nil {
+				stop(fmt.Errorf("distexec: publish at update %d: %w", e.updates, err))
 			} else {
 				published++
 			}
 		}
 	}
-	halt()
+	stop(nil)
 	wg.Wait()
 	e.cluster.StopAll()
 
 	elapsed := time.Since(start)
-	var degraded time.Duration
-	if fd := e.firstDeath.Load(); fd != 0 {
-		degraded = time.Duration(time.Now().UnixNano() - fd)
-	}
-	res := &ApexResult{
+	return &ApexResult{
 		Frames:        atomic.LoadInt64(&e.frames),
 		Elapsed:       elapsed,
 		FPS:           float64(atomic.LoadInt64(&e.frames)) / elapsed.Seconds(),
 		Updates:       e.updates,
 		ActorCalls:    atomic.LoadInt64(&e.cluster.Calls),
-		Restarts:      int(atomic.LoadInt64(&e.restarts)),
+		Restarts:      int(e.workerSup.Restarts() + e.shardSup.Restarts()),
 		FailedCalls:   atomic.LoadInt64(&e.failedCalls),
 		TimedOutCalls: atomic.LoadInt64(&e.timedOutCalls),
-		Degraded:      degraded,
+		Degraded:      e.workerSup.Degraded(),
 		Timeline:      timeline,
 		SolvedAt:      solved,
 		Published:     published,
-	}
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
-	return res, err
-}
-
-func stopped(stop chan struct{}) bool {
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
-	}
+	}, runErr(ctx)
 }

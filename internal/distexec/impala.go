@@ -1,7 +1,9 @@
 package distexec
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,10 +30,8 @@ type IMPALAConfig struct {
 	QueueCapacity int
 	// FramesPerStep is the env frame multiplier for accounting.
 	FramesPerStep int
-	// RestartBackoff is the initial supervised-restart window; it doubles
-	// per retry up to a 2s cap (default 50ms). The actual sleep is drawn
-	// with full jitter — uniform in [0, window) — so simultaneous failures
-	// don't restart in lockstep.
+	// RestartBackoff is the initial window of the actors' full-jitter
+	// restart backoff (raysim.Policy), doubling to 2s (default 50ms).
 	RestartBackoff time.Duration
 	// BaselineOverheads enables the DeepMind-reference inefficiencies
 	// (redundant actor variable assignments, unstage preprocessing copies)
@@ -87,8 +87,8 @@ type IMPALAResult struct {
 // the learner dequeues through a staging area and applies V-trace updates —
 // the structure of the paper's Fig. 9 workload. Rollout actors are
 // supervised: a crash (error or panic) rebuilds the actor from its factory
-// with capped exponential backoff, and the run degrades gracefully until
-// no actor remains.
+// through a raysim.Supervisor, and the run degrades gracefully until no
+// actor remains.
 type IMPALAExecutor struct {
 	cfg     IMPALAConfig
 	learner *agents.IMPALA
@@ -104,10 +104,6 @@ type IMPALAExecutor struct {
 	frames   int64
 	rollouts int64
 	updates  int
-
-	restarts   int64
-	healthy    int64
-	firstDeath atomic.Int64 // unix nanos of first permanent actor loss
 
 	// learnerMu serializes learner weight reads (actors) against updates
 	// (learner loop) — the parameter-server consistency point.
@@ -253,64 +249,18 @@ func (e *IMPALAExecutor) actorIter(st *impalaActorState) (err error) {
 	return nil
 }
 
-// superviseActor rebuilds a crashed rollout actor from the factory with
-// capped exponential backoff under full jitter (the actual sleep is uniform
-// in [0, backoff)) and re-syncs learner weights. Returns false when the
-// restart budget is exhausted or the run is stopping.
-func (e *IMPALAExecutor) superviseActor(i int, st *impalaActorState, restarts *int,
-	backoff *time.Duration, stop chan struct{}) bool {
-	for *restarts < maxActorRestarts {
-		*restarts++
-		select {
-		case <-stop:
-			return false
-		case <-time.After(raysim.Jitter(*backoff)):
-		}
-		if *backoff *= 2; *backoff > maxRestartBackoff {
-			*backoff = maxRestartBackoff
-		}
-		na, nenv, err := e.factory(i)
-		if err != nil {
-			continue
-		}
-		e.learnerMu.Lock()
-		w := e.learner.GetWeights()
-		e.learnerMu.Unlock()
-		if err := na.SetWeights(w); err != nil {
-			continue
-		}
-		atomic.AddInt64(&e.restarts, 1)
-		st.a, st.env = na, nenv
-		st.state = st.env.Reset().Clone()
-		return true
-	}
-	return false
-}
-
 // Run drives actors and learner until the wall-clock duration elapses.
 // Actor crashes are absorbed by the supervisor; the run fails only when the
 // learner errors or no actor survives.
 func (e *IMPALAExecutor) Run(duration time.Duration) (*IMPALAResult, error) {
 	start := time.Now()
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-
-	var firstErr error
-	var errMu sync.Mutex
-	recordErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		halt()
-		// Unblock a learner parked in dequeue on an empty queue — without
-		// this, losing every actor would deadlock the run.
-		e.queue.Close()
-	}
-
-	atomic.StoreInt64(&e.healthy, int64(e.cfg.NumActors))
+	ctx, stop := context.WithCancelCause(context.Background())
+	// Closing the queue unblocks a learner parked in dequeue on an empty
+	// queue and actors parked in enqueue on a full one: without it, losing
+	// every actor would deadlock the run.
+	context.AfterFunc(ctx, e.queue.Close)
+	sup := raysim.NewSupervisor(raysim.Policy{Budget: maxActorRestarts,
+		Backoff: e.cfg.RestartBackoff, Cap: 2 * time.Second}, len(e.actors))
 
 	var wg sync.WaitGroup
 	for i := range e.actors {
@@ -319,44 +269,35 @@ func (e *IMPALAExecutor) Run(duration time.Duration) (*IMPALAResult, error) {
 			defer wg.Done()
 			st := &impalaActorState{a: e.actors[i], env: e.envsL[i]}
 			st.state = st.env.Reset().Clone()
-			restarts := 0
-			backoff := e.cfg.RestartBackoff
-			for {
-				if stopped(stop) {
-					return
+			// A rebuilt actor gets the learner's weights and a fresh episode.
+			respawn := func() error {
+				na, nenv, err := e.factory(i)
+				if err != nil {
+					return err
 				}
-				err := e.actorIter(st)
-				if err == nil {
-					continue
+				e.learnerMu.Lock()
+				w := e.learner.GetWeights()
+				e.learnerMu.Unlock()
+				if err := na.SetWeights(w); err != nil {
+					return err
 				}
-				if stopped(stop) {
-					return // shutdown-induced (queue closed under us)
-				}
-				if !e.superviseActor(i, st, &restarts, &backoff, stop) {
-					if stopped(stop) {
-						return
-					}
-					h := atomic.AddInt64(&e.healthy, -1)
-					e.firstDeath.CompareAndSwap(0, time.Now().UnixNano())
-					if h < 1 {
-						recordErr(fmt.Errorf("distexec: impala actor %d lost after %d restarts, no actor left: %w",
-							i, restarts, err))
-					}
-					return
-				}
+				st.a, st.env = na, nenv
+				st.state = st.env.Reset().Clone()
+				return nil
 			}
+			m := sup.Member(rand.New(rand.NewSource(int64(i))))
+			runMember(ctx, stop, sup, m, fmt.Sprintf("impala actor %d", i),
+				func() error { return e.actorIter(st) }, respawn)
 		}(i)
 	}
 
 	// Learner: dequeue → stage → update. The staging area gives the
 	// one-batch pipeline delay that hides transfer latency on real GPUs.
 	deadline := start.Add(duration)
-	for time.Now().Before(deadline) && !stopped(stop) {
+	for time.Now().Before(deadline) && !stopping(ctx) {
 		outs, err := e.queueEx.Execute("dequeue")
 		if err != nil {
-			if !stopped(stop) {
-				recordErr(err)
-			}
+			stop(err) // a no-op when the queue closed because the run stopped
 			break
 		}
 		if e.cfg.BaselineOverheads {
@@ -368,7 +309,7 @@ func (e *IMPALAExecutor) Run(duration time.Duration) (*IMPALAResult, error) {
 			}
 		}
 		if _, err := e.stageEx.Execute("put", outs...); err != nil {
-			recordErr(err)
+			stop(err)
 			break
 		}
 		if e.staging.Depth() < 2 {
@@ -376,7 +317,7 @@ func (e *IMPALAExecutor) Run(duration time.Duration) (*IMPALAResult, error) {
 		}
 		staged, err := e.stageEx.Execute("get")
 		if err != nil {
-			recordErr(err)
+			stop(err)
 			break
 		}
 		e.learnerMu.Lock()
@@ -384,30 +325,22 @@ func (e *IMPALAExecutor) Run(duration time.Duration) (*IMPALAResult, error) {
 			staged[0], staged[1], staged[2], staged[3], staged[4], staged[5])
 		e.learnerMu.Unlock()
 		if err != nil {
-			recordErr(err)
+			stop(err)
 			break
 		}
 		e.updates++
 	}
-	halt()
-	e.queue.Close()
+	stop(nil)
 	wg.Wait()
 
 	elapsed := time.Since(start)
-	var degraded time.Duration
-	if fd := e.firstDeath.Load(); fd != 0 {
-		degraded = time.Duration(time.Now().UnixNano() - fd)
-	}
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
 	return &IMPALAResult{
 		Frames:   atomic.LoadInt64(&e.frames),
 		Elapsed:  elapsed,
 		FPS:      float64(atomic.LoadInt64(&e.frames)) / elapsed.Seconds(),
 		Updates:  e.updates,
 		Rollouts: atomic.LoadInt64(&e.rollouts),
-		Restarts: int(atomic.LoadInt64(&e.restarts)),
-		Degraded: degraded,
-	}, err
+		Restarts: int(sup.Restarts()),
+		Degraded: sup.Degraded(),
+	}, runErr(ctx)
 }

@@ -9,10 +9,11 @@
 //     deterministic and cache-friendly.
 //   - Failures are retried on a different healthy replica (bounded
 //     retries). Attempts run one after another on the caller's goroutine.
-//   - Replicas run under raysim-style supervision: periodic health probes, a
-//     circuit breaker that ejects a replica after consecutive failures and
-//     re-admits it after a successful probe, and capped-backoff restarts
-//     with full jitter that rebuild a crashed replica from its factory and
+//   - Replicas are supervised: periodic health probes, a circuit breaker
+//     that ejects a replica after consecutive failures and re-admits it
+//     after a successful probe, and restarts through the raysim.Supervisor
+//     the distributed executors use (capped full-jitter backoff within a
+//     budget) that rebuild a crashed replica from its factory and
 //     re-install the fleet's current weight snapshot.
 //   - Weights hot-swap between batches through serve.Barrier: a rolling
 //     SwapAll pauses one replica at a time (≥ N−1 keep serving), responses
@@ -37,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rlgraph/internal/raysim"
 	"rlgraph/internal/serve"
 	"rlgraph/internal/tensor"
 )
@@ -81,9 +83,9 @@ type Config struct {
 	ProbeEvery time.Duration
 	// ProbeTimeout bounds each probe (default 4*ProbeEvery).
 	ProbeTimeout time.Duration
-	// RestartBackoff is the initial supervised-restart window; it doubles
-	// per consecutive failed rebuild up to a 1s cap, and the actual sleep
-	// is drawn with full jitter (default 10ms).
+	// RestartBackoff is the initial window of the replicas' full-jitter
+	// rebuild backoff (raysim.Policy), doubling per attempt to 1s and reset
+	// by a healthy probe (default 10ms).
 	RestartBackoff time.Duration
 	// MaxRestarts caps supervised rebuilds per replica; past it the replica
 	// is dead for good (default 16, negative = never restart).
@@ -139,7 +141,9 @@ type Router struct {
 	snapW  map[string]*tensor.Tensor
 	snapV  int64
 
-	stop   chan struct{}
+	sup    *raysim.Supervisor
+	ctx    context.Context // done once Shutdown begins
+	stop   context.CancelFunc
 	wg     sync.WaitGroup
 	closed atomic.Bool
 }
@@ -161,8 +165,10 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:  cfg,
 		ring: newHashRing(cfg.Replicas, 16),
-		stop: make(chan struct{}),
+		sup: raysim.NewSupervisor(raysim.Policy{Budget: cfg.MaxRestarts,
+			Backoff: cfg.RestartBackoff, Cap: time.Second}, cfg.Replicas),
 	}
+	rt.ctx, rt.stop = context.WithCancel(context.Background())
 	if cfg.Serve.Elem != nil {
 		rt.probeObs = tensor.New(cfg.Serve.Elem.Shape()...)
 	}
@@ -180,8 +186,10 @@ func New(cfg Config) (*Router, error) {
 		rt.replicas = append(rt.replicas, r)
 	}
 	for _, r := range rt.replicas {
+		rng := rand.New(rand.NewSource(cfg.Seed*1315423911 + int64(r.idx)*2654435761 + 1))
+		r.member = rt.sup.Member(rng)
 		rt.wg.Add(1)
-		go rt.supervise(r)
+		go rt.supervise(r, rng)
 	}
 	return rt, nil
 }
@@ -465,17 +473,23 @@ func (rt *Router) buildService(r *Replica) error {
 }
 
 // supervise is replica r's supervisor goroutine: periodic health probes
-// with jitter, circuit-breaker re-admission, and capped-backoff rebuilds.
-func (rt *Router) supervise(r *Replica) {
+// with jitter, circuit-breaker re-admission, and rebuilds through the
+// fleet's raysim.Supervisor. rng is the jitter source r.member draws from.
+func (rt *Router) supervise(r *Replica, rng *rand.Rand) {
 	defer rt.wg.Done()
-	rng := rand.New(rand.NewSource(rt.cfg.Seed*1315423911 + int64(r.idx)*2654435761 + 1))
-	backoff := rt.cfg.RestartBackoff
+	// A rebuild counts only once the replica answers its probe.
+	respawn := func() error {
+		if err := rt.buildService(r); err != nil {
+			return err
+		}
+		return rt.probe(r)
+	}
 	for {
 		// Probe cadence with ±25% jitter so N supervisors don't probe in
 		// lockstep.
 		wait := rt.cfg.ProbeEvery*3/4 + time.Duration(rng.Int63n(int64(rt.cfg.ProbeEvery)/2+1))
 		select {
-		case <-rt.stop:
+		case <-rt.ctx.Done():
 			return
 		case <-time.After(wait):
 		case <-r.wake:
@@ -485,7 +499,7 @@ func (rt *Router) supervise(r *Replica) {
 			if err := rt.probe(r); err != nil {
 				rt.noteOutcome(r, err)
 			} else {
-				backoff = rt.cfg.RestartBackoff
+				r.member.Reset()
 			}
 		case stateEjected:
 			// Circuit open: a successful probe re-admits the replica.
@@ -498,33 +512,14 @@ func (rt *Router) supervise(r *Replica) {
 				rt.noteOutcome(r, err)
 			}
 		case stateDown:
-			if int(r.restarts.Load()) >= rt.cfg.MaxRestarts {
-				if r.state.CompareAndSwap(stateDown, stateDead) {
+			if !r.member.Restart(rt.ctx, respawn) {
+				if rt.ctx.Err() == nil && r.state.CompareAndSwap(stateDown, stateDead) {
 					rt.m.deaths.Add(1)
 				}
 				continue
 			}
-			// Full-jitter backoff before the rebuild, abortable by stop.
-			d := time.Duration(rng.Int63n(int64(backoff) + 1))
-			select {
-			case <-rt.stop:
-				return
-			case <-time.After(d):
-			}
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-			r.restarts.Add(1)
-			rt.m.restarts.Add(1)
-			if err := rt.buildService(r); err != nil {
-				continue
-			}
-			if err := rt.probe(r); err != nil {
-				continue // stays down; next wake retries within budget
-			}
-			backoff = rt.cfg.RestartBackoff
+			r.member.Reset()
 			r.state.Store(stateHealthy)
-			rt.m.recoveries.Add(1)
 			// A rolling SwapAll that ran between the rebuild and this
 			// moment skipped the replica (it was still down); reconcile so
 			// it rejoins on the fleet's current snapshot, not the one it
@@ -557,7 +552,7 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	if !rt.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	close(rt.stop)
+	rt.stop()
 	rt.wg.Wait()
 	var firstErr error
 	for _, r := range rt.replicas {

@@ -31,8 +31,6 @@ type counters struct {
 	ejections    atomic.Int64
 	readmissions atomic.Int64
 	downs        atomic.Int64
-	restarts     atomic.Int64
-	recoveries   atomic.Int64
 	deaths       atomic.Int64
 	probes       atomic.Int64
 	probeFails   atomic.Int64
@@ -212,8 +210,7 @@ func (rt *Router) Metrics() Metrics {
 		Ejections:    rt.m.ejections.Load(),
 		Readmissions: rt.m.readmissions.Load(),
 		Downs:        rt.m.downs.Load(),
-		Restarts:     rt.m.restarts.Load(),
-		Recoveries:   rt.m.recoveries.Load(),
+		Recoveries:   rt.sup.Restarts(),
 		Deaths:       rt.m.deaths.Load(),
 		Probes:       rt.m.probes.Load(),
 		ProbeFails:   rt.m.probeFails.Load(),
@@ -237,12 +234,13 @@ func (rt *Router) Metrics() Metrics {
 		m.Versions = append(m.Versions, rt.VersionStatsFor(v))
 	}
 	for _, r := range rt.replicas {
+		m.Restarts += r.member.Attempts()
 		m.Replicas = append(m.Replicas, ReplicaMetrics{
 			State:       stateName(r.state.Load()),
 			Version:     r.version.Load(),
 			Inflight:    r.inflight.Load(),
 			ConsecFails: r.consecFails.Load(),
-			Restarts:    r.restarts.Load(),
+			Restarts:    r.member.Attempts(),
 			Serve:       r.serveMetrics(),
 		})
 	}

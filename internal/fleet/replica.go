@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rlgraph/internal/raysim"
 	"rlgraph/internal/serve"
 	"rlgraph/internal/tensor"
 )
@@ -54,7 +55,9 @@ type Replica struct {
 	state       atomic.Int32
 	inflight    atomic.Int64
 	consecFails atomic.Int64
-	restarts    atomic.Int64
+	// member is the replica's restart state (attempts, backoff window);
+	// only its supervisor goroutine restarts it.
+	member *raysim.Member
 
 	// opMu serializes structural operations — weight swaps and rebuilds —
 	// against each other. setW is the weight sink of the *current* service's

@@ -366,12 +366,14 @@ func TestConvTiledMatchesNaiveBitForBit(t *testing.T) {
 	}
 }
 
-// TestConvScratchPeakCapped checks the structural ≤1/4 guarantee of
-// convPanelFor: at the shape N=8, 32x32x16, 3x3 SAME, total
-// in-flight panel scratch stays at or below a quarter of the full im2col
-// materialization regardless of parallelism. The backward-filter pass reads
-// its panel transposed in place and its chunks' column slices add up to one
-// panel, so it holds at most one panel at any parallelism.
+// TestConvScratchPeakCapped checks that the forward and filter-gradient
+// passes stay small at the shape N=8, 32x32x16, 3x3 SAME, at any
+// parallelism. Neither pass unfolds its input: unpadded they hold no
+// scratch, and padded each chunk holds one line buffer of KH zero-bordered
+// input rows (3·34·16 elements here). The chunk count is capped at four per
+// worker, so the forward pass stays under a quarter of the full im2col
+// materialization, and the filter-gradient pass under one backward-input
+// panel.
 func TestConvScratchPeakCapped(t *testing.T) {
 	defer SetConvPanelRows(0)
 	defer SetKernelParallelism(0)
